@@ -44,6 +44,7 @@ class DawidSkeneModel:
     task_posterior: dict  # task -> (3,)
     iterations: int = 0
     loglik_trace: list = None
+    converged: bool = False  # the posterior change fell below tol
 
 
 def categorize(score, neutral, threshold=DEFAULT_MARGIN):
@@ -96,7 +97,8 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     categories); each iteration re-estimates the class prior and the
     per-subject row-stochastic confusion matrices from posterior-weighted
     counts (with additive smoothing), then refreshes the posteriors.
-    Stops when the largest posterior change drops below `tol`.
+    Stops when the largest posterior change drops below `tol`
+    (`converged`) or after `max_iter` iterations.
     """
     if not table.rows:
         raise ValueError("empty categorical table")
@@ -122,6 +124,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     confusion = [np.full((k, k), 1.0 / k) for _ in subjects]
     trace = []
     iterations = 0
+    converged = False
     for _ in range(max_iter):
         # M-step: class prior and confusion rows from soft counts.
         prior = np.zeros(k)
@@ -150,6 +153,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
         iterations += 1
         trace.append(_penalized_loglik(task_labels, prior, confusion, s_pos))
         if delta < tol:
+            converged = True
             break
 
     return DawidSkeneModel(
@@ -158,6 +162,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
         task_posterior={t: posterior[t] for t in task_ids},
         iterations=iterations,
         loglik_trace=trace,
+        converged=converged,
     )
 
 

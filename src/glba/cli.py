@@ -182,7 +182,8 @@ def cmd_baseline_ds(args):
     path = os.path.join(out, "baseline_ds.tsv")
     textio.write_baseline_ranking(ranked, "dawid-skene", path)
     _manifest(args, "baseline-ds", [args.responses], extra={"threshold": args.threshold})
-    print(f"ranked {len(ranked)} subjects in {ds.iterations} EM iterations; wrote {path}")
+    status = "converged" if ds.converged else "NOT converged"
+    print(f"ranked {len(ranked)} subjects in {ds.iterations} EM iterations, {status}; wrote {path}")
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ on the population means.
 """
 
 import dataclasses
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, digamma, polygamma, xlogy
-
-logger = logging.getLogger(__name__)
 
 # Positivity floor for Beta shape parameters.
 EPS_POS = 1e-6
@@ -495,42 +492,24 @@ def m_step_subject(subject, stats, priors, config=None, warm_start=(1.0, 1.0)):
 # ---------------------------------------------------------------------------
 
 
-def gamma_ratio(tasks, stats, include_self=False):
-    """Brute-force numerator/denominator of the chance-rate update.
-
-    Sums, over every task and rater, the (1 - tau~)-weighted count of
-    agreeing neighbor pairs (numerator) and of all neighbor pairs
-    (denominator).  Plain sequential accumulation, so the result is
-    reproducible and independent of any vectorization.
-    """
-    num = 0.0
-    den = 0.0
-    for task, ts in zip(tasks, stats):
-        E = task.edges
-        tt = ts.tau_tilde
-        k = len(ts.subjects)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                w = 1.0 - float(tt[j])
-                num += w * float(E[i, j])
-                den += w
-            if include_self:
-                den += 1.0 - float(tt[i])
-    return num, den
+def _gamma_from_sums(num, den, previous):
+    """Closed-form chance rate num/den clamped to GAMMA_CLAMP; a zero
+    denominator (all gates confidently open) keeps `previous`."""
+    if den <= 0.0:
+        return float(previous)
+    return float(np.clip(num / den, GAMMA_CLAMP[0], GAMMA_CLAMP[1]))
 
 
 def update_gamma(tasks, stats, previous, include_self=False):
     """Closed-form chance-agreement rate, clamped to GAMMA_CLAMP.
 
-    A zero denominator (all gates confidently open) keeps `previous`.
+    `stats` must align one-to-one with `tasks`.  A zero denominator (all
+    gates confidently open) keeps `previous`.
     """
-    num, den = gamma_ratio(tasks, stats, include_self=include_self)
-    if den <= 0.0:
-        logger.warning("gamma update skipped: zero denominator (all tau~ at 1)")
-        return float(previous)
-    return float(np.clip(num / den, GAMMA_CLAMP[0], GAMMA_CLAMP[1]))
+    subjects = sorted({s for task in tasks for s in task.subjects})
+    prep = _Prepared(tasks, subjects)
+    t_t = prep.flat_from_stats(stats)[2]
+    return _gamma_from_sums(*prep.gamma_sums(t_t, include_self), previous)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +534,16 @@ def symmetrized_prob(p, q):
 # ---------------------------------------------------------------------------
 
 
-def _objective_flat(prep, flat, params, priors, include_self):
+def _digammas(a_t, b_t):
+    """digamma of alpha~, beta~ and alpha~ + beta~ over the flat layout."""
+    return digamma(a_t), digamma(b_t), digamma(a_t + b_t)
+
+
+def _objective_flat(prep, flat, dig, params, priors, include_self):
     """Variational objective: expected complete-data log posterior plus
     the entropy of the factorized posterior.
+
+    `dig` holds `_digammas(alpha~, beta~)` of the flat statistics.
 
     The prior enters in pseudo-count form (exponents tau0 and 1 - tau0 on
     tau, and the shape-sum Gamma kernel), which is exactly the form whose
@@ -569,9 +555,7 @@ def _objective_flat(prep, flat, params, priors, include_self):
     alpha_i = params.alpha[prep.flat_sidx]
     beta_i = params.beta[prep.flat_sidx]
 
-    dig_a = digamma(a_t)
-    dig_b = digamma(b_t)
-    dig_s = digamma(a_t + b_t)
+    dig_a, dig_b, dig_s = dig
     lam_a = dig_a - dig_s
     lam_b = dig_b - dig_s
 
@@ -627,9 +611,10 @@ def log_posterior(params, priors, multigraph, stats):
     `stats` must align one-to-one with multigraph.tasks.  Normally read
     off FitReport.loglik_trace; exposed for direct evaluation.
     """
-    prep = _Prepared(multigraph)
+    prep = _Prepared(multigraph.tasks, multigraph.subjects)
     flat = prep.flat_from_stats(stats)
-    return _objective_flat(prep, flat, params, priors, include_self=False)
+    dig = _digammas(flat[0], flat[1])
+    return _objective_flat(prep, flat, dig, params, priors, include_self=False)
 
 
 # ---------------------------------------------------------------------------
@@ -638,24 +623,24 @@ def log_posterior(params, priors, multigraph, stats):
 
 
 class _Prepared:
-    """Multigraph flattened into same-rater-count groups for array passes.
+    """Tasks flattened into same-rater-count groups for array passes.
 
-    Flat arrays are laid out task-major (in multigraph task order), so
+    Flat arrays are laid out task-major (in task order), so
     scatter-accumulations over them reproduce plain per-task summation
-    bit for bit.
+    bit for bit.  `subjects` fixes the global index of every rater.
     """
 
-    def __init__(self, graph):
-        self.graph = graph
-        pos = {s: i for i, s in enumerate(graph.subjects)}
-        n = len(graph.tasks)
+    def __init__(self, tasks, subjects):
+        self.tasks = tasks
+        pos = {s: i for i, s in enumerate(subjects)}
+        n = len(tasks)
         self.offsets = np.zeros(n + 1, dtype=np.intp)
-        for t_i, task in enumerate(graph.tasks):
+        for t_i, task in enumerate(tasks):
             self.offsets[t_i + 1] = self.offsets[t_i] + len(task.subjects)
         self.total = int(self.offsets[-1])
         self.flat_sidx = np.empty(self.total, dtype=np.intp)
         by_size = {}
-        for t_i, task in enumerate(graph.tasks):
+        for t_i, task in enumerate(tasks):
             r = len(task.subjects)
             sidx = np.array([pos[s] for s in task.subjects], dtype=np.intp)
             self.flat_sidx[self.offsets[t_i] : self.offsets[t_i + 1]] = sidx
@@ -663,7 +648,7 @@ class _Prepared:
         self.groups = []
         for r in sorted(by_size):
             idx = by_size[r]
-            E = np.stack([graph.tasks[t_i].edges for t_i in idx]).astype(float)
+            E = np.stack([tasks[t_i].edges for t_i in idx]).astype(float)
             sidx = np.stack(
                 [self.flat_sidx[self.offsets[t_i] : self.offsets[t_i + 1]] for t_i in idx]
             )
@@ -671,16 +656,17 @@ class _Prepared:
                 [np.arange(self.offsets[t_i], self.offsets[t_i + 1], dtype=np.intp) for t_i in idx]
             )
             self.groups.append((E, _complement_edges(E), sidx, dest))
-        self.degree = np.zeros(graph.m, dtype=float)
+        self.degree = np.zeros(len(subjects), dtype=float)
         np.add.at(self.degree, self.flat_sidx, 1.0)
+        self._pairs = {}
 
     def flat_from_stats(self, stats):
-        if len(stats) != len(self.graph.tasks):
+        if len(stats) != len(self.tasks):
             raise ValueError("stats must cover every task of the multigraph")
         a_t = np.empty(self.total)
         b_t = np.empty(self.total)
         t_t = np.empty(self.total)
-        for t_i, (task, ts) in enumerate(zip(self.graph.tasks, stats)):
+        for t_i, (task, ts) in enumerate(zip(self.tasks, stats)):
             if ts.task_id != task.task_id:
                 raise ValueError(
                     f"stats order mismatch: expected {task.task_id!r}, got {ts.task_id!r}"
@@ -691,21 +677,36 @@ class _Prepared:
             t_t[sl] = ts.tau_tilde
         return a_t, b_t, t_t
 
-    def stats_list(self, flat):
-        a_t, b_t, t_t = flat
-        out = []
-        for t_i, task in enumerate(self.graph.tasks):
-            sl = slice(self.offsets[t_i], self.offsets[t_i + 1])
-            out.append(
-                TaskStats(
-                    task_id=task.task_id,
-                    subjects=list(task.subjects),
-                    alpha_tilde=a_t[sl].copy(),
-                    beta_tilde=b_t[sl].copy(),
-                    tau_tilde=t_t[sl].copy(),
-                )
-            )
-        return out
+    def _pair_layout(self, include_self):
+        """Flat neighbour index j and indicator E[i, j] of every ordered pair
+        (i, j != i), ordered task-major, then by i, then by j.  With
+        include_self, a self pair (i, i) with indicator 0 closes row i.
+        """
+        if include_self not in self._pairs:
+            fi, rank, fj, e = [], [], [], []
+            for E, _comp, _sidx, dest in self.groups:
+                r = E.shape[1]
+                ii, jj = np.nonzero(~np.eye(r, dtype=bool) | include_self)
+                fi.append(dest[:, ii].ravel())
+                rank.append(np.tile(np.where(ii == jj, r, jj), len(dest)))
+                fj.append(dest[:, jj].ravel())
+                e.append((E[:, ii, jj] * (ii != jj)).ravel())
+            fi, rank, fj, e = map(np.concatenate, (fi, rank, fj, e))
+            order = np.lexsort((rank, fi))
+            self._pairs[include_self] = (fj[order], e[order])
+        return self._pairs[include_self]
+
+    def gamma_sums(self, t_t, include_self):
+        """Numerator and denominator of the chance-rate update: over every
+        ordered pair (i, j), the weight 1 - tau~_j times E[i, j], and the
+        weight alone.  cumsum adds in sequence, so both equal the plain
+        loop's sums bit for bit (np.sum adds pairwise and would not).
+        """
+        pair_j, pair_e = self._pair_layout(include_self)
+        if pair_j.size == 0:
+            return 0.0, 0.0
+        w = (1.0 - t_t)[pair_j]
+        return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
 
 
 def _estep_all(prep, tau, alpha, beta, gamma, include_self, workers=1):
@@ -759,7 +760,7 @@ def fit(multigraph, config=None):
     workers = resolve_workers(config.workers)
     include_self = config.psi_includes_self
 
-    prep = _Prepared(multigraph)
+    prep = _Prepared(multigraph.tasks, multigraph.subjects)
     m = multigraph.m
     tau0, s0 = 0.5, 1.0
     tau = np.ones(m)
@@ -788,13 +789,13 @@ def fit(multigraph, config=None):
             flat = _estep_all(prep, tau, alpha, beta, gamma, include_self, workers)
             a_t, b_t, t_t = flat
 
-            contrib_a = digamma(a_t) - digamma(a_t + b_t)
-            contrib_b = digamma(b_t) - digamma(a_t + b_t)
+            dig = _digammas(a_t, b_t)
+            dig_a, dig_b, dig_s = dig
             s_a = np.zeros(m)
             s_b = np.zeros(m)
             tau_acc = np.zeros(m)
-            np.add.at(s_a, prep.flat_sidx, contrib_a)
-            np.add.at(s_b, prep.flat_sidx, contrib_b)
+            np.add.at(s_a, prep.flat_sidx, dig_a - dig_s)
+            np.add.at(s_b, prep.flat_sidx, dig_b - dig_s)
             np.add.at(tau_acc, prep.flat_sidx, t_t)
 
             new_tau = (tau0 + tau_acc) / (prep.degree + 1.0)
@@ -805,15 +806,9 @@ def fit(multigraph, config=None):
                 fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
 
             if config.update_gamma:
-                stats = prep.stats_list(flat)
-                new_gamma = update_gamma(
-                    multigraph.tasks, stats, gamma, include_self=include_self
-                )
-                if new_gamma == gamma:
-                    num, den = gamma_ratio(multigraph.tasks, stats, include_self)
-                    if den <= 0.0:
-                        gamma_kept += 1
-                gamma = new_gamma
+                num, den = prep.gamma_sums(t_t, include_self)
+                gamma_kept += int(den <= 0.0)
+                gamma = _gamma_from_sums(num, den, gamma)
 
             delta = max(
                 float(np.max(np.abs(new_tau - tau))),
@@ -832,7 +827,7 @@ def fit(multigraph, config=None):
             params = ModelParams(
                 subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
             )
-            trace.append(_objective_flat(prep, flat, params, priors, include_self))
+            trace.append(_objective_flat(prep, flat, dig, params, priors, include_self))
 
             if delta < config.tol:
                 converged = True

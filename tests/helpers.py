@@ -112,6 +112,29 @@ def oracle_estep(task, params, include_self=False):
     return np.array(a_t), np.array(b_t), np.array(t_t)
 
 
+def oracle_gamma_ratio(tasks, stats, include_self):
+    """Numerator and denominator of the chance-rate update as a plain
+    sequential loop: over every task and ordered rater pair (i, j != i),
+    the weight 1 - tau~_j times E[i, j] and the weight alone; with
+    include_self, row i's denominator also gets 1 - tau~_i."""
+    num = 0.0
+    den = 0.0
+    for task, ts in zip(tasks, stats):
+        E = task.edges
+        tt = ts.tau_tilde
+        k = len(ts.subjects)
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    continue
+                w = 1.0 - float(tt[j])
+                num += w * float(E[i, j])
+                den += w
+            if include_self:
+                den += 1.0 - float(tt[i])
+    return num, den
+
+
 def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0, mode):
     """Residual of the shape stationarity system, from first principles."""
     from scipy.special import digamma

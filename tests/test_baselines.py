@@ -134,6 +134,27 @@ def test_ds_simplex_constraints_and_monotone_loglik():
     assert np.all(np.diff(trace) >= -1e-9)
 
 
+def test_ds_reports_convergence():
+    cats = ["low", "neutral", "high"]
+    entries = [(f"s{s}", f"t{t}", cats[t % 3]) for t in range(20) for s in range(5)]
+    model = dawid_skene_fit(cat_table(entries), max_iter=100, tol=1e-6)
+    assert model.converged
+    assert model.iterations < 100
+
+
+def test_ds_reports_iteration_cap():
+    rng = np.random.default_rng(18)
+    cats = list(CATEGORIES)
+    entries = [
+        (f"s{s}", f"t{t}", cats[int(rng.integers(3))])
+        for t in range(30)
+        for s in rng.choice(6, size=4, replace=False)
+    ]
+    model = dawid_skene_fit(cat_table(entries), max_iter=2, tol=1e-12)
+    assert not model.converged
+    assert model.iterations == 2
+
+
 def test_ds_deterministic():
     rng = np.random.default_rng(19)
     cats = list(CATEGORIES)

@@ -147,6 +147,15 @@ def test_baseline_commands(ratings_csv, tmp_path):
     assert (out / "baseline_time_excluded.txt").exists()
 
 
+def test_baseline_ds_reports_convergence(ratings_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["baseline-ds", ratings_csv, "--out", out, "--ds-tol", 1e-3]) == 0
+    assert "EM iterations, converged;" in capsys.readouterr().out
+    # the default budget of 100 iterations stops short of tol 1e-6 here
+    assert run(["baseline-ds", ratings_csv, "--out", out]) == 0
+    assert "in 100 EM iterations, NOT converged;" in capsys.readouterr().out
+
+
 def test_simulate_and_inject_commands(tmp_path):
     out = tmp_path / "out"
     assert (

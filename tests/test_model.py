@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -11,7 +13,9 @@ from glba.model import (
     ModelParams,
     Priors,
     R_CLAMP,
+    TaskStats,
     _bisect_ab,
+    _Prepared,
     e_step_task,
     fit,
     fit_grid,
@@ -28,6 +32,7 @@ from helpers import (
     make_graph,
     make_task,
     oracle_estep,
+    oracle_gamma_ratio,
     oracle_mstep_residual,
     random_graph,
     random_params,
@@ -522,9 +527,7 @@ def test_fit_tau_stays_in_update_bounds():
     graph, _ = small_sampled_graph(seed=5)
     report = fit(graph, FAST)
     tau0 = report.priors.tau0
-    from glba.model import _Prepared
-
-    degree = _Prepared(graph).degree
+    degree = _Prepared(graph.tasks, graph.subjects).degree
     lo = tau0 / (degree + 1.0)
     hi = (tau0 + degree) / (degree + 1.0)
     assert np.all(report.params.tau >= lo - 1e-12)
@@ -653,3 +656,57 @@ def test_gamma_update_exact_against_brute_force():
         else:
             expected = float(np.clip(num / den, 0.01, 0.49))
         assert report.params.gamma == expected
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_gamma_sums_bit_identical_to_loop(include_self):
+    rng = np.random.default_rng(92)
+    interleaved = 0
+    for trial in range(20):
+        graph = random_graph(rng, m=10, n=int(rng.integers(5, 15)), r_lo=2, r_hi=6)
+        sizes = [t.n_raters for t in graph.tasks]
+        interleaved += sizes != sorted(sizes)
+        stats = [
+            TaskStats(
+                task_id=t.task_id,
+                subjects=list(t.subjects),
+                alpha_tilde=np.ones(t.n_raters),
+                beta_tilde=np.ones(t.n_raters),
+                tau_tilde=rng.uniform(0.0, 1.0, size=t.n_raters),
+            )
+            for t in graph.tasks
+        ]
+        t_t = np.concatenate([ts.tau_tilde for ts in stats])
+        sums = _Prepared(graph.tasks, graph.subjects).gamma_sums(t_t, include_self)
+        assert sums == oracle_gamma_ratio(graph.tasks, stats, include_self)
+    # size groups must interleave in task order for the layout's sort to matter
+    assert interleaved > 10
+    # a lone rater has no neighbour pair, only (with include_self) a self pair
+    lone = make_graph([make_task("t", ["a"], {})])
+    stats = [TaskStats("t", ["a"], np.ones(1), np.ones(1), np.array([0.25]))]
+    sums = _Prepared(lone.tasks, lone.subjects).gamma_sums(np.array([0.25]), include_self)
+    assert sums == oracle_gamma_ratio(lone.tasks, stats, include_self)
+
+
+def test_gamma_second_iteration_exact_against_oracle():
+    # After one iteration from tau = 1 every tau~ is 1 and the update keeps
+    # gamma; the second iteration is the first with a nonzero denominator.
+    rng = np.random.default_rng(93)
+    for trial in range(20):
+        graph = random_graph(rng, m=int(rng.integers(4, 9)), n=int(rng.integers(2, 7)))
+        config = FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1)
+        r1 = fit(graph, config)
+        r2 = fit(graph, dataclasses.replace(config, max_iter=2))
+        stats = [e_step_task(task, r1.params) for task in graph.tasks]
+        num, den = oracle_gamma_ratio(graph.tasks, stats, False)
+        assert den > 0.0
+        assert r2.params.gamma == float(np.clip(num / den, 0.01, 0.49))
+
+
+def test_update_gamma_fit_counts_kept_update_without_warning(caplog):
+    graph, _ = small_sampled_graph(seed=7)
+    config = FitConfig(gamma=0.37, update_gamma=True, max_iter=20, eb_max_rounds=2)
+    with caplog.at_level(logging.WARNING):
+        report = fit(graph, config)
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert report.gamma_kept_count >= 1
