@@ -75,21 +75,6 @@ def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     return CategoricalTable(rows=rows)
 
 
-def _penalized_loglik(task_labels, prior, confusion, subjects_pos):
-    """Observed-data log-likelihood plus the smoothing pseudo-count prior.
-
-    This is the quantity the smoothed EM ascends monotonically.
-    """
-    ll = 0.0
-    for labels in task_labels.values():
-        probs = prior.copy()
-        for s_pos, cat in labels:
-            probs = probs * confusion[s_pos][:, cat]
-        ll += math.log(max(float(probs.sum()), 1e-300))
-    ll += CONFUSION_SMOOTHING * float(sum(np.log(cm).sum() for cm in confusion))
-    return ll
-
-
 def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     """Confusion-matrix EM over categorical labels.
 
@@ -98,68 +83,79 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     per-subject row-stochastic confusion matrices from posterior-weighted
     counts (with additive smoothing), then refreshes the posteriors.
     Stops when the largest posterior change drops below `tol`
-    (`converged`) or after `max_iter` iterations.
+    (`converged`) or after `max_iter` iterations.  `loglik_trace` holds
+    the observed-data log-likelihood plus the smoothing pseudo-count
+    prior, the quantity the smoothed EM ascends monotonically.
+
+    Rows are sorted by task with a stable sort, so every sum and product
+    runs in the order of a per-task loop over labels in input order:
+    `add.at` and `cumsum` add in sequence, and the E-step multiplies one
+    within-task position at a time.
     """
     if not table.rows:
         raise ValueError("empty categorical table")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     k = len(CATEGORIES)
     cat_pos = {c: i for i, c in enumerate(CATEGORIES)}
     subjects = sorted({r.subject_id for r in table.rows})
+    task_ids = sorted({r.task_id for r in table.rows})
     s_pos = {s: i for i, s in enumerate(subjects)}
-    task_labels = {}
-    for r in table.rows:
-        task_labels.setdefault(r.task_id, []).append((s_pos[r.subject_id], cat_pos[r.category]))
-    task_ids = sorted(task_labels)
-    task_labels = {t: task_labels[t] for t in task_ids}
+    t_pos = {t: i for i, t in enumerate(task_ids)}
+    codes = np.array(
+        [(s_pos[r.subject_id], t_pos[r.task_id], cat_pos[r.category]) for r in table.rows],
+        dtype=np.intp,
+    )
+    row_s, row_t, row_c = codes[np.argsort(codes[:, 1], kind="stable")].T
+    n_tasks = len(task_ids)
+    within = np.arange(len(row_t)) - np.searchsorted(row_t, row_t)
+    # Per within-task position: the tasks that reach it, with that label's
+    # subject and category.
+    layers = []
+    for p in range(within.max() + 1):
+        sel = within == p
+        layers.append((row_t[sel], row_s[sel], row_c[sel]))
 
     # Majority-vote initialization of the task posteriors.
-    posterior = {}
-    for t, labels in task_labels.items():
-        counts = np.zeros(k)
-        for _s, cat in labels:
-            counts[cat] += 1
-        top = counts == counts.max()
-        posterior[t] = top / top.sum()
+    votes = np.zeros((n_tasks, k))
+    np.add.at(votes, (row_t, row_c), 1.0)
+    top = votes == votes.max(axis=1, keepdims=True)
+    posterior = top / top.sum(axis=1, keepdims=True)
 
-    confusion = [np.full((k, k), 1.0 / k) for _ in subjects]
     trace = []
     iterations = 0
     converged = False
     for _ in range(max_iter):
         # M-step: class prior and confusion rows from soft counts.
-        prior = np.zeros(k)
-        for t in task_ids:
-            prior += posterior[t]
-        prior /= len(task_ids)
+        prior = np.cumsum(posterior, axis=0)[-1] / n_tasks
+        counts = np.full((len(subjects), k, k), CONFUSION_SMOOTHING)
+        np.add.at(counts, (row_s, slice(None), row_c), posterior[row_t])
+        confusion = counts / counts.sum(axis=2, keepdims=True)
 
-        counts = [np.full((k, k), CONFUSION_SMOOTHING) for _ in subjects]
-        for t, labels in task_labels.items():
-            post = posterior[t]
-            for sp, cat in labels:
-                counts[sp][:, cat] += post
-        confusion = [c / c.sum(axis=1, keepdims=True) for c in counts]
-
-        # E-step: refresh task posteriors.
-        delta = 0.0
-        for t, labels in task_labels.items():
-            probs = prior.copy()
-            for sp, cat in labels:
-                probs = probs * confusion[sp][:, cat]
-            total = float(probs.sum())
-            probs = probs / total if total > 0 else np.full(k, 1.0 / k)
-            delta = max(delta, float(np.max(np.abs(probs - posterior[t]))))
-            posterior[t] = probs
+        # E-step: prior times each label's confusion column, task by task.
+        probs = np.tile(prior, (n_tasks, 1))
+        for t, s, c in layers:
+            probs[t] *= confusion[s, :, c]
+        totals = probs.sum(axis=1)
+        refreshed = np.full_like(probs, 1.0 / k)
+        np.divide(probs, totals[:, None], out=refreshed, where=totals[:, None] > 0)
+        delta = float(np.max(np.abs(refreshed - posterior)))
+        posterior = refreshed
 
         iterations += 1
-        trace.append(_penalized_loglik(task_labels, prior, confusion, s_pos))
+        # math.log per task: numpy's SIMD log can differ from libm's in the last bit.
+        logs = list(map(math.log, np.maximum(totals, 1e-300).tolist()))
+        # Each subject's nine logs summed as one matrix, then subjects in order.
+        smoothing = float(np.cumsum(np.log(confusion).reshape(len(subjects), -1).sum(axis=1))[-1])
+        trace.append(float(np.cumsum(logs)[-1]) + CONFUSION_SMOOTHING * smoothing)
         if delta < tol:
             converged = True
             break
 
     return DawidSkeneModel(
         class_prior=prior,
-        confusion={s: confusion[s_pos[s]] for s in subjects},
-        task_posterior={t: posterior[t] for t in task_ids},
+        confusion={s: confusion[i] for i, s in enumerate(subjects)},
+        task_posterior={t: posterior[i] for i, t in enumerate(task_ids)},
         iterations=iterations,
         loglik_trace=trace,
         converged=converged,

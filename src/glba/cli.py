@@ -6,6 +6,7 @@ a manifest recording settings, input digests, and versions.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -174,6 +175,9 @@ def cmd_pr(args):
 
 
 def cmd_baseline_ds(args):
+    for flag, value in (("--threshold", args.threshold), ("--ds-tol", args.ds_tol)):
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
     table = ingest.load_responses(args.responses)
     cat = baselines.categorize_table(table, args.dimension, threshold=args.threshold)
     ds = baselines.dawid_skene_fit(cat, max_iter=args.ds_max_iter, tol=args.ds_tol)
@@ -181,7 +185,8 @@ def cmd_baseline_ds(args):
     out = _outdir(args)
     path = os.path.join(out, "baseline_ds.tsv")
     textio.write_baseline_ranking(ranked, "dawid-skene", path)
-    _manifest(args, "baseline-ds", [args.responses], extra={"threshold": args.threshold})
+    settings = {"threshold": args.threshold, "ds_max_iter": args.ds_max_iter, "ds_tol": args.ds_tol}
+    _manifest(args, "baseline-ds", [args.responses], extra=settings)
     status = "converged" if ds.converged else "NOT converged"
     print(f"ranked {len(ranked)} subjects in {ds.iterations} EM iterations, {status}; wrote {path}")
     return EXIT_OK

@@ -121,11 +121,6 @@ class AgreementMultigraph:
     def n(self):
         return len(self.tasks)
 
-    def task_subject_indices(self, task):
-        """Positions of a task's raters in the global subject list."""
-        pos = {s: i for i, s in enumerate(self.subjects)}
-        return np.array([pos[s] for s in task.subjects], dtype=np.intp)
-
 
 def bin_rating(value, decimals=BIN_DECIMALS):
     return round(float(value), decimals)

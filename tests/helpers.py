@@ -149,3 +149,76 @@ def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0, mode):
     f_a = s_a - d * (digamma(a) - digamma(s)) - h
     f_b = s_b - d * (digamma(b) - digamma(s)) - h
     return f_a, f_b
+
+
+def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
+    """Dawid-Skene EM as plain per-task, per-label loops, with the
+    penalized log-likelihood recomputed from the prior and confusions
+    after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
+    from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
+
+    k = len(CATEGORIES)
+    cat_pos = {c: i for i, c in enumerate(CATEGORIES)}
+    subjects = sorted({r.subject_id for r in table.rows})
+    s_pos = {s: i for i, s in enumerate(subjects)}
+    task_labels = {}
+    for r in table.rows:
+        task_labels.setdefault(r.task_id, []).append((s_pos[r.subject_id], cat_pos[r.category]))
+    task_ids = sorted(task_labels)
+    task_labels = {t: task_labels[t] for t in task_ids}
+
+    posterior = {}
+    for t, labels in task_labels.items():
+        counts = np.zeros(k)
+        for _s, cat in labels:
+            counts[cat] += 1
+        top = counts == counts.max()
+        posterior[t] = top / top.sum()
+
+    trace = []
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        prior = np.zeros(k)
+        for t in task_ids:
+            prior += posterior[t]
+        prior /= len(task_ids)
+
+        counts = [np.full((k, k), CONFUSION_SMOOTHING) for _ in subjects]
+        for t, labels in task_labels.items():
+            post = posterior[t]
+            for sp, cat in labels:
+                counts[sp][:, cat] += post
+        confusion = [c / c.sum(axis=1, keepdims=True) for c in counts]
+
+        delta = 0.0
+        for t, labels in task_labels.items():
+            probs = prior.copy()
+            for sp, cat in labels:
+                probs = probs * confusion[sp][:, cat]
+            total = float(probs.sum())
+            probs = probs / total if total > 0 else np.full(k, 1.0 / k)
+            delta = max(delta, float(np.max(np.abs(probs - posterior[t]))))
+            posterior[t] = probs
+
+        iterations += 1
+        ll = 0.0
+        for labels in task_labels.values():
+            probs = prior.copy()
+            for sp, cat in labels:
+                probs = probs * confusion[sp][:, cat]
+            ll += math.log(max(float(probs.sum()), 1e-300))
+        ll += CONFUSION_SMOOTHING * float(sum(np.log(cm).sum() for cm in confusion))
+        trace.append(ll)
+        if delta < tol:
+            converged = True
+            break
+
+    return DawidSkeneModel(
+        class_prior=prior,
+        confusion={s: confusion[s_pos[s]] for s in subjects},
+        task_posterior={t: posterior[t] for t in task_ids},
+        iterations=iterations,
+        loglik_trace=trace,
+        converged=converged,
+    )

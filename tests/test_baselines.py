@@ -9,7 +9,7 @@ from glba.baselines import (
     dawid_skene_rank,
     duration_rank,
 )
-from helpers import table_from_rows
+from helpers import oracle_dawid_skene, table_from_rows
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,52 @@ def test_ds_deterministic():
     assert np.array_equal(m1.class_prior, m2.class_prior)
     for s in m1.confusion:
         assert np.array_equal(m1.confusion[s], m2.confusion[s])
+
+
+def test_ds_rejects_max_iter_below_one():
+    table = cat_table([("a", "t1", "high")])
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            dawid_skene_fit(table, max_iter=bad)
+
+
+def interleaved_labels(seed):
+    """Rows in shuffled order over tasks of 1 to 8 labels, including
+    single-label tasks and a subject who rates one task only; every pool
+    rater but s7 is right 90% of the time, s7 labels at random."""
+    rng = np.random.default_rng(seed)
+    cats = list(CATEGORIES)
+    pool = [f"s{i}" for i in range(8)]
+    entries = []
+    for t in range(24):
+        truth = cats[int(rng.integers(3))]
+        size = t % 8 + 1
+        for s in rng.choice(pool, size=size, replace=False):
+            good = s != "s7" and rng.random() < 0.9
+            entries.append((str(s), f"t{t:02d}", truth if good else cats[int(rng.integers(3))]))
+    entries.append(("loner", "t05", "low"))
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    assert [t for _, t, _ in entries] != sorted(t for _, t, _ in entries)
+    return cat_table(entries)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("max_iter,tol,converged", [(4, 1e-12, False), (500, 1e-6, True)])
+def test_ds_kernel_bit_identical_to_loop(seed, max_iter, tol, converged):
+    table = interleaved_labels(seed)
+    got = dawid_skene_fit(table, max_iter=max_iter, tol=tol)
+    want = oracle_dawid_skene(table, max_iter=max_iter, tol=tol)
+    assert got.converged == want.converged == converged
+    assert got.iterations == want.iterations
+    assert converged or got.iterations == max_iter
+    assert np.array_equal(got.class_prior, want.class_prior)
+    assert list(got.confusion) == list(want.confusion)
+    for s in want.confusion:
+        assert np.array_equal(got.confusion[s], want.confusion[s])
+    assert list(got.task_posterior) == list(want.task_posterior)
+    for t in want.task_posterior:
+        assert np.array_equal(got.task_posterior[t], want.task_posterior[t])
+    assert got.loglik_trace == want.loglik_trace
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,30 @@ def test_baseline_ds_reports_convergence(ratings_csv, tmp_path, capsys):
     assert "in 100 EM iterations, NOT converged;" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_baseline_ds_rejects_max_iter_below_one(ratings_csv, tmp_path, capsys, value):
+    assert run(["baseline-ds", ratings_csv, "--out", tmp_path / "out", "--ds-max-iter", value]) == 2
+    assert "max_iter must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--ds-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_baseline_ds_rejects_bad_threshold_and_tol(ratings_csv, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run(["baseline-ds", ratings_csv, "--out", out, flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (out / "baseline_ds.tsv").exists()
+
+
+def test_baseline_ds_manifest_records_em_settings(ratings_csv, tmp_path):
+    out = tmp_path / "out"
+    flags = ["--threshold", 0.75, "--ds-max-iter", 7, "--ds-tol", 0.001]
+    assert run(["baseline-ds", ratings_csv, "--out", out, *flags]) == 0
+    lines = (out / "manifest_baseline_ds.txt").read_text().splitlines()
+    for line in ("threshold = 0.75", "ds_max_iter = 7", "ds_tol = 0.001"):
+        assert line in lines
+
+
 def test_simulate_and_inject_commands(tmp_path):
     out = tmp_path / "out"
     assert (
