@@ -47,12 +47,19 @@ class DawidSkeneModel:
     converged: bool = False  # the posterior change fell below tol
 
 
+def _check_nonnegative(name, value):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 def categorize(score, neutral, threshold=DEFAULT_MARGIN):
     """Threshold an ordinal rating into low / neutral / high.
 
     Strictly more than `threshold` above the neutral point is high,
-    strictly more than `threshold` below is low.
+    strictly more than `threshold` below is low.  `threshold` must be
+    finite and non-negative.
     """
+    _check_nonnegative("threshold", threshold)
     if score > neutral + threshold:
         return "high"
     if score < neutral - threshold:
@@ -62,6 +69,7 @@ def categorize(score, neutral, threshold=DEFAULT_MARGIN):
 
 def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     """Convert one dimension of a ResponseTable into categorical labels."""
+    _check_nonnegative("threshold", threshold)
     if neutral is None:
         neutral = NEUTRAL_POINT[dimension]
     rows = [
@@ -96,6 +104,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
         raise ValueError("empty categorical table")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    _check_nonnegative("tol", tol)
     k = len(CATEGORIES)
     cat_pos = {c: i for i, c in enumerate(CATEGORIES)}
     subjects = sorted({r.subject_id for r in table.rows})

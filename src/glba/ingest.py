@@ -152,23 +152,31 @@ def load_responses(path, schema=None):
         return schema.get(name, name)
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file (no header row)")
-        header = set(reader.fieldnames)
+        # Of duplicated header names the last one wins, as in csv.DictReader.
+        index = {name: i for i, name in enumerate(header)}
         required = ["subject_id", "task_id"] + list(DIMENSIONS)
-        missing = [c for c in required if col(c) not in header]
+        missing = [c for c in required if col(c) not in index]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        has_view = col("view_seconds") in header
-        has_label = col("label_seconds") in header
+        i_sid = index[col("subject_id")]
+        i_tid = index[col("task_id")]
+        dims = [(dim, index[col(dim)], *DIMENSION_SCALES[dim]) for dim in DIMENSIONS]
+        timing = [(name, index.get(col(name))) for name in ("view_seconds", "label_seconds")]
+        width = len(header)
 
         rows = []
         problems = []
         seen = {}
-        for lineno, rec in enumerate(reader, start=2):  # header is line 1
-            sid = (rec[col("subject_id")] or "").strip()
-            tid = (rec[col("task_id")] or "").strip()
+        # Blank lines are skipped and not counted; the header is line 1.
+        for lineno, rec in enumerate(filter(None, reader), start=2):
+            if len(rec) < width:  # a short row's missing fields read as empty
+                rec += [""] * (width - len(rec))
+            sid = rec[i_sid].strip()
+            tid = rec[i_tid].strip()
             if not sid or not tid:
                 problems.append(f"row {lineno}: empty subject_id or task_id")
                 continue
@@ -183,8 +191,8 @@ def load_responses(path, schema=None):
             seen[key] = lineno
 
             scores = {}
-            for dim in DIMENSIONS:
-                raw = (rec.get(col(dim)) or "").strip()
+            for dim, i, lo, hi in dims:
+                raw = rec[i].strip()
                 if raw == "":
                     continue
                 try:
@@ -192,43 +200,39 @@ def load_responses(path, schema=None):
                 except ValueError:
                     problems.append(f"row {lineno}: unparseable {dim} value {raw!r}")
                     continue
-                lo, hi = DIMENSION_SCALES[dim]
                 if not (lo <= value <= hi) or not math.isfinite(value):
                     problems.append(f"row {lineno}: {dim} {value} outside [{lo:g}, {hi:g}]")
                     continue
                 scores[dim] = value
 
-            def seconds(name, available):
-                if not available:
-                    return None
-                raw = (rec.get(col(name)) or "").strip()
-                if raw == "":
-                    return None
-                try:
-                    value = float(raw)
-                except ValueError:
-                    problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
-                    return None
-                if value < 0:
-                    problems.append(f"row {lineno}: negative {name}")
-                    return None
-                return value
+            seconds = []
+            for name, i in timing:
+                raw = "" if i is None else rec[i].strip()
+                value = None
+                if raw != "":
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
+                    else:
+                        if value < 0:
+                            problems.append(f"row {lineno}: negative {name}")
+                            value = None
+                seconds.append(value)
 
-            rows.append(
-                ResponseRow(
-                    subject_id=sid,
-                    task_id=tid,
-                    scores=scores,
-                    view_seconds=seconds("view_seconds", has_view),
-                    label_seconds=seconds("label_seconds", has_label),
-                )
-            )
+            rows.append(ResponseRow(sid, tid, scores, *seconds))
 
     if problems:
         shown = "; ".join(problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
     return ResponseTable(rows=rows)
+
+
+def _cumulative(at, size):
+    """Fraction of a pool at or below each of `size` sorted support values,
+    from the support position `at` of every pool value."""
+    return np.cumsum(np.bincount(at, minlength=size)) / len(at)
 
 
 def percentile_table(values, scale, dimension=""):
@@ -239,24 +243,28 @@ def percentile_table(values, scale, dimension=""):
     values : iterable of ratings (the pool, with multiplicity)
     scale : iterable of the valid discrete rating values
     """
-    pool = [float(v) for v in values]
-    if not pool:
+    pool = np.asarray([float(v) for v in values])
+    if not pool.size:
         raise ValueError("empty rating pool")
-    support = sorted({float(s) for s in scale})
-    allowed = set(support)
-    for v in pool:
-        if v not in allowed:
-            raise ValueError(f"pool value {v!r} not in scale")
-    n = len(pool)
-    counts = {s: 0 for s in support}
-    for v in pool:
-        counts[v] += 1
-    cdf = {}
-    running = 0
-    for s in support:
-        running += counts[s]
-        cdf[s] = running / n
-    return PercentileTable(dimension=dimension, support=support, cdf=cdf)
+    support = np.array(sorted({float(s) for s in scale}))
+    outside = ~np.isin(pool, support)
+    if outside.any():
+        raise ValueError(f"pool value {float(pool[outside][0])!r} not in scale")
+    cdf = _cumulative(np.searchsorted(support, pool), len(support))
+    keys = support.tolist()
+    return PercentileTable(dimension=dimension, support=keys, cdf=dict(zip(keys, cdf.tolist())))
+
+
+def _check_delta(delta):
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _agree_rule(c0_i, c0_j, c1_i, c1_j, delta):
+    """The percentile rule, elementwise: the mean of the cumulative-fraction
+    gap at two ratings (c0) and at their successor values (c1) is at most
+    `delta`."""
+    return 0.5 * np.abs(c0_i - c0_j) + 0.5 * np.abs(c1_i - c1_j) <= delta
 
 
 def agree(a_i, a_j, table, delta=DEFAULT_DELTA):
@@ -266,11 +274,10 @@ def agree(a_i, a_j, table, delta=DEFAULT_DELTA):
     the gap at their successor values is at most `delta`.  Symmetric in
     the two ratings.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    d0 = abs(table.cum(a_i) - table.cum(a_j))
-    d1 = abs(table.cum_after(a_i) - table.cum_after(a_j))
-    return 1 if 0.5 * d0 + 0.5 * d1 <= delta else 0
+    _check_delta(delta)
+    c0_i, c0_j = table.cum(a_i), table.cum(a_j)
+    c1_i, c1_j = table.cum_after(a_i), table.cum_after(a_j)
+    return 1 if _agree_rule(c0_i, c0_j, c1_i, c1_j, delta) else 0
 
 
 def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_MIN_RATERS):
@@ -280,7 +287,12 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
     fewer than `min_raters` subjects are dropped; the percentile table is
     computed from the remaining pool.  Task lists and rater lists are
     sorted by id so the result does not depend on input order.
+
+    Every rating is binned once; the percentile rule is evaluated once per
+    pair of distinct binned ratings, and the indicators of all tasks with
+    the same rater count are gathered from that table in one step.
     """
+    _check_delta(delta)
     rows = table.rows_for(dimension)
     if not rows:
         raise ValueError(f"no rows carry a rating for dimension {dimension!r}")
@@ -288,28 +300,45 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
     by_task = {}
     for r in rows:
         by_task.setdefault(r.task_id, []).append(r)
-    retained = {tid: rs for tid, rs in by_task.items() if len(rs) >= min_raters}
-    if not retained:
+    task_ids = sorted(tid for tid, rs in by_task.items() if len(rs) >= min_raters)
+    if not task_ids:
         raise ValueError(
             f"no task has at least {min_raters} raters on {dimension!r}; nothing to build"
         )
 
-    pool = [bin_rating(r.scores[dimension]) for rs in retained.values() for r in rs]
-    ptable = percentile_table(pool, sorted(set(pool)), dimension=dimension)
+    raters = [by_task[tid] for tid in task_ids]
+    for rs in raters:
+        rs.sort(key=lambda r: r.subject_id)
+    sizes = np.array([len(rs) for rs in raters])
+    starts = np.cumsum(sizes) - sizes
+    binned = (bin_rating(r.scores[dimension]) for rs in raters for r in rs)
+    pool = np.fromiter(binned, dtype=float, count=int(sizes.sum()))
+    support = np.unique(pool)
+    at = np.searchsorted(support, pool)
+    cdf = _cumulative(at, len(support))
+    # One step past the top of the scale carries full cumulative mass.
+    cdf_after = np.append(cdf[1:], 1.0)
+    # The rule depends on the two ratings alone, so it is evaluated once per
+    # pair of support values (at most 81 values on a 1..9 scale binned to
+    # one decimal) and every rater pair looks its indicator up.
+    agrees = _agree_rule(
+        cdf[:, None], cdf[None, :], cdf_after[:, None], cdf_after[None, :], delta
+    ).astype(np.uint8)
+
+    edges = [None] * len(task_ids)
+    for k in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == k)
+        g = at[starts[members, None] + np.arange(k)]
+        block = agrees[g[:, :, None], g[:, None, :]]
+        block[:, np.arange(k), np.arange(k)] = 0
+        for q, t in enumerate(members.tolist()):
+            edges[t] = block[q]
 
     tasks = []
     subject_tasks = {}
-    for tid in sorted(retained):
-        rs = sorted(retained[tid], key=lambda r: r.subject_id)
+    for tid, rs, e in zip(task_ids, raters, edges):
         subjects = [r.subject_id for r in rs]
-        ratings = [bin_rating(r.scores[dimension]) for r in rs]
-        k = len(subjects)
-        edges = np.zeros((k, k), dtype=np.uint8)
-        for a in range(k):
-            for b in range(k):
-                if a != b:
-                    edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
-        tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
+        tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=e))
         for s in subjects:
             subject_tasks.setdefault(s, []).append(tid)
 

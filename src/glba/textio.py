@@ -3,12 +3,14 @@ metadata.  Floats are written with repr (shortest round-trip), so files
 are byte-identical across runs and parse back exactly."""
 
 import csv
+import functools
 import hashlib
+import math
 
 import numpy as np
 
 from .ingest import DIMENSIONS, AgreementMultigraph, TaskGraph
-from .model import FitConfig, FitReport, ModelParams, Priors
+from .model import EPS_POS, FitConfig, FitReport, ModelParams, Priors
 from .scoring import ImageReport, SubjectReport
 
 
@@ -32,25 +34,41 @@ def _parse_bool(raw):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _offdiag(r):
+    """Boolean mask of the ordered pairs (i, j), i != j, of r raters
+    (read-only: every caller shares it)."""
+    mask = ~np.eye(r, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def pair_indicators(task):
     """Indicators flattened row-major over ordered pairs (i, j), i != j."""
-    r = task.n_raters
-    return "".join(
-        str(int(task.edges[i, j])) for i in range(r) for j in range(r) if i != j
-    )
+    return (task.edges[_offdiag(task.n_raters)] + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
 def write_multigraph(graph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# multigraph tasks={graph.n} subjects={graph.m}\n")
         fh.write("task_id\tsubjects\tindicators\n")
-        for task in graph.tasks:
-            fh.write(f"{task.task_id}\t{','.join(task.subjects)}\t{pair_indicators(task)}\n")
+        fh.writelines(
+            f"{task.task_id}\t{','.join(task.subjects)}\t{pair_indicators(task)}\n"
+            for task in graph.tasks
+        )
 
 
 def read_multigraph(path):
+    """Parse a multigraph file.
+
+    Rejects, naming the path and the task id (or the record): a record
+    without exactly three fields, an empty or duplicate task id, an empty
+    or repeated subject id within a task, a wrong indicator count, and any
+    indicator other than the characters 0 and 1.
+    """
     tasks = []
     subject_tasks = {}
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     body = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -61,16 +79,23 @@ def read_multigraph(path):
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed record {ln!r}")
         tid, subj_field, ind = parts
+        if not tid:
+            raise ValueError(f"{path}: empty task id in record {ln!r}")
+        if tid in seen:
+            raise ValueError(f"{path}: duplicate task id {tid!r}")
+        seen.add(tid)
         subjects = subj_field.split(",")
         r = len(subjects)
+        if "" in subjects:
+            raise ValueError(f"{path}: task {tid!r} has an empty subject id")
+        if len(set(subjects)) != r:
+            raise ValueError(f"{path}: task {tid!r} lists a subject more than once")
         if len(ind) != r * (r - 1):
             raise ValueError(f"{path}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
+        if ind.strip("01"):
+            raise ValueError(f"{path}: task {tid!r} has an indicator other than 0 or 1")
         edges = np.zeros((r, r), dtype=np.uint8)
-        it = iter(ind)
-        for i in range(r):
-            for j in range(r):
-                if i != j:
-                    edges[i, j] = int(next(it))
+        edges[_offdiag(r)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
         tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
         for s in subjects:
             subject_tasks.setdefault(s, []).append(tid)
@@ -82,6 +107,10 @@ def read_multigraph(path):
 # ---------------------------------------------------------------------------
 # Fit reports and parameter tables
 # ---------------------------------------------------------------------------
+
+
+# Header lines every fit report carries, with their parsers.
+_REPORT_HEADER = {"gamma": float, "tau0": float, "s0": float, "iterations": int, "converged": int}
 
 
 def write_fit_report(report, path):
@@ -101,34 +130,81 @@ def write_fit_report(report, path):
             )
 
 
+def _report_number(path, lineno, name, raw, parse=float):
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: unparseable {name} {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: non-finite {name} {raw!r}")
+    return value
+
+
 def read_fit_report(path):
+    """Parse a fit report.
+
+    Rejects, naming the path and the line: a missing header line, a
+    header value that is not a finite number, a row without exactly four
+    fields, an empty or duplicate subject id, an unparseable number, and a
+    tau outside [0, 1] or an alpha or beta that is not finite or below
+    EPS_POS.
+    """
     meta = {}
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, start=1):
             ln = ln.rstrip("\n")
             if not ln:
                 continue
             if ln.startswith("#"):
                 key, _, value = ln[1:].strip().partition(" ")
-                meta[key] = value
+                meta[key] = (lineno, value)
                 continue
-            rows.append(ln.split("\t"))
-    if not rows or rows[0] != ["subject_id", "tau", "alpha", "beta"]:
+            rows.append((lineno, ln.split("\t")))
+    if not rows or rows[0][1] != ["subject_id", "tau", "alpha", "beta"]:
         raise ValueError(f"{path}: not a fit report file")
-    subjects = [r[0] for r in rows[1:]]
-    tau = np.array([float(r[1]) for r in rows[1:]])
-    alpha = np.array([float(r[2]) for r in rows[1:]])
-    beta = np.array([float(r[3]) for r in rows[1:]])
-    params = ModelParams(
-        subjects=subjects, tau=tau, alpha=alpha, beta=beta, gamma=float(meta["gamma"])
-    )
-    fallback = meta.get("fallback_subjects", "")
+    missing = [key for key in _REPORT_HEADER if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing header line(s): {', '.join('# ' + k for k in missing)}")
+    head = {
+        key: _report_number(path, meta[key][0], key, meta[key][1], parse)
+        for key, parse in _REPORT_HEADER.items()
+    }
+
+    body = rows[1:]
+    for lineno, fields in body:
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+    subjects = [fields[0] for _, fields in body]
+    if "" in subjects or len(set(subjects)) < len(subjects):
+        seen = set()
+        for (lineno, _), sid in zip(body, subjects):
+            if not sid or sid in seen:
+                raise ValueError(f"{path}:{lineno}: empty or duplicate subject id {sid!r}")
+            seen.add(sid)
+    try:
+        tau, alpha, beta = (np.array([float(fields[c]) for _, fields in body]) for c in (1, 2, 3))
+    except ValueError:
+        for lineno, fields in body:
+            try:
+                [float(x) for x in fields[1:]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: unparseable number in {fields[1:]}") from None
+    valid = np.isfinite(alpha) & np.isfinite(beta) & (tau >= 0.0) & (tau <= 1.0)
+    valid &= (alpha >= EPS_POS) & (beta >= EPS_POS)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(
+            f"{path}:{body[i][0]}: tau {tau[i]!r}, alpha {alpha[i]!r}, beta {beta[i]!r}: "
+            f"needs tau in [0, 1] and finite alpha and beta >= {EPS_POS}"
+        )
+    params = ModelParams(subjects=subjects, tau=tau, alpha=alpha, beta=beta, gamma=head["gamma"])
+    fallback = meta.get("fallback_subjects", (0, ""))[1]
     return FitReport(
         params=params,
-        priors=Priors(tau0=float(meta["tau0"]), s0=float(meta["s0"])),
-        iterations=int(meta["iterations"]),
-        converged=bool(int(meta["converged"])),
+        priors=Priors(tau0=head["tau0"], s0=head["s0"]),
+        iterations=head["iterations"],
+        converged=bool(head["converged"]),
         loglik_trace=[],
         fallback_subjects=fallback.split(",") if fallback else [],
     )

@@ -222,3 +222,129 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
         loglik_trace=trace,
         converged=converged,
     )
+
+
+def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
+    """The agreement multigraph as a per-task, per-pair loop of scalar
+    `agree` calls over a dict-based percentile table.  Same contract as
+    `glba.ingest.build_multigraph`."""
+    from glba.ingest import agree, bin_rating, percentile_table
+
+    by_task = {}
+    for r in table.rows_for(dimension):
+        by_task.setdefault(r.task_id, []).append(r)
+    retained = {tid: rs for tid, rs in by_task.items() if len(rs) >= min_raters}
+    pool = [bin_rating(r.scores[dimension]) for rs in retained.values() for r in rs]
+    ptable = percentile_table(pool, sorted(set(pool)), dimension=dimension)
+
+    tasks = []
+    for tid in sorted(retained):
+        rs = sorted(retained[tid], key=lambda r: r.subject_id)
+        ratings = [bin_rating(r.scores[dimension]) for r in rs]
+        k = len(rs)
+        edges = np.zeros((k, k), dtype=np.uint8)
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
+        tasks.append(TaskGraph(task_id=tid, subjects=[r.subject_id for r in rs], edges=edges))
+    return make_graph(tasks)
+
+
+def oracle_pair_indicators(task):
+    """Indicators of a task as one character per ordered pair (i, j),
+    i != j, row-major."""
+    r = task.n_raters
+    return "".join(str(int(task.edges[i, j])) for i in range(r) for j in range(r) if i != j)
+
+
+def oracle_load_responses(path, schema=None):
+    """The rating-file loader over csv.DictReader with per-row closures.
+    Same contract, rows and error strings as `glba.ingest.load_responses`."""
+    import csv
+
+    from glba.ingest import DIMENSION_SCALES, DIMENSIONS
+
+    schema = schema or {}
+
+    def col(name):
+        return schema.get(name, name)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file (no header row)")
+        header = set(reader.fieldnames)
+        required = ["subject_id", "task_id"] + list(DIMENSIONS)
+        missing = [c for c in required if col(c) not in header]
+        if missing:
+            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+        has_view = col("view_seconds") in header
+        has_label = col("label_seconds") in header
+
+        rows = []
+        problems = []
+        seen = {}
+        for lineno, rec in enumerate(reader, start=2):  # header is line 1
+            sid = (rec[col("subject_id")] or "").strip()
+            tid = (rec[col("task_id")] or "").strip()
+            if not sid or not tid:
+                problems.append(f"row {lineno}: empty subject_id or task_id")
+                continue
+            bad_id = [c for c in "\t,\n" if c in sid + tid]
+            if bad_id:
+                problems.append(f"row {lineno}: subject/task id contains a reserved character")
+                continue
+            key = (sid, tid)
+            if key in seen:
+                problems.append(f"row {lineno}: duplicate (subject, task) pair {key}, first seen at row {seen[key]}")
+                continue
+            seen[key] = lineno
+
+            scores = {}
+            for dim in DIMENSIONS:
+                raw = (rec.get(col(dim)) or "").strip()
+                if raw == "":
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    problems.append(f"row {lineno}: unparseable {dim} value {raw!r}")
+                    continue
+                lo, hi = DIMENSION_SCALES[dim]
+                if not (lo <= value <= hi) or not math.isfinite(value):
+                    problems.append(f"row {lineno}: {dim} {value} outside [{lo:g}, {hi:g}]")
+                    continue
+                scores[dim] = value
+
+            def seconds(name, available):
+                if not available:
+                    return None
+                raw = (rec.get(col(name)) or "").strip()
+                if raw == "":
+                    return None
+                try:
+                    value = float(raw)
+                except ValueError:
+                    problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
+                    return None
+                if value < 0:
+                    problems.append(f"row {lineno}: negative {name}")
+                    return None
+                return value
+
+            rows.append(
+                ResponseRow(
+                    subject_id=sid,
+                    task_id=tid,
+                    scores=scores,
+                    view_seconds=seconds("view_seconds", has_view),
+                    label_seconds=seconds("label_seconds", has_label),
+                )
+            )
+
+    if problems:
+        shown = "; ".join(problems[:20])
+        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise ValueError(f"{path}: {shown}{more}")
+    return ResponseTable(rows=rows)

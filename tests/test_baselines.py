@@ -53,6 +53,20 @@ def test_categorize_table_uses_dimension_midpoint():
     assert [r.category for r in cat_l.rows] == ["neutral", "high"]
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5, -10.0])
+def test_categorize_rejects_bad_threshold(threshold):
+    table = table_from_rows([("a", "t1", {"valence": 9.0}), ("b", "t1", {"valence": 1.0})])
+    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+        categorize(9.0, neutral=5.0, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+        categorize_table(table, "valence", threshold=threshold)
+
+
+def test_categorize_zero_threshold_is_allowed():
+    assert categorize(5.0, neutral=5.0, threshold=0.0) == "neutral"
+    assert categorize(5.1, neutral=5.0, threshold=0.0) == "high"
+
+
 # ---------------------------------------------------------------------------
 # dawid_skene_fit
 # ---------------------------------------------------------------------------
@@ -173,6 +187,17 @@ def test_ds_rejects_max_iter_below_one():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             dawid_skene_fit(table, max_iter=bad)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+def test_ds_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        dawid_skene_fit(cat_table([("a", "t1", "high")]), tol=tol)
+
+
+def test_ds_zero_tol_runs_to_the_cap():
+    model = dawid_skene_fit(cat_table([("a", "t1", "high"), ("b", "t1", "low")]), max_iter=3, tol=0.0)
+    assert model.iterations == 3 and not model.converged
 
 
 def interleaved_labels(seed):

@@ -71,6 +71,49 @@ def test_fit_rank_pr_pipeline(ratings_csv, tmp_path, capsys):
     assert "k\tprecision\trecall" in pr_text
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["t1\ta,b,c\t222222", "t1\ta,b,c\t01x010", "t1\ta,b\t11\nt1\ta,c\t11", "t1\ta,a,b\t111111", "t1\ta,,b\t111111"],
+)
+def test_fit_malformed_graph_exits_2(tmp_path, capsys, record):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n" + record + "\n")
+    assert run(["fit", graph, "--gamma", 0.37, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert str(graph) in err and "'t1'" in err
+
+
+GOOD_FIT = (
+    "# gamma 0.37\n# tau0 0.6\n# s0 1.5\n# iterations 12\n# converged 1\n"
+    "subject_id\ttau\talpha\tbeta\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    [
+        ("s000\t0.9\t2.0\n", 7),  # short row
+        ("s000\t0.9\t2.0\t1.0\ns000\t0.8\t2.0\t1.0\n", 8),  # duplicate subject
+        ("s000\tnan\t2.0\t1.0\n", 7),  # non-finite tau
+        ("s000\t0.9\t-2.0\t1.0\n", 7),  # alpha out of bounds
+    ],
+)
+def test_rank_and_images_malformed_fit_report_exit_2(ratings_csv, tmp_path, capsys, body, line):
+    fit = tmp_path / "fit.tsv"
+    fit.write_text(GOOD_FIT + body)
+    assert run(["rank", fit, "--out", tmp_path / "out"]) == 2
+    assert f"{fit}:{line}: " in capsys.readouterr().err
+    assert run(["images", ratings_csv, fit, "--out", tmp_path / "out"]) == 2
+    assert f"{fit}:{line}: " in capsys.readouterr().err
+
+
+def test_rank_fit_report_missing_header_exits_2(tmp_path, capsys):
+    fit = tmp_path / "fit.tsv"
+    fit.write_text(GOOD_FIT.replace("# s0 1.5\n", "") + "s000\t0.9\t2.0\t1.0\n")
+    assert run(["rank", fit, "--out", tmp_path / "out"]) == 2
+    assert "missing header line(s): # s0" in capsys.readouterr().err
+
+
 def test_images_and_overhead_commands(ratings_csv, tmp_path):
     out = tmp_path / "out"
     run(["build-graph", ratings_csv, "--out", out])

@@ -1,14 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glba.ingest import (
     agree,
+    bin_rating,
     build_multigraph,
     load_responses,
     percentile_table,
     variance_ratio,
 )
-from helpers import table_from_rows
+from helpers import oracle_build_multigraph, oracle_load_responses, table_from_rows
 
 CSV_HEADER = "subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,label_seconds\n"
 
@@ -81,6 +86,105 @@ def test_load_schema_mapping(tmp_path):
     table = load_responses(path, schema={"subject_id": "worker", "task_id": "image"})
     assert table.rows[0].subject_id == "a"
     assert table.rows[0].task_id == "t1"
+
+
+# ---------------------------------------------------------------------------
+# load_responses against the csv.DictReader loader
+# ---------------------------------------------------------------------------
+
+FULL = "subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,label_seconds"
+MALFORMED_CSVS = {
+    "blank lines": f"{FULL}\na,t1,5,4,6,3,1,2\n\n\nb,t1,12,4,6,3,,\n\n",
+    "blank lines, valid": f"{FULL}\n\na,t1,5,4,6,3,1,2\n\r\n\nb,t1,2,4,6,3,,\n\n",
+    "blank line before header": f"\n\n{FULL}\na,t1,5,4,6,3,,\n",
+    "short rows": f"{FULL}\na,t1,5,4,6,3\nb,t1,5\nc,t1\nd\n,\n",
+    "extra fields": f"{FULL}\na,t1,5,4,6,3,1,2,extra,more\nb,t1,5,4,6,3,1,2,\n",
+    "duplicate headers": (
+        "subject_id,task_id,valence,valence,arousal,dominance,likeness,task_id\n"
+        "a,t1,1,9,4,6,3,t2\nb,t1,2,8,4,6,3\nc,t1,3,7,4,6,3,t3,x\n"
+    ),
+    "duplicate headers, valid": (
+        "subject_id,task_id,valence,arousal,dominance,likeness,valence\na,t1,1,4,6,3,9\nb,t1,2,4,6,3\n"
+    ),
+    "duplicate timing header": (
+        "subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,view_seconds\n"
+        "a,t1,5,4,6,3,1,-2\nb,t1,5,4,6,3,1\nc,t1,5,4,6,3,x,3\n"
+    ),
+    "bad numbers": (
+        f"{FULL}\na,t1,five,4,6,3,,\nb,t1,nan,4,6,3,,\nc,t1,inf,4,6,3,,\nd,t1,1e400,4,6,3,,\n"
+        "e,t1,5,4,6,8,,\nf,t1,5,4,6,3,-1,x\ng,t1,5,4,6,3,nan,inf\nh,t1,1_0,0x5,6,3,,\n"
+        "i,t1, 5 ,\t4\t,6,3, 2 ,\n"
+    ),
+    "reserved characters": (
+        f'{FULL}\n"a,b",t1,5,4,6,3,,\na\tb,t1,5,4,6,3,,\n"a\nb",t1,5,4,6,3,,\nc,"t\n1",5,4,6,3,,\n'
+        "ok,t1,5,4,6,3,,\n"
+    ),
+    "empty and blank ids": f"{FULL}\n,t1,5,4,6,3,,\na,,5,4,6,3,,\n  ,t1,5,4,6,3,,\n\"\",t1,5,4,6,3,,\n",
+    "duplicate pairs": f"{FULL}\na,t1,5,4,6,3,,\n\n a ,t1,6,4,6,3,,\nb,t2,1,1,1,1,,\nb,t2,1,1,1,1,,\n",
+    "missing columns": "subject_id,task_id,valence,arousal\na,t1,5,4\n",
+    "missing everything": "\n\n",
+    "empty file": "",
+    "header only": f"{FULL}\n",
+    "no timing columns": "subject_id,task_id,valence,arousal,dominance,likeness\na,t1,5,4,6,3\n",
+    "many problems": FULL + "\n" + "".join(f"s{i},t1,x,4,6,3,,\n" for i in range(25)),
+    "quoted values": f'{FULL}\n"a","t1","5.5","4","6","3","",""\n',
+}
+
+
+def row_tuples(table):
+    return [(r.subject_id, r.task_id, r.scores, r.view_seconds, r.label_seconds) for r in table.rows]
+
+
+def load_outcome(loader, path, schema=None):
+    try:
+        return ("rows", row_tuples(loader(path, schema)))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CSVS))
+def test_load_matches_dictreader_loader(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_text(MALFORMED_CSVS[name], encoding="utf-8", newline="")
+    expected = load_outcome(oracle_load_responses, str(path))
+    assert load_outcome(load_responses, str(path)) == expected
+
+
+def test_load_matches_dictreader_loader_with_schema(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("worker,image,valence,arousal,dominance,likeness,worker\na,t1,5,4,6,3,b\nc,t2,5,4\n")
+    schema = {"subject_id": "worker", "task_id": "image", "view_seconds": "valence"}
+    expected = load_outcome(oracle_load_responses, str(path), schema)
+    assert load_outcome(load_responses, str(path), schema) == expected
+
+
+def test_load_counts_records_not_lines(tmp_path):
+    # a quoted newline spans two lines but is one record; blank lines are not counted
+    path = write_csv(tmp_path, '"x\ny",t1,5,4,6,3,,\n\nb,t1,12,4,6,3,,\n')
+    with pytest.raises(ValueError, match=r"row 2: subject/task id contains a reserved character; row 3: valence"):
+        load_responses(path)
+
+
+CSV_TOKENS = ["", " ", "a", "b", "t1", "t2", "5", "9", "9.5", "1", "-1", "x", "nan", "1e3", '"c,d"', '"e\nf"', "a\tb"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(
+        st.sampled_from(FULL.split(",") + ["extra"]), min_size=6, max_size=10
+    ),
+    records=st.lists(st.lists(st.sampled_from(CSV_TOKENS), max_size=10), max_size=12),
+)
+def test_load_matches_dictreader_loader_on_random_files(tmp_path, header, records):
+    # required columns first so that most files get past the header check
+    header = FULL.split(",")[:6] + header
+    path = tmp_path / "fuzz.csv"
+    path.write_text(
+        "\n".join([",".join(header)] + [",".join(r) for r in records]) + "\n",
+        encoding="utf-8",
+        newline="",
+    )
+    assert load_outcome(load_responses, str(path)) == load_outcome(oracle_load_responses, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +339,81 @@ def test_build_matches_per_pair_agree_calls():
                 continue
             expected = agree(bin_rating(ratings[si]), bin_rating(ratings[sj]), ptable, 0.2)
             assert task.edges[i, j] == expected
+
+
+# Integer ratings, the top of the scale, and slider values on a 0.05 grid:
+# half of those sit halfway between two bins (4.25, 4.35, ...), where
+# Python's correctly rounded `round` decides the bin.
+RATING_VALUES = st.one_of(
+    st.integers(1, 9).map(float),
+    st.just(9.0),
+    st.integers(20, 180).map(lambda k: k / 20),
+)
+
+
+@st.composite
+def rating_tables(draw):
+    single_value = draw(st.booleans())
+    rows = []
+    for t in range(draw(st.integers(1, 6))):
+        raters = draw(st.permutations(range(12)))[: draw(st.integers(1, 9))]
+        for s in raters:
+            rows.append((f"s{s:02d}", f"t{t}", {"valence": 5.0 if single_value else draw(RATING_VALUES)}))
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+def pool_gaps(rows, min_raters):
+    """Every percentile-rule value 0.5*d0 + 0.5*d1 in (0, 1) between two
+    ratings of the retained pool."""
+    by_task = {}
+    for _, t, scores in rows:
+        by_task.setdefault(t, []).append(bin_rating(scores["valence"]))
+    pool = [v for vs in by_task.values() if len(vs) >= min_raters for v in vs]
+    if not pool:
+        return []
+    table = percentile_table(pool, sorted(set(pool)))
+    gaps = {
+        0.5 * abs(table.cum(a) - table.cum(b)) + 0.5 * abs(table.cum_after(a) - table.cum_after(b))
+        for a in table.support
+        for b in table.support
+    }
+    return sorted(g for g in gaps if 0.0 < g < 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rating_tables(), min_raters=st.integers(1, 5), data=st.data())
+def test_build_matches_per_pair_oracle(rows, min_raters, data):
+    gaps = pool_gaps(rows, min_raters)
+    if gaps and data.draw(st.booleans()):
+        # a delta on a decision boundary, or one ulp to either side of it
+        gap = data.draw(st.sampled_from(gaps))
+        delta = data.draw(st.sampled_from([gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)]))
+    else:
+        delta = data.draw(st.floats(0.001, 0.999))
+    table = table_from_rows(rows)
+    if max(Counter(t for _, t, _ in rows).values()) < min_raters:
+        with pytest.raises(ValueError, match=f"at least {min_raters} raters"):
+            build_multigraph(table, "valence", delta=delta, min_raters=min_raters)
+        return
+    got = build_multigraph(table, "valence", delta=delta, min_raters=min_raters)
+    expected = oracle_build_multigraph(table, "valence", delta=delta, min_raters=min_raters)
+    assert got.subjects == expected.subjects
+    assert got.subject_tasks == expected.subject_tasks
+    assert [t.task_id for t in got.tasks] == [t.task_id for t in expected.tasks]
+    for g, e in zip(got.tasks, expected.tasks):
+        assert g.subjects == e.subjects
+        assert g.edges.dtype == e.edges.dtype == np.uint8
+        assert np.array_equal(g.edges, e.edges)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, float("nan")])
+def test_build_checks_delta_before_anything_else(delta):
+    # single-rater tasks form no pair, so only an up-front check can catch delta
+    table = rows_for_tasks({"t1": {"a": 5}, "t2": {"b": 7}})
+    with pytest.raises(ValueError, match="delta must lie in"):
+        build_multigraph(table, "valence", delta=delta, min_raters=1)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        build_multigraph(table, "arousal", delta=delta, min_raters=1)
 
 
 def test_build_edge_count_invariant():

@@ -5,8 +5,9 @@ from glba import textio
 from glba.ingest import load_responses
 from glba.model import FitConfig, FitReport, ModelParams, Priors
 from glba.scoring import ImageReport, PRResult, SubjectReport
+from glba.ingest import build_multigraph
 from glba.simulate import sample_response_table
-from helpers import random_graph
+from helpers import oracle_pair_indicators, random_graph
 
 
 def test_multigraph_roundtrip(tmp_path):
@@ -27,6 +28,55 @@ def test_multigraph_rejects_garbage(tmp_path):
     path.write_text("not a graph\n")
     with pytest.raises(ValueError, match="not a multigraph"):
         textio.read_multigraph(path)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_indicators_match_loop(seed):
+    graph = random_graph(np.random.default_rng(seed), m=12, n=20, r_lo=1, r_hi=9)
+    for task in graph.tasks:
+        assert textio.pair_indicators(task) == oracle_pair_indicators(task)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_multigraph_write_read_write_byte_identical(tmp_path, seed):
+    table, _ = sample_response_table(15, 40, (2, 9), seed=seed)
+    graphs = [
+        random_graph(np.random.default_rng(seed), m=12, n=20, r_lo=1, r_hi=9),
+        build_multigraph(table, "valence", min_raters=1),
+    ]
+    for k, graph in enumerate(graphs):
+        first, second = tmp_path / f"g{k}a.tsv", tmp_path / f"g{k}b.tsv"
+        textio.write_multigraph(graph, first)
+        textio.write_multigraph(textio.read_multigraph(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        body = first.read_text().splitlines()[2:]
+        assert [ln.split("\t")[2] for ln in body] == [oracle_pair_indicators(t) for t in graph.tasks]
+
+
+GRAPH_HEAD = "# multigraph tasks=2 subjects=3\ntask_id\tsubjects\tindicators\n"
+
+
+@pytest.mark.parametrize(
+    "record,match",
+    [
+        ("t1\ta,b,c\t222222", r"task 't1' has an indicator other than 0 or 1"),
+        ("t1\ta,b,c\t01x010", r"task 't1' has an indicator other than 0 or 1"),
+        ("t1\ta,b,c\t01 010", r"task 't1' has an indicator other than 0 or 1"),
+        ("t1\ta,b,c\t01\u00e9010", r"task 't1' has an indicator other than 0 or 1"),
+        ("t1\ta,b\t11\nt1\ta,c\t11", r"duplicate task id 't1'"),
+        ("t1\ta,a,b\t111111", r"task 't1' lists a subject more than once"),
+        ("t1\ta,,b\t111111", r"task 't1' has an empty subject id"),
+        ("t1\t\t", r"task 't1' has an empty subject id"),
+        ("\ta,b\t11", r"empty task id"),
+        ("t1\ta,b,c\t1111", r"task 't1' has 4 indicators, expected 6"),
+    ],
+)
+def test_multigraph_rejects_malformed_records(tmp_path, record, match):
+    path = tmp_path / "bad.tsv"
+    path.write_text(GRAPH_HEAD + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as info:
+        textio.read_multigraph(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_fit_report_roundtrip(tmp_path):
@@ -57,6 +107,61 @@ def test_fit_report_roundtrip(tmp_path):
     assert back.iterations == 42
     assert back.converged
     assert back.fallback_subjects == ["b"]
+
+
+REPORT = (
+    "# gamma 0.37\n# tau0 0.6\n# s0 1.5\n# iterations 12\n# converged 1\n"
+    "subject_id\ttau\talpha\tbeta\n"
+    "a\t0.9\t2.0\t1.0\n"
+    "b\t0.1\t1.0\t3.0\n"
+)
+
+
+def test_fit_report_reads_hand_written_file(tmp_path):
+    path = tmp_path / "fit.tsv"
+    path.write_text(REPORT)
+    report = textio.read_fit_report(path)
+    assert report.params.subjects == ["a", "b"]
+    assert report.params.tau.tolist() == [0.9, 0.1]
+    assert report.params.beta.tolist() == [1.0, 3.0]
+    assert report.priors.s0 == 1.5 and report.iterations == 12 and report.converged
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("a\t0.9\t2.0\t1.0\n", "a\t0.9\t2.0\n", r":7: expected 4 fields, got 3"),
+        ("a\t0.9\t2.0\t1.0\n", "a\t0.9\t2.0\t1.0\t5\n", r":7: expected 4 fields, got 5"),
+        ("b\t0.1", "a\t0.1", r":8: empty or duplicate subject id 'a'"),
+        ("b\t0.1", "\t0.1", r":8: empty or duplicate subject id ''"),
+        ("a\t0.9", "a\tx", r":7: unparseable number"),
+        ("a\t0.9", "a\tnan", r":7: tau .*: needs tau in \[0, 1\]"),
+        ("a\t0.9", "a\t1.5", r":7: tau .*: needs tau in \[0, 1\]"),
+        ("a\t0.9", "a\t-0.1", r":7: tau .*: needs tau in \[0, 1\]"),
+        ("b\t0.1\t1.0", "b\t0.1\tinf", r":8: tau .*finite alpha and beta"),
+        ("b\t0.1\t1.0", "b\t0.1\t0.0", r":8: tau .*finite alpha and beta"),
+        ("\t3.0\n", "\tnan\n", r":8: tau .*finite alpha and beta"),
+        ("\t3.0\n", "\t-inf\n", r":8: tau .*finite alpha and beta"),
+        ("# gamma 0.37", "# gamma nan", r":1: non-finite gamma 'nan'"),
+        ("# s0 1.5", "# s0 big", r":3: unparseable s0 'big'"),
+        ("# converged 1", "# converged yes", r":5: unparseable converged 'yes'"),
+    ],
+)
+def test_fit_report_rejects_malformed_lines(tmp_path, old, new, match):
+    path = tmp_path / "fit.tsv"
+    assert old in REPORT
+    path.write_text(REPORT.replace(old, new, 1))
+    with pytest.raises(ValueError, match=match) as info:
+        textio.read_fit_report(path)
+    assert str(info.value).startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("key", ["gamma", "tau0", "s0", "iterations", "converged"])
+def test_fit_report_rejects_missing_header(tmp_path, key):
+    path = tmp_path / "fit.tsv"
+    path.write_text("".join(ln + "\n" for ln in REPORT.splitlines() if not ln.startswith(f"# {key} ")))
+    with pytest.raises(ValueError, match=f"{path}: missing header line\\(s\\): # {key}$"):
+        textio.read_fit_report(path)
 
 
 def test_subject_reports_roundtrip(tmp_path):
