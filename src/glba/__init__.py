@@ -40,9 +40,6 @@ from .model import (
     gamma_grid,
     log_posterior,
     m_step_subject,
-    r_approx,
-    symmetrized_prob,
-    task_sums,
     update_gamma,
 )
 from .scoring import (

@@ -17,21 +17,25 @@ EXIT_ERROR = 1
 EXIT_INVALID = 2
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="fit configuration file (key = value lines)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--dimension",
-        choices=list(ingest.DIMENSIONS),
-        default="valence",
-    )
-    sub.add_argument("--delta", type=float, default=ingest.DEFAULT_DELTA)
-    gam = sub.add_mutually_exclusive_group()
-    gam.add_argument("--gamma", type=float, help="single chance-agreement rate")
-    gam.add_argument("--gamma-grid", help="lo:hi:count grid (default 0.3:0.48:10)")
-    sub.add_argument("--min-raters", type=int, default=ingest.DEFAULT_MIN_RATERS)
-    sub.add_argument("--out", default="out", help="output directory")
-    return sub
+# Optional flags, each given only to the commands that read it.
+_FLAGS = {
+    "--dimension": dict(choices=list(ingest.DIMENSIONS), default="valence"),
+    "--delta": dict(type=float, default=ingest.DEFAULT_DELTA),
+    "--min-raters": dict(type=int, default=ingest.DEFAULT_MIN_RATERS),
+    "--gamma": dict(type=float, help="single chance-agreement rate"),
+}
+
+
+def _add_command(subs, name, func, help, *flags):
+    """Subcommand `name` running `func`, with --seed (every manifest records
+    it), --out and the named optional `flags`."""
+    p = subs.add_parser(name, help=help)
+    p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.add_argument("--out", default="out", help="output directory")
+    p.set_defaults(func=func)
+    return p
 
 
 def _outdir(args):
@@ -49,7 +53,6 @@ def _fit_config(args):
         overrides["gamma"] = textio.parse_gamma_spec(args.gamma_grid)
     elif "gamma" not in overrides:
         overrides["gamma"] = list(model.DEFAULT_GAMMA_GRID)
-    overrides.setdefault("seed", args.seed)
     return textio.make_fit_config(overrides)
 
 
@@ -145,11 +148,7 @@ def cmd_overhead(args):
         reports = textio.read_subject_reports(args.report)
     else:
         reports = textio.read_image_reports(args.report)
-    thresholds = None
-    if args.thresholds:
-        lo, hi, step = (float(x) for x in args.thresholds.split(":"))
-        count = int(round((hi - lo) / step)) + 1
-        thresholds = [round(lo + i * step, 10) for i in range(count)]
+    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else None
     curve = scoring.overhead_curve(table, args.dimension, reports, args.mode, thresholds)
     out = _outdir(args)
     path = os.path.join(out, f"overhead_{args.mode}.tsv")
@@ -162,7 +161,7 @@ def cmd_overhead(args):
 def cmd_pr(args):
     ranked = textio.read_subject_reports(args.ranking)
     annotated = textio.read_id_list(args.annotated)
-    top_k = tuple(int(k) for k in args.top_k.split(",")) if args.top_k else (20, 40, 60)
+    top_k = _parse_top_k(args.top_k) if args.top_k else (20, 40, 60)
     result = scoring.precision_recall(ranked, annotated, top_k=top_k)
     out = _outdir(args)
     path = os.path.join(out, "pr.tsv")
@@ -281,6 +280,29 @@ def cmd_inject(args):
     return EXIT_OK
 
 
+def _parse_thresholds(raw):
+    """--thresholds lo:hi:step as the thresholds lo, lo + step, ..., hi."""
+    try:
+        lo, hi, step = (float(x) for x in raw.split(":"))
+    except ValueError:
+        raise ValueError(f"--thresholds must be lo:hi:step, got {raw!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ValueError(f"--thresholds needs finite lo <= hi and step > 0, got {raw!r}")
+    count = int(round((hi - lo) / step)) + 1
+    return [round(lo + i * step, 10) for i in range(count)]
+
+
+def _parse_top_k(raw):
+    """--top-k K1,K2,... as a tuple of integers >= 1."""
+    try:
+        top_k = tuple(int(k) for k in raw.split(","))
+    except ValueError:
+        raise ValueError(f"--top-k must be comma-separated integers, got {raw!r}") from None
+    if min(top_k) < 1:
+        raise ValueError(f"--top-k values must be >= 1, got {raw!r}")
+    return top_k
+
+
 def _parse_raters(raw):
     if ":" in raw:
         lo, hi = raw.split(":")
@@ -296,49 +318,57 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_common(subs.add_parser("build-graph", help="CSV ratings -> agreement multigraph"))
+    p = _add_command(
+        subs, "build-graph", cmd_build_graph, "CSV ratings -> agreement multigraph",
+        "--dimension", "--delta", "--min-raters",
+    )
     p.add_argument("responses", help="ratings CSV")
-    p.set_defaults(func=cmd_build_graph)
 
-    p = _add_common(subs.add_parser("fit", help="fit the reliability model on a multigraph"))
+    p = _add_command(subs, "fit", cmd_fit, "fit the reliability model on a multigraph")
     p.add_argument("graph", help="multigraph file")
-    p.set_defaults(func=cmd_fit)
+    gam = p.add_mutually_exclusive_group()
+    gam.add_argument("--gamma", **_FLAGS["--gamma"])
+    gam.add_argument("--gamma-grid", help="lo:hi:count grid (default 0.3:0.48:10)")
+    p.add_argument("--config", help="fit configuration file (key = value lines)")
 
-    p = _add_common(subs.add_parser("rank", help="rank subjects from one or more fits"))
+    p = _add_command(subs, "rank", cmd_rank, "rank subjects from one or more fits")
     p.add_argument("fits", nargs="+", help="fit report files (one per gamma)")
-    p.set_defaults(func=cmd_rank)
 
-    p = _add_common(subs.add_parser("images", help="confidence-weighted stimulus scores"))
+    p = _add_command(
+        subs, "images", cmd_images, "confidence-weighted stimulus scores",
+        "--dimension", "--min-raters",
+    )
     p.add_argument("responses")
     p.add_argument("fit", help="fit report supplying subject reliabilities")
     p.add_argument("--direction", choices=["high", "low"], default="high")
-    p.set_defaults(func=cmd_images)
 
-    p = _add_common(subs.add_parser("overhead", help="labels removed vs quality threshold"))
+    p = _add_command(
+        subs, "overhead", cmd_overhead, "labels removed vs quality threshold", "--dimension"
+    )
     p.add_argument("responses")
     p.add_argument("report", help="subjects.tsv or images tsv, per --mode")
     p.add_argument("--mode", choices=["subject-filter", "image-filter"], default="subject-filter")
     p.add_argument("--thresholds", help="lo:hi:step (default 0:1:0.05)")
-    p.set_defaults(func=cmd_overhead)
 
-    p = _add_common(subs.add_parser("pr", help="precision/recall against annotated spammers"))
+    p = _add_command(subs, "pr", cmd_pr, "precision/recall against annotated spammers")
     p.add_argument("ranking", help="subjects.tsv from rank")
     p.add_argument("annotated", help="file of known-spammer ids, one per line")
     p.add_argument("--top-k", help="comma-separated K values (default 20,40,60)")
-    p.set_defaults(func=cmd_pr)
 
-    p = _add_common(subs.add_parser("baseline-ds", help="confusion-matrix EM baseline"))
+    p = _add_command(
+        subs, "baseline-ds", cmd_baseline_ds, "confusion-matrix EM baseline", "--dimension"
+    )
     p.add_argument("responses")
     p.add_argument("--threshold", type=float, default=baselines.DEFAULT_MARGIN)
     p.add_argument("--ds-max-iter", type=int, default=100)
     p.add_argument("--ds-tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_baseline_ds)
 
-    p = _add_common(subs.add_parser("baseline-time", help="mean-duration baseline"))
+    p = _add_command(subs, "baseline-time", cmd_baseline_time, "mean-duration baseline")
     p.add_argument("responses")
-    p.set_defaults(func=cmd_baseline_time)
 
-    p = _add_common(subs.add_parser("simulate", help="sample a synthetic multigraph"))
+    p = _add_command(
+        subs, "simulate", cmd_simulate, "sample a synthetic multigraph", "--dimension", "--gamma"
+    )
     p.add_argument("--subjects", type=int, default=200)
     p.add_argument("--tasks", type=int, default=2000)
     p.add_argument("--raters", default="5", help="raters per task: int or lo:hi")
@@ -347,13 +377,13 @@ def build_parser():
     p.add_argument("--agree-mean", type=float, default=0.7)
     p.add_argument("--strength", type=float, default=5.0)
     p.add_argument("--ratings", action="store_true", help="also emit a synthetic ratings CSV")
-    p.set_defaults(func=cmd_simulate)
 
-    p = _add_common(subs.add_parser("inject", help="inject population-mimicking spammers"))
+    p = _add_command(
+        subs, "inject", cmd_inject, "inject population-mimicking spammers", "--dimension"
+    )
     p.add_argument("responses")
     p.add_argument("--spammers", type=int, default=10)
     p.add_argument("--tasks-per-spammer", type=int, default=50)
-    p.set_defaults(func=cmd_inject)
 
     return parser
 

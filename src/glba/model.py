@@ -17,8 +17,6 @@ on the population means.
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,9 +117,7 @@ class FitConfig:
     eb_tol: float = 1e-4
     eb_max_rounds: int = 20
     prior_grad_mode: str = "gamma-map"  # or "paper-literal"
-    seed: int = 0
     psi_includes_self: bool = False
-    workers: int | None = None  # None -> GLBA_THREADS env var, 0/unset -> auto
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -155,92 +151,9 @@ class FitReport:
     gamma_kept_count: int = 0
 
 
-def resolve_workers(workers=None):
-    """Worker count for parallel phases; GLBA_THREADS caps it (0 = auto)."""
-    if workers is None:
-        raw = os.environ.get("GLBA_THREADS", "0")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"GLBA_THREADS must be an integer, got {raw!r}")
-    if workers < 0:
-        raise ValueError("worker count must be nonnegative")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
-
-
 # ---------------------------------------------------------------------------
-# Auxiliary sums and the gate odds ratio
+# E-step: closed-form posterior statistics per task
 # ---------------------------------------------------------------------------
-
-
-def task_sums(task, weights, focal, include_self=False):
-    """Weighted agreement sums of one subject within one task.
-
-    Returns (omega, psi, omega_bar, psi_bar): omega is the weight-sum of
-    the focal subject's agreeing neighbors, psi the weight-sum of all
-    neighbors, and the barred versions are the same sums with weights
-    1 - w.  With include_self=True, psi additionally counts the focal
-    subject's own weight (the literal printed form of the definition).
-    """
-    if focal not in task.subjects:
-        raise ValueError(f"subject {focal!r} is not a rater of task {task.task_id!r}")
-    try:
-        w = [float(weights[s]) for s in task.subjects]
-    except KeyError as exc:
-        raise ValueError(f"weights missing for subject {exc.args[0]!r}") from None
-    i = task.subjects.index(focal)
-    E = task.edges
-    omega = 0.0
-    psi = 0.0
-    omega_bar = 0.0
-    psi_bar = 0.0
-    for j in range(len(w)):
-        if j == i:
-            continue
-        omega += w[j] * E[i, j]
-        psi += w[j]
-        omega_bar += (1.0 - w[j]) * E[i, j]
-        psi_bar += 1.0 - w[j]
-    if include_self:
-        psi += w[i]
-        psi_bar += 1.0 - w[i]
-    return omega, psi, omega_bar, psi_bar
-
-
-def r_approx(task, focal, alpha_k, beta_k, gamma):
-    """Gate odds ratio of one subject in one task.
-
-    Product over the focal subject's neighbors of
-    (1/(a+b)) * (a/gamma)^I * (b/(1-gamma))^(1-I), where (a, b) are the
-    neighbors' Beta statistics and I the neighbor->focal agreement
-    indicator.  Evaluated in log space and clamped to R_CLAMP.
-    """
-    if focal not in task.subjects:
-        raise ValueError(f"subject {focal!r} is not a rater of task {task.task_id!r}")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    j = task.subjects.index(focal)
-    E = task.edges
-    log_r = 0.0
-    for i, s in enumerate(task.subjects):
-        if i == j:
-            continue
-        a = float(alpha_k[s])
-        b = float(beta_k[s])
-        if a <= 0 or b <= 0:
-            raise ValueError(f"nonpositive Beta statistic for subject {s!r}")
-        log_r -= math.log(a + b)
-        if E[i, j]:
-            log_r += math.log(a) - math.log(gamma)
-        else:
-            log_r += math.log(b) - math.log(1.0 - gamma)
-    try:
-        r = math.exp(log_r)
-    except OverflowError:
-        r = math.inf
-    return min(max(r, R_CLAMP[0]), R_CLAMP[1])
 
 
 def _complement_edges(E):
@@ -513,23 +426,6 @@ def update_gamma(tasks, stats, previous, include_self=False):
 
 
 # ---------------------------------------------------------------------------
-# Symmetrized pairwise agreement probability (documented utility)
-# ---------------------------------------------------------------------------
-
-
-def symmetrized_prob(p, q):
-    """Probability that a mutually-consistent agreement indicator fires.
-
-    H(p, q) = pq / (pq + (1-p)(1-q)); symmetric, with H(0.5, q) = q.
-    Only defined on the open unit interval.
-    """
-    for x in (p, q):
-        if not (0.0 < x < 1.0):
-            raise ValueError(f"arguments must lie strictly inside (0, 1), got {x}")
-    return p * q / (p * q + (1.0 - p) * (1.0 - q))
-
-
-# ---------------------------------------------------------------------------
 # Monitored objective
 # ---------------------------------------------------------------------------
 
@@ -709,36 +605,14 @@ class _Prepared:
         return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
 
 
-def _estep_all(prep, tau, alpha, beta, gamma, include_self, workers=1):
+def _estep_all(prep, tau, alpha, beta, gamma, include_self):
     a_t = np.empty(prep.total)
     b_t = np.empty(prep.total)
     t_t = np.empty(prep.total)
-
-    def run_chunk(E, comp, sidx, dest):
-        ga, gb, gt = _estep_kernel(
+    for E, comp, sidx, dest in prep.groups:
+        a_t[dest], b_t[dest], t_t[dest] = _estep_kernel(
             E, comp, tau[sidx], alpha[sidx], beta[sidx], gamma, include_self
         )
-        a_t[dest] = ga
-        b_t[dest] = gb
-        t_t[dest] = gt
-
-    chunks = []
-    for E, comp, sidx, dest in prep.groups:
-        g = E.shape[0]
-        if workers > 1 and g >= 2 * workers:
-            bounds = np.linspace(0, g, workers + 1, dtype=int)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    chunks.append((E[lo:hi], comp[lo:hi], sidx[lo:hi], dest[lo:hi]))
-        else:
-            chunks.append((E, comp, sidx, dest))
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-    else:
-        for c in chunks:
-            run_chunk(*c)
     return a_t, b_t, t_t
 
 
@@ -757,7 +631,6 @@ def fit(multigraph, config=None):
     if multigraph.n == 0:
         raise ValueError("multigraph has no tasks")
     gamma = config.gamma_value()
-    workers = resolve_workers(config.workers)
     include_self = config.psi_includes_self
 
     prep = _Prepared(multigraph.tasks, multigraph.subjects)
@@ -786,7 +659,7 @@ def fit(multigraph, config=None):
         beta = np.ones(m)
         converged = False
         for _it in range(config.max_iter):
-            flat = _estep_all(prep, tau, alpha, beta, gamma, include_self, workers)
+            flat = _estep_all(prep, tau, alpha, beta, gamma, include_self)
             a_t, b_t, t_t = flat
 
             dig = _digammas(a_t, b_t)

@@ -226,10 +226,86 @@ def write_params_table(params, path, kind="truth"):
 # ---------------------------------------------------------------------------
 
 
+# Column -> parser of the subject and image tables; a subjects table adds one
+# float column tau[<gamma>] per fitted gamma.
+_SUBJECT_COLUMNS = {
+    "rank": int,
+    "subject_id": str,
+    "tau_mean": float,
+    "alpha": float,
+    "beta": float,
+    "beta_variance": float,
+}
+_IMAGE_COLUMNS = {
+    "task_id": str,
+    "adjusted_score": float,
+    "confidence": float,
+    "weighted_mean": float,
+    "raw_mean": float,
+    "n_raters": int,
+    "weighted_mean_defined": int,
+    "dimension": str,
+    "direction": str,
+}
+
+
+def _tau_column(col):
+    """The gamma of a subjects-table column tau[<gamma>], or None."""
+    if col.startswith("tau[") and col.endswith("]"):
+        try:
+            return float(col[4:-1])
+        except ValueError:
+            pass
+    return None
+
+
+def _read_report_table(path, columns, id_column, extra=None):
+    """Parse a report table whose header starts with the `columns` dict.
+
+    Returns the values `extra` parses from the header columns past
+    `columns`, and every row as a list of values (the `columns` parsers,
+    then float for each extra column).  Rejects, naming the path and the
+    line: a missing header row, or one that does not start with `columns`
+    or has a column past them that `extra` maps to None; a row whose
+    field count differs from the header's; an empty or duplicate id in
+    column `id_column`; and a value its parser does not accept.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    head_no, header = lines[0][0], lines[0][1].split("\t")
+    names = list(columns)
+    tail = header[len(names) :]
+    extras = [extra(col) for col in tail] if extra else [None] * len(tail)
+    if header[: len(names)] != names or None in extras:
+        expected = "\t".join(names + (["tau[<gamma>]..."] if extra else []))
+        raise ValueError(f"{path}:{head_no}: header is not {expected!r}")
+    parsers = list(columns.values()) + [float] * len(tail)
+    key = names.index(id_column)
+    seen = set()
+    rows = []
+    for lineno, ln in lines[1:]:
+        fields = ln.split("\t")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        if not fields[key] or fields[key] in seen:
+            raise ValueError(f"{path}:{lineno}: empty or duplicate {id_column} {fields[key]!r}")
+        seen.add(fields[key])
+        row = []
+        for col, parse, raw in zip(header, parsers, fields):
+            try:
+                row.append(parse(raw))
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(f"{path}:{lineno}: {col} {raw!r} is not {kind}") from None
+        rows.append(row)
+    return extras, rows
+
+
 def write_subject_reports(reports, path):
     gammas = sorted(reports[0].tau_by_gamma) if reports else []
-    cols = ["rank", "subject_id", "tau_mean", "alpha", "beta", "beta_variance"]
-    cols += [f"tau[{_fmt(g)}]" for g in gammas]
+    cols = list(_SUBJECT_COLUMNS) + [f"tau[{_fmt(g)}]" for g in gammas]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
         for r in sorted(reports, key=lambda x: x.rank):
@@ -246,41 +322,25 @@ def write_subject_reports(reports, path):
 
 
 def read_subject_reports(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split("\t")
-    gammas = [float(c[4:-1]) for c in header if c.startswith("tau[")]
-    reports = []
-    for ln in lines[1:]:
-        f = ln.split("\t")
-        reports.append(
-            SubjectReport(
-                subject_id=f[1],
-                tau_mean=float(f[2]),
-                tau_by_gamma={g: float(v) for g, v in zip(gammas, f[6:])},
-                alpha=float(f[3]),
-                beta=float(f[4]),
-                beta_variance=float(f[5]),
-                rank=int(f[0]),
-            )
+    """Parse a subjects table (see `_read_report_table` for what it rejects)."""
+    gammas, rows = _read_report_table(path, _SUBJECT_COLUMNS, "subject_id", _tau_column)
+    return [
+        SubjectReport(
+            subject_id=sid,
+            tau_mean=tau_mean,
+            tau_by_gamma=dict(zip(gammas, taus)),
+            alpha=alpha,
+            beta=beta,
+            beta_variance=var,
+            rank=rank,
         )
-    return reports
+        for rank, sid, tau_mean, alpha, beta, var, *taus in rows
+    ]
 
 
 def write_image_reports(reports, path):
-    cols = [
-        "task_id",
-        "adjusted_score",
-        "confidence",
-        "weighted_mean",
-        "raw_mean",
-        "n_raters",
-        "weighted_mean_defined",
-        "dimension",
-        "direction",
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
+        fh.write("\t".join(_IMAGE_COLUMNS) + "\n")
         for r in reports:
             fh.write(
                 "\t".join(
@@ -301,25 +361,22 @@ def write_image_reports(reports, path):
 
 
 def read_image_reports(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    reports = []
-    for ln in lines[1:]:
-        f = ln.split("\t")
-        reports.append(
-            ImageReport(
-                task_id=f[0],
-                adjusted_score=float(f[1]),
-                confidence=float(f[2]),
-                weighted_mean=float(f[3]),
-                raw_mean=float(f[4]),
-                n_raters=int(f[5]),
-                weighted_mean_defined=bool(int(f[6])),
-                dimension=f[7],
-                direction=f[8],
-            )
+    """Parse an image table (see `_read_report_table` for what it rejects)."""
+    _, rows = _read_report_table(path, _IMAGE_COLUMNS, "task_id")
+    return [
+        ImageReport(
+            task_id=tid,
+            adjusted_score=score,
+            confidence=conf,
+            weighted_mean=wmean,
+            raw_mean=rmean,
+            n_raters=n,
+            weighted_mean_defined=bool(defined),
+            dimension=dim,
+            direction=direction,
         )
-    return reports
+        for tid, score, conf, wmean, rmean, n, defined, dim, direction in rows
+    ]
 
 
 def write_baseline_ranking(ranked, method, path):
@@ -388,6 +445,14 @@ def read_id_list(path):
 # Fit configuration files and run manifests
 # ---------------------------------------------------------------------------
 
+
+def _parse_count(raw):
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 _CONFIG_PARSERS = {
     "gamma": "gamma",
     "update_gamma": _parse_bool,
@@ -396,10 +461,11 @@ _CONFIG_PARSERS = {
     "eb_tol": float,
     "eb_max_rounds": int,
     "prior_grad_mode": str,
-    "seed": int,
     "psi_includes_self": _parse_bool,
-    "workers": int,
 }
+# Keys older config files carry: parsed and checked, then dropped (a fit
+# draws no random numbers and runs on one thread).
+_IGNORED_CONFIG_KEYS = {"seed": int, "workers": _parse_count}
 
 
 def parse_gamma_spec(raw):
@@ -417,7 +483,11 @@ def parse_gamma_spec(raw):
 
 
 def read_config_file(path):
-    """Parse 'key = value' lines into FitConfig keyword overrides."""
+    """Parse 'key = value' lines into FitConfig keyword overrides.
+
+    Rejects, naming the path and the line, a line without '=', an unknown
+    key and a value that does not parse.
+    """
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
@@ -429,10 +499,15 @@ def read_config_file(path):
             key, _, raw = ln.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in _CONFIG_PARSERS:
+            parser = _CONFIG_PARSERS.get(key) or _IGNORED_CONFIG_KEYS.get(key)
+            if parser is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            parser = _CONFIG_PARSERS[key]
-            overrides[key] = parse_gamma_spec(raw) if parser == "gamma" else parser(raw)
+            try:
+                value = parse_gamma_spec(raw) if parser == "gamma" else parser(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid value for {key}: {exc}") from None
+            if key in _CONFIG_PARSERS:
+                overrides[key] = value
     return overrides
 
 

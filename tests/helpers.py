@@ -77,6 +77,74 @@ def table_from_rows(rows):
     return ResponseTable(rows=out)
 
 
+def oracle_task_sums(task, weights, focal, include_self=False):
+    """Weighted agreement sums of one subject within one task.
+
+    Returns (omega, psi, omega_bar, psi_bar): omega is the weight-sum of
+    the focal subject's agreeing neighbors, psi the weight-sum of all
+    neighbors, and the barred versions are the same sums with weights
+    1 - w.  With include_self=True, psi additionally counts the focal
+    subject's own weight (the literal printed form of the definition).
+    """
+    if focal not in task.subjects:
+        raise ValueError(f"subject {focal!r} is not a rater of task {task.task_id!r}")
+    try:
+        w = [float(weights[s]) for s in task.subjects]
+    except KeyError as exc:
+        raise ValueError(f"weights missing for subject {exc.args[0]!r}") from None
+    i = task.subjects.index(focal)
+    E = task.edges
+    omega = 0.0
+    psi = 0.0
+    omega_bar = 0.0
+    psi_bar = 0.0
+    for j in range(len(w)):
+        if j == i:
+            continue
+        omega += w[j] * E[i, j]
+        psi += w[j]
+        omega_bar += (1.0 - w[j]) * E[i, j]
+        psi_bar += 1.0 - w[j]
+    if include_self:
+        psi += w[i]
+        psi_bar += 1.0 - w[i]
+    return omega, psi, omega_bar, psi_bar
+
+
+def oracle_r_approx(task, focal, alpha_k, beta_k, gamma):
+    """Gate odds ratio of one subject in one task.
+
+    Product over the focal subject's neighbors of
+    (1/(a+b)) * (a/gamma)^I * (b/(1-gamma))^(1-I), where (a, b) are the
+    neighbors' Beta statistics and I the neighbor->focal agreement
+    indicator.  Evaluated in log space and clamped to R_CLAMP.
+    """
+    if focal not in task.subjects:
+        raise ValueError(f"subject {focal!r} is not a rater of task {task.task_id!r}")
+    if not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
+    j = task.subjects.index(focal)
+    E = task.edges
+    log_r = 0.0
+    for i, s in enumerate(task.subjects):
+        if i == j:
+            continue
+        a = float(alpha_k[s])
+        b = float(beta_k[s])
+        if a <= 0 or b <= 0:
+            raise ValueError(f"nonpositive Beta statistic for subject {s!r}")
+        log_r -= math.log(a + b)
+        if E[i, j]:
+            log_r += math.log(a) - math.log(gamma)
+        else:
+            log_r += math.log(b) - math.log(1.0 - gamma)
+    try:
+        r = math.exp(log_r)
+    except OverflowError:
+        r = math.inf
+    return min(max(r, R_CLAMP[0]), R_CLAMP[1])
+
+
 def oracle_estep(task, params, include_self=False):
     """Brute-force E-step for one task: plain loops, direct (non-log)
     product for the gate odds ratio."""

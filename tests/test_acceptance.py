@@ -157,12 +157,17 @@ def test_m_step_stationarity():
 
 
 def test_tau_and_gamma_update_exactness():
+    # gamma is compared after the second iteration: after the first, from
+    # tau = 1, every tau~ is 1, the denominator is 0 and gamma is kept.
     rng = np.random.default_rng(1234)
     tau_exact = True
     gamma_exact = True
+    positive_den = 0
     for trial in range(50):
         graph = random_graph(rng, m=int(rng.integers(4, 9)), n=int(rng.integers(2, 7)))
-        report = fit(graph, FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1))
+        config = FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1)
+        report = fit(graph, config)
+        second = fit(graph, FitConfig(gamma=0.37, update_gamma=True, max_iter=2, eb_max_rounds=1))
         init = ModelParams(
             subjects=graph.subjects,
             tau=np.ones(graph.m),
@@ -172,31 +177,35 @@ def test_tau_and_gamma_update_exactness():
         )
         acc = dict.fromkeys(graph.subjects, 0.0)
         count = dict.fromkeys(graph.subjects, 0)
-        num = 0.0
-        den = 0.0
         for task in graph.tasks:
             stats = e_step_task(task, init)
-            r = task.n_raters
             for pos, s in enumerate(task.subjects):
                 acc[s] += float(stats.tau_tilde[pos])
                 count[s] += 1
+        for i, s in enumerate(graph.subjects):
+            if report.params.tau[i] != (0.5 + acc[s]) / (count[s] + 1.0):
+                tau_exact = False
+        num = 0.0
+        den = 0.0
+        for task in graph.tasks:
+            stats = e_step_task(task, report.params)
+            r = task.n_raters
             for i in range(r):
                 for j in range(r):
                     if i != j:
                         w = 1.0 - float(stats.tau_tilde[j])
                         num += w * float(task.edges[i, j])
                         den += w
-        for i, s in enumerate(graph.subjects):
-            if report.params.tau[i] != (0.5 + acc[s]) / (count[s] + 1.0):
-                tau_exact = False
+        positive_den += den > 0
         expected_gamma = 0.37 if den <= 0 else float(np.clip(num / den, 0.01, 0.49))
-        if report.params.gamma != expected_gamma:
+        if second.params.gamma != expected_gamma:
             gamma_exact = False
-    ok = tau_exact and gamma_exact
+    ok = tau_exact and gamma_exact and positive_den == 50
     _report(
         "tau-gamma-update-exactness",
         ok,
-        f"tau exact: {tau_exact}, gamma exact: {gamma_exact} (50 toy graphs, bit-level)",
+        f"tau exact: {tau_exact}, gamma exact at iteration 2: {gamma_exact}, "
+        f"den > 0 on {positive_den}/50 (50 toy graphs, bit-level)",
     )
 
 

@@ -333,3 +333,93 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+SUBJECTS = (
+    "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.37]\n"
+    "1\ts000\t0.2\t1.0\t2.0\t0.05\t0.2\n"
+    "2\ts001\t0.9\t2.0\t1.0\t0.05\t0.9\n"
+)
+
+
+@pytest.mark.parametrize(
+    "subjects,line",
+    [
+        (SUBJECTS + "3\ts002\t0.9\n", 4),  # a 3-field row was an IndexError, exit 1
+        (SUBJECTS + SUBJECTS.splitlines(True)[1], 4),  # a repeat gave recall 2.0, exit 0
+    ],
+    ids=["short-row", "duplicate-subject"],
+)
+def test_pr_and_overhead_malformed_subjects_exit_2(ratings_csv, tmp_path, capsys, subjects, line):
+    ranking = tmp_path / "subjects.tsv"
+    ranking.write_text(subjects)
+    annotated = tmp_path / "annotated.txt"
+    annotated.write_text("s000\n")
+    out = tmp_path / "out"
+    assert run(["pr", ranking, annotated, "--top-k", "1,2", "--out", out]) == 2
+    assert f"{ranking}:{line}: " in capsys.readouterr().err
+    assert not (out / "pr.tsv").exists()
+    assert run(["overhead", ratings_csv, ranking, "--out", out]) == 2
+    assert f"{ranking}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value", ["0:1:0", "0:1", "0:1:0.1:2", "a:1:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:-0.1", "1:0:0.1"]
+)
+def test_overhead_rejects_bad_thresholds(ratings_csv, tmp_path, capsys, value):
+    ranking = tmp_path / "subjects.tsv"
+    ranking.write_text(SUBJECTS)
+    out = tmp_path / "out"
+    assert run(["overhead", ratings_csv, ranking, "--thresholds", value, "--out", out]) == 2
+    assert "--thresholds" in capsys.readouterr().err
+    assert not (out / "overhead_subject-filter.tsv").exists()
+
+
+@pytest.mark.parametrize("value", ["a", "1.5", "0", "2,-1", "1,,2"])
+def test_pr_rejects_bad_top_k(tmp_path, capsys, value):
+    ranking = tmp_path / "subjects.tsv"
+    ranking.write_text(SUBJECTS)
+    annotated = tmp_path / "annotated.txt"
+    annotated.write_text("s000\n")
+    assert run(["pr", ranking, annotated, "--top-k", value, "--out", tmp_path / "out"]) == 2
+    assert "--top-k" in capsys.readouterr().err
+
+
+def test_fit_config_negative_workers_exits_2(tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("max_iter = 5\nworkers = -1\n")
+    assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"{cfg}:2: invalid value for workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-graph", "r.csv", "--gamma", "0.4"],
+        ["build-graph", "r.csv", "--config", "f"],
+        ["fit", "graph.tsv", "--delta", "0.3"],
+        ["fit", "graph.tsv", "--dimension", "valence"],
+        ["fit", "graph.tsv", "--min-raters", "3"],
+        ["rank", "fit.tsv", "--delta", "0.3"],
+        ["rank", "fit.tsv", "--dimension", "valence"],
+        ["images", "r.csv", "fit.tsv", "--delta", "0.3"],
+        ["images", "r.csv", "fit.tsv", "--gamma", "0.4"],
+        ["overhead", "r.csv", "subjects.tsv", "--min-raters", "3"],
+        ["pr", "subjects.tsv", "ids.txt", "--gamma", "0.4"],
+        ["baseline-ds", "r.csv", "--delta", "0.3"],
+        ["baseline-time", "r.csv", "--config", "f"],
+        ["baseline-time", "r.csv", "--dimension", "valence"],
+        ["simulate", "--gamma-grid", "0.3:0.4:2"],
+        ["simulate", "--min-raters", "3"],
+        ["inject", "r.csv", "--gamma", "0.4"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

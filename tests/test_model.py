@@ -16,15 +16,14 @@ from glba.model import (
     TaskStats,
     _bisect_ab,
     _Prepared,
+    _complement_edges,
+    _estep_kernel,
     e_step_task,
     fit,
     fit_grid,
     gamma_grid,
     log_posterior,
     m_step_subject,
-    r_approx,
-    symmetrized_prob,
-    task_sums,
     update_gamma,
 )
 from glba.simulate import GenerativeSpec, make_true_params, sample_multigraph
@@ -34,6 +33,8 @@ from helpers import (
     oracle_estep,
     oracle_gamma_ratio,
     oracle_mstep_residual,
+    oracle_r_approx,
+    oracle_task_sums,
     random_graph,
     random_params,
     random_task,
@@ -54,13 +55,13 @@ def params_for(graph, tau, alpha, beta, gamma=0.37):
 
 
 # ---------------------------------------------------------------------------
-# task_sums
+# oracle_task_sums
 # ---------------------------------------------------------------------------
 
 
 def test_task_sums_zero_weights():
     task = make_task("t", ["i", "j", "l"], {("i", "j"): 1, ("j", "i"): 1}, default=0)
-    omega, psi, omega_bar, psi_bar = task_sums(task, {"i": 0, "j": 0, "l": 0}, "i")
+    omega, psi, omega_bar, psi_bar = oracle_task_sums(task, {"i": 0, "j": 0, "l": 0}, "i")
     assert (omega, psi) == (0.0, 0.0)
     assert omega_bar == 1.0  # one agreeing neighbor at weight 1-0
     assert psi_bar == 2.0  # |task| - 1
@@ -68,21 +69,21 @@ def test_task_sums_zero_weights():
 
 def test_task_sums_unit_weights_all_agree():
     task = make_task("t", list("abcd"), {}, default=1)
-    omega, psi, omega_bar, psi_bar = task_sums(task, dict.fromkeys("abcd", 1.0), "b")
+    omega, psi, omega_bar, psi_bar = oracle_task_sums(task, dict.fromkeys("abcd", 1.0), "b")
     assert (omega, psi) == (3.0, 3.0)
     assert (omega_bar, psi_bar) == (0.0, 0.0)
 
 
 def test_task_sums_hand_example():
     task = make_task("t", ["i", "j", "l"], {("i", "j"): 1, ("i", "l"): 0}, default=0)
-    omega, psi, _, _ = task_sums(task, {"i": 0.9, "j": 0.5, "l": 0.25}, "i")
+    omega, psi, _, _ = oracle_task_sums(task, {"i": 0.9, "j": 0.5, "l": 0.25}, "i")
     assert omega == 0.5
     assert psi == 0.75
 
 
 def test_task_sums_literal_index_set_adds_self():
     task = make_task("t", ["i", "j"], {}, default=1)
-    _, psi, _, psi_bar = task_sums(task, {"i": 0.3, "j": 0.4}, "i", include_self=True)
+    _, psi, _, psi_bar = oracle_task_sums(task, {"i": 0.3, "j": 0.4}, "i", include_self=True)
     assert psi == pytest.approx(0.7)
     assert psi_bar == pytest.approx(1.3)
 
@@ -90,29 +91,29 @@ def test_task_sums_literal_index_set_adds_self():
 def test_task_sums_unknown_focal():
     task = make_task("t", ["i", "j"], {}, default=1)
     with pytest.raises(ValueError, match="not a rater"):
-        task_sums(task, {"i": 1, "j": 1}, "z")
+        oracle_task_sums(task, {"i": 1, "j": 1}, "z")
 
 
 # ---------------------------------------------------------------------------
-# r_approx
+# oracle_r_approx
 # ---------------------------------------------------------------------------
 
 
 def test_r_approx_empty_product():
     task = make_task("t", ["j"], {})
-    assert r_approx(task, "j", {}, {}, gamma=0.3) == 1.0
+    assert oracle_r_approx(task, "j", {}, {}, gamma=0.3) == 1.0
 
 
 def test_r_approx_symmetric_cancellation():
     task = make_task("t", ["i", "j"], {("i", "j"): 1}, default=0)
-    val = r_approx(task, "j", {"i": 2.0}, {"i": 2.0}, gamma=0.5)
+    val = oracle_r_approx(task, "j", {"i": 2.0}, {"i": 2.0}, gamma=0.5)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_r_approx_two_neighbors():
     # (1/4)(3/0.4) * (1/4)(3/0.6) = 1.875 * 1.25 = 2.34375
     task = make_task("t", ["a", "b", "j"], {("a", "j"): 1, ("b", "j"): 0}, default=0)
-    val = r_approx(task, "j", {"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 3.0}, gamma=0.4)
+    val = oracle_r_approx(task, "j", {"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 3.0}, gamma=0.4)
     assert val == pytest.approx(2.34375, rel=1e-12)
 
 
@@ -135,7 +136,7 @@ def test_r_approx_matches_direct_product():
                 direct *= alpha[s] / ((alpha[s] + beta[s]) * gamma)
             else:
                 direct *= beta[s] / ((alpha[s] + beta[s]) * (1.0 - gamma))
-        assert r_approx(task, focal, alpha, beta, gamma) == pytest.approx(direct, rel=1e-10)
+        assert oracle_r_approx(task, focal, alpha, beta, gamma) == pytest.approx(direct, rel=1e-10)
 
 
 def test_r_approx_clamps():
@@ -143,10 +144,10 @@ def test_r_approx_clamps():
     task = make_task("t", subs, {(s, "s8"): 1 for s in subs[:-1]}, default=0)
     alpha = dict.fromkeys(subs, 1e7)
     beta = dict.fromkeys(subs, 1e-5)
-    up = r_approx(task, "s8", alpha, beta, gamma=0.01)
+    up = oracle_r_approx(task, "s8", alpha, beta, gamma=0.01)
     assert up == R_CLAMP[1]
     task0 = make_task("t", subs, {}, default=0)
-    down = r_approx(task0, "s8", alpha, beta, gamma=0.49)
+    down = oracle_r_approx(task0, "s8", alpha, beta, gamma=0.49)
     assert down == R_CLAMP[0]
 
 
@@ -185,6 +186,40 @@ def test_e_step_matches_brute_force_oracle():
         np.testing.assert_allclose(stats.alpha_tilde, oa, rtol=1e-10)
         np.testing.assert_allclose(stats.beta_tilde, ob, rtol=1e-10)
         np.testing.assert_allclose(stats.tau_tilde, ot, rtol=1e-10)
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_estep_kernel_matches_scalar_oracles(include_self):
+    # alpha~ - alpha = omega, beta~ - beta = psi - omega (weights tau), and
+    # tau~ is the gate posterior of the odds ratio at the tilde statistics.
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        r = int(rng.integers(1, 7))
+        graph = random_graph(rng, m=r, n=1, r_lo=r, r_hi=r)
+        task = graph.tasks[0]
+        params = random_params(rng, graph)
+        sidx = [params.position[s] for s in task.subjects]
+        t, a, b = (x[sidx] for x in (params.tau, params.alpha, params.beta))
+        E = task.edges.astype(float)[None]
+        a_t, b_t, tau_t = (
+            x[0]
+            for x in _estep_kernel(
+                E, _complement_edges(E), t[None], a[None], b[None], params.gamma, include_self
+            )
+        )
+        weights = dict(zip(task.subjects, t))
+        alpha_t = dict(zip(task.subjects, a_t))
+        beta_t = dict(zip(task.subjects, b_t))
+        for i, s in enumerate(task.subjects):
+            omega, psi, _, _ = oracle_task_sums(task, weights, s, include_self)
+            ratio = oracle_r_approx(task, s, alpha_t, beta_t, params.gamma)
+            rebuilt = ratio * t[i] / (ratio * t[i] + 1.0 - t[i])
+            np.testing.assert_allclose(
+                [a_t[i] - a[i], b_t[i] - b[i], tau_t[i]],
+                [omega, psi - omega, rebuilt],
+                rtol=1e-12,
+                atol=0,
+            )
 
 
 def test_e_step_tilde_dominates_parameters():
@@ -462,33 +497,6 @@ def test_log_posterior_matches_hand_expansion():
 
     got = log_posterior(params, priors, graph, stats)
     assert got == pytest.approx(expected, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# symmetrized_prob
-# ---------------------------------------------------------------------------
-
-
-def test_symmetrized_identity_element():
-    for q in (0.1, 0.37, 0.9):
-        assert symmetrized_prob(0.5, q) == pytest.approx(q, rel=1e-12)
-
-
-def test_symmetrized_symmetry():
-    rng = np.random.default_rng(80)
-    for _ in range(50):
-        p, q = rng.uniform(0.01, 0.99, size=2)
-        assert symmetrized_prob(p, q) == symmetrized_prob(q, p)
-
-
-def test_symmetrized_value():
-    assert symmetrized_prob(0.8, 0.8) == pytest.approx(0.94118, abs=1e-5)
-
-
-def test_symmetrized_rejects_boundary():
-    for p, q in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
-        with pytest.raises(ValueError):
-            symmetrized_prob(p, q)
 
 
 # ---------------------------------------------------------------------------

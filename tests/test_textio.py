@@ -207,6 +207,96 @@ def test_image_reports_roundtrip(tmp_path):
     assert back[0].weighted_mean_defined
 
 
+SUBJECTS_HEAD = "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.3]\n"
+SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        ("", None, "empty file"),
+        (SUBJECT_ROW, 1, "header is not"),  # no header row
+        (SUBJECTS_HEAD.replace("tau_mean", "tau"), 1, "header is not"),
+        (SUBJECTS_HEAD.replace("tau[0.3]", "tau[x]"), 1, "header is not"),
+        (SUBJECTS_HEAD.replace("\n", "\tnote\n"), 1, "header is not"),
+        (SUBJECTS_HEAD + "1\ts1\t0.5\n", 2, "expected 7 fields, got 3"),
+        (SUBJECTS_HEAD + SUBJECT_ROW + SUBJECT_ROW.replace("1\t", "2\t", 1), 3, "duplicate subject_id 's1'"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("s1", ""), 2, "empty or duplicate subject_id ''"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("0.05", "abc"), 2, "beta_variance 'abc' is not a number"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("\t0.5\n", "\t-\n"), 2, "tau\\[0.3\\] '-' is not a number"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("1\t", "1.5\t", 1), 2, "rank '1.5' is not an integer"),
+    ],
+    ids=[
+        "empty",
+        "no-header",
+        "wrong-column",
+        "bad-gamma-column",
+        "extra-column",
+        "short-row",
+        "duplicate-id",
+        "empty-id",
+        "bad-number",
+        "bad-tau",
+        "non-integer-rank",
+    ],
+)
+def test_subject_reports_reject_malformed(tmp_path, text, line, match):
+    path = tmp_path / "subjects.tsv"
+    path.write_text(text)
+    where = f"{path}:{line}: " if line else f"{path}: "
+    with pytest.raises(ValueError, match=match) as exc:
+        textio.read_subject_reports(path)
+    assert str(exc.value).startswith(where)
+
+
+IMAGES_HEAD = (
+    "task_id\tadjusted_score\tconfidence\tweighted_mean\traw_mean\tn_raters"
+    "\tweighted_mean_defined\tdimension\tdirection\n"
+)
+IMAGE_ROW = "t1\t0.5\t0.8\tnan\t5.5\t4\t0\tvalence\thigh\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        ("\n", None, "empty file"),
+        (IMAGE_ROW, 1, "header is not"),  # no header row
+        (IMAGES_HEAD.replace("\n", "\textra\n"), 1, "header is not"),
+        (IMAGES_HEAD.replace("confidence", "conf"), 1, "header is not"),
+        (IMAGES_HEAD + "t1\t0.5\n", 2, "expected 9 fields, got 2"),
+        (IMAGES_HEAD + IMAGE_ROW + IMAGE_ROW, 3, "duplicate task_id 't1'"),
+        (IMAGES_HEAD + IMAGE_ROW[2:], 2, "empty or duplicate task_id ''"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("0.8", "high"), 2, "confidence 'high' is not a number"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("\t4\t", "\t4.0\t"), 2, "n_raters '4.0' is not an integer"),
+    ],
+    ids=[
+        "blank",
+        "no-header",
+        "extra-column",
+        "wrong-column",
+        "short-row",
+        "duplicate-id",
+        "empty-id",
+        "bad-number",
+        "non-integer-count",
+    ],
+)
+def test_image_reports_reject_malformed(tmp_path, text, line, match):
+    path = tmp_path / "images.tsv"
+    path.write_text(text)
+    where = f"{path}:{line}: " if line else f"{path}: "
+    with pytest.raises(ValueError, match=match) as exc:
+        textio.read_image_reports(path)
+    assert str(exc.value).startswith(where)
+
+
+def test_image_reports_read_undefined_weighted_mean(tmp_path):
+    path = tmp_path / "images.tsv"
+    path.write_text(IMAGES_HEAD + IMAGE_ROW)
+    (report,) = textio.read_image_reports(path)
+    assert np.isnan(report.weighted_mean) and not report.weighted_mean_defined
+
+
 def test_responses_roundtrip(tmp_path):
     table, _ = sample_response_table(6, 15, 3, seed=5, with_timing=True)
     path = tmp_path / "ratings.csv"
@@ -268,6 +358,37 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("mystery = 1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         textio.read_config_file(path)
+
+
+def test_config_file_accepts_and_drops_seed_and_workers(tmp_path):
+    path = tmp_path / "fit.cfg"
+    path.write_text("workers = 1\nseed = 7\ntol = 1e-4\n")
+    overrides = textio.read_config_file(path)
+    assert overrides == {"tol": 1e-4}
+    assert textio.make_fit_config(overrides).tol == 1e-4
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "tol = abc",
+        "max_iter = 1.5",
+        "update_gamma = maybe",
+        "eb_max_rounds = x",
+        "gamma = 0.3:0.4",
+        "gamma = 0.3:0.4:0",
+        "seed = 7.5",
+        "workers = two",
+        "workers = -1",
+    ],
+)
+def test_config_file_names_line_and_key_of_bad_value(tmp_path, line):
+    path = tmp_path / "fit.cfg"
+    path.write_text(f"# comment\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError) as exc:
+        textio.read_config_file(path)
+    assert str(exc.value).startswith(f"{path}:2: invalid value for {key}: ")
 
 
 def test_gamma_spec_single_value():
