@@ -143,8 +143,8 @@ def load_responses(path, schema=None):
     ------
     ValueError
         On a missing required column, a duplicated (subject, task) pair,
-        an unparseable number, or a rating outside its scale.  The message
-        names the offending rows.
+        an unparseable number, a rating outside its scale, or a negative or
+        non-finite timing.  The message names the offending rows.
     """
     schema = schema or {}
 
@@ -215,7 +215,10 @@ def load_responses(path, schema=None):
                     except ValueError:
                         problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
                     else:
-                        if value < 0:
+                        if not math.isfinite(value):
+                            problems.append(f"row {lineno}: non-finite {name} value {raw!r}")
+                            value = None
+                        elif value < 0:
                             problems.append(f"row {lineno}: negative {name}")
                             value = None
                 seconds.append(value)

@@ -396,6 +396,9 @@ def oracle_load_responses(path, schema=None):
                 except ValueError:
                     problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
                     return None
+                if not math.isfinite(value):
+                    problems.append(f"row {lineno}: non-finite {name} value {raw!r}")
+                    return None
                 if value < 0:
                     problems.append(f"row {lineno}: negative {name}")
                     return None

@@ -77,6 +77,14 @@ def test_load_unparseable_number(tmp_path):
         load_responses(path)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_load_rejects_nonfinite_timing(tmp_path, raw):
+    # a NaN or infinite timing would pass silently through the duration filter
+    path = write_csv(tmp_path, f"a,t1,5,4,6,3,{raw},\nb,t1,5,4,6,3,1,{raw}\n")
+    with pytest.raises(ValueError, match=r"row 2: non-finite view_seconds.*row 3: non-finite label_seconds"):
+        load_responses(path)
+
+
 def test_load_schema_mapping(tmp_path):
     path = write_csv(
         tmp_path,
