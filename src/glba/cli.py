@@ -97,7 +97,6 @@ def cmd_fit(args):
     graph = textio.read_multigraph(args.graph)
     config = _fit_config(args)
     out = _outdir(args)
-    grid = config.gamma if isinstance(config.gamma, (list, tuple)) else [config.gamma]
     written = []
     for report in model.fit_grid(graph, config):
         path = os.path.join(out, f"fit_{_gamma_tag(report.params.gamma)}.tsv")
@@ -108,7 +107,7 @@ def cmd_fit(args):
             f"gamma={_gamma_tag(report.params.gamma)}: {report.iterations} iterations, "
             f"{status}, tau0={report.priors.tau0:.4f}, s0={report.priors.s0:.4f}"
         )
-    _manifest(args, "fit", [args.graph], extra={"gamma_values": len(grid)})
+    _manifest(args, "fit", [args.graph], extra={"gamma_values": len(written)})
     print(f"wrote {len(written)} fit report(s) to {out}")
     return EXIT_OK
 
@@ -304,10 +303,14 @@ def _parse_top_k(raw):
 
 
 def _parse_raters(raw):
-    if ":" in raw:
-        lo, hi = raw.split(":")
-        return (int(lo), int(hi))
-    return int(raw)
+    """--raters R or LO:HI as an int or an inclusive (lo, hi) pair."""
+    try:
+        bounds = tuple(int(x) for x in raw.split(":"))
+    except ValueError:
+        bounds = ()
+    if len(bounds) not in (1, 2) or bounds[0] > bounds[-1]:
+        raise ValueError(f"--raters must be R or LO:HI (integers, LO <= HI), got {raw!r}")
+    return bounds if len(bounds) == 2 else bounds[0]
 
 
 def build_parser():

@@ -9,7 +9,9 @@ task receives a binary agreement indicator.
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,9 +50,6 @@ class ResponseTable:
 
     def subjects(self):
         return sorted({r.subject_id for r in self.rows})
-
-    def task_ids(self):
-        return sorted({r.task_id for r in self.rows})
 
     def rows_for(self, dimension):
         """Rows that carry a rating for `dimension`."""
@@ -107,11 +106,71 @@ class TaskGraph:
         return len(self.subjects)
 
 
-@dataclass
+# The tasks with one rater count r, stacked in task order: their positions
+# in the task list (G,), uint8 indicators (G, r, r), global rater indices
+# (G, r) and positions in the flat rater layout (G, r).
+SizeGroup = namedtuple("SizeGroup", "tasks edges sidx dest")
+
+
+@dataclass(eq=False)
 class AgreementMultigraph:
+    """Task graphs over one global subject list, checked and packed once.
+
+    Built from the task graphs alone: sorts them by task id, derives
+    ``subjects`` and lays every (task, rater) slot out task-major, as
+    ``offsets`` per task, ``flat_sidx`` (global rater index per slot),
+    ``groups`` (a SizeGroup per rater count, ascending) and ``degree``
+    (tasks per subject).  Raises ValueError naming the task on an empty
+    or duplicate task id, an empty or repeated subject id, edges not of
+    shape (r, r), an indicator other than 0 or 1, or a nonzero diagonal.
+    """
+
     tasks: list  # TaskGraph, sorted by task_id
-    subjects: list  # global sorted subject ids
-    subject_tasks: dict  # subject id -> sorted list of task ids
+    subjects: list = field(init=False)  # sorted union of the raters
+    offsets: np.ndarray = field(init=False, repr=False)
+    flat_sidx: np.ndarray = field(init=False, repr=False)
+    groups: list = field(init=False, repr=False)
+    degree: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tasks = self.tasks = sorted(self.tasks, key=attrgetter("task_id"))
+        ids = [t.task_id for t in tasks]
+        if ids and not ids[0]:
+            raise ValueError(f"empty task id (raters {','.join(tasks[0].subjects)})")
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"duplicate task id {a!r}")
+        flat_ids = [s for t in tasks for s in t.subjects]
+        self.subjects = sorted(set(flat_ids))
+        empty = 0 if self.subjects[:1] == [""] else -1  # "" sorts first
+        pos = {s: i for i, s in enumerate(self.subjects)}
+        self.flat_sidx = np.fromiter(map(pos.__getitem__, flat_ids), np.intp, len(flat_ids))
+        sizes = np.array([len(t.subjects) for t in tasks], dtype=np.intp)
+        self.offsets = np.append(0, np.cumsum(sizes))
+        self.degree = np.bincount(self.flat_sidx, minlength=len(self.subjects))
+        self.groups = []
+        for r in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == r)
+            try:
+                edges = np.stack([tasks[i].edges for i in members.tolist()])
+            except ValueError:  # shapes differ
+                edges = None
+            if edges is None or edges.shape[1:] != (r, r):
+                t = next(tasks[i] for i in members if np.shape(tasks[i].edges) != (r, r))
+                shape = np.shape(t.edges)
+                raise ValueError(f"task {t.task_id!r} has edges of shape {shape}, expected ({r}, {r})")
+            dest = self.offsets[members, None] + np.arange(r)
+            sidx = self.flat_sidx[dest]
+            ranked = np.sort(sidx, axis=1)
+            for bad, what in (
+                ((sidx == empty).any(axis=1), "has an empty subject id"),
+                ((ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "lists a subject more than once"),
+                (((edges != 0) & (edges != 1)).any(axis=(1, 2)), "has an indicator other than 0 or 1"),
+                (np.einsum("gii->gi", edges).any(axis=1), "has a nonzero diagonal"),
+            ):
+                if bad.any():
+                    raise ValueError(f"task {ids[members[bad.argmax()]]!r} {what}")
+            self.groups.append(SizeGroup(members, edges.astype(np.uint8), sidx, dest))
 
     @property
     def m(self):
@@ -337,17 +396,9 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
         for q, t in enumerate(members.tolist()):
             edges[t] = block[q]
 
-    tasks = []
-    subject_tasks = {}
-    for tid, rs, e in zip(task_ids, raters, edges):
-        subjects = [r.subject_id for r in rs]
-        tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=e))
-        for s in subjects:
-            subject_tasks.setdefault(s, []).append(tid)
-
-    subjects = sorted(subject_tasks)
-    subject_tasks = {s: sorted(ts) for s, ts in sorted(subject_tasks.items())}
-    return AgreementMultigraph(tasks=tasks, subjects=subjects, subject_tasks=subject_tasks)
+    return AgreementMultigraph(
+        [TaskGraph(tid, [r.subject_id for r in rs], e) for tid, rs, e in zip(task_ids, raters, edges)]
+    )
 
 
 def variance_ratio(table, dimension):

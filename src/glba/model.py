@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, digamma, polygamma, xlogy
 
+from .ingest import AgreementMultigraph
+
 # Positivity floor for Beta shape parameters.
 EPS_POS = 1e-6
 
@@ -416,11 +418,10 @@ def _gamma_from_sums(num, den, previous):
 def update_gamma(tasks, stats, previous, include_self=False):
     """Closed-form chance-agreement rate, clamped to GAMMA_CLAMP.
 
-    `stats` must align one-to-one with `tasks`.  A zero denominator (all
-    gates confidently open) keeps `previous`.
+    `stats` must align one-to-one with `tasks` in task-id order.  A zero
+    denominator (all gates confidently open) keeps `previous`.
     """
-    subjects = sorted({s for task in tasks for s in task.subjects})
-    prep = _Prepared(tasks, subjects)
+    prep = _Prepared(AgreementMultigraph(tasks))
     t_t = prep.flat_from_stats(stats)[2]
     return _gamma_from_sums(*prep.gamma_sums(t_t, include_self), previous)
 
@@ -447,9 +448,10 @@ def _objective_flat(prep, flat, dig, params, priors, include_self):
     proper ascent monitor for the default configuration.
     """
     a_t, b_t, t_t = flat
-    tau_i = params.tau[prep.flat_sidx]
-    alpha_i = params.alpha[prep.flat_sidx]
-    beta_i = params.beta[prep.flat_sidx]
+    flat_sidx = prep.graph.flat_sidx
+    tau_i = params.tau[flat_sidx]
+    alpha_i = params.alpha[flat_sidx]
+    beta_i = params.beta[flat_sidx]
 
     dig_a, dig_b, dig_s = dig
     lam_a = dig_a - dig_s
@@ -507,7 +509,7 @@ def log_posterior(params, priors, multigraph, stats):
     `stats` must align one-to-one with multigraph.tasks.  Normally read
     off FitReport.loglik_trace; exposed for direct evaluation.
     """
-    prep = _Prepared(multigraph.tasks, multigraph.subjects)
+    prep = _Prepared(multigraph)
     flat = prep.flat_from_stats(stats)
     dig = _digammas(flat[0], flat[1])
     return _objective_flat(prep, flat, dig, params, priors, include_self=False)
@@ -519,55 +521,28 @@ def log_posterior(params, priors, multigraph, stats):
 
 
 class _Prepared:
-    """Tasks flattened into same-rater-count groups for array passes.
+    """A multigraph's size groups in float form, and the pair layout of the
+    chance-rate update (built on first use).  The graph's slots are
+    task-major, so accumulations over the flat arrays reproduce plain
+    per-task summation bit for bit."""
 
-    Flat arrays are laid out task-major (in task order), so
-    scatter-accumulations over them reproduce plain per-task summation
-    bit for bit.  `subjects` fixes the global index of every rater.
-    """
-
-    def __init__(self, tasks, subjects):
-        self.tasks = tasks
-        pos = {s: i for i, s in enumerate(subjects)}
-        n = len(tasks)
-        self.offsets = np.zeros(n + 1, dtype=np.intp)
-        for t_i, task in enumerate(tasks):
-            self.offsets[t_i + 1] = self.offsets[t_i] + len(task.subjects)
-        self.total = int(self.offsets[-1])
-        self.flat_sidx = np.empty(self.total, dtype=np.intp)
-        by_size = {}
-        for t_i, task in enumerate(tasks):
-            r = len(task.subjects)
-            sidx = np.array([pos[s] for s in task.subjects], dtype=np.intp)
-            self.flat_sidx[self.offsets[t_i] : self.offsets[t_i + 1]] = sidx
-            by_size.setdefault(r, []).append(t_i)
-        self.groups = []
-        for r in sorted(by_size):
-            idx = by_size[r]
-            E = np.stack([tasks[t_i].edges for t_i in idx]).astype(float)
-            sidx = np.stack(
-                [self.flat_sidx[self.offsets[t_i] : self.offsets[t_i + 1]] for t_i in idx]
-            )
-            dest = np.stack(
-                [np.arange(self.offsets[t_i], self.offsets[t_i + 1], dtype=np.intp) for t_i in idx]
-            )
-            self.groups.append((E, _complement_edges(E), sidx, dest))
-        self.degree = np.zeros(len(subjects), dtype=float)
-        np.add.at(self.degree, self.flat_sidx, 1.0)
+    def __init__(self, graph):
+        self.graph = graph
+        floats = [g.edges.astype(float) for g in graph.groups]
+        self.groups = [(E, _complement_edges(E), g.sidx, g.dest) for E, g in zip(floats, graph.groups)]
         self._pairs = {}
 
     def flat_from_stats(self, stats):
-        if len(stats) != len(self.tasks):
+        tasks, offsets = self.graph.tasks, self.graph.offsets
+        if len(stats) != len(tasks):
             raise ValueError("stats must cover every task of the multigraph")
-        a_t = np.empty(self.total)
-        b_t = np.empty(self.total)
-        t_t = np.empty(self.total)
-        for t_i, (task, ts) in enumerate(zip(self.tasks, stats)):
+        a_t, b_t, t_t = (np.empty(offsets[-1]) for _ in range(3))
+        for t_i, (task, ts) in enumerate(zip(tasks, stats)):
             if ts.task_id != task.task_id:
                 raise ValueError(
                     f"stats order mismatch: expected {task.task_id!r}, got {ts.task_id!r}"
                 )
-            sl = slice(self.offsets[t_i], self.offsets[t_i + 1])
+            sl = slice(offsets[t_i], offsets[t_i + 1])
             a_t[sl] = ts.alpha_tilde
             b_t[sl] = ts.beta_tilde
             t_t[sl] = ts.tau_tilde
@@ -606,9 +581,7 @@ class _Prepared:
 
 
 def _estep_all(prep, tau, alpha, beta, gamma, include_self):
-    a_t = np.empty(prep.total)
-    b_t = np.empty(prep.total)
-    t_t = np.empty(prep.total)
+    a_t, b_t, t_t = (np.empty(prep.graph.offsets[-1]) for _ in range(3))
     for E, comp, sidx, dest in prep.groups:
         a_t[dest], b_t[dest], t_t[dest] = _estep_kernel(
             E, comp, tau[sidx], alpha[sidx], beta[sidx], gamma, include_self
@@ -633,12 +606,9 @@ def fit(multigraph, config=None):
     gamma = config.gamma_value()
     include_self = config.psi_includes_self
 
-    prep = _Prepared(multigraph.tasks, multigraph.subjects)
-    m = multigraph.m
+    prep = _Prepared(multigraph)
+    flat_sidx, degree, m = multigraph.flat_sidx, multigraph.degree, multigraph.m
     tau0, s0 = 0.5, 1.0
-    tau = np.ones(m)
-    alpha = np.ones(m)
-    beta = np.ones(m)
 
     trace = []
     round_starts = []
@@ -664,16 +634,14 @@ def fit(multigraph, config=None):
 
             dig = _digammas(a_t, b_t)
             dig_a, dig_b, dig_s = dig
-            s_a = np.zeros(m)
-            s_b = np.zeros(m)
-            tau_acc = np.zeros(m)
-            np.add.at(s_a, prep.flat_sidx, dig_a - dig_s)
-            np.add.at(s_b, prep.flat_sidx, dig_b - dig_s)
-            np.add.at(tau_acc, prep.flat_sidx, t_t)
+            # bincount adds the weights in flat (task-major) order.
+            s_a = np.bincount(flat_sidx, weights=dig_a - dig_s, minlength=m)
+            s_b = np.bincount(flat_sidx, weights=dig_b - dig_s, minlength=m)
+            tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
 
-            new_tau = (tau0 + tau_acc) / (prep.degree + 1.0)
+            new_tau = (tau0 + tau_acc) / (degree + 1.0)
             new_alpha, new_beta, fb = _solve_shapes(
-                alpha, beta, prep.degree, s_a, s_b, s0, config.prior_grad_mode
+                alpha, beta, degree, s_a, s_b, s0, config.prior_grad_mode
             )
             if fb.any():
                 fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
@@ -733,7 +701,4 @@ def fit_grid(multigraph, config=None):
     grid = config.gamma
     if isinstance(grid, (int, float)):
         grid = [float(grid)]
-    reports = []
-    for g in grid:
-        reports.append(fit(multigraph, dataclasses.replace(config, gamma=float(g))))
-    return reports
+    return [fit(multigraph, dataclasses.replace(config, gamma=float(g))) for g in grid]

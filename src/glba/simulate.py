@@ -99,7 +99,6 @@ def sample_multigraph(spec):
     lo, hi = spec.rater_bounds()
 
     tasks = []
-    subject_tasks = {}
     for k in range(spec.n):
         rng = _task_rng(spec.seed, k)
         r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
@@ -115,15 +114,8 @@ def sample_multigraph(spec):
         edges = (u < prob).astype(np.uint8)
         np.fill_diagonal(edges, 0)
 
-        tid = f"t{k:05d}"
-        tasks.append(TaskGraph(task_id=tid, subjects=ids, edges=edges))
-        for s in ids:
-            subject_tasks.setdefault(s, []).append(tid)
-
-    subjects = sorted(subject_tasks)
-    subject_tasks = {s: sorted(ts) for s, ts in sorted(subject_tasks.items())}
-    graph = AgreementMultigraph(tasks=tasks, subjects=subjects, subject_tasks=subject_tasks)
-    return graph, p
+        tasks.append(TaskGraph(task_id=f"t{k:05d}", subjects=ids, edges=edges))
+    return AgreementMultigraph(tasks), p
 
 
 def inject_spammers(table, dimension, spec):

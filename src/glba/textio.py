@@ -62,13 +62,11 @@ def read_multigraph(path):
     """Parse a multigraph file.
 
     Rejects, naming the path and the task id (or the record): a record
-    without exactly three fields, an empty or duplicate task id, an empty
-    or repeated subject id within a task, a wrong indicator count, and any
-    indicator other than the characters 0 and 1.
+    without exactly three fields, a wrong indicator count, any indicator
+    other than the characters 0 and 1, and everything the
+    AgreementMultigraph constructor rejects.
     """
     tasks = []
-    subject_tasks = {}
-    seen = set()
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     body = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -79,17 +77,8 @@ def read_multigraph(path):
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed record {ln!r}")
         tid, subj_field, ind = parts
-        if not tid:
-            raise ValueError(f"{path}: empty task id in record {ln!r}")
-        if tid in seen:
-            raise ValueError(f"{path}: duplicate task id {tid!r}")
-        seen.add(tid)
         subjects = subj_field.split(",")
         r = len(subjects)
-        if "" in subjects:
-            raise ValueError(f"{path}: task {tid!r} has an empty subject id")
-        if len(set(subjects)) != r:
-            raise ValueError(f"{path}: task {tid!r} lists a subject more than once")
         if len(ind) != r * (r - 1):
             raise ValueError(f"{path}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
         if ind.strip("01"):
@@ -97,11 +86,10 @@ def read_multigraph(path):
         edges = np.zeros((r, r), dtype=np.uint8)
         edges[_offdiag(r)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
         tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
-        for s in subjects:
-            subject_tasks.setdefault(s, []).append(tid)
-    subjects = sorted(subject_tasks)
-    subject_tasks = {s: sorted(ts) for s, ts in sorted(subject_tasks.items())}
-    return AgreementMultigraph(tasks=tasks, subjects=subjects, subject_tasks=subject_tasks)
+    try:
+        return AgreementMultigraph(tasks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,6 @@ def make_task(task_id, subjects, pairs, default=0):
     return TaskGraph(task_id=task_id, subjects=list(subjects), edges=edges)
 
 
-def make_graph(tasks):
-    subject_tasks = {}
-    for t in tasks:
-        for s in t.subjects:
-            subject_tasks.setdefault(s, []).append(t.task_id)
-    subjects = sorted(subject_tasks)
-    subject_tasks = {s: sorted(v) for s, v in sorted(subject_tasks.items())}
-    return AgreementMultigraph(tasks=tasks, subjects=subjects, subject_tasks=subject_tasks)
-
-
 def random_task(rng, task_id, subjects):
     r = len(subjects)
     edges = rng.integers(0, 2, size=(r, r)).astype(np.uint8)
@@ -50,7 +40,7 @@ def random_graph(rng, m=8, n=6, r_lo=2, r_hi=5, subject_prefix="s"):
         r = int(rng.integers(r_lo, r_hi + 1))
         members = sorted(rng.choice(m, size=r, replace=False))
         tasks.append(random_task(rng, f"t{k:03d}", [ids[i] for i in members]))
-    return make_graph(tasks)
+    return AgreementMultigraph(tasks)
 
 
 def random_params(rng, graph, gamma=None):
@@ -316,7 +306,7 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
                 if a != b:
                     edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
         tasks.append(TaskGraph(task_id=tid, subjects=[r.subject_id for r in rs], edges=edges))
-    return make_graph(tasks)
+    return AgreementMultigraph(tasks)
 
 
 def oracle_pair_indicators(task):

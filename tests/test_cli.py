@@ -300,19 +300,6 @@ def test_pipeline_outputs_byte_identical(tmp_path):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
-def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
-    table, _ = sample_response_table(10, 60, 4, seed=9)
-    csv_path = tmp_path / "r.csv"
-    write_responses(table, csv_path)
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    monkeypatch.setenv("GLBA_THREADS", "1")
-    _pipeline(csv_path, out1)
-    monkeypatch.setenv("GLBA_THREADS", "2")
-    _pipeline(csv_path, out2)
-    assert filecmp.cmp(out1 / "fit_0.4.tsv", out2 / "fit_0.4.tsv", shallow=False)
-    assert filecmp.cmp(out1 / "subjects.tsv", out2 / "subjects.tsv", shallow=False)
-
-
 def test_fit_gamma_grid_writes_one_file_per_value(tmp_path):
     table, _ = sample_response_table(10, 40, 4, seed=12)
     csv_path = tmp_path / "r.csv"
@@ -383,6 +370,15 @@ def test_pr_rejects_bad_top_k(tmp_path, capsys, value):
     annotated.write_text("s000\n")
     assert run(["pr", ranking, annotated, "--top-k", value, "--out", tmp_path / "out"]) == 2
     assert "--top-k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["a", "1:2:3", "3:x", "5:3"])
+def test_simulate_rejects_bad_raters(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run(["simulate", "--subjects", 6, "--tasks", 4, "--raters", value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--raters" in err and "R or LO:HI" in err
+    assert not out.exists()
 
 
 def test_fit_config_negative_workers_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glba.ingest import (
+    AgreementMultigraph,
+    TaskGraph,
     agree,
     bin_rating,
     build_multigraph,
@@ -13,7 +15,14 @@ from glba.ingest import (
     percentile_table,
     variance_ratio,
 )
-from helpers import oracle_build_multigraph, oracle_load_responses, table_from_rows
+from glba.model import FitConfig, fit
+from helpers import (
+    make_task,
+    oracle_build_multigraph,
+    oracle_load_responses,
+    random_graph,
+    table_from_rows,
+)
 
 CSV_HEADER = "subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,label_seconds\n"
 
@@ -406,7 +415,6 @@ def test_build_matches_per_pair_oracle(rows, min_raters, data):
     got = build_multigraph(table, "valence", delta=delta, min_raters=min_raters)
     expected = oracle_build_multigraph(table, "valence", delta=delta, min_raters=min_raters)
     assert got.subjects == expected.subjects
-    assert got.subject_tasks == expected.subject_tasks
     assert [t.task_id for t in got.tasks] == [t.task_id for t in expected.tasks]
     for g, e in zip(got.tasks, expected.tasks):
         assert g.subjects == e.subjects
@@ -454,6 +462,103 @@ def test_build_unknown_dimension():
     table = rows_for_tasks({"t1": {"a": 5, "b": 5}})
     with pytest.raises(ValueError, match="dominance"):
         build_multigraph(table, "dominance", min_raters=2)
+
+
+# ---------------------------------------------------------------------------
+# AgreementMultigraph
+# ---------------------------------------------------------------------------
+
+
+def test_graph_sorts_tasks_and_derives_subjects():
+    t2 = make_task("t2", ["c", "a"], {("c", "a"): 1})
+    t1 = make_task("t1", ["b", "a", "d"], {("a", "d"): 1})
+    given = [t2, t1]
+    graph = AgreementMultigraph(given)
+    assert [t.task_id for t in graph.tasks] == ["t1", "t2"]
+    assert given == [t2, t1]
+    assert graph.subjects == ["a", "b", "c", "d"]
+    assert (graph.m, graph.n) == (4, 2)
+    assert graph.degree.tolist() == [2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_graph_layout_matches_per_task_packing(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, m=12, n=30, r_lo=1, r_hi=7)
+    pos = {s: i for i, s in enumerate(graph.subjects)}
+    flat = [pos[s] for t in graph.tasks for s in t.subjects]
+    sizes = [t.n_raters for t in graph.tasks]
+    assert graph.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
+    assert graph.flat_sidx.tolist() == flat
+    assert [g.edges.shape[1] for g in graph.groups] == sorted(set(sizes))
+    for g in graph.groups:
+        r = g.edges.shape[1]
+        assert g.tasks.tolist() == [k for k, size in enumerate(sizes) if size == r]
+        assert g.edges.dtype == np.uint8
+        for q, k in enumerate(g.tasks.tolist()):
+            start = graph.offsets[k]
+            assert np.array_equal(g.edges[q], graph.tasks[k].edges)
+            assert g.dest[q].tolist() == list(range(start, start + r))
+            assert g.sidx[q].tolist() == flat[start : start + r]
+    assert graph.degree.tolist() == [flat.count(i) for i in range(graph.m)]
+
+
+def test_graph_accepts_bool_and_float_indicators():
+    edges = np.array([[0, 1], [0, 0]])
+    graph = AgreementMultigraph(
+        [TaskGraph("t1", ["a", "b"], edges.astype(bool)), TaskGraph("t2", ["a", "b"], edges * 1.0)]
+    )
+    assert graph.groups[0].edges.dtype == np.uint8
+    assert graph.groups[0].edges.tolist() == [edges.tolist(), edges.tolist()]
+
+
+def _diag_one():
+    task = make_task("bad", ["a", "b", "c"], {}, default=1)
+    task.edges[1, 1] = 1
+    return task
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        (lambda: make_task("", ["a", "b"], {}), r"^empty task id \(raters a,b\)$"),
+        (lambda: make_task("t0", ["a", "b"], {}), r"^duplicate task id 't0'$"),
+        (lambda: make_task("bad", ["a", ""], {}), r"^task 'bad' has an empty subject id$"),
+        (lambda: make_task("bad", ["a", "c", "a"], {}), r"^task 'bad' lists a subject more than once$"),
+        (
+            lambda: TaskGraph("bad", ["a", "b", "c"], np.zeros((2, 2), dtype=np.uint8)),
+            r"^task 'bad' has edges of shape \(2, 2\), expected \(3, 3\)$",
+        ),
+        (
+            lambda: TaskGraph("bad", ["a", "b"], np.zeros(4, dtype=np.uint8)),
+            r"^task 'bad' has edges of shape \(4,\), expected \(2, 2\)$",
+        ),
+        (
+            lambda: make_task("bad", ["a", "b", "c"], {("a", "b"): 2}),
+            r"^task 'bad' has an indicator other than 0 or 1$",
+        ),
+        (
+            lambda: TaskGraph("bad", ["a", "b"], np.array([[0.0, 0.5], [1.0, 0.0]])),
+            r"^task 'bad' has an indicator other than 0 or 1$",
+        ),
+        (_diag_one, r"^task 'bad' has a nonzero diagonal$"),
+    ],
+    ids=[
+        "empty-id", "duplicate-id", "empty-subject", "repeated-rater", "edges-shape",
+        "edges-ndim", "indicator-2", "indicator-half", "diagonal",
+    ],
+)
+def test_graph_rejects_malformed_task(bad, match):
+    good = [make_task("t0", ["a", "b", "c"], {("a", "b"): 1}), make_task("t9", ["b", "c"], {})]
+    # The constructor rejects the graph, so fit never sees it.
+    with pytest.raises(ValueError, match=match):
+        fit(AgreementMultigraph([*good, bad()]), FitConfig(gamma=0.37, max_iter=1))
+
+
+def test_graph_may_be_empty():
+    graph = AgreementMultigraph([])
+    assert (graph.subjects, graph.n, graph.groups) == ([], 0, [])
+    assert graph.offsets.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

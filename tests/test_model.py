@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import root
 from scipy.special import betaln, digamma
 
+from glba.ingest import AgreementMultigraph, TaskGraph
 from glba.model import (
     EPS_POS,
     FitConfig,
@@ -28,7 +29,6 @@ from glba.model import (
 )
 from glba.simulate import GenerativeSpec, make_true_params, sample_multigraph
 from helpers import (
-    make_graph,
     make_task,
     oracle_estep,
     oracle_gamma_ratio,
@@ -168,7 +168,7 @@ def test_e_step_gate_forced_closed_and_open():
 def test_e_step_neutral_evidence_fixed_point():
     # a single-rater task has no neighbors: R = 1, so tau~ = tau
     task = make_task("t", ["a"], {})
-    graph = make_graph([task])
+    graph = AgreementMultigraph([task])
     params = params_for(graph, tau=0.3, alpha=1.5, beta=2.5)
     stats = e_step_task(task, params)
     assert stats.tau_tilde[0] == pytest.approx(0.3, abs=0)
@@ -389,10 +389,8 @@ def test_update_gamma_collapses_to_pair_fraction():
         subs = [f"s{i}" for i in range(4)]
         edges = (rng.random((4, 4)) < 0.3).astype(np.uint8)
         np.fill_diagonal(edges, 0)
-        from glba.ingest import TaskGraph
-
         tasks.append(TaskGraph(task_id=f"t{k}", subjects=subs, edges=edges))
-    graph = make_graph(tasks)
+    graph = AgreementMultigraph(tasks)
     stats = _stats_with_tau(graph, 0.0)
     agree_pairs = sum(int(t.edges.sum()) for t in graph.tasks)
     all_pairs = sum(t.n_raters * (t.n_raters - 1) for t in graph.tasks)
@@ -408,7 +406,7 @@ def test_update_gamma_degenerate_keeps_previous():
 def test_update_gamma_mixed_hand_ratio():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 0})
     t2 = make_task("t2", ["a", "c"], {("a", "c"): 0, ("c", "a"): 0})
-    graph = make_graph([t1, t2])
+    graph = AgreementMultigraph([t1, t2])
     stats = []
     tau_by_task = {"t1": {"a": 0.5, "b": 0.25}, "t2": {"a": 0.1, "c": 0.9}}
     for task in graph.tasks:
@@ -435,7 +433,7 @@ def test_update_gamma_mixed_hand_ratio():
 
 def test_update_gamma_clamped():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 1})
-    graph = make_graph([t1])
+    graph = AgreementMultigraph([t1])
     stats = _stats_with_tau(graph, 0.0)
     assert update_gamma(graph.tasks, stats, previous=0.2) == 0.49
 
@@ -455,7 +453,7 @@ def test_log_posterior_finite_on_toy():
 
 def test_log_posterior_matches_hand_expansion():
     task = make_task("t", ["x", "y"], {("x", "y"): 1, ("y", "x"): 0})
-    graph = make_graph([task])
+    graph = AgreementMultigraph([task])
     params = ModelParams(
         subjects=["x", "y"],
         tau=np.array([0.6, 0.3]),
@@ -535,7 +533,7 @@ def test_fit_tau_stays_in_update_bounds():
     graph, _ = small_sampled_graph(seed=5)
     report = fit(graph, FAST)
     tau0 = report.priors.tau0
-    degree = _Prepared(graph.tasks, graph.subjects).degree
+    degree = graph.degree
     lo = tau0 / (degree + 1.0)
     hi = (tau0 + degree) / (degree + 1.0)
     assert np.all(report.params.tau >= lo - 1e-12)
@@ -685,14 +683,14 @@ def test_gamma_sums_bit_identical_to_loop(include_self):
             for t in graph.tasks
         ]
         t_t = np.concatenate([ts.tau_tilde for ts in stats])
-        sums = _Prepared(graph.tasks, graph.subjects).gamma_sums(t_t, include_self)
+        sums = _Prepared(graph).gamma_sums(t_t, include_self)
         assert sums == oracle_gamma_ratio(graph.tasks, stats, include_self)
     # size groups must interleave in task order for the layout's sort to matter
     assert interleaved > 10
     # a lone rater has no neighbour pair, only (with include_self) a self pair
-    lone = make_graph([make_task("t", ["a"], {})])
+    lone = AgreementMultigraph([make_task("t", ["a"], {})])
     stats = [TaskStats("t", ["a"], np.ones(1), np.ones(1), np.array([0.25]))]
-    sums = _Prepared(lone.tasks, lone.subjects).gamma_sums(np.array([0.25]), include_self)
+    sums = _Prepared(lone).gamma_sums(np.array([0.25]), include_self)
     assert sums == oracle_gamma_ratio(lone.tasks, stats, include_self)
 
 
