@@ -53,6 +53,8 @@ def _fit_config(args):
         overrides["gamma"] = textio.parse_gamma_spec(args.gamma_grid)
     elif "gamma" not in overrides:
         overrides["gamma"] = list(model.DEFAULT_GAMMA_GRID)
+    # Fit reports carry no objective trace, so the fits skip computing it.
+    overrides["trace"] = False
     return textio.make_fit_config(overrides)
 
 

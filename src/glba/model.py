@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma, polygamma, xlogy
+from scipy.special import betaln, digamma, xlogy, zeta
 
 from .ingest import AgreementMultigraph
 
@@ -120,10 +120,15 @@ class FitConfig:
     eb_max_rounds: int = 20
     prior_grad_mode: str = "gamma-map"  # or "paper-literal"
     psi_includes_self: bool = False
+    # Record the monitored objective per iteration in FitReport.loglik_trace.
+    # It never changes the fit; off, each iteration skips its evaluation.
+    trace: bool = True
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if not (math.isfinite(self.eb_tol) and self.eb_tol >= 0):
+            raise ValueError(f"eb_tol must be a finite number >= 0, got {self.eb_tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.eb_max_rounds < 1:
@@ -197,25 +202,28 @@ def _estep_kernel(E, comp, t, a, b, gamma, include_self):
 
 
 def e_step_task(task, params):
-    """Posterior statistics (alpha~, beta~, tau~) of one task's raters."""
+    """Posterior statistics (alpha~, beta~, tau~) of one task's raters.
+
+    The task goes through the AgreementMultigraph constructor, which
+    rejects it, naming it, if its raters or indicators are malformed.
+    """
     params.validate()
-    sidx = np.array([params.position[s] for s in task.subjects], dtype=np.intp)
-    E = task.edges.astype(float)[None, :, :]
-    a_t, b_t, tau_t = _estep_kernel(
-        E,
-        _complement_edges(E),
-        params.tau[sidx][None, :],
-        params.alpha[sidx][None, :],
-        params.beta[sidx][None, :],
+    graph = AgreementMultigraph([task])
+    sidx = np.array([params.position[s] for s in graph.subjects], dtype=np.intp)
+    a_t, b_t, tau_t = _estep_all(
+        _Prepared(graph),
+        params.tau[sidx],
+        params.alpha[sidx],
+        params.beta[sidx],
         params.gamma,
         include_self=False,
     )
     return TaskStats(
         task_id=task.task_id,
         subjects=list(task.subjects),
-        alpha_tilde=a_t[0],
-        beta_tilde=b_t[0],
-        tau_tilde=tau_t[0],
+        alpha_tilde=a_t,
+        beta_tilde=b_t,
+        tau_tilde=tau_t,
     )
 
 
@@ -300,7 +308,6 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
     b[nodata] = s0 / 2.0
 
     active = np.flatnonzero(~nodata)
-    trigamma = lambda x: polygamma(1, x)
 
     for _ in range(_NEWTON_MAX_ITER):
         if active.size == 0:
@@ -318,10 +325,12 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
 
         dd = d[active]
         ss = aa + bb
-        tri_s = trigamma(ss)
+        # Trigamma is the Hurwitz zeta(2, x); polygamma(1, x) computes the
+        # same value times exactly 1.0, plus a digamma it then discards.
+        tri_s = zeta(2, ss)
         hp = _prior_term_deriv(ss, s0, mode)
-        j_aa = -dd * (trigamma(aa) - tri_s) - hp
-        j_bb = -dd * (trigamma(bb) - tri_s) - hp
+        j_aa = -dd * (zeta(2, aa) - tri_s) - hp
+        j_bb = -dd * (zeta(2, bb) - tri_s) - hp
         j_ab = dd * tri_s - hp
         det = j_aa * j_bb - j_ab * j_ab
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
@@ -436,11 +445,12 @@ def _digammas(a_t, b_t):
     return digamma(a_t), digamma(b_t), digamma(a_t + b_t)
 
 
-def _objective_flat(prep, flat, dig, params, priors, include_self):
+def _objective_flat(prep, flat, dig, lam, params, priors, include_self):
     """Variational objective: expected complete-data log posterior plus
     the entropy of the factorized posterior.
 
-    `dig` holds `_digammas(alpha~, beta~)` of the flat statistics.
+    `dig` holds `_digammas(alpha~, beta~)` of the flat statistics and
+    `lam` the expected log agreement rates (dig_a - dig_s, dig_b - dig_s).
 
     The prior enters in pseudo-count form (exponents tau0 and 1 - tau0 on
     tau, and the shape-sum Gamma kernel), which is exactly the form whose
@@ -454,8 +464,7 @@ def _objective_flat(prep, flat, dig, params, priors, include_self):
     beta_i = params.beta[flat_sidx]
 
     dig_a, dig_b, dig_s = dig
-    lam_a = dig_a - dig_s
-    lam_b = dig_b - dig_s
+    lam_a, lam_b = lam
 
     # Weighted neighbor sums evaluated at the gate posteriors.
     omega_tt = np.empty_like(t_t)
@@ -512,7 +521,8 @@ def log_posterior(params, priors, multigraph, stats):
     prep = _Prepared(multigraph)
     flat = prep.flat_from_stats(stats)
     dig = _digammas(flat[0], flat[1])
-    return _objective_flat(prep, flat, dig, params, priors, include_self=False)
+    lam = (dig[0] - dig[2], dig[1] - dig[2])
+    return _objective_flat(prep, flat, dig, lam, params, priors, include_self=False)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +643,10 @@ def fit(multigraph, config=None):
             a_t, b_t, t_t = flat
 
             dig = _digammas(a_t, b_t)
-            dig_a, dig_b, dig_s = dig
+            lam = (dig[0] - dig[2], dig[1] - dig[2])
             # bincount adds the weights in flat (task-major) order.
-            s_a = np.bincount(flat_sidx, weights=dig_a - dig_s, minlength=m)
-            s_b = np.bincount(flat_sidx, weights=dig_b - dig_s, minlength=m)
+            s_a = np.bincount(flat_sidx, weights=lam[0], minlength=m)
+            s_b = np.bincount(flat_sidx, weights=lam[1], minlength=m)
             tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
 
             new_tau = (tau0 + tau_acc) / (degree + 1.0)
@@ -665,10 +675,11 @@ def fit(multigraph, config=None):
             ):
                 raise RuntimeError(f"non-finite parameters at EM iteration {total_iters}")
 
-            params = ModelParams(
-                subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
-            )
-            trace.append(_objective_flat(prep, flat, dig, params, priors, include_self))
+            if config.trace:
+                params = ModelParams(
+                    subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
+                )
+                trace.append(_objective_flat(prep, flat, dig, lam, params, priors, include_self))
 
             if delta < config.tol:
                 converged = True

@@ -6,6 +6,7 @@ substreams spawned from (seed, task index), so outputs are identical
 across platforms and independent of evaluation order.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,25 @@ def _task_rng(seed, k):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
+def _rater_range(raters_per_task, m):
+    """`raters_per_task` (a count r, or an inclusive (lo, hi) range) as
+    (lo, hi), checked to satisfy 2 <= lo <= hi <= m."""
+    r = raters_per_task
+    try:
+        lo, hi = (operator.index(r),) * 2 if np.ndim(r) == 0 else map(operator.index, r)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"raters_per_task must be an integer or an integer (lo, hi), got {r!r}"
+        ) from None
+    if lo < 2:
+        raise ValueError("raters_per_task must be at least 2")
+    if lo > hi:
+        raise ValueError(f"raters_per_task range ({lo}, {hi}) is reversed")
+    if hi > m:
+        raise ValueError(f"raters_per_task {hi} exceeds subject count {m}")
+    return lo, hi
+
+
 @dataclass
 class GenerativeSpec:
     m: int  # subject count
@@ -32,20 +52,11 @@ class GenerativeSpec:
     true_params: ModelParams
     seed: int = 0
 
-    def rater_bounds(self):
-        r = self.raters_per_task
-        lo, hi = (r, r) if isinstance(r, int) else (int(r[0]), int(r[1]))
-        if lo < 2:
-            raise ValueError("raters_per_task must be at least 2")
-        if hi > self.m:
-            raise ValueError(f"raters_per_task {hi} exceeds subject count {self.m}")
-        return lo, hi
-
     def validate(self):
         if len(self.true_params.subjects) != self.m:
             raise ValueError("true_params must cover exactly m subjects")
         self.true_params.validate()
-        self.rater_bounds()
+        _rater_range(self.raters_per_task, self.m)
         return self
 
 
@@ -96,7 +107,7 @@ def sample_multigraph(spec):
     """
     spec.validate()
     p = spec.true_params
-    lo, hi = spec.rater_bounds()
+    lo, hi = _rater_range(spec.raters_per_task, spec.m)
 
     tasks = []
     for k in range(spec.n):
@@ -182,12 +193,7 @@ def sample_response_table(
         raise ValueError("tau_true must have one entry per subject")
     bias_rng = _task_rng(seed, 2**31)
     bias = bias_rng.normal(0.0, bias_sigma, size=m) if bias_sigma > 0 else np.zeros(m)
-    lo_r, hi_r = (raters_per_task, raters_per_task) if isinstance(raters_per_task, int) else (
-        int(raters_per_task[0]),
-        int(raters_per_task[1]),
-    )
-    if lo_r < 2 or hi_r > m:
-        raise ValueError("raters_per_task must lie in [2, m]")
+    lo_r, hi_r = _rater_range(raters_per_task, m)
 
     rows = []
     for k in range(n):

@@ -4,8 +4,9 @@ import os
 import pytest
 
 from glba.cli import main
+from glba.model import FitConfig, fit
 from glba.simulate import sample_response_table
-from glba.textio import write_responses
+from glba.textio import read_multigraph, write_fit_report, write_responses
 
 CSV_HEADER = "subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,label_seconds\n"
 
@@ -388,6 +389,38 @@ def test_fit_config_negative_workers_exits_2(tmp_path, capsys):
     cfg.write_text("max_iter = 5\nworkers = -1\n")
     assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert f"{cfg}:2: invalid value for workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("tol = nan", "tol"),
+        ("tol = inf", "tol"),
+        ("eb_tol = nan", "eb_tol"),
+        ("eb_tol = -1", "eb_tol"),
+    ],
+)
+def test_fit_config_bad_tolerance_exits_2(tmp_path, capsys, line, field):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"max_iter = 5\n{line}\n")
+    out = tmp_path / "out"
+    assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", out]) == 2
+    assert f"error: {field} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_report_matches_library_fit_with_trace(ratings_csv, tmp_path):
+    # The CLI fits without the objective trace; its report must be the
+    # library default's (traced) report byte for byte.
+    out = tmp_path / "out"
+    run(["build-graph", ratings_csv, "--out", out])
+    assert run(["fit", out / "graph.tsv", "--gamma", 0.37, "--out", out]) == 0
+    graph = read_multigraph(out / "graph.tsv")
+    want = tmp_path / "library.tsv"
+    write_fit_report(fit(graph, FitConfig(gamma=0.37)), want)
+    assert filecmp.cmp(out / "fit_0.37.tsv", want, shallow=False)
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,22 @@ def test_e_step_matches_brute_force_oracle():
         np.testing.assert_allclose(stats.tau_tilde, ot, rtol=1e-10)
 
 
+def test_e_step_rejects_malformed_task():
+    # One agreement a->b at tau 0.5, alpha = beta = 1: alpha~ of a is
+    # 1 + 0.5.  A diagonal of 1 or 2 would add tau_a or 2 tau_a to it.
+    subjects = ["a", "b", "c"]
+    params = ModelParams(subjects, np.full(3, 0.5), np.ones(3), np.ones(3), 0.37)
+    edges = np.zeros((3, 3), dtype=np.uint8)
+    edges[0, 1] = 1
+    stats = e_step_task(TaskGraph("t1", subjects, edges), params)
+    assert stats.alpha_tilde.tolist() == [1.5, 1.0, 1.0]
+    for diagonal, what in ((1, "nonzero diagonal"), (2, "indicator other than 0 or 1")):
+        bad = edges.copy()
+        bad[0, 0] = diagonal
+        with pytest.raises(ValueError, match=f"task 't1' has an? {what}"):
+            e_step_task(TaskGraph("t1", subjects, bad), params)
+
+
 @pytest.mark.parametrize("include_self", [False, True])
 def test_estep_kernel_matches_scalar_oracles(include_self):
     # alpha~ - alpha = omega, beta~ - beta = psi - omega (weights tau), and
@@ -549,6 +565,60 @@ def test_fit_trace_monotone_within_rounds():
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a > 1:
             assert np.diff(tr[a:b]).min() >= -1e-9
+
+
+def _assert_same_fit(traced, untraced):
+    for name in ("tau", "alpha", "beta"):
+        assert np.array_equal(getattr(traced.params, name), getattr(untraced.params, name))
+    assert traced.params.gamma == untraced.params.gamma
+    assert traced.priors == untraced.priors
+    assert traced.iterations == untraced.iterations
+    assert traced.converged == untraced.converged
+    assert traced.round_starts == untraced.round_starts
+    assert traced.fallback_subjects == untraced.fallback_subjects
+    assert traced.gamma_kept_count == untraced.gamma_kept_count
+    assert len(traced.loglik_trace) == traced.iterations
+    assert untraced.loglik_trace == []
+
+
+def test_fit_without_trace_is_bit_identical():
+    graph, _ = small_sampled_graph(seed=7)
+    config = FitConfig(gamma=0.37, update_gamma=True, max_iter=40, eb_max_rounds=2)
+    traced = fit(graph, config)
+    assert len(traced.round_starts) == 2
+    _assert_same_fit(traced, fit(graph, dataclasses.replace(config, trace=False)))
+
+
+def test_fit_grid_without_trace_is_bit_identical():
+    graph, _ = small_sampled_graph(m=14, n=50)
+    config = FitConfig(gamma=[0.3, 0.37, 0.45], max_iter=60, eb_max_rounds=2, tol=1e-4)
+    traced = fit_grid(graph, config)
+    untraced = fit_grid(graph, dataclasses.replace(config, trace=False))
+    assert len(traced) == len(untraced) == 3
+    for t, u in zip(traced, untraced):
+        _assert_same_fit(t, u)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tol", math.nan, "tol must be a finite number > 0"),
+        ("tol", math.inf, "tol must be a finite number > 0"),
+        ("tol", 0.0, "tol must be a finite number > 0"),
+        ("eb_tol", math.nan, "eb_tol must be a finite number >= 0"),
+        ("eb_tol", math.inf, "eb_tol must be a finite number >= 0"),
+        ("eb_tol", -1.0, "eb_tol must be a finite number >= 0"),
+    ],
+)
+def test_fit_config_rejects_bad_tolerances(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_allows_zero_eb_tol():
+    graph, _ = small_sampled_graph(m=10, n=30)
+    report = fit(graph, FitConfig(eb_tol=0.0, max_iter=5, eb_max_rounds=3))
+    assert len(report.round_starts) == 3
 
 
 def test_fit_grid_reports_every_gamma():

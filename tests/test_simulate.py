@@ -82,6 +82,13 @@ def test_sample_reliable_pair_rate_matches_beta_mean():
     assert abs(rate - mean) <= 3 * se
 
 
+def test_sample_reversed_rater_range():
+    params = make_true_params(10, gamma=0.3)
+    spec = GenerativeSpec(m=10, n=5, raters_per_task=(5, 3), true_params=params, seed=0)
+    with pytest.raises(ValueError, match=r"raters_per_task range \(5, 3\) is reversed"):
+        sample_multigraph(spec)
+
+
 def test_sample_too_many_raters():
     params = make_true_params(3, gamma=0.3)
     spec = GenerativeSpec(m=3, n=5, raters_per_task=4, true_params=params, seed=0)
@@ -184,6 +191,28 @@ def test_ratings_unreliable_subjects_spread_wider():
         for r in rows:
             devs[truth[r.subject_id] == 0.0].append(abs(r.scores["valence"] - center))
     assert np.mean(devs[True]) > np.mean(devs[False])
+
+
+@pytest.mark.parametrize(
+    "raters, message",
+    [
+        ((5, 3), r"raters_per_task range \(5, 3\) is reversed"),
+        (1, "raters_per_task must be at least 2"),
+        ((2, 6), "raters_per_task 6 exceeds subject count 5"),
+        (3.9, "raters_per_task must be an integer or an integer"),
+        ((2, 3, 4), "raters_per_task must be an integer or an integer"),
+    ],
+)
+def test_ratings_reject_bad_rater_range(raters, message):
+    with pytest.raises(ValueError, match=message):
+        sample_response_table(5, 10, raters)
+
+
+def test_ratings_accept_numpy_rater_counts():
+    want, _ = sample_response_table(6, 12, (3, 4), seed=5)
+    got, _ = sample_response_table(6, 12, np.array([3, 4]), seed=5)
+    assert got.rows == want.rows
+    assert len(sample_response_table(6, 12, np.int64(3), seed=5)[0].rows) == 36
 
 
 def test_ratings_timing_flags():
