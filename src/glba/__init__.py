@@ -33,13 +33,12 @@ from .model import (
     FitReport,
     ModelParams,
     Priors,
-    TaskStats,
-    e_step_task,
+    e_step,
     fit,
     fit_grid,
     gamma_grid,
     log_posterior,
-    m_step_subject,
+    m_step,
     update_gamma,
 )
 from .scoring import (

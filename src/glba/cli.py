@@ -50,12 +50,15 @@ def _fit_config(args):
     if args.gamma is not None:
         overrides["gamma"] = args.gamma
     elif args.gamma_grid is not None:
-        overrides["gamma"] = textio.parse_gamma_spec(args.gamma_grid)
+        try:
+            overrides["gamma"] = textio.parse_gamma_spec(args.gamma_grid)
+        except ValueError as exc:
+            raise ValueError(f"--gamma-grid {exc}") from None
     elif "gamma" not in overrides:
         overrides["gamma"] = list(model.DEFAULT_GAMMA_GRID)
     # Fit reports carry no objective trace, so the fits skip computing it.
     overrides["trace"] = False
-    return textio.make_fit_config(overrides)
+    return model.FitConfig(**overrides)
 
 
 def _settings(args, keys):

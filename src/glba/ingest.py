@@ -8,6 +8,7 @@ task receives a binary agreement indicator.
 """
 
 import csv
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -120,9 +121,10 @@ class AgreementMultigraph:
     ``subjects`` and lays every (task, rater) slot out task-major, as
     ``offsets`` per task, ``flat_sidx`` (global rater index per slot),
     ``groups`` (a SizeGroup per rater count, ascending) and ``degree``
-    (tasks per subject).  Raises ValueError naming the task on an empty
-    or duplicate task id, an empty or repeated subject id, edges not of
-    shape (r, r), an indicator other than 0 or 1, or a nonzero diagonal.
+    (tasks per subject); ``blocks`` adds the groups' float forms on first
+    use.  Raises ValueError naming the task on an empty or duplicate task
+    id, an empty or repeated subject id, edges not of shape (r, r), an
+    indicator other than 0 or 1, or a nonzero diagonal.
     """
 
     tasks: list  # TaskGraph, sorted by task_id
@@ -171,6 +173,21 @@ class AgreementMultigraph:
                 if bad.any():
                     raise ValueError(f"task {ids[members[bad.argmax()]]!r} {what}")
             self.groups.append(SizeGroup(members, edges.astype(np.uint8), sidx, dest))
+
+    @functools.cached_property
+    def blocks(self):
+        """Per entry of ``groups``: its indicators as floats (G, r, r) and
+        their complement 1 - E with the unused diagonal at zero, the forms
+        the fit's kernels read.  Built on first use and kept, so a grid of
+        fits converts once and a graph that is only read or written never
+        does."""
+        blocks = []
+        for g in self.groups:
+            E = g.edges.astype(float)
+            comp = 1.0 - E
+            np.einsum("gii->gi", comp)[...] = 0.0
+            blocks.append((E, comp))
+        return blocks
 
     @property
     def m(self):

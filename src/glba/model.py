@@ -17,12 +17,11 @@ on the population means.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, digamma, xlogy, zeta
-
-from .ingest import AgreementMultigraph
 
 # Positivity floor for Beta shape parameters.
 EPS_POS = 1e-6
@@ -43,8 +42,6 @@ def gamma_grid(lo, hi, count):
     """Evenly spaced chance-agreement rates over [lo, hi], inclusive."""
     if count < 1:
         raise ValueError("grid needs at least one point")
-    if count == 1:
-        return [float(lo)]
     return [float(g) for g in np.linspace(lo, hi, count)]
 
 
@@ -99,18 +96,7 @@ class Priors:
         return self
 
 
-@dataclass
-class TaskStats:
-    """Posterior statistics of one task, aligned with its rater list."""
-
-    task_id: str
-    subjects: list
-    alpha_tilde: np.ndarray
-    beta_tilde: np.ndarray
-    tau_tilde: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True)  # checked once, in __post_init__
 class FitConfig:
     gamma: object = 0.37  # float, or a sequence of floats for fit_grid
     update_gamma: bool = False
@@ -133,17 +119,24 @@ class FitConfig:
             raise ValueError("max_iter must be at least 1")
         if self.eb_max_rounds < 1:
             raise ValueError("eb_max_rounds must be at least 1")
-        if self.prior_grad_mode not in ("gamma-map", "paper-literal"):
-            raise ValueError(f"unknown prior_grad_mode {self.prior_grad_mode!r}")
+        _check_mode(self.prior_grad_mode)
+        grid = [self.gamma] if isinstance(self.gamma, (int, float)) else list(self.gamma)
+        if not grid:
+            raise ValueError("gamma grid is empty")
+        for g in grid:
+            # NaN and the infinities fail the range test.
+            if not (isinstance(g, numbers.Real) and 0.0 < g < 0.5):
+                raise ValueError(f"gamma must be a finite number in (0, 0.5), got {g!r}")
 
     def gamma_value(self):
-        g = self.gamma
-        if not isinstance(g, (int, float)):
+        if not isinstance(self.gamma, (int, float)):
             raise ValueError("config.gamma is a grid; use fit_grid for grids")
-        g = float(g)
-        if not (0.0 < g < 0.5):
-            raise ValueError("gamma must lie in (0, 0.5)")
-        return g
+        return float(self.gamma)
+
+
+def _check_mode(mode):
+    if mode not in ("gamma-map", "paper-literal"):
+        raise ValueError(f"unknown prior_grad_mode {mode!r}")
 
 
 @dataclass
@@ -159,15 +152,38 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# E-step: closed-form posterior statistics per task
+# The EM steps read and write flat per-slot arrays: task k's raters are the
+# slots offsets[k]:offsets[k+1] of the multigraph, in its subject-list order.
 # ---------------------------------------------------------------------------
 
 
-def _complement_edges(E):
-    """1 - E with the (unused) diagonal forced back to zero."""
-    comp = 1.0 - E
-    np.einsum("gii->gi", comp)[...] = 0.0
-    return comp
+def _checked(multigraph, params):
+    """`params`, validated and checked to cover the multigraph's subjects."""
+    if list(params.subjects) != multigraph.subjects:
+        raise ValueError("params must list the multigraph's subjects, in its order")
+    return params.validate()
+
+
+def _flat(multigraph, arrays):
+    """The flat statistics as float arrays, each checked to hold one value
+    per slot."""
+    slots = int(multigraph.offsets[-1])
+    arrays = tuple(np.asarray(x, dtype=float) for x in arrays)
+    if any(x.shape != (slots,) for x in arrays):
+        raise ValueError(f"flat statistics must hold one value per slot ({slots})")
+    return arrays
+
+
+def _digammas(a_t, b_t):
+    """digamma of alpha~, beta~ and alpha~ + beta~ over the flat layout,
+    and the expected log agreement rates (dig_a - dig_s, dig_b - dig_s)."""
+    dig = digamma(a_t), digamma(b_t), digamma(a_t + b_t)
+    return dig, (dig[0] - dig[2], dig[1] - dig[2])
+
+
+# ---------------------------------------------------------------------------
+# E-step: closed-form posterior statistics per task
+# ---------------------------------------------------------------------------
 
 
 def _estep_kernel(E, comp, t, a, b, gamma, include_self):
@@ -201,30 +217,23 @@ def _estep_kernel(E, comp, t, a, b, gamma, include_self):
     return a_t, b_t, tau_t
 
 
-def e_step_task(task, params):
-    """Posterior statistics (alpha~, beta~, tau~) of one task's raters.
+def _e_step(graph, tau, alpha, beta, gamma, include_self):
+    a_t, b_t, t_t = (np.empty(graph.offsets[-1]) for _ in range(3))
+    for (E, comp), g in zip(graph.blocks, graph.groups):
+        a_t[g.dest], b_t[g.dest], t_t[g.dest] = _estep_kernel(
+            E, comp, tau[g.sidx], alpha[g.sidx], beta[g.sidx], gamma, include_self
+        )
+    return a_t, b_t, t_t
 
-    The task goes through the AgreementMultigraph constructor, which
-    rejects it, naming it, if its raters or indicators are malformed.
+
+def e_step(multigraph, params, include_self=False):
+    """Flat posterior statistics (alpha~, beta~, tau~) of every slot.
+
+    `params` must list multigraph.subjects in order.  With include_self,
+    a rater's own tau counts toward its beta~ (the literal printed form).
     """
-    params.validate()
-    graph = AgreementMultigraph([task])
-    sidx = np.array([params.position[s] for s in graph.subjects], dtype=np.intp)
-    a_t, b_t, tau_t = _estep_all(
-        _Prepared(graph),
-        params.tau[sidx],
-        params.alpha[sidx],
-        params.beta[sidx],
-        params.gamma,
-        include_self=False,
-    )
-    return TaskStats(
-        task_id=task.task_id,
-        subjects=list(task.subjects),
-        alpha_tilde=a_t,
-        beta_tilde=b_t,
-        tau_tilde=tau_t,
-    )
+    _checked(multigraph, params)
+    return _e_step(multigraph, params.tau, params.alpha, params.beta, params.gamma, include_self)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +300,10 @@ def _bisect_ab(d, s_a, s_b, s0, mode, tol=_NEWTON_TOL, sweeps=200):
 def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
     """Solve the shape stationarity system for every subject at once.
 
-    Subjects with no tasks get the prior-centered point (s0/2, s0/2).
-    Newton iterates are damped (step halving on residual increase) and
-    projected to stay >= EPS_POS; subjects where Newton stalls or fails
-    within the iteration budget fall back to coordinate bisection.
+    Every subject has d >= 1 tasks.  Newton iterates are damped (step
+    halving on residual increase) and projected to stay >= EPS_POS;
+    subjects where Newton stalls or fails within the iteration budget fall
+    back to coordinate bisection.
 
     Returns (alpha, beta, fallback_mask).
     """
@@ -302,12 +311,7 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
     a = np.clip(np.asarray(a0, dtype=float).copy(), EPS_POS, None)
     b = np.clip(np.asarray(b0, dtype=float).copy(), EPS_POS, None)
     fallback = np.zeros(m, dtype=bool)
-
-    nodata = d == 0
-    a[nodata] = s0 / 2.0
-    b[nodata] = s0 / 2.0
-
-    active = np.flatnonzero(~nodata)
+    active = np.arange(m)
 
     for _ in range(_NEWTON_MAX_ITER):
         if active.size == 0:
@@ -375,40 +379,32 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
     return a, b, fallback
 
 
-def m_step_subject(subject, stats, priors, config=None, warm_start=(1.0, 1.0)):
-    """Re-estimate one subject's (alpha, beta, tau) from its task statistics.
+def _m_step(graph, t_t, lam, alpha, beta, priors, mode):
+    """(tau, alpha, beta, fallback) per subject from the flat gate
+    posteriors t_t and expected log agreement rates lam; Newton starts at
+    (alpha, beta)."""
+    flat_sidx, degree, m = graph.flat_sidx, graph.degree, graph.m
+    # bincount adds the weights in flat (task-major) order.
+    s_a = np.bincount(flat_sidx, weights=lam[0], minlength=m)
+    s_b = np.bincount(flat_sidx, weights=lam[1], minlength=m)
+    tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
+    tau = (priors.tau0 + tau_acc) / (degree + 1.0)
+    alpha, beta, fallback = _solve_shapes(alpha, beta, degree, s_a, s_b, priors.s0, mode)
+    return tau, alpha, beta, fallback
 
-    `stats` holds the TaskStats of every task the subject rated (may be
-    empty: the priors then decide).  Returns (alpha, beta, tau,
-    used_fallback).
+
+def m_step(multigraph, stats, params, priors, prior_grad_mode="gamma-map"):
+    """Per-subject (tau, alpha, beta, fallback) from e_step's flat stats.
+
+    Newton starts at params' shapes; `fallback` marks the subjects whose
+    shapes came from the bisection fallback.
     """
-    config = config or FitConfig()
+    _check_mode(prior_grad_mode)
+    _checked(multigraph, params)
     priors.validate()
-    s_a = 0.0
-    s_b = 0.0
-    tau_sum = 0.0
-    d = 0
-    for ts in stats:
-        if subject not in ts.subjects:
-            raise ValueError(f"subject {subject!r} is not in task {ts.task_id!r} stats")
-        i = ts.subjects.index(subject)
-        at = float(ts.alpha_tilde[i])
-        bt = float(ts.beta_tilde[i])
-        s_a += float(digamma(at) - digamma(at + bt))
-        s_b += float(digamma(bt) - digamma(at + bt))
-        tau_sum += float(ts.tau_tilde[i])
-        d += 1
-    tau = (priors.tau0 + tau_sum) / (d + 1.0)
-    a, b, fb = _solve_shapes(
-        np.array([warm_start[0]]),
-        np.array([warm_start[1]]),
-        np.array([d]),
-        np.array([s_a]),
-        np.array([s_b]),
-        priors.s0,
-        config.prior_grad_mode,
-    )
-    return float(a[0]), float(b[0]), float(tau), bool(fb[0])
+    a_t, b_t, t_t = _flat(multigraph, stats)
+    lam = _digammas(a_t, b_t)[1]
+    return _m_step(multigraph, t_t, lam, params.alpha, params.beta, priors, prior_grad_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +420,45 @@ def _gamma_from_sums(num, den, previous):
     return float(np.clip(num / den, GAMMA_CLAMP[0], GAMMA_CLAMP[1]))
 
 
-def update_gamma(tasks, stats, previous, include_self=False):
-    """Closed-form chance-agreement rate, clamped to GAMMA_CLAMP.
-
-    `stats` must align one-to-one with `tasks` in task-id order.  A zero
-    denominator (all gates confidently open) keeps `previous`.
+def _pair_layout(graph, include_self):
+    """Flat neighbour index j and indicator E[i, j] of every ordered pair
+    (i, j != i), ordered task-major, then by i, then by j.  With
+    include_self, a self pair (i, i) with indicator 0 closes row i.
     """
-    prep = _Prepared(AgreementMultigraph(tasks))
-    t_t = prep.flat_from_stats(stats)[2]
-    return _gamma_from_sums(*prep.gamma_sums(t_t, include_self), previous)
+    fi, rank, fj, e = [], [], [], []
+    for g in graph.groups:
+        r = g.edges.shape[1]
+        ii, jj = np.nonzero(~np.eye(r, dtype=bool) | include_self)
+        fi.append(g.dest[:, ii].ravel())
+        rank.append(np.tile(np.where(ii == jj, r, jj), len(g.dest)))
+        fj.append(g.dest[:, jj].ravel())
+        e.append((g.edges[:, ii, jj] * (ii != jj)).ravel())
+    fi, rank, fj, e = map(np.concatenate, (fi, rank, fj, e))
+    order = np.lexsort((rank, fi))
+    return fj[order], e[order]
+
+
+def _gamma_sums(pairs, t_t):
+    """Numerator and denominator of the chance-rate update: over every
+    ordered pair (i, j) of `pairs` (a _pair_layout), the weight 1 - tau~_j
+    times E[i, j], and the weight alone.  cumsum adds in sequence, so both
+    equal the plain loop's sums bit for bit (np.sum adds pairwise and would
+    not).
+    """
+    pair_j, pair_e = pairs
+    if pair_j.size == 0:
+        return 0.0, 0.0
+    w = (1.0 - t_t)[pair_j]
+    return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
+
+
+def update_gamma(multigraph, tau_tilde, previous, include_self=False):
+    """Closed-form chance-agreement rate from the flat gate posteriors
+    tau~, clamped to GAMMA_CLAMP.  A zero denominator (all gates
+    confidently open) keeps `previous`.
+    """
+    (t_t,) = _flat(multigraph, [tau_tilde])
+    return _gamma_from_sums(*_gamma_sums(_pair_layout(multigraph, include_self), t_t), previous)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +466,11 @@ def update_gamma(tasks, stats, previous, include_self=False):
 # ---------------------------------------------------------------------------
 
 
-def _digammas(a_t, b_t):
-    """digamma of alpha~, beta~ and alpha~ + beta~ over the flat layout."""
-    return digamma(a_t), digamma(b_t), digamma(a_t + b_t)
-
-
-def _objective_flat(prep, flat, dig, lam, params, priors, include_self):
+def _objective_flat(graph, flat, dig, lam, params, priors, include_self):
     """Variational objective: expected complete-data log posterior plus
     the entropy of the factorized posterior.
 
-    `dig` holds `_digammas(alpha~, beta~)` of the flat statistics and
-    `lam` the expected log agreement rates (dig_a - dig_s, dig_b - dig_s).
+    `dig, lam` are `_digammas(alpha~, beta~)` of the flat statistics.
 
     The prior enters in pseudo-count form (exponents tau0 and 1 - tau0 on
     tau, and the shape-sum Gamma kernel), which is exactly the form whose
@@ -458,7 +478,7 @@ def _objective_flat(prep, flat, dig, lam, params, priors, include_self):
     proper ascent monitor for the default configuration.
     """
     a_t, b_t, t_t = flat
-    flat_sidx = prep.graph.flat_sidx
+    flat_sidx = graph.flat_sidx
     tau_i = params.tau[flat_sidx]
     alpha_i = params.alpha[flat_sidx]
     beta_i = params.beta[flat_sidx]
@@ -471,7 +491,8 @@ def _objective_flat(prep, flat, dig, lam, params, priors, include_self):
     psi_tt = np.empty_like(t_t)
     omega_bar = np.empty_like(t_t)
     psi_bar = np.empty_like(t_t)
-    for E, _comp, _sidx, dest in prep.groups:
+    for (E, _comp), g in zip(graph.blocks, graph.groups):
+        dest = g.dest
         tt = t_t[dest]
         om = np.einsum("gij,gj->gi", E, tt)
         om_b = np.einsum("gij,gj->gi", E, 1.0 - tt)
@@ -512,91 +533,21 @@ def _objective_flat(prep, flat, dig, lam, params, priors, include_self):
     return float(gates + shapes + chance + prior + ent_gate + ent_beta)
 
 
-def log_posterior(params, priors, multigraph, stats):
-    """Monitored variational objective for a full stats set.
+def log_posterior(params, priors, multigraph, stats, include_self=False):
+    """Monitored variational objective at e_step's flat `stats`.
 
-    `stats` must align one-to-one with multigraph.tasks.  Normally read
-    off FitReport.loglik_trace; exposed for direct evaluation.
+    Normally read off FitReport.loglik_trace; exposed for direct
+    evaluation.
     """
-    prep = _Prepared(multigraph)
-    flat = prep.flat_from_stats(stats)
-    dig = _digammas(flat[0], flat[1])
-    lam = (dig[0] - dig[2], dig[1] - dig[2])
-    return _objective_flat(prep, flat, dig, lam, params, priors, include_self=False)
+    _checked(multigraph, params)
+    flat = _flat(multigraph, stats)
+    dig, lam = _digammas(flat[0], flat[1])
+    return _objective_flat(multigraph, flat, dig, lam, params, priors, include_self)
 
 
 # ---------------------------------------------------------------------------
 # Fit driver
 # ---------------------------------------------------------------------------
-
-
-class _Prepared:
-    """A multigraph's size groups in float form, and the pair layout of the
-    chance-rate update (built on first use).  The graph's slots are
-    task-major, so accumulations over the flat arrays reproduce plain
-    per-task summation bit for bit."""
-
-    def __init__(self, graph):
-        self.graph = graph
-        floats = [g.edges.astype(float) for g in graph.groups]
-        self.groups = [(E, _complement_edges(E), g.sidx, g.dest) for E, g in zip(floats, graph.groups)]
-        self._pairs = {}
-
-    def flat_from_stats(self, stats):
-        tasks, offsets = self.graph.tasks, self.graph.offsets
-        if len(stats) != len(tasks):
-            raise ValueError("stats must cover every task of the multigraph")
-        a_t, b_t, t_t = (np.empty(offsets[-1]) for _ in range(3))
-        for t_i, (task, ts) in enumerate(zip(tasks, stats)):
-            if ts.task_id != task.task_id:
-                raise ValueError(
-                    f"stats order mismatch: expected {task.task_id!r}, got {ts.task_id!r}"
-                )
-            sl = slice(offsets[t_i], offsets[t_i + 1])
-            a_t[sl] = ts.alpha_tilde
-            b_t[sl] = ts.beta_tilde
-            t_t[sl] = ts.tau_tilde
-        return a_t, b_t, t_t
-
-    def _pair_layout(self, include_self):
-        """Flat neighbour index j and indicator E[i, j] of every ordered pair
-        (i, j != i), ordered task-major, then by i, then by j.  With
-        include_self, a self pair (i, i) with indicator 0 closes row i.
-        """
-        if include_self not in self._pairs:
-            fi, rank, fj, e = [], [], [], []
-            for E, _comp, _sidx, dest in self.groups:
-                r = E.shape[1]
-                ii, jj = np.nonzero(~np.eye(r, dtype=bool) | include_self)
-                fi.append(dest[:, ii].ravel())
-                rank.append(np.tile(np.where(ii == jj, r, jj), len(dest)))
-                fj.append(dest[:, jj].ravel())
-                e.append((E[:, ii, jj] * (ii != jj)).ravel())
-            fi, rank, fj, e = map(np.concatenate, (fi, rank, fj, e))
-            order = np.lexsort((rank, fi))
-            self._pairs[include_self] = (fj[order], e[order])
-        return self._pairs[include_self]
-
-    def gamma_sums(self, t_t, include_self):
-        """Numerator and denominator of the chance-rate update: over every
-        ordered pair (i, j), the weight 1 - tau~_j times E[i, j], and the
-        weight alone.  cumsum adds in sequence, so both equal the plain
-        loop's sums bit for bit (np.sum adds pairwise and would not).
-        """
-        pair_j, pair_e = self._pair_layout(include_self)
-        if pair_j.size == 0:
-            return 0.0, 0.0
-        w = (1.0 - t_t)[pair_j]
-        return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
-
-
-def _estep_all(prep, tau, alpha, beta, gamma, include_self):
-    a_t, b_t, t_t = (np.empty(prep.graph.offsets[-1]) for _ in range(3))
-    for E, comp, sidx, dest in prep.groups:
-        a_t[dest], b_t[dest], t_t[dest] = _estep_kernel(
-            E, comp, tau[sidx], alpha[sidx], beta[sidx], gamma, include_self
-        )
-    return a_t, b_t, t_t
 
 
 def fit(multigraph, config=None):
@@ -616,8 +567,8 @@ def fit(multigraph, config=None):
     gamma = config.gamma_value()
     include_self = config.psi_includes_self
 
-    prep = _Prepared(multigraph)
-    flat_sidx, degree, m = multigraph.flat_sidx, multigraph.degree, multigraph.m
+    pairs = _pair_layout(multigraph, include_self) if config.update_gamma else None
+    m = multigraph.m
     tau0, s0 = 0.5, 1.0
 
     trace = []
@@ -639,25 +590,16 @@ def fit(multigraph, config=None):
         beta = np.ones(m)
         converged = False
         for _it in range(config.max_iter):
-            flat = _estep_all(prep, tau, alpha, beta, gamma, include_self)
-            a_t, b_t, t_t = flat
-
-            dig = _digammas(a_t, b_t)
-            lam = (dig[0] - dig[2], dig[1] - dig[2])
-            # bincount adds the weights in flat (task-major) order.
-            s_a = np.bincount(flat_sidx, weights=lam[0], minlength=m)
-            s_b = np.bincount(flat_sidx, weights=lam[1], minlength=m)
-            tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
-
-            new_tau = (tau0 + tau_acc) / (degree + 1.0)
-            new_alpha, new_beta, fb = _solve_shapes(
-                alpha, beta, degree, s_a, s_b, s0, config.prior_grad_mode
+            flat = _e_step(multigraph, tau, alpha, beta, gamma, include_self)
+            dig, lam = _digammas(flat[0], flat[1])
+            new_tau, new_alpha, new_beta, fb = _m_step(
+                multigraph, flat[2], lam, alpha, beta, priors, config.prior_grad_mode
             )
             if fb.any():
                 fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
 
             if config.update_gamma:
-                num, den = prep.gamma_sums(t_t, include_self)
+                num, den = _gamma_sums(pairs, flat[2])
                 gamma_kept += int(den <= 0.0)
                 gamma = _gamma_from_sums(num, den, gamma)
 
@@ -679,7 +621,9 @@ def fit(multigraph, config=None):
                 params = ModelParams(
                     subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
                 )
-                trace.append(_objective_flat(prep, flat, dig, lam, params, priors, include_self))
+                trace.append(
+                    _objective_flat(multigraph, flat, dig, lam, params, priors, include_self)
+                )
 
             if delta < config.tol:
                 converged = True

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .ingest import DIMENSIONS, AgreementMultigraph, TaskGraph
-from .model import EPS_POS, FitConfig, FitReport, ModelParams, Priors
+from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageReport, SubjectReport
 
 
@@ -111,11 +111,16 @@ def write_fit_report(report, path):
         fh.write(f"# converged {int(report.converged)}\n")
         if report.fallback_subjects:
             fh.write(f"# fallback_subjects {','.join(report.fallback_subjects)}\n")
-        fh.write("subject_id\ttau\talpha\tbeta\n")
-        for i, s in enumerate(p.subjects):
-            fh.write(
-                f"{s}\t{_fmt(float(p.tau[i]))}\t{_fmt(float(p.alpha[i]))}\t{_fmt(float(p.beta[i]))}\n"
-            )
+        _write_subject_rows(fh, p)
+
+
+def _write_subject_rows(fh, params):
+    """The subject_id/tau/alpha/beta table of fit reports and params tables."""
+    fh.write("subject_id\ttau\talpha\tbeta\n")
+    for i, s in enumerate(params.subjects):
+        fh.write(
+            f"{s}\t{_fmt(float(params.tau[i]))}\t{_fmt(float(params.alpha[i]))}\t{_fmt(float(params.beta[i]))}\n"
+        )
 
 
 def _report_number(path, lineno, name, raw, parse=float):
@@ -202,11 +207,7 @@ def write_params_table(params, path, kind="truth"):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# kind {kind}\n")
         fh.write(f"# gamma {_fmt(float(params.gamma))}\n")
-        fh.write("subject_id\ttau\talpha\tbeta\n")
-        for i, s in enumerate(params.subjects):
-            fh.write(
-                f"{s}\t{_fmt(float(params.tau[i]))}\t{_fmt(float(params.alpha[i]))}\t{_fmt(float(params.beta[i]))}\n"
-            )
+        _write_subject_rows(fh, params)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +459,15 @@ _IGNORED_CONFIG_KEYS = {"seed": int, "workers": _parse_count}
 
 def parse_gamma_spec(raw):
     """A single rate ('0.37') or a lo:hi:count grid ('0.3:0.48:10')."""
-    raw = raw.strip()
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be lo:hi:count, got {raw!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        from .model import gamma_grid
-
-        return gamma_grid(lo, hi, count)
-    return float(raw)
+    parts = raw.strip().split(":")
+    try:
+        if len(parts) == 1:
+            return float(parts[0])
+        if len(parts) == 3:
+            return gamma_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError:
+        pass
+    raise ValueError(f"must be a rate or lo:hi:count, got {raw!r}")
 
 
 def read_config_file(path):
@@ -497,10 +497,6 @@ def read_config_file(path):
             if key in _CONFIG_PARSERS:
                 overrides[key] = value
     return overrides
-
-
-def make_fit_config(overrides):
-    return FitConfig(**overrides)
 
 
 def file_digest(path):

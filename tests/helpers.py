@@ -170,17 +170,19 @@ def oracle_estep(task, params, include_self=False):
     return np.array(a_t), np.array(b_t), np.array(t_t)
 
 
-def oracle_gamma_ratio(tasks, stats, include_self):
+def oracle_gamma_ratio(multigraph, tau_tilde, include_self):
     """Numerator and denominator of the chance-rate update as a plain
     sequential loop: over every task and ordered rater pair (i, j != i),
     the weight 1 - tau~_j times E[i, j] and the weight alone; with
-    include_self, row i's denominator also gets 1 - tau~_i."""
+    include_self, row i's denominator also gets 1 - tau~_i.  `tau_tilde`
+    is flat: task k's raters hold slots offsets[k]:offsets[k+1]."""
     num = 0.0
     den = 0.0
-    for task, ts in zip(tasks, stats):
+    offsets = multigraph.offsets
+    for t_i, task in enumerate(multigraph.tasks):
         E = task.edges
-        tt = ts.tau_tilde
-        k = len(ts.subjects)
+        tt = tau_tilde[offsets[t_i] : offsets[t_i + 1]]
+        k = task.n_raters
         for i in range(k):
             for j in range(k):
                 if i == j:

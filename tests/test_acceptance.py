@@ -14,15 +14,15 @@ from scipy.stats import rankdata, spearmanr
 
 from glba.baselines import categorize_table, dawid_skene_fit, dawid_skene_rank
 from glba.cli import main as cli_main
-from glba.ingest import build_multigraph
+from glba.ingest import AgreementMultigraph, TaskGraph, build_multigraph
 from glba.model import (
     FitConfig,
     ModelParams,
     Priors,
-    e_step_task,
+    e_step,
     fit,
     fit_grid,
-    m_step_subject,
+    m_step,
 )
 from glba.scoring import image_scores, precision_recall, rank_subjects
 from glba.simulate import (
@@ -86,9 +86,9 @@ def test_e_step_closed_forms():
         graph = random_graph(rng, m=r, n=1, r_lo=r, r_hi=r)
         task = graph.tasks[0]
         params = random_params(rng, graph)
-        stats = e_step_task(task, params)
+        stats = e_step(graph, params)
         oa, ob, ot = oracle_estep(task, params)
-        for got, want in ((stats.alpha_tilde, oa), (stats.beta_tilde, ob), (stats.tau_tilde, ot)):
+        for got, want in zip(stats, (oa, ob, ot)):
             rel = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300))
             worst = max(worst, float(rel))
     ok = worst <= 1e-10
@@ -109,22 +109,15 @@ def test_m_step_stationarity():
         stats_ab = [
             (float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.5, 8.0))) for _ in range(d)
         ]
-        stats = [
-            type(
-                "TS",
-                (),
-                {
-                    "task_id": f"t{k}",
-                    "subjects": ["s"],
-                    "alpha_tilde": np.array([a]),
-                    "beta_tilde": np.array([b]),
-                    "tau_tilde": np.array([rng.uniform(0, 1)]),
-                },
-            )()
-            for k, (a, b) in enumerate(stats_ab)
-        ]
+        tau_tilde = [rng.uniform(0, 1) for _ in stats_ab]
+        # subject 's' alone rates one task per statistic
+        one = np.zeros((1, 1), dtype=np.uint8)
+        graph = AgreementMultigraph([TaskGraph(f"t{k:03d}", ["s"], one) for k in range(d)])
+        stats = (*(np.array(x) for x in zip(*stats_ab)), np.array(tau_tilde))
+        start = ModelParams(["s"], np.ones(1), np.ones(1), np.ones(1), gamma=0.37)
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))
-        a, b, _, _ = m_step_subject("s", stats, priors)
+        _, a, b, _ = m_step(graph, stats, start, priors)
+        a, b = float(a[0]), float(b[0])
         f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0, "gamma-map")
         worst_resid = max(worst_resid, abs(f_a), abs(f_b))
 
@@ -175,25 +168,26 @@ def test_tau_and_gamma_update_exactness():
             beta=np.ones(graph.m),
             gamma=0.37,
         )
+        offsets = graph.offsets
+        tau_tilde = e_step(graph, init)[2]
         acc = dict.fromkeys(graph.subjects, 0.0)
         count = dict.fromkeys(graph.subjects, 0)
-        for task in graph.tasks:
-            stats = e_step_task(task, init)
+        for t_i, task in enumerate(graph.tasks):
             for pos, s in enumerate(task.subjects):
-                acc[s] += float(stats.tau_tilde[pos])
+                acc[s] += float(tau_tilde[offsets[t_i] + pos])
                 count[s] += 1
         for i, s in enumerate(graph.subjects):
             if report.params.tau[i] != (0.5 + acc[s]) / (count[s] + 1.0):
                 tau_exact = False
         num = 0.0
         den = 0.0
-        for task in graph.tasks:
-            stats = e_step_task(task, report.params)
+        tau_tilde = e_step(graph, report.params)[2]
+        for t_i, task in enumerate(graph.tasks):
             r = task.n_raters
             for i in range(r):
                 for j in range(r):
                     if i != j:
-                        w = 1.0 - float(stats.tau_tilde[j])
+                        w = 1.0 - float(tau_tilde[offsets[t_i] + j])
                         num += w * float(task.edges[i, j])
                         den += w
         positive_den += den > 0

@@ -411,6 +411,25 @@ def test_fit_config_bad_tolerance_exits_2(tmp_path, capsys, line, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gamma-grid", "0.3:0.6:4"], "gamma must be a finite number in (0, 0.5), got 0.5"),
+        (["--gamma-grid", "0.3:nan:3"], "gamma must be a finite number in (0, 0.5), got nan"),
+        (["--gamma", "nan"], "gamma must be a finite number in (0, 0.5), got nan"),
+        (["--gamma-grid", "0.3:0.48:x"], "--gamma-grid must be a rate or lo:hi:count, got '0.3:0.48:x'"),
+        (["--gamma-grid", "abc"], "--gamma-grid must be a rate or lo:hi:count, got 'abc'"),
+    ],
+)
+def test_fit_bad_gamma_exits_2_before_any_fit(tmp_path, capsys, flags, message):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    out = tmp_path / "out"
+    assert run(["fit", graph, *flags, "--out", out]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_report_matches_library_fit_with_trace(ratings_csv, tmp_path):
     # The CLI fits without the objective trace; its report must be the
     # library default's (traced) report byte for byte.

@@ -14,17 +14,15 @@ from glba.model import (
     ModelParams,
     Priors,
     R_CLAMP,
-    TaskStats,
     _bisect_ab,
-    _Prepared,
-    _complement_edges,
-    _estep_kernel,
-    e_step_task,
+    _gamma_sums,
+    _pair_layout,
+    e_step,
     fit,
     fit_grid,
     gamma_grid,
     log_posterior,
-    m_step_subject,
+    m_step,
     update_gamma,
 )
 from glba.simulate import GenerativeSpec, make_true_params, sample_multigraph
@@ -152,26 +150,23 @@ def test_r_approx_clamps():
 
 
 # ---------------------------------------------------------------------------
-# e_step_task
+# e_step
 # ---------------------------------------------------------------------------
 
 
 def test_e_step_gate_forced_closed_and_open():
     graph = random_graph(np.random.default_rng(2), m=5, n=1, r_lo=5, r_hi=5)
-    task = graph.tasks[0]
     closed = params_for(graph, tau=0.0, alpha=2.0, beta=2.0)
-    assert np.all(e_step_task(task, closed).tau_tilde == 0.0)
+    assert np.all(e_step(graph, closed)[2] == 0.0)
     opened = params_for(graph, tau=1.0, alpha=2.0, beta=2.0)
-    assert np.all(e_step_task(task, opened).tau_tilde == 1.0)
+    assert np.all(e_step(graph, opened)[2] == 1.0)
 
 
 def test_e_step_neutral_evidence_fixed_point():
     # a single-rater task has no neighbors: R = 1, so tau~ = tau
-    task = make_task("t", ["a"], {})
-    graph = AgreementMultigraph([task])
+    graph = AgreementMultigraph([make_task("t", ["a"], {})])
     params = params_for(graph, tau=0.3, alpha=1.5, beta=2.5)
-    stats = e_step_task(task, params)
-    assert stats.tau_tilde[0] == pytest.approx(0.3, abs=0)
+    assert e_step(graph, params)[2][0] == pytest.approx(0.3, abs=0)
 
 
 def test_e_step_matches_brute_force_oracle():
@@ -179,13 +174,12 @@ def test_e_step_matches_brute_force_oracle():
     for _ in range(200):
         r = int(rng.integers(2, 7))
         graph = random_graph(rng, m=r, n=1, r_lo=r, r_hi=r)
-        task = graph.tasks[0]
         params = random_params(rng, graph)
-        stats = e_step_task(task, params)
-        oa, ob, ot = oracle_estep(task, params)
-        np.testing.assert_allclose(stats.alpha_tilde, oa, rtol=1e-10)
-        np.testing.assert_allclose(stats.beta_tilde, ob, rtol=1e-10)
-        np.testing.assert_allclose(stats.tau_tilde, ot, rtol=1e-10)
+        a_t, b_t, t_t = e_step(graph, params)
+        oa, ob, ot = oracle_estep(graph.tasks[0], params)
+        np.testing.assert_allclose(a_t, oa, rtol=1e-10)
+        np.testing.assert_allclose(b_t, ob, rtol=1e-10)
+        np.testing.assert_allclose(t_t, ot, rtol=1e-10)
 
 
 def test_e_step_rejects_malformed_task():
@@ -195,13 +189,31 @@ def test_e_step_rejects_malformed_task():
     params = ModelParams(subjects, np.full(3, 0.5), np.ones(3), np.ones(3), 0.37)
     edges = np.zeros((3, 3), dtype=np.uint8)
     edges[0, 1] = 1
-    stats = e_step_task(TaskGraph("t1", subjects, edges), params)
-    assert stats.alpha_tilde.tolist() == [1.5, 1.0, 1.0]
+    a_t = e_step(AgreementMultigraph([TaskGraph("t1", subjects, edges)]), params)[0]
+    assert a_t.tolist() == [1.5, 1.0, 1.0]
     for diagonal, what in ((1, "nonzero diagonal"), (2, "indicator other than 0 or 1")):
         bad = edges.copy()
         bad[0, 0] = diagonal
         with pytest.raises(ValueError, match=f"task 't1' has an? {what}"):
-            e_step_task(TaskGraph("t1", subjects, bad), params)
+            e_step(AgreementMultigraph([TaskGraph("t1", subjects, bad)]), params)
+
+
+def test_steps_reject_misaligned_inputs():
+    graph = random_graph(np.random.default_rng(3), m=4, n=3, r_lo=2, r_hi=4)
+    params = params_for(graph, tau=0.5, alpha=1.0, beta=1.0)
+    shifted = ModelParams(graph.subjects[1:] + ["z"], params.tau, params.alpha, params.beta, 0.37)
+    with pytest.raises(ValueError, match="multigraph's subjects"):
+        e_step(graph, shifted)
+    stats = e_step(graph, params)
+    short = tuple(x[:-1] for x in stats)
+    with pytest.raises(ValueError, match="one value per slot"):
+        m_step(graph, short, params, Priors())
+    with pytest.raises(ValueError, match="one value per slot"):
+        update_gamma(graph, short[2], 0.37)
+    with pytest.raises(ValueError, match="one value per slot"):
+        log_posterior(params, Priors(), graph, short)
+    with pytest.raises(ValueError, match="unknown prior_grad_mode"):
+        m_step(graph, stats, params, Priors(), "paper")
 
 
 @pytest.mark.parametrize("include_self", [False, True])
@@ -216,13 +228,7 @@ def test_estep_kernel_matches_scalar_oracles(include_self):
         params = random_params(rng, graph)
         sidx = [params.position[s] for s in task.subjects]
         t, a, b = (x[sidx] for x in (params.tau, params.alpha, params.beta))
-        E = task.edges.astype(float)[None]
-        a_t, b_t, tau_t = (
-            x[0]
-            for x in _estep_kernel(
-                E, _complement_edges(E), t[None], a[None], b[None], params.gamma, include_self
-            )
-        )
+        a_t, b_t, tau_t = e_step(graph, params, include_self)
         weights = dict(zip(task.subjects, t))
         alpha_t = dict(zip(task.subjects, a_t))
         beta_t = dict(zip(task.subjects, b_t))
@@ -242,64 +248,37 @@ def test_e_step_tilde_dominates_parameters():
     rng = np.random.default_rng(41)
     graph = random_graph(rng, m=6, n=4, r_lo=3, r_hi=6)
     params = random_params(rng, graph)
-    for task in graph.tasks:
-        stats = e_step_task(task, params)
-        sidx = [params.position[s] for s in task.subjects]
-        assert np.all(stats.alpha_tilde >= params.alpha[sidx])
-        assert np.all(stats.beta_tilde >= params.beta[sidx])
-        assert np.all((stats.tau_tilde >= 0) & (stats.tau_tilde <= 1))
+    a_t, b_t, t_t = e_step(graph, params)
+    assert np.all(a_t >= params.alpha[graph.flat_sidx])
+    assert np.all(b_t >= params.beta[graph.flat_sidx])
+    assert np.all((t_t >= 0) & (t_t <= 1))
 
 
 # ---------------------------------------------------------------------------
-# m_step_subject
+# m_step
 # ---------------------------------------------------------------------------
 
 
-def test_m_step_no_tasks_returns_prior():
-    alpha, beta, tau, fb = m_step_subject("s", [], Priors(tau0=0.4, s0=2.0))
-    assert tau == 0.4
-    assert (alpha, beta) == (1.0, 1.0)
-    assert not fb
+def _one_subject(alpha_tilde, beta_tilde, tau_tilde):
+    """A graph in which subject 's' alone rates one task per given
+    statistic, those flat statistics, and start parameters alpha = beta = 1."""
+    tasks = [make_task(f"t{k:03d}", ["s"], {}) for k in range(len(alpha_tilde))]
+    graph = AgreementMultigraph(tasks)
+    stats = tuple(np.array(x, dtype=float) for x in (alpha_tilde, beta_tilde, tau_tilde))
+    return graph, stats, params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
 
 
 def test_m_step_tau_forced_by_update_rule():
-    stats = []
-    for k in range(4):
-        task = make_task(f"t{k}", ["s"], {})
-        stats.append(
-            type(
-                "TS",
-                (),
-                {
-                    "task_id": f"t{k}",
-                    "subjects": ["s"],
-                    "alpha_tilde": np.array([2.0]),
-                    "beta_tilde": np.array([2.0]),
-                    "tau_tilde": np.array([1.0]),
-                },
-            )()
-        )
-    _, _, tau, _ = m_step_subject("s", stats, Priors(tau0=0.5, s0=1.0))
-    assert tau == (0.5 + 4.0) / 5.0
+    graph, stats, params = _one_subject([2.0] * 4, [2.0] * 4, [1.0] * 4)
+    tau = m_step(graph, stats, params, Priors(tau0=0.5, s0=1.0))[0]
+    assert tau[0] == (0.5 + 4.0) / 5.0
 
 
 def _random_stats(rng, d):
-    stats = []
-    for k in range(d):
-        stats.append(
-            type(
-                "TS",
-                (),
-                {
-                    "task_id": f"t{k}",
-                    "subjects": ["s"],
-                    "alpha_tilde": np.array([rng.uniform(0.5, 8.0)]),
-                    "beta_tilde": np.array([rng.uniform(0.5, 8.0)]),
-                    "tau_tilde": np.array([rng.uniform(0.0, 1.0)]),
-                },
-            )()
-        )
-    return stats
+    draws = [
+        (rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0), rng.uniform(0.0, 1.0)) for _ in range(d)
+    ]
+    return _one_subject(*zip(*draws))
 
 
 @pytest.mark.parametrize("mode", ["gamma-map", "paper-literal"])
@@ -307,11 +286,11 @@ def test_m_step_stationarity_and_independent_root(mode):
     rng = np.random.default_rng(50)
     for _ in range(40):
         d = int(rng.integers(1, 9))
-        stats = _random_stats(rng, d)
+        graph, stats, params = _random_stats(rng, d)
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))
-        config = FitConfig(gamma=0.37, prior_grad_mode=mode)
-        a, b, _tau, fb = m_step_subject("s", stats, priors, config)
-        stats_ab = [(float(ts.alpha_tilde[0]), float(ts.beta_tilde[0])) for ts in stats]
+        _tau, a, b, _fb = m_step(graph, stats, params, priors, mode)
+        a, b = float(a[0]), float(b[0])
+        stats_ab = list(zip(stats[0].tolist(), stats[1].tolist()))
         f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0, mode)
         assert max(abs(f_a), abs(f_b)) <= 1e-8
 
@@ -337,64 +316,27 @@ def test_bisection_fallback_agrees_with_newton():
     rng = np.random.default_rng(51)
     for _ in range(10):
         d = int(rng.integers(1, 6))
-        stats = _random_stats(rng, d)
+        graph, stats, params = _random_stats(rng, d)
         priors = Priors(tau0=0.5, s0=1.5)
-        a, b, _, _ = m_step_subject("s", stats, priors)
-        s_a = sum(
-            float(digamma(ts.alpha_tilde[0]) - digamma(ts.alpha_tilde[0] + ts.beta_tilde[0]))
-            for ts in stats
-        )
-        s_b = sum(
-            float(digamma(ts.beta_tilde[0]) - digamma(ts.alpha_tilde[0] + ts.beta_tilde[0]))
-            for ts in stats
-        )
+        _, a, b, _ = m_step(graph, stats, params, priors)
+        a_t, b_t = stats[0], stats[1]
+        s_a = sum(float(digamma(at) - digamma(at + bt)) for at, bt in zip(a_t, b_t))
+        s_b = sum(float(digamma(bt) - digamma(at + bt)) for at, bt in zip(a_t, b_t))
         ba, bb = _bisect_ab(d, s_a, s_b, priors.s0, "gamma-map")
-        assert ba == pytest.approx(a, abs=1e-5, rel=1e-5)
-        assert bb == pytest.approx(b, abs=1e-5, rel=1e-5)
+        assert ba == pytest.approx(a[0], abs=1e-5, rel=1e-5)
+        assert bb == pytest.approx(b[0], abs=1e-5, rel=1e-5)
 
 
 def test_m_step_projection_floor():
     # extreme disagreement statistics push alpha toward zero; floor holds
-    stats = [
-        type(
-            "TS",
-            (),
-            {
-                "task_id": "t0",
-                "subjects": ["s"],
-                "alpha_tilde": np.array([1e-5]),
-                "beta_tilde": np.array([50.0]),
-                "tau_tilde": np.array([0.1]),
-            },
-        )()
-    ]
-    a, b, _, _ = m_step_subject("s", stats, Priors(tau0=0.5, s0=1.0))
-    assert a >= EPS_POS and b >= EPS_POS
+    graph, stats, params = _one_subject([1e-5], [50.0], [0.1])
+    _, a, b, _ = m_step(graph, stats, params, Priors(tau0=0.5, s0=1.0))
+    assert a[0] >= EPS_POS and b[0] >= EPS_POS
 
 
 # ---------------------------------------------------------------------------
 # update_gamma
 # ---------------------------------------------------------------------------
-
-
-def _stats_with_tau(graph, value):
-    stats = []
-    for task in graph.tasks:
-        r = task.n_raters
-        stats.append(
-            type(
-                "TS",
-                (),
-                {
-                    "task_id": task.task_id,
-                    "subjects": list(task.subjects),
-                    "alpha_tilde": np.ones(r),
-                    "beta_tilde": np.ones(r),
-                    "tau_tilde": np.full(r, float(value)),
-                },
-            )()
-        )
-    return stats
 
 
 def test_update_gamma_collapses_to_pair_fraction():
@@ -407,51 +349,34 @@ def test_update_gamma_collapses_to_pair_fraction():
         np.fill_diagonal(edges, 0)
         tasks.append(TaskGraph(task_id=f"t{k}", subjects=subs, edges=edges))
     graph = AgreementMultigraph(tasks)
-    stats = _stats_with_tau(graph, 0.0)
     agree_pairs = sum(int(t.edges.sum()) for t in graph.tasks)
     all_pairs = sum(t.n_raters * (t.n_raters - 1) for t in graph.tasks)
-    assert update_gamma(graph.tasks, stats, previous=0.25) == agree_pairs / all_pairs
+    tau_tilde = np.zeros(graph.offsets[-1])
+    assert update_gamma(graph, tau_tilde, previous=0.25) == agree_pairs / all_pairs
 
 
 def test_update_gamma_degenerate_keeps_previous():
     graph = random_graph(np.random.default_rng(61), m=5, n=3, r_lo=3, r_hi=4)
-    stats = _stats_with_tau(graph, 1.0)
-    assert update_gamma(graph.tasks, stats, previous=0.321) == 0.321
+    assert update_gamma(graph, np.ones(graph.offsets[-1]), previous=0.321) == 0.321
 
 
 def test_update_gamma_mixed_hand_ratio():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 0})
     t2 = make_task("t2", ["a", "c"], {("a", "c"): 0, ("c", "a"): 0})
     graph = AgreementMultigraph([t1, t2])
-    stats = []
     tau_by_task = {"t1": {"a": 0.5, "b": 0.25}, "t2": {"a": 0.1, "c": 0.9}}
-    for task in graph.tasks:
-        tt = np.array([tau_by_task[task.task_id][s] for s in task.subjects])
-        stats.append(
-            type(
-                "TS",
-                (),
-                {
-                    "task_id": task.task_id,
-                    "subjects": list(task.subjects),
-                    "alpha_tilde": np.ones(task.n_raters),
-                    "beta_tilde": np.ones(task.n_raters),
-                    "tau_tilde": tt,
-                },
-            )()
-        )
+    tau_tilde = [tau_by_task[task.task_id][s] for task in graph.tasks for s in task.subjects]
     # hand sums over ordered pairs, weights 1 - tau~ of the target rater:
     # num = (1-.25)*1 + (1-.5)*0 + (1-.9)*0 + (1-.1)*0, den = sum of weights
     num = 0.75
     den = 0.75 + 0.5 + 0.1 + 0.9
-    assert update_gamma(graph.tasks, stats, previous=0.2) == pytest.approx(num / den, abs=0)
+    assert update_gamma(graph, tau_tilde, previous=0.2) == pytest.approx(num / den, abs=0)
 
 
 def test_update_gamma_clamped():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 1})
     graph = AgreementMultigraph([t1])
-    stats = _stats_with_tau(graph, 0.0)
-    assert update_gamma(graph.tasks, stats, previous=0.2) == 0.49
+    assert update_gamma(graph, np.zeros(2), previous=0.2) == 0.49
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +387,7 @@ def test_update_gamma_clamped():
 def test_log_posterior_finite_on_toy():
     graph = random_graph(np.random.default_rng(70), m=2, n=1, r_lo=2, r_hi=2)
     params = params_for(graph, tau=0.6, alpha=1.5, beta=2.5)
-    stats = [e_step_task(t, params) for t in graph.tasks]
-    val = log_posterior(params, Priors(0.5, 1.0), graph, stats)
+    val = log_posterior(params, Priors(0.5, 1.0), graph, e_step(graph, params))
     assert math.isfinite(val)
 
 
@@ -478,10 +402,10 @@ def test_log_posterior_matches_hand_expansion():
         gamma=0.35,
     )
     priors = Priors(tau0=0.45, s0=1.7)
-    stats = [e_step_task(task, params)]
-    ax, ay = stats[0].alpha_tilde
-    bx, by = stats[0].beta_tilde
-    tx, ty = stats[0].tau_tilde
+    stats = e_step(graph, params)
+    ax, ay = stats[0]
+    bx, by = stats[1]
+    tx, ty = stats[2]
     ln, dg = math.log, digamma
 
     lam = lambda a, b: (dg(a) - dg(a + b), dg(b) - dg(a + b))
@@ -615,6 +539,29 @@ def test_fit_config_rejects_bad_tolerances(field, value, message):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        (0.5, "got 0.5"),
+        (0.0, "got 0.0"),
+        (math.nan, "got nan"),
+        (math.inf, "got inf"),
+        ([0.3, math.nan], "got nan"),
+        ([0.3, 0.6], "got 0.6"),
+        ((), "gamma grid is empty"),
+        ([], "gamma grid is empty"),
+    ],
+)
+def test_fit_config_rejects_bad_gamma(gamma, message):
+    with pytest.raises(ValueError, match=message):
+        FitConfig(gamma=gamma)
+
+
+def test_fit_config_cannot_be_changed_after_its_checks():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FitConfig().gamma = 0.9
+
+
 def test_fit_config_allows_zero_eb_tol():
     graph, _ = small_sampled_graph(m=10, n=30)
     report = fit(graph, FitConfig(eb_tol=0.0, max_iter=5, eb_max_rounds=3))
@@ -693,15 +640,15 @@ def test_tau_update_exact_against_brute_force():
         graph = random_graph(rng, m=int(rng.integers(4, 9)), n=int(rng.integers(2, 7)))
         config = FitConfig(gamma=0.37, max_iter=1, eb_max_rounds=1)
         report = fit(graph, config)
-        # oracle: stats from the public per-task E-step at the initial
-        # parameters, then plain task-order accumulation
+        # oracle: stats from the public E-step at the initial parameters,
+        # then plain task-order accumulation
         init = params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
+        tau_tilde = e_step(graph, init)[2]
         acc = dict.fromkeys(graph.subjects, 0.0)
         count = dict.fromkeys(graph.subjects, 0)
-        for task in graph.tasks:
-            stats = e_step_task(task, init)
+        for t_i, task in enumerate(graph.tasks):
             for pos, s in enumerate(task.subjects):
-                acc[s] += float(stats.tau_tilde[pos])
+                acc[s] += float(tau_tilde[graph.offsets[t_i] + pos])
                 count[s] += 1
         for i, s in enumerate(graph.subjects):
             expected = (0.5 + acc[s]) / (count[s] + 1.0)
@@ -715,16 +662,16 @@ def test_gamma_update_exact_against_brute_force():
         config = FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1)
         report = fit(graph, config)
         init = params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
+        tau_tilde = e_step(graph, init)[2]
         num = 0.0
         den = 0.0
-        for task in graph.tasks:
-            stats = e_step_task(task, init)
+        for t_i, task in enumerate(graph.tasks):
             r = task.n_raters
             for i in range(r):
                 for j in range(r):
                     if i == j:
                         continue
-                    w = 1.0 - float(stats.tau_tilde[j])
+                    w = 1.0 - float(tau_tilde[graph.offsets[t_i] + j])
                     num += w * float(task.edges[i, j])
                     den += w
         if den <= 0.0:
@@ -742,26 +689,16 @@ def test_gamma_sums_bit_identical_to_loop(include_self):
         graph = random_graph(rng, m=10, n=int(rng.integers(5, 15)), r_lo=2, r_hi=6)
         sizes = [t.n_raters for t in graph.tasks]
         interleaved += sizes != sorted(sizes)
-        stats = [
-            TaskStats(
-                task_id=t.task_id,
-                subjects=list(t.subjects),
-                alpha_tilde=np.ones(t.n_raters),
-                beta_tilde=np.ones(t.n_raters),
-                tau_tilde=rng.uniform(0.0, 1.0, size=t.n_raters),
-            )
-            for t in graph.tasks
-        ]
-        t_t = np.concatenate([ts.tau_tilde for ts in stats])
-        sums = _Prepared(graph).gamma_sums(t_t, include_self)
-        assert sums == oracle_gamma_ratio(graph.tasks, stats, include_self)
+        t_t = np.concatenate([rng.uniform(0.0, 1.0, size=t.n_raters) for t in graph.tasks])
+        sums = _gamma_sums(_pair_layout(graph, include_self), t_t)
+        assert sums == oracle_gamma_ratio(graph, t_t, include_self)
     # size groups must interleave in task order for the layout's sort to matter
     assert interleaved > 10
     # a lone rater has no neighbour pair, only (with include_self) a self pair
     lone = AgreementMultigraph([make_task("t", ["a"], {})])
-    stats = [TaskStats("t", ["a"], np.ones(1), np.ones(1), np.array([0.25]))]
-    sums = _Prepared(lone).gamma_sums(np.array([0.25]), include_self)
-    assert sums == oracle_gamma_ratio(lone.tasks, stats, include_self)
+    t_t = np.array([0.25])
+    sums = _gamma_sums(_pair_layout(lone, include_self), t_t)
+    assert sums == oracle_gamma_ratio(lone, t_t, include_self)
 
 
 def test_gamma_second_iteration_exact_against_oracle():
@@ -773,10 +710,40 @@ def test_gamma_second_iteration_exact_against_oracle():
         config = FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1)
         r1 = fit(graph, config)
         r2 = fit(graph, dataclasses.replace(config, max_iter=2))
-        stats = [e_step_task(task, r1.params) for task in graph.tasks]
-        num, den = oracle_gamma_ratio(graph.tasks, stats, False)
+        num, den = oracle_gamma_ratio(graph, e_step(graph, r1.params)[2], False)
         assert den > 0.0
         assert r2.params.gamma == float(np.clip(num / den, 0.01, 0.49))
+
+
+@pytest.mark.parametrize("update", [False, True])
+@pytest.mark.parametrize("include_self", [False, True])
+def test_fit_is_the_public_steps_composed(update, include_self):
+    rng = np.random.default_rng(94)
+    priors = Priors(0.5, 1.0)
+    for trial in range(10):
+        graph = random_graph(rng, m=int(rng.integers(4, 9)), n=int(rng.integers(2, 7)))
+        config = FitConfig(
+            gamma=0.37,
+            update_gamma=update,
+            psi_includes_self=include_self,
+            max_iter=1,
+            eb_max_rounds=1,
+        )
+        report = fit(graph, config)
+        init = params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
+        stats = e_step(graph, init, include_self)
+        tau, alpha, beta, _ = m_step(graph, stats, init, priors)
+        assert np.array_equal(report.params.tau, tau)
+        assert np.array_equal(report.params.alpha, alpha)
+        assert np.array_equal(report.params.beta, beta)
+        assert report.loglik_trace[0] == log_posterior(
+            report.params, priors, graph, stats, include_self
+        )
+
+        second = fit(graph, dataclasses.replace(config, max_iter=2))
+        tau_tilde = e_step(graph, report.params, include_self)[2]
+        expected = update_gamma(graph, tau_tilde, report.params.gamma, include_self)
+        assert second.params.gamma == (expected if update else 0.37)
 
 
 def test_update_gamma_fit_counts_kept_update_without_warning(caplog):

@@ -365,7 +365,7 @@ def test_config_file_parsing(tmp_path):
         "psi_includes_self = true\n"
     )
     overrides = textio.read_config_file(path)
-    config = textio.make_fit_config(overrides)
+    config = FitConfig(**overrides)
     assert isinstance(config, FitConfig)
     assert len(config.gamma) == 10
     assert config.gamma[0] == 0.3 and config.gamma[-1] == 0.48
@@ -386,7 +386,7 @@ def test_config_file_accepts_and_drops_seed_and_workers(tmp_path):
     path.write_text("workers = 1\nseed = 7\ntol = 1e-4\n")
     overrides = textio.read_config_file(path)
     assert overrides == {"tol": 1e-4}
-    assert textio.make_fit_config(overrides).tol == 1e-4
+    assert FitConfig(**overrides).tol == 1e-4
 
 
 @pytest.mark.parametrize(
