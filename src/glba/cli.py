@@ -81,8 +81,6 @@ def _gamma_tag(g):
 
 def cmd_build_graph(args):
     table = ingest.load_responses(args.responses)
-    rows = table.rows_for(args.dimension)
-    total_tasks = len({r.task_id for r in rows})
     graph = ingest.build_multigraph(
         table, args.dimension, delta=args.delta, min_raters=args.min_raters
     )
@@ -90,8 +88,9 @@ def cmd_build_graph(args):
     path = os.path.join(out, "graph.tsv")
     textio.write_multigraph(graph, path)
     _manifest(args, "build-graph", [args.responses])
-    edges = sum(t.n_raters * (t.n_raters - 1) for t in graph.tasks)
-    dropped = total_tasks - graph.n
+    sizes = graph.offsets[1:] - graph.offsets[:-1]
+    edges = int(sizes @ (sizes - 1))
+    dropped = ingest._task_layout(table, args.dimension, args.min_raters).n_tasks - graph.n
     print(f"{graph.n} tasks, {graph.m} subjects, {edges} edges")
     print(f"dropped {dropped} tasks with fewer than {args.min_raters} raters")
     print(f"wrote {path}")

@@ -113,6 +113,13 @@ class TaskGraph:
 SizeGroup = namedtuple("SizeGroup", "tasks edges sidx dest")
 
 
+def _codes(ids):
+    """The sorted distinct ids, and each id's position among them."""
+    unique = sorted(set(ids))
+    pos = {s: i for i, s in enumerate(unique)}
+    return unique, np.fromiter(map(pos.__getitem__, ids), np.intp, len(ids))
+
+
 @dataclass(eq=False)
 class AgreementMultigraph:
     """Task graphs over one global subject list, checked and packed once.
@@ -142,11 +149,8 @@ class AgreementMultigraph:
         for a, b in zip(ids, ids[1:]):
             if a == b:
                 raise ValueError(f"duplicate task id {a!r}")
-        flat_ids = [s for t in tasks for s in t.subjects]
-        self.subjects = sorted(set(flat_ids))
+        self.subjects, self.flat_sidx = _codes([s for t in tasks for s in t.subjects])
         empty = 0 if self.subjects[:1] == [""] else -1  # "" sorts first
-        pos = {s: i for i, s in enumerate(self.subjects)}
-        self.flat_sidx = np.fromiter(map(pos.__getitem__, flat_ids), np.intp, len(flat_ids))
         sizes = np.array([len(t.subjects) for t in tasks], dtype=np.intp)
         self.offsets = np.append(0, np.cumsum(sizes))
         self.degree = np.bincount(self.flat_sidx, minlength=len(self.subjects))
@@ -359,6 +363,28 @@ def agree(a_i, a_j, table, delta=DEFAULT_DELTA):
     return 1 if _agree_rule(c0_i, c0_j, c1_i, c1_j, delta) else 0
 
 
+# One dimension's ratings on its tasks with at least min_raters raters, task
+# k's at slots offsets[k]:offsets[k+1]: the kept task ids (sorted) and per
+# slot the rater's code into `subjects` (all raters, sorted; ascending within
+# a task) and rating.  n_tasks counts every task rated on the dimension.
+TaskLayout = namedtuple("TaskLayout", "task_ids offsets subjects scode ratings n_tasks")
+
+
+def _task_layout(table, dimension, min_raters):
+    """TaskLayout from one stable lexsort of the rows by (task, rater) code."""
+    rows = table.rows_for(dimension)
+    task_ids, tcode = _codes([r.task_id for r in rows])
+    subjects, scode = _codes([r.subject_id for r in rows])
+    ratings = np.fromiter((r.scores[dimension] for r in rows), float, len(rows))
+    counts = np.bincount(tcode, minlength=len(task_ids))
+    kept = counts >= min_raters
+    order = np.lexsort((scode, tcode))
+    order = order[kept[tcode[order]]]
+    kept_ids = [t for t, k in zip(task_ids, kept.tolist()) if k]
+    offsets = np.append(0, np.cumsum(counts[kept]))
+    return TaskLayout(kept_ids, offsets, subjects, scode[order], ratings[order], len(task_ids))
+
+
 def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_MIN_RATERS):
     """Build the per-task agreement multigraph for one rating dimension.
 
@@ -367,31 +393,23 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
     computed from the remaining pool.  Task lists and rater lists are
     sorted by id so the result does not depend on input order.
 
-    Every rating is binned once; the percentile rule is evaluated once per
-    pair of distinct binned ratings, and the indicators of all tasks with
-    the same rater count are gathered from that table in one step.
+    Each distinct rating is binned once; the percentile rule is evaluated
+    once per pair of distinct binned ratings, and the indicators of all
+    tasks with the same rater count are gathered from that table in one
+    step.
     """
     _check_delta(delta)
-    rows = table.rows_for(dimension)
-    if not rows:
+    layout = _task_layout(table, dimension, min_raters)
+    if not layout.n_tasks:
         raise ValueError(f"no rows carry a rating for dimension {dimension!r}")
-
-    by_task = {}
-    for r in rows:
-        by_task.setdefault(r.task_id, []).append(r)
-    task_ids = sorted(tid for tid, rs in by_task.items() if len(rs) >= min_raters)
-    if not task_ids:
+    if not layout.task_ids:
         raise ValueError(
             f"no task has at least {min_raters} raters on {dimension!r}; nothing to build"
         )
 
-    raters = [by_task[tid] for tid in task_ids]
-    for rs in raters:
-        rs.sort(key=lambda r: r.subject_id)
-    sizes = np.array([len(rs) for rs in raters])
-    starts = np.cumsum(sizes) - sizes
-    binned = (bin_rating(r.scores[dimension]) for rs in raters for r in rs)
-    pool = np.fromiter(binned, dtype=float, count=int(sizes.sum()))
+    offsets, sizes = layout.offsets, np.diff(layout.offsets)
+    values, inverse = np.unique(layout.ratings, return_inverse=True)
+    pool = np.fromiter(map(bin_rating, values.tolist()), float, len(values))[inverse]
     support = np.unique(pool)
     at = np.searchsorted(support, pool)
     cdf = _cumulative(at, len(support))
@@ -404,18 +422,17 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
         cdf[:, None], cdf[None, :], cdf_after[:, None], cdf_after[None, :], delta
     ).astype(np.uint8)
 
-    edges = [None] * len(task_ids)
+    raters = list(map(layout.subjects.__getitem__, layout.scode.tolist()))
+    bounds = offsets.tolist()
+    tasks = [None] * len(sizes)
     for k in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == k)
-        g = at[starts[members, None] + np.arange(k)]
+        g = at[offsets[members, None] + np.arange(k)]
         block = agrees[g[:, :, None], g[:, None, :]]
         block[:, np.arange(k), np.arange(k)] = 0
         for q, t in enumerate(members.tolist()):
-            edges[t] = block[q]
-
-    return AgreementMultigraph(
-        [TaskGraph(tid, [r.subject_id for r in rs], e) for tid, rs, e in zip(task_ids, raters, edges)]
-    )
+            tasks[t] = TaskGraph(layout.task_ids[t], raters[bounds[t] : bounds[t + 1]], block[q])
+    return AgreementMultigraph(tasks)
 
 
 def variance_ratio(table, dimension):

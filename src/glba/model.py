@@ -66,10 +66,11 @@ class ModelParams:
         m = len(self.subjects)
         if not (self.tau.shape == self.alpha.shape == self.beta.shape == (m,)):
             raise ValueError("parameter arrays must align with the subject list")
-        if np.any((self.tau < 0) | (self.tau > 1)):
+        if not np.all((self.tau >= 0) & (self.tau <= 1)):  # NaN fails every range test
             raise ValueError("tau must lie in [0, 1]")
-        if np.any(self.alpha < EPS_POS) or np.any(self.beta < EPS_POS):
-            raise ValueError(f"alpha and beta must be >= {EPS_POS}")
+        a, b = self.alpha, self.beta
+        if not np.all((np.minimum(a, b) >= EPS_POS) & np.isfinite(a + b)):
+            raise ValueError(f"alpha and beta must be finite and >= {EPS_POS}")
         if not (0.0 < self.gamma < 0.5):
             raise ValueError("gamma must lie in (0, 0.5)")
         return self
@@ -91,8 +92,8 @@ class Priors:
     def validate(self):
         if not (0.0 < self.tau0 < 1.0):
             raise ValueError("tau0 must lie in (0, 1)")
-        if self.s0 <= 0.0:
-            raise ValueError("s0 must be positive")
+        if not (0.0 < self.s0 < math.inf):
+            raise ValueError("s0 must be a finite positive number")
         return self
 
 
@@ -540,6 +541,7 @@ def log_posterior(params, priors, multigraph, stats, include_self=False):
     evaluation.
     """
     _checked(multigraph, params)
+    priors.validate()
     flat = _flat(multigraph, stats)
     dig, lam = _digammas(flat[0], flat[1])
     return _objective_flat(multigraph, flat, dig, lam, params, priors, include_self)

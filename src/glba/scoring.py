@@ -5,12 +5,12 @@ rates; stimuli get a confidence-weighted adjusted score that discounts
 tasks whose raters were collectively unreliable.
 """
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES
+from .ingest import DIMENSION_SCALES, _task_layout
 
 
 @dataclass
@@ -109,49 +109,41 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
     if dimension not in DIMENSION_SCALES:
         raise ValueError(f"unknown dimension {dimension!r}")
     lo, hi = DIMENSION_SCALES[dimension]
+    layout = _task_layout(table, dimension, min_raters)
+    offsets, sizes = layout.offsets, np.diff(layout.offsets)
+    known = np.array([params.position.get(s, -1) for s in layout.subjects], dtype=np.intp)
+    at = known[layout.scode]
+    if (at < 0).any():  # name the first kept task with unfitted raters
+        k = np.searchsorted(offsets, np.argmax(at < 0), side="right") - 1
+        task = slice(offsets[k], offsets[k + 1])
+        missing = ", ".join(layout.subjects[c] for c in layout.scode[task][at[task] < 0].tolist())
+        raise ValueError(f"task {layout.task_ids[k]!r}: no fitted parameters for rater(s) {missing}")
+    tau = params.tau[at]
+    norm = (layout.ratings - lo) / (hi - lo)
+    if direction == "low":
+        norm = 1.0 - norm
 
-    by_task = {}
-    for row in table.rows_for(dimension):
-        by_task.setdefault(row.task_id, []).append(row)
-
-    reports = []
-    for tid in sorted(by_task):
-        rows = sorted(by_task[tid], key=lambda r: r.subject_id)
-        if len(rows) < min_raters:
-            continue
-        missing = [r.subject_id for r in rows if r.subject_id not in params.position]
-        if missing:
-            raise ValueError(
-                f"task {tid!r}: no fitted parameters for rater(s) {', '.join(missing)}"
-            )
-        taus = np.array([params.tau[params.position[r.subject_id]] for r in rows])
-        raw = np.array([r.scores[dimension] for r in rows], dtype=float)
-        norm = (raw - lo) / (hi - lo)
-        if direction == "low":
-            norm = 1.0 - norm
-        confidence = float(1.0 - np.prod(1.0 - taus))
-        tau_total = float(taus.sum())
-        if tau_total > 0.0:
-            wm = float(np.dot(taus, norm) / tau_total)
-            defined = True
-        else:
-            wm = math.nan
-            defined = False
-        reports.append(
-            ImageReport(
-                task_id=tid,
-                adjusted_score=wm * confidence if defined else 0.0,
-                confidence=confidence,
-                weighted_mean=wm,
-                raw_mean=float(raw.mean()),
-                n_raters=len(rows),
-                weighted_mean_defined=defined,
-                dimension=dimension,
-                direction=direction,
-            )
-        )
-    reports.sort(key=lambda r: (-r.adjusted_score, r.task_id))
-    return reports
+    n = len(sizes)
+    confidence, tau_total, dot, raw_mean = (np.empty(n) for _ in range(4))
+    for k in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == k)
+        slots = offsets[members, None] + np.arange(k)
+        taus = tau[slots]
+        confidence[members] = 1.0 - np.prod(1.0 - taus, axis=1)
+        tau_total[members] = taus.sum(axis=1)
+        dot[members] = np.matmul(taus[:, None, :], norm[slots][:, :, None])[:, 0, 0]
+        raw_mean[members] = layout.ratings[slots].mean(axis=1)
+    defined = tau_total > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wm = np.where(defined, dot / tau_total, np.nan)
+    adjusted = np.where(defined, wm * confidence, 0.0)
+    # Tasks are in id order, so a stable sort breaks score ties by task id.
+    order = np.argsort(-adjusted, kind="stable")
+    columns = (adjusted, confidence, wm, raw_mean, sizes, defined)
+    return [
+        ImageReport(layout.task_ids[i], *values, dimension=dimension, direction=direction)
+        for i, *values in zip(order.tolist(), *(c[order].tolist() for c in columns))
+    ]
 
 
 def extreme_subset(reports, score_min, conf_min):
@@ -186,20 +178,10 @@ def overhead_curve(table, dimension, reports, mode, thresholds=None):
         raise ValueError(f"unknown overhead mode {mode!r}")
     if thresholds is None:
         thresholds = [round(0.05 * i, 2) for i in range(21)]
-    rows = table.rows_for(dimension)
-
-    if mode == "subject-filter":
-        score_of = {r.subject_id: r.tau_mean for r in reports}
-        labels_per = {}
-        for row in rows:
-            labels_per[row.subject_id] = labels_per.get(row.subject_id, 0) + 1
-        keys = [(score_of[s], c) for s, c in labels_per.items() if s in score_of]
-    else:
-        score_of = {r.task_id: r.confidence for r in reports}
-        labels_per = {}
-        for row in rows:
-            labels_per[row.task_id] = labels_per.get(row.task_id, 0) + 1
-        keys = [(score_of[t], c) for t, c in labels_per.items() if t in score_of]
+    key, attr = ("subject_id", "tau_mean") if mode == "subject-filter" else ("task_id", "confidence")
+    score_of = {getattr(r, key): getattr(r, attr) for r in reports}
+    labels_per = Counter(getattr(row, key) for row in table.rows_for(dimension))
+    keys = [(score_of[k], c) for k, c in labels_per.items() if k in score_of]
 
     curve = []
     for th in thresholds:

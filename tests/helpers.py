@@ -311,6 +311,63 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
     return AgreementMultigraph(tasks)
 
 
+def oracle_image_scores(table, dimension, params, direction="high", min_raters=1):
+    """Stimulus scores as a per-task loop: group the rows in a dict, sort
+    each task's raters and score it with scalar numpy calls.  Same
+    contract as `glba.scoring.image_scores`."""
+    from glba.ingest import DIMENSION_SCALES
+    from glba.scoring import ImageReport
+
+    if direction not in ("high", "low"):
+        raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
+    if dimension not in DIMENSION_SCALES:
+        raise ValueError(f"unknown dimension {dimension!r}")
+    lo, hi = DIMENSION_SCALES[dimension]
+
+    by_task = {}
+    for row in table.rows_for(dimension):
+        by_task.setdefault(row.task_id, []).append(row)
+
+    reports = []
+    for tid in sorted(by_task):
+        rows = sorted(by_task[tid], key=lambda r: r.subject_id)
+        if len(rows) < min_raters:
+            continue
+        missing = [r.subject_id for r in rows if r.subject_id not in params.position]
+        if missing:
+            raise ValueError(
+                f"task {tid!r}: no fitted parameters for rater(s) {', '.join(missing)}"
+            )
+        taus = np.array([params.tau[params.position[r.subject_id]] for r in rows])
+        raw = np.array([r.scores[dimension] for r in rows], dtype=float)
+        norm = (raw - lo) / (hi - lo)
+        if direction == "low":
+            norm = 1.0 - norm
+        confidence = float(1.0 - np.prod(1.0 - taus))
+        tau_total = float(taus.sum())
+        if tau_total > 0.0:
+            wm = float(np.dot(taus, norm) / tau_total)
+            defined = True
+        else:
+            wm = math.nan
+            defined = False
+        reports.append(
+            ImageReport(
+                task_id=tid,
+                adjusted_score=wm * confidence if defined else 0.0,
+                confidence=confidence,
+                weighted_mean=wm,
+                raw_mean=float(raw.mean()),
+                n_raters=len(rows),
+                weighted_mean_defined=defined,
+                dimension=dimension,
+                direction=direction,
+            )
+        )
+    reports.sort(key=lambda r: (-r.adjusted_score, r.task_id))
+    return reports
+
+
 def oracle_pair_indicators(task):
     """Indicators of a task as one character per ordered pair (i, j),
     i != j, row-major."""

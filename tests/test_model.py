@@ -216,6 +216,51 @@ def test_steps_reject_misaligned_inputs():
         m_step(graph, stats, params, Priors(), "paper")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tau", NAN, "tau must lie"),
+        ("alpha", NAN, "alpha and beta"),
+        ("beta", NAN, "alpha and beta"),
+        ("alpha", INF, "alpha and beta"),
+        ("beta", INF, "alpha and beta"),
+    ],
+)
+def test_steps_reject_non_finite_params(field, value, message):
+    graph = random_graph(np.random.default_rng(3), m=4, n=3, r_lo=2, r_hi=4)
+    params = params_for(graph, tau=0.5, alpha=1.0, beta=1.0)
+    stats = e_step(graph, params)
+    getattr(params, field)[1] = value
+    with pytest.raises(ValueError, match=message):
+        e_step(graph, params)
+    with pytest.raises(ValueError, match=message):
+        m_step(graph, stats, params, Priors())
+    with pytest.raises(ValueError, match=message):
+        log_posterior(params, Priors(), graph, stats)
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [
+        (Priors(tau0=NAN), "tau0 must lie"),
+        (Priors(s0=NAN), "s0 must be"),
+        (Priors(s0=INF), "s0 must be"),
+        (Priors(s0=-INF), "s0 must be"),
+    ],
+)
+def test_steps_reject_non_finite_priors(priors, message):
+    graph = random_graph(np.random.default_rng(3), m=4, n=3, r_lo=2, r_hi=4)
+    params = params_for(graph, tau=0.5, alpha=1.0, beta=1.0)
+    stats = e_step(graph, params)
+    with pytest.raises(ValueError, match=message):
+        m_step(graph, stats, params, priors)
+    with pytest.raises(ValueError, match=message):
+        log_posterior(params, priors, graph, stats)
+
+
 @pytest.mark.parametrize("include_self", [False, True])
 def test_estep_kernel_matches_scalar_oracles(include_self):
     # alpha~ - alpha = omega, beta~ - beta = psi - omega (weights tau), and

@@ -1,7 +1,13 @@
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glba.ingest import build_multigraph
+from glba.ingest import DIMENSION_SCALES, build_multigraph
 from glba.model import FitReport, ModelParams, Priors
 from glba.scoring import (
     ImageReport,
@@ -13,7 +19,7 @@ from glba.scoring import (
     precision_recall,
     rank_subjects,
 )
-from helpers import table_from_rows
+from helpers import oracle_image_scores, table_from_rows
 
 
 def fake_fit(subjects, tau, gamma, alpha=None, beta=None):
@@ -210,6 +216,100 @@ def test_image_adjusted_score_monotone_in_tau_above_mean():
         bumped[i] = min(1.0, bumped[i] + rng.uniform(0.01, 0.3))
         b1, _ = score(bumped)
         assert b1 >= b0 - 1e-12
+
+
+def _same(a, b):
+    """Equal in type and bits, NaN matching NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def assert_same_reports(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for f in dataclasses.fields(ImageReport):
+            a, b = getattr(g, f.name), getattr(e, f.name)
+            assert _same(a, b), (e.task_id, f.name, a, b)
+
+
+# Tau values with exact zeros (all-zero-tau tasks), exact ones and a few
+# shared values, so that adjusted scores tie.
+TAU_VALUES = st.one_of(
+    st.just(0.0), st.just(1.0), st.sampled_from([0.25, 0.5, 0.9]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def scored_inputs(draw):
+    """A shuffled ratings table with 1-9 raters per task, the params of a
+    subset of its raters (never the u* raters of the optional task t9) and
+    a scoring setup."""
+    dimension = draw(st.sampled_from(["valence", "likeness"]))
+    lo, hi = DIMENSION_SCALES[dimension]
+    rating = st.one_of(st.integers(int(lo), int(hi)).map(float), st.floats(lo, hi))
+    rows = []
+    for t in range(draw(st.integers(1, 8))):
+        raters = draw(st.permutations(range(12)))[: draw(st.integers(1, 9))]
+        rows += [(f"s{s:02d}", f"t{t}", {dimension: draw(rating)}) for s in raters]
+    if draw(st.booleans()):  # a copy of task t0 under another id ties with it
+        rows += [(s, "t00", scores) for s, t, scores in rows if t == "t0"]
+    if draw(st.booleans()):  # a small task with unfitted raters u*, kept or dropped
+        rows += [(f"u{i}", "t9", {dimension: draw(rating)}) for i in range(draw(st.integers(1, 3)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    raters = sorted({s for s, _, _ in rows if s[0] == "s"})
+    unfitted = draw(st.sets(st.sampled_from(raters), max_size=2)) if draw(st.booleans()) else set()
+    fitted = [s for s in raters if s not in unfitted]
+    params = ModelParams(
+        subjects=fitted,
+        tau=np.array(draw(st.lists(TAU_VALUES, min_size=len(fitted), max_size=len(fitted)))),
+        alpha=np.ones(len(fitted)),
+        beta=np.ones(len(fitted)),
+        gamma=0.37,
+    )
+    setup = dict(direction=draw(st.sampled_from(["high", "low"])), min_raters=draw(st.integers(1, 5)))
+    return table_from_rows(rows), dimension, params, setup
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_inputs())
+def test_image_scores_match_per_task_oracle(inputs):
+    table, dimension, params, setup = inputs
+    try:
+        expected = oracle_image_scores(table, dimension, params, **setup)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            image_scores(table, dimension, params, **setup)
+        assert str(got.value) == str(err)
+        return
+    assert_same_reports(image_scores(table, dimension, params, **setup), expected)
+
+
+def test_image_unfitted_raters_only_in_dropped_tasks_are_not_an_error():
+    rows = [(s, "t1", {"valence": 5.0}) for s in "abc"]
+    rows += [("zz", "t2", {"valence": 3.0}), ("a", "t2", {"valence": 4.0})]  # dropped at min_raters 3
+    params = ModelParams(
+        subjects=list("abc"), tau=np.array([0.2, 0.5, 0.9]), alpha=np.ones(3), beta=np.ones(3), gamma=0.37
+    )
+    table = table_from_rows(rows)
+    got = image_scores(table, "valence", params, min_raters=3)
+    assert [r.task_id for r in got] == ["t1"]
+    assert_same_reports(got, oracle_image_scores(table, "valence", params, min_raters=3))
+
+
+def test_image_unfitted_raters_named_for_first_kept_task_in_id_order():
+    rows = [(s, "t3", {"valence": 5.0}) for s in ("zz", "b", "ya")]
+    rows += [(s, "t2", {"valence": 5.0}) for s in ("zz", "a", "yb", "b")]
+    rows += [(s, "t1", {"valence": 5.0}) for s in ("xx", "a")]  # dropped at min_raters 3
+    params = ModelParams(subjects=["a", "b"], tau=np.ones(2), alpha=np.ones(2), beta=np.ones(2), gamma=0.37)
+    table = table_from_rows(rows)
+    message = "task 't2': no fitted parameters for rater(s) yb, zz"
+    for scorer in (image_scores, oracle_image_scores):
+        with pytest.raises(ValueError) as err:
+            scorer(table, "valence", params, min_raters=3)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
