@@ -20,12 +20,13 @@ from glba.simulate import sample_response_table
 # per stimulus, everyone rating seriously around each stimulus's latent
 # valence.
 table, _ = sample_response_table(40, 200, (4, 6), rating_sigma=1.0, seed=7)
-print(f"{len(table.rows)} responses from {len(table.subjects())} subjects")
+print(f"{len(table)} responses from {len(table.subjects())} subjects")
 
 # The percentile table of the pooled valence ratings.  Most mass sits
 # mid-scale, so equal absolute gaps can mean very different percentile
-# gaps.
-values = [r.scores["valence"] for r in table.rows_for("valence")]
+# gaps.  The table is columnar: one float per response (NaN where a
+# response has no valence rating), and `rated` masks the rated ones.
+values = table.ratings("valence")[table.rated("valence")]
 ptable = percentile_table(values, scale=sorted(set(values)))
 print("\ncumulative fractions:")
 for v in ptable.support:

@@ -53,7 +53,7 @@ print(f"mean duration:   top-{SPAMMERS} precision {time_prec:.2f} ({len(excluded
 # Overhead: labels removed when filtering subjects below a reliability
 # threshold.  Quality costs data; the curve quantifies how much.
 curve = overhead_curve(table, "valence", ranked, "subject-filter", [0.1, 0.3, 0.5, 0.7])
-total = len(table.rows_for("valence"))
+total = int(table.rated("valence").sum())
 print("\noverhead (subject filter):")
 for th, removed in curve:
     print(f"  tau < {th:.1f}: {removed:5d} of {total} labels removed")

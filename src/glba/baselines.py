@@ -3,6 +3,7 @@ and the average-time-duration ranking used by crowdsourcing hosts."""
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -72,13 +73,13 @@ def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     _check_nonnegative("threshold", threshold)
     if neutral is None:
         neutral = NEUTRAL_POINT[dimension]
+    rated = np.flatnonzero(table.rated(dimension)).tolist()
+    values = table.ratings(dimension)[rated]
+    # 0, 1, 2 for low, neutral, high: the thresholds of `categorize`.
+    at = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
+    sids, tids = table.subject_ids, table.task_ids
     rows = [
-        CategoricalRow(
-            subject_id=r.subject_id,
-            task_id=r.task_id,
-            category=categorize(r.scores[dimension], neutral, threshold),
-        )
-        for r in table.rows_for(dimension)
+        CategoricalRow(sids[i], tids[i], CATEGORIES[c]) for i, c in zip(rated, at.tolist())
     ]
     return CategoricalTable(rows=rows)
 
@@ -188,17 +189,16 @@ def duration_rank(table):
     as zero); rows missing both are skipped.  Returns (ranked, excluded)
     where `excluded` lists subjects with no timed rows at all.
     """
-    totals = {}
-    counts = {}
-    seen = set()
-    for r in table.rows:
-        seen.add(r.subject_id)
-        if r.view_seconds is None and r.label_seconds is None:
-            continue
-        secs = (r.view_seconds or 0.0) + (r.label_seconds or 0.0)
-        totals[r.subject_id] = totals.get(r.subject_id, 0.0) + secs
-        counts[r.subject_id] = counts.get(r.subject_id, 0) + 1
-    ranked = [(s, totals[s] / counts[s]) for s in totals]
-    ranked.sort(key=lambda x: (x[1], x[0]))
-    excluded = sorted(seen - set(totals))
+    view, label = table.view_seconds, table.label_seconds
+    missing_view, missing_label = np.isnan(view), np.isnan(label)
+    timed = ~(missing_view & missing_label)
+    secs = np.where(missing_view, 0.0, view) + np.where(missing_label, 0.0, label)
+    # bincount adds the timed rows in row order, as a loop over rows would.
+    who = table.subject_code[timed]
+    totals = np.bincount(who, weights=secs[timed], minlength=len(table.subject_index))
+    counts = np.bincount(who, minlength=len(table.subject_index))
+    has = counts > 0
+    means = (totals[has] / counts[has]).tolist()
+    ranked = sorted(zip(compress(table.subject_index, has), means), key=lambda x: (x[1], x[0]))
+    excluded = list(compress(table.subject_index, ~has))
     return ranked, excluded

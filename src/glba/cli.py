@@ -10,6 +10,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, baselines, ingest, model, scoring, simulate, textio
 
 EXIT_OK = 0
@@ -90,7 +92,7 @@ def cmd_build_graph(args):
     _manifest(args, "build-graph", [args.responses])
     sizes = graph.offsets[1:] - graph.offsets[:-1]
     edges = int(sizes @ (sizes - 1))
-    dropped = ingest._task_layout(table, args.dimension, args.min_raters).n_tasks - graph.n
+    dropped = np.unique(table.task_code[table.rated(args.dimension)]).size - graph.n
     print(f"{graph.n} tasks, {graph.m} subjects, {edges} edges")
     print(f"dropped {dropped} tasks with fewer than {args.min_raters} raters")
     print(f"wrote {path}")

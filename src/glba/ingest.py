@@ -1,5 +1,13 @@
 """Loading of rating tables and construction of per-task agreement multigraphs.
 
+A rating table is columnar: ``load_responses`` parses the CSV with
+``csv.reader``, transposes the records into one column per field, checks
+whole columns and returns a ResponseTable of id lists and float arrays (NaN
+marks a missing value).  Every reader in the library works on those
+columns; ``ResponseTable.rows`` gives the same table as ResponseRow records
+for callers that want them, and ``ResponseTable.from_rows`` packs records
+into columns.
+
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
 distributions.  The percentile table is computed once from the whole pool
@@ -12,7 +20,8 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -36,6 +45,8 @@ DEFAULT_MIN_RATERS = 4
 
 @dataclass
 class ResponseRow:
+    """One rating record: the form tables are built from and read back as."""
+
     subject_id: str
     task_id: str
     scores: dict  # dimension name -> float rating
@@ -43,18 +54,98 @@ class ResponseRow:
     label_seconds: float | None = None
 
 
-@dataclass
-class ResponseTable:
-    """Raw per-(subject, task) ordinal ratings, at most one row per pair."""
+# Marks a missing rating or timing in a ResponseTable column.  The loader
+# rejects a literal nan and ResponseTable.from_rows rejects a NaN value, so
+# in a column NaN only ever means "no value".
+MISSING = math.nan
 
-    rows: list
+
+@dataclass(eq=False)
+class ResponseTable:
+    """Raw per-(subject, task) ordinal ratings, at most one row per pair,
+    stored as columns in file order.
+
+    ``subject_ids`` and ``task_ids`` hold one id per row; ``scores`` maps a
+    dimension to one float per row and ``view_seconds``/``label_seconds``
+    hold one float per row, each MISSING (NaN) where the row has no value.
+    Derived on construction: ``subject_index``/``task_index``, the sorted
+    distinct ids, and ``subject_code``/``task_code``, each row's position
+    among them.  ``rows`` is a record view (ResponseRow per row), built on
+    first read; the library itself reads only the columns.
+    """
+
+    subject_ids: list
+    task_ids: list
+    scores: dict
+    view_seconds: np.ndarray
+    label_seconds: np.ndarray
+    subject_index: list = field(init=False, repr=False)
+    task_index: list = field(init=False, repr=False)
+    subject_code: np.ndarray = field(init=False, repr=False)
+    task_code: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.subject_ids)
+        self.scores = {dim: np.asarray(col, dtype=float) for dim, col in self.scores.items()}
+        self.view_seconds = np.asarray(self.view_seconds, dtype=float)
+        self.label_seconds = np.asarray(self.label_seconds, dtype=float)
+        columns = [self.task_ids, self.view_seconds, self.label_seconds, *self.scores.values()]
+        if any(len(col) != n for col in columns):
+            raise ValueError("response table columns differ in length")
+        self.subject_index, self.subject_code = _codes(self.subject_ids)
+        self.task_index, self.task_code = _codes(self.task_ids)
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Pack ResponseRow records into columns.  A dimension missing from a
+        row's ``scores`` and a timing of None become MISSING; a NaN rating or
+        timing raises ValueError naming the row (0-based)."""
+        rows = list(rows)
+        dims = list(dict.fromkeys(d for r in rows for d in r.scores))
+
+        def column(name, values):
+            nan = next((i for i, v in enumerate(values) if v is not None and v != v), None)
+            if nan is not None:
+                raise ValueError(f"row {nan}: NaN {name}")
+            return [MISSING if v is None else v for v in values]
+
+        return cls(
+            subject_ids=[r.subject_id for r in rows],
+            task_ids=[r.task_id for r in rows],
+            scores={d: column(d, [r.scores.get(d) for r in rows]) for d in dims},
+            view_seconds=column("view_seconds", [r.view_seconds for r in rows]),
+            label_seconds=column("label_seconds", [r.label_seconds for r in rows]),
+        )
+
+    def __len__(self):
+        return len(self.subject_ids)
+
+    def ratings(self, dimension):
+        """The `dimension` column, MISSING where a row has no rating (all
+        MISSING for a dimension the table does not carry)."""
+        col = self.scores.get(dimension)
+        return np.full(len(self), MISSING) if col is None else col
+
+    def rated(self, dimension):
+        """Mask of the rows that carry a rating for `dimension`."""
+        return ~np.isnan(self.ratings(dimension))
 
     def subjects(self):
-        return sorted({r.subject_id for r in self.rows})
+        return list(self.subject_index)
 
-    def rows_for(self, dimension):
-        """Rows that carry a rating for `dimension`."""
-        return [r for r in self.rows if r.scores.get(dimension) is not None]
+    @functools.cached_property
+    def rows(self):
+        """The table as ResponseRow records in file order (read-only)."""
+        dims = list(self.scores)
+        cells = zip(*(self.scores[d].tolist() for d in dims)) if dims else [()] * len(self)
+        view, label = (
+            [None if v != v else v for v in col.tolist()]
+            for col in (self.view_seconds, self.label_seconds)
+        )
+        return [
+            ResponseRow(s, t, {d: v for d, v in zip(dims, vals) if v == v}, vs, ls)
+            for s, t, vals, vs, ls in zip(self.subject_ids, self.task_ids, cells, view, label)
+        ]
 
 
 @dataclass
@@ -116,8 +207,18 @@ SizeGroup = namedtuple("SizeGroup", "tasks edges sidx dest")
 def _codes(ids):
     """The sorted distinct ids, and each id's position among them."""
     unique = sorted(set(ids))
-    pos = {s: i for i, s in enumerate(unique)}
-    return unique, np.fromiter(map(pos.__getitem__, ids), np.intp, len(ids))
+    pos = dict(zip(unique, range(len(unique))))
+    return unique, np.fromiter(map(pos.get, ids), np.intp, len(ids))
+
+
+def _size_blocks(offsets):
+    """Per rater count r, ascending, over the tasks of a task-major layout
+    (task k at slots offsets[k]:offsets[k+1]): the positions of the tasks
+    with r raters and their slots as a (G, r) array."""
+    sizes = np.diff(offsets)
+    for r in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == r)
+        yield members, offsets[members, None] + np.arange(r)
 
 
 @dataclass(eq=False)
@@ -155,8 +256,8 @@ class AgreementMultigraph:
         self.offsets = np.append(0, np.cumsum(sizes))
         self.degree = np.bincount(self.flat_sidx, minlength=len(self.subjects))
         self.groups = []
-        for r in np.unique(sizes).tolist():
-            members = np.flatnonzero(sizes == r)
+        for members, dest in _size_blocks(self.offsets):
+            r = dest.shape[1]
             try:
                 edges = np.stack([tasks[i].edges for i in members.tolist()])
             except ValueError:  # shapes differ
@@ -165,7 +266,6 @@ class AgreementMultigraph:
                 t = next(tasks[i] for i in members if np.shape(tasks[i].edges) != (r, r))
                 shape = np.shape(t.edges)
                 raise ValueError(f"task {t.task_id!r} has edges of shape {shape}, expected ({r}, {r})")
-            dest = self.offsets[members, None] + np.arange(r)
             sidx = self.flat_sidx[dest]
             ranked = np.sort(sidx, axis=1)
             for bad, what in (
@@ -242,74 +342,102 @@ def load_responses(path, schema=None):
         missing = [c for c in required if col(c) not in index]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        i_sid = index[col("subject_id")]
-        i_tid = index[col("task_id")]
-        dims = [(dim, index[col(dim)], *DIMENSION_SCALES[dim]) for dim in DIMENSIONS]
-        timing = [(name, index.get(col(name))) for name in ("view_seconds", "label_seconds")]
-        width = len(header)
+        # Blank lines are skipped and not counted: record j is row j + 2, as
+        # the header is row 1.
+        records = list(filter(None, reader))
 
-        rows = []
-        problems = []
-        seen = {}
-        # Blank lines are skipped and not counted; the header is line 1.
-        for lineno, rec in enumerate(filter(None, reader), start=2):
-            if len(rec) < width:  # a short row's missing fields read as empty
-                rec += [""] * (width - len(rec))
-            sid = rec[i_sid].strip()
-            tid = rec[i_tid].strip()
-            if not sid or not tid:
-                problems.append(f"row {lineno}: empty subject_id or task_id")
-                continue
-            bad_id = [c for c in "\t,\n" if c in sid + tid]
-            if bad_id:
-                problems.append(f"row {lineno}: subject/task id contains a reserved character")
-                continue
-            key = (sid, tid)
-            if key in seen:
-                problems.append(f"row {lineno}: duplicate (subject, task) pair {key}, first seen at row {seen[key]}")
-                continue
-            seen[key] = lineno
+    n, width = len(records), len(header)
+    if records and min(map(len, records)) < width:
+        for rec in records:  # a short row's missing fields read as empty
+            rec += [""] * (width - len(rec))
 
-            scores = {}
-            for dim, i, lo, hi in dims:
-                raw = rec[i].strip()
-                if raw == "":
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    problems.append(f"row {lineno}: unparseable {dim} value {raw!r}")
-                    continue
-                if not (lo <= value <= hi) or not math.isfinite(value):
-                    problems.append(f"row {lineno}: {dim} {value} outside [{lo:g}, {hi:g}]")
-                    continue
-                scores[dim] = value
+    def field(name):
+        """Column `name` as one raw field per record ("" when absent)."""
+        i = index.get(col(name))
+        return [""] * n if i is None else list(map(itemgetter(i), records))
 
-            seconds = []
-            for name, i in timing:
-                raw = "" if i is None else rec[i].strip()
-                value = None
-                if raw != "":
-                    try:
-                        value = float(raw)
-                    except ValueError:
-                        problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
-                    else:
-                        if not math.isfinite(value):
-                            problems.append(f"row {lineno}: non-finite {name} value {raw!r}")
-                            value = None
-                        elif value < 0:
-                            problems.append(f"row {lineno}: negative {name}")
-                            value = None
-                seconds.append(value)
+    names = list(DIMENSIONS) + ["view_seconds", "label_seconds"]
+    raws = [field(name) for name in names]
+    parsed = [_parse_floats(raw) for raw in raws]
+    sids, tids = (list(map(str.strip, field(name))) for name in ("subject_id", "task_id"))
+    *ratings, view, label = (values for _, values, _ in parsed)
+    table = ResponseTable(sids, tids, dict(zip(DIMENSIONS, ratings)), view, label)
 
-            rows.append(ResponseRow(sid, tid, scores, *seconds))
+    problems = []  # (record, column order, message); one per record and column
+    empty = ~(_flags(sids) & _flags(tids))
+    reserved = np.zeros(n, dtype=bool)
+    joined = "".join(sids) + "".join(tids)
+    if any(c in joined for c in "\t,\n"):
+        reserved = np.fromiter((any(c in s + t for c in "\t,\n") for s, t in zip(sids, tids)), bool, n)
+    reserved &= ~empty
+    problems += [(j, 0, f"row {j + 2}: empty subject_id or task_id") for j in np.flatnonzero(empty).tolist()]
+    problems += [
+        (j, 0, f"row {j + 2}: subject/task id contains a reserved character")
+        for j in np.flatnonzero(reserved).tolist()
+    ]
+    live = np.flatnonzero(~(empty | reserved))
+    # Each live row's (subject, task) pair, and the first live row with it.
+    pair = table.subject_code[live] * len(table.task_index) + table.task_code[live]
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    first = live[first][inverse]
+    for j, f in zip(live[first != live].tolist(), first[first != live].tolist()):
+        key = (sids[j], tids[j])
+        problems.append((j, 0, f"row {j + 2}: duplicate (subject, task) pair {key}, first seen at row {f + 2}"))
+    ok = np.zeros(n, dtype=bool)  # rows whose values are checked
+    ok[live[first == live]] = True
+
+    for order, (name, raw, (present, values, bad)) in enumerate(zip(names, raws, parsed), start=1):
+        checked = ok & present & ~bad
+        checks = [(ok & bad, lambda j: f"unparseable {name} value {raw[j].strip()!r}")]
+        if name in DIMENSION_SCALES:
+            lo, hi = DIMENSION_SCALES[name]
+            outside = checked & ~((lo <= values) & (values <= hi))
+            checks.append((outside, lambda j: f"{name} {float(values[j])} outside [{lo:g}, {hi:g}]"))
+        else:
+            finite = np.isfinite(values)
+            checks.append((checked & ~finite, lambda j: f"non-finite {name} value {raw[j].strip()!r}"))
+            checks.append((checked & finite & (values < 0), lambda j: f"negative {name}"))
+        for mask, message in checks:
+            problems += [(j, order, f"row {j + 2}: {message(j)}") for j in np.flatnonzero(mask).tolist()]
 
     if problems:
-        shown = "; ".join(problems[:20])
+        problems.sort(key=itemgetter(0, 1))
+        shown = "; ".join(p[2] for p in problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
-    return ResponseTable(rows=rows)
+    return table
+
+
+def _flags(strings):
+    """Whether each string is non-empty."""
+    return np.fromiter(map(bool, strings), bool, len(strings))
+
+
+def _parse_floats(raw):
+    """Parse raw fields as float() does after str.strip(): (mask of the
+    fields not blank, values with MISSING where a field is blank or does
+    not parse, mask of the fields that do not parse)."""
+    n = len(raw)
+    if not any(raw):  # an empty column
+        return np.zeros(n, dtype=bool), np.full(n, MISSING), np.zeros(n, dtype=bool)
+    try:  # float() ignores the surrounding whitespace it accepts
+        return np.ones(n, dtype=bool), np.fromiter(map(float, raw), float, n), np.zeros(n, dtype=bool)
+    except ValueError:
+        pass
+    raw = list(map(str.strip, raw))
+    present = _flags(raw)
+    values = np.full(n, MISSING)
+    bad = np.zeros(n, dtype=bool)
+    filled = list(compress(raw, present))
+    try:
+        values[present] = np.fromiter(map(float, filled), float, len(filled))
+    except ValueError:
+        for j, s in zip(np.flatnonzero(present).tolist(), filled):
+            try:
+                values[j] = float(s)
+            except ValueError:
+                bad[j] = True
+    return present, values, bad
 
 
 def _cumulative(at, size):
@@ -371,18 +499,20 @@ TaskLayout = namedtuple("TaskLayout", "task_ids offsets subjects scode ratings n
 
 
 def _task_layout(table, dimension, min_raters):
-    """TaskLayout from one stable lexsort of the rows by (task, rater) code."""
-    rows = table.rows_for(dimension)
-    task_ids, tcode = _codes([r.task_id for r in rows])
-    subjects, scode = _codes([r.subject_id for r in rows])
-    ratings = np.fromiter((r.scores[dimension] for r in rows), float, len(rows))
-    counts = np.bincount(tcode, minlength=len(task_ids))
+    """TaskLayout from one stable lexsort of the rated rows by (task, rater)
+    code, both re-coded to the ids that carry the dimension."""
+    rated = table.rated(dimension)
+    used_tasks, tcode = np.unique(table.task_code[rated], return_inverse=True)
+    used_subjects, scode = np.unique(table.subject_code[rated], return_inverse=True)
+    ratings = table.ratings(dimension)[rated]
+    counts = np.bincount(tcode, minlength=len(used_tasks))
     kept = counts >= min_raters
     order = np.lexsort((scode, tcode))
     order = order[kept[tcode[order]]]
-    kept_ids = [t for t, k in zip(task_ids, kept.tolist()) if k]
+    kept_ids = [table.task_index[t] for t in used_tasks[kept].tolist()]
     offsets = np.append(0, np.cumsum(counts[kept]))
-    return TaskLayout(kept_ids, offsets, subjects, scode[order], ratings[order], len(task_ids))
+    subjects = [table.subject_index[s] for s in used_subjects.tolist()]
+    return TaskLayout(kept_ids, offsets, subjects, scode[order], ratings[order], len(used_tasks))
 
 
 def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_MIN_RATERS):
@@ -407,7 +537,6 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
             f"no task has at least {min_raters} raters on {dimension!r}; nothing to build"
         )
 
-    offsets, sizes = layout.offsets, np.diff(layout.offsets)
     values, inverse = np.unique(layout.ratings, return_inverse=True)
     pool = np.fromiter(map(bin_rating, values.tolist()), float, len(values))[inverse]
     support = np.unique(pool)
@@ -423,11 +552,11 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
     ).astype(np.uint8)
 
     raters = list(map(layout.subjects.__getitem__, layout.scode.tolist()))
-    bounds = offsets.tolist()
-    tasks = [None] * len(sizes)
-    for k in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == k)
-        g = at[offsets[members, None] + np.arange(k)]
+    bounds = layout.offsets.tolist()
+    tasks = [None] * len(layout.task_ids)
+    for members, slots in _size_blocks(layout.offsets):
+        k = slots.shape[1]
+        g = at[slots]
         block = agrees[g[:, :, None], g[:, None, :]]
         block[:, np.arange(k), np.arange(k)] = 0
         for q, t in enumerate(members.tolist()):
@@ -443,21 +572,15 @@ def variance_ratio(table, dimension):
     the pooled ratings.  Values well below 1 indicate that raters disagree
     less on the same stimulus than across stimuli.
     """
-    rows = table.rows_for(dimension)
-    if not rows:
+    layout = _task_layout(table, dimension, 2)
+    if not layout.n_tasks:
         raise ValueError(f"no rows carry a rating for dimension {dimension!r}")
-    by_task = {}
-    for r in rows:
-        by_task.setdefault(r.task_id, []).append(r.scores[dimension])
-
-    within = [
-        float(np.var(np.asarray(vals, dtype=float)))
-        for tid, vals in sorted(by_task.items())
-        if len(vals) >= 2
-    ]
-    if not within:
+    if not layout.task_ids:
         raise ValueError("need at least one task with two or more ratings")
-    pooled = float(np.var(np.asarray([r.scores[dimension] for r in rows], dtype=float)))
+    within = np.empty(len(layout.task_ids))
+    for members, slots in _size_blocks(layout.offsets):
+        within[members] = np.var(layout.ratings[slots], axis=1)
+    pooled = float(np.var(table.ratings(dimension)[table.rated(dimension)]))
     if pooled == 0.0:
         raise ValueError("all ratings identical: cross-task variance is zero")
     return float(np.mean(within)) / pooled

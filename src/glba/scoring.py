@@ -5,12 +5,11 @@ rates; stimuli get a confidence-weighted adjusted score that discounts
 tasks whose raters were collectively unreliable.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES, _task_layout
+from .ingest import DIMENSION_SCALES, _size_blocks, _task_layout
 
 
 @dataclass
@@ -102,12 +101,14 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
     mean times the task confidence 1 - prod(1 - tau_i); a task whose
     raters all have zero reliability is reported with the weighted mean
     flagged undefined and an adjusted score of 0.  Sorted by adjusted
-    score descending.
+    score descending.  Raises ValueError if `params` fail
+    ModelParams.validate (a tau outside [0, 1], NaN or infinite values).
     """
     if direction not in ("high", "low"):
         raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
     if dimension not in DIMENSION_SCALES:
         raise ValueError(f"unknown dimension {dimension!r}")
+    params.validate()
     lo, hi = DIMENSION_SCALES[dimension]
     layout = _task_layout(table, dimension, min_raters)
     offsets, sizes = layout.offsets, np.diff(layout.offsets)
@@ -125,9 +126,7 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
 
     n = len(sizes)
     confidence, tau_total, dot, raw_mean = (np.empty(n) for _ in range(4))
-    for k in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == k)
-        slots = offsets[members, None] + np.arange(k)
+    for members, slots in _size_blocks(offsets):
         taus = tau[slots]
         confidence[members] = 1.0 - np.prod(1.0 - taus, axis=1)
         tau_total[members] = taus.sum(axis=1)
@@ -178,16 +177,16 @@ def overhead_curve(table, dimension, reports, mode, thresholds=None):
         raise ValueError(f"unknown overhead mode {mode!r}")
     if thresholds is None:
         thresholds = [round(0.05 * i, 2) for i in range(21)]
-    key, attr = ("subject_id", "tau_mean") if mode == "subject-filter" else ("task_id", "confidence")
+    if mode == "subject-filter":
+        key, attr, code, ids = "subject_id", "tau_mean", table.subject_code, table.subject_index
+    else:
+        key, attr, code, ids = "task_id", "confidence", table.task_code, table.task_index
     score_of = {getattr(r, key): getattr(r, attr) for r in reports}
-    labels_per = Counter(getattr(row, key) for row in table.rows_for(dimension))
-    keys = [(score_of[k], c) for k, c in labels_per.items() if k in score_of]
-
-    curve = []
-    for th in thresholds:
-        removed = sum(c for score, c in keys if score < th)
-        curve.append((float(th), int(removed)))
-    return curve
+    # Labels per id, and each id's score (NaN, never below a threshold, for
+    # an id without a report).
+    labels_per = np.bincount(code[table.rated(dimension)], minlength=len(ids))
+    scores = np.array([score_of.get(k, np.nan) for k in ids], dtype=float)
+    return [(float(th), int(labels_per[scores < th].sum())) for th in thresholds]
 
 
 def precision_recall(ranked, annotated, top_k=(20, 40, 60)):

@@ -13,8 +13,8 @@ import numpy as np
 
 from .ingest import (
     DIMENSION_SCALES,
+    MISSING,
     AgreementMultigraph,
-    ResponseRow,
     ResponseTable,
     TaskGraph,
 )
@@ -139,16 +139,17 @@ def inject_spammers(table, dimension, spec):
     from the crowd).  Returns (new_table, injected_ids).
     """
     spec.validate()
-    pool = np.array([r.scores[dimension] for r in table.rows_for(dimension)], dtype=float)
+    rated = table.rated(dimension)
+    pool = table.ratings(dimension)[rated]
     if pool.size == 0:
         raise ValueError(f"table has no ratings for dimension {dimension!r}")
-    task_ids = sorted({r.task_id for r in table.rows_for(dimension)})
+    task_ids = [table.task_index[t] for t in np.unique(table.task_code[rated]).tolist()]
     needed = spec.spammer_count * spec.tasks_per_spammer
     if needed > len(task_ids):
         raise ValueError(
             f"need {needed} distinct tasks for disjoint assignment, have {len(task_ids)}"
         )
-    existing = {r.subject_id for r in table.rows}
+    existing = set(table.subject_index)
     injected_ids = [f"spammer_{j:03d}" for j in range(spec.spammer_count)]
     clash = [s for s in injected_ids if s in existing]
     if clash:
@@ -156,15 +157,24 @@ def inject_spammers(table, dimension, spec):
 
     rng = _task_rng(spec.seed, 0)
     chosen = rng.choice(len(task_ids), size=needed, replace=False)
-    rows = list(table.rows)
+    sids, tids, ratings = [], [], []
     for j, sid in enumerate(injected_ids):
         block = chosen[j * spec.tasks_per_spammer : (j + 1) * spec.tasks_per_spammer]
         for t_idx in block:
-            rating = float(pool[rng.integers(pool.size)])
-            rows.append(
-                ResponseRow(subject_id=sid, task_id=task_ids[t_idx], scores={dimension: rating})
-            )
-    return ResponseTable(rows=rows), injected_ids
+            sids.append(sid)
+            tids.append(task_ids[t_idx])
+            ratings.append(float(pool[rng.integers(pool.size)]))
+    # The spammers' rows carry only `dimension`, without timings.
+    pad = np.full(needed, MISSING)
+    scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
+    new_table = ResponseTable(
+        table.subject_ids + sids,
+        table.task_ids + tids,
+        scores,
+        np.concatenate((table.view_seconds, pad)),
+        np.concatenate((table.label_seconds, pad)),
+    )
+    return new_table, injected_ids
 
 
 def sample_response_table(
@@ -195,37 +205,30 @@ def sample_response_table(
     bias = bias_rng.normal(0.0, bias_sigma, size=m) if bias_sigma > 0 else np.zeros(m)
     lo_r, hi_r = _rater_range(raters_per_task, m)
 
-    rows = []
+    sids, tids, view, label = [], [], [], []
+    scores = {dim: [] for dim in dimensions}
     for k in range(n):
         rng = _task_rng(seed, k)
         r = int(rng.integers(lo_r, hi_r + 1)) if hi_r > lo_r else lo_r
         members = np.sort(rng.choice(m, size=r, replace=False))
         serious = rng.random(r) < tau_true[members]
-        scores_by_member = [dict() for _ in range(r)]
+        task_scores = {}
         for dim in dimensions:
             lo, hi = DIMENSION_SCALES[dim]
             center = rng.uniform(lo, hi)
             noisy = np.rint(center + bias[members] + rng.normal(0.0, rating_sigma, size=r))
             noisy = np.clip(noisy, lo, hi)
             uniform = rng.integers(int(lo), int(hi) + 1, size=r).astype(float)
-            values = np.where(serious, noisy, uniform)
-            for pos in range(r):
-                scores_by_member[pos][dim] = float(values[pos])
-        for pos, i in enumerate(members):
-            view = label = None
-            if with_timing:
-                speed = 1.0 if serious[pos] else 0.6
-                view = round(float(rng.uniform(3.0, 10.0) * speed), 2)
-                label = round(float(rng.uniform(5.0, 20.0) * speed), 2)
-            rows.append(
-                ResponseRow(
-                    subject_id=subjects[i],
-                    task_id=f"t{k:05d}",
-                    scores=scores_by_member[pos],
-                    view_seconds=view,
-                    label_seconds=label,
-                )
-            )
-    table = ResponseTable(rows=rows)
+            task_scores[dim] = np.where(serious, noisy, uniform)
+        for dim, values in task_scores.items():
+            scores[dim].extend(values.tolist())
+        sids.extend(subjects[i] for i in members.tolist())
+        tids.extend([f"t{k:05d}"] * r)
+        for speed in np.where(serious, 1.0, 0.6).tolist() if with_timing else ():
+            view.append(round(float(rng.uniform(3.0, 10.0) * speed), 2))
+            label.append(round(float(rng.uniform(5.0, 20.0) * speed), 2))
+    if not with_timing:
+        view = label = [MISSING] * len(sids)
+    table = ResponseTable(sids, tids, scores, view, label)
     truth = {subjects[i]: float(tau_true[i]) for i in range(m)}
     return table, truth

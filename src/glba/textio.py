@@ -400,18 +400,21 @@ def write_overhead_curve(curve, mode, path):
 
 
 def write_responses(table, path):
+    """Write a ResponseTable as a ratings CSV, rows sorted by (subject, task)
+    with ties in table order; a missing value is an empty field."""
     cols = ["subject_id", "task_id"] + list(DIMENSIONS) + ["view_seconds", "label_seconds"]
+    order = np.lexsort((table.task_code, table.subject_code)).tolist()
+    cells = [[table.subject_ids[i] for i in order], [table.task_ids[i] for i in order]]
+    for col in [*map(table.ratings, DIMENSIONS), table.view_seconds, table.label_seconds]:
+        # Each distinct value (by bit pattern, so -0.0 keeps its sign) is
+        # formatted once.
+        distinct, at = np.unique(col[order].view(np.int64), return_inverse=True)
+        text = ["" if v != v else _fmt(v) for v in distinct.view(float).tolist()]
+        cells.append(list(map(text.__getitem__, at.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for row in sorted(table.rows, key=lambda r: (r.subject_id, r.task_id)):
-            rec = [row.subject_id, row.task_id]
-            for dim in DIMENSIONS:
-                v = row.scores.get(dim)
-                rec.append("" if v is None else _fmt(float(v)))
-            rec.append("" if row.view_seconds is None else _fmt(float(row.view_seconds)))
-            rec.append("" if row.label_seconds is None else _fmt(float(row.label_seconds)))
-            writer.writerow(rec)
+        writer.writerows(zip(*cells))
 
 
 def write_id_list(ids, path):

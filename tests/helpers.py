@@ -64,7 +64,12 @@ def table_from_rows(rows):
         out.append(
             ResponseRow(subject_id=s, task_id=t, scores=dict(scores), view_seconds=view, label_seconds=label)
         )
-    return ResponseTable(rows=out)
+    return ResponseTable.from_rows(out)
+
+
+def rated_rows(table, dimension):
+    """The records of `table` that carry a rating for `dimension`."""
+    return [r for r in table.rows if r.scores.get(dimension) is not None]
 
 
 def oracle_task_sums(task, weights, focal, include_self=False):
@@ -291,7 +296,7 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
     from glba.ingest import agree, bin_rating, percentile_table
 
     by_task = {}
-    for r in table.rows_for(dimension):
+    for r in rated_rows(table, dimension):
         by_task.setdefault(r.task_id, []).append(r)
     retained = {tid: rs for tid, rs in by_task.items() if len(rs) >= min_raters}
     pool = [bin_rating(r.scores[dimension]) for rs in retained.values() for r in rs]
@@ -325,7 +330,7 @@ def oracle_image_scores(table, dimension, params, direction="high", min_raters=1
     lo, hi = DIMENSION_SCALES[dimension]
 
     by_task = {}
-    for row in table.rows_for(dimension):
+    for row in rated_rows(table, dimension):
         by_task.setdefault(row.task_id, []).append(row)
 
     reports = []
@@ -467,4 +472,85 @@ def oracle_load_responses(path, schema=None):
         shown = "; ".join(problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
-    return ResponseTable(rows=rows)
+    return ResponseTable.from_rows(rows)
+
+
+def oracle_duration_rank(table):
+    """Mean-duration ranking as a loop over the records.  Same contract as
+    `glba.baselines.duration_rank`."""
+    totals = {}
+    counts = {}
+    seen = set()
+    for r in table.rows:
+        seen.add(r.subject_id)
+        if r.view_seconds is None and r.label_seconds is None:
+            continue
+        secs = (r.view_seconds or 0.0) + (r.label_seconds or 0.0)
+        totals[r.subject_id] = totals.get(r.subject_id, 0.0) + secs
+        counts[r.subject_id] = counts.get(r.subject_id, 0) + 1
+    ranked = [(s, totals[s] / counts[s]) for s in totals]
+    ranked.sort(key=lambda x: (x[1], x[0]))
+    excluded = sorted(seen - set(totals))
+    return ranked, excluded
+
+
+def oracle_categorize_table(table, dimension, neutral=None, threshold=0.5):
+    """Categorical labels as one scalar `categorize` call per record.  Same
+    contract as `glba.baselines.categorize_table`."""
+    from glba.baselines import NEUTRAL_POINT, CategoricalRow, CategoricalTable, _check_nonnegative, categorize
+
+    _check_nonnegative("threshold", threshold)
+    if neutral is None:
+        neutral = NEUTRAL_POINT[dimension]
+    rows = [
+        CategoricalRow(
+            subject_id=r.subject_id,
+            task_id=r.task_id,
+            category=categorize(r.scores[dimension], neutral, threshold),
+        )
+        for r in rated_rows(table, dimension)
+    ]
+    return CategoricalTable(rows=rows)
+
+
+def oracle_overhead_curve(table, dimension, reports, mode, thresholds=None):
+    """Labels removed per threshold from a Counter over the records.  Same
+    contract as `glba.scoring.overhead_curve`."""
+    from collections import Counter
+
+    if mode not in ("subject-filter", "image-filter"):
+        raise ValueError(f"unknown overhead mode {mode!r}")
+    if thresholds is None:
+        thresholds = [round(0.05 * i, 2) for i in range(21)]
+    key, attr = ("subject_id", "tau_mean") if mode == "subject-filter" else ("task_id", "confidence")
+    score_of = {getattr(r, key): getattr(r, attr) for r in reports}
+    labels_per = Counter(getattr(row, key) for row in rated_rows(table, dimension))
+    keys = [(score_of[k], c) for k, c in labels_per.items() if k in score_of]
+
+    curve = []
+    for th in thresholds:
+        removed = sum(c for score, c in keys if score < th)
+        curve.append((float(th), int(removed)))
+    return curve
+
+
+def oracle_write_responses(table, path):
+    """The ratings CSV written record by record.  Same bytes as
+    `glba.textio.write_responses`."""
+    import csv
+
+    from glba.ingest import DIMENSIONS
+    from glba.textio import _fmt
+
+    cols = ["subject_id", "task_id"] + list(DIMENSIONS) + ["view_seconds", "label_seconds"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in sorted(table.rows, key=lambda r: (r.subject_id, r.task_id)):
+            rec = [row.subject_id, row.task_id]
+            for dim in DIMENSIONS:
+                v = row.scores.get(dim)
+                rec.append("" if v is None else _fmt(float(v)))
+            rec.append("" if row.view_seconds is None else _fmt(float(row.view_seconds)))
+            rec.append("" if row.label_seconds is None else _fmt(float(row.label_seconds)))
+            writer.writerow(rec)

@@ -1,7 +1,10 @@
 import filecmp
 import os
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glba.cli import main
 from glba.model import FitConfig, fit
@@ -299,6 +302,34 @@ def test_pipeline_outputs_byte_identical(tmp_path):
     _pipeline(csv_path, out2)
     for name in os.listdir(out1):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+ORDER_FREE = ["graph.tsv", "fit_0.37.tsv", "images_high.tsv", "images_low.tsv"]
+
+
+def _order_free_outputs(csv_path, out):
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("max_iter = 40\neb_max_rounds = 2\n")
+    assert run(["build-graph", csv_path, "--out", out]) == 0
+    assert run(["fit", out / "graph.tsv", "--gamma", 0.37, "--config", cfg, "--out", out]) == 0
+    for direction in ("high", "low"):
+        assert run(["images", csv_path, out / "fit_0.37.tsv", "--direction", direction, "--out", out]) == 0
+    return {name: (out / name).read_bytes() for name in ORDER_FREE}
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), blanks=st.lists(st.integers(0, 10_000), max_size=5))
+def test_outputs_ignore_ratings_row_order(ratings_csv, tmp_path, seed, blanks):
+    # Shuffling the data rows of a ratings CSV and adding blank lines changes
+    # no graph, fit report or stimulus table.
+    header, *rows = open(ratings_csv, encoding="utf-8").read().splitlines(keepends=True)
+    np.random.default_rng(seed).shuffle(rows)
+    for at in blanks:
+        rows.insert(at % (len(rows) + 1), "\n")
+    shuffled = tmp_path / f"shuffled-{seed}.csv"
+    shuffled.write_text(header + "".join(rows), encoding="utf-8")
+    want = _order_free_outputs(ratings_csv, tmp_path / f"want-{seed}")
+    assert _order_free_outputs(shuffled, tmp_path / f"got-{seed}") == want
 
 
 def test_fit_gamma_grid_writes_one_file_per_value(tmp_path):

@@ -1,12 +1,16 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from glba.baselines import categorize_table, duration_rank
 from glba.ingest import (
+    DIMENSION_SCALES,
     AgreementMultigraph,
+    ResponseTable,
     TaskGraph,
     agree,
     bin_rating,
@@ -16,10 +20,16 @@ from glba.ingest import (
     variance_ratio,
 )
 from glba.model import FitConfig, fit
+from glba.scoring import overhead_curve
+from glba.textio import write_responses
 from helpers import (
     make_task,
     oracle_build_multigraph,
+    oracle_categorize_table,
+    oracle_duration_rank,
     oracle_load_responses,
+    oracle_overhead_curve,
+    oracle_write_responses,
     random_graph,
     table_from_rows,
 )
@@ -587,3 +597,92 @@ def test_variance_ratio_needs_multirater_task():
     table = rows_for_tasks({"t1": {"a": 5}, "t2": {"b": 7}})
     with pytest.raises(ValueError, match="two or more"):
         variance_ratio(table, "valence")
+
+
+# ---------------------------------------------------------------------------
+# Columnar ResponseTable and its readers
+# ---------------------------------------------------------------------------
+
+
+def test_table_columns_and_record_view():
+    table = table_from_rows(
+        [("b", "t1", {"valence": 5, "likeness": 2.5}, 1.5), ("a", "t2", {"arousal": 3.0}, None, 0.0)]
+    )
+    assert table.subject_ids == ["b", "a"] and table.task_ids == ["t1", "t2"]
+    assert table.subject_index == ["a", "b"] and table.subject_code.tolist() == [1, 0]
+    assert np.array_equal(table.ratings("valence"), [5.0, np.nan], equal_nan=True)
+    assert np.isnan(table.ratings("dominance")).all()
+    assert np.array_equal(table.view_seconds, [1.5, np.nan], equal_nan=True)
+    assert [(r.subject_id, r.scores, r.view_seconds, r.label_seconds) for r in table.rows] == [
+        ("b", {"valence": 5.0, "likeness": 2.5}, 1.5, None),
+        ("a", {"arousal": 3.0}, None, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("row", [("a", "t1", {"valence": float("nan")}), ("a", "t1", {}, float("nan"))])
+def test_table_from_rows_rejects_nan(row):
+    # NaN marks a missing value in a column, so a record may not carry one
+    with pytest.raises(ValueError, match="row 1: NaN"):
+        table_from_rows([("b", "t1", {"valence": 5.0}), row])
+
+
+def test_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        ResponseTable(["a"], ["t1"], {"valence": [5.0, 6.0]}, [1.0], [1.0])
+
+
+TIMINGS = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0]), st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def timed_tables(draw):
+    """Records with unique (subject, task) pairs, every dimension missing
+    on some rows, missing or zero timings, and subject "u" untimed."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "u", "zz"]), st.sampled_from(["t1", "t2", "t3", "t4"])),
+            unique=True,
+            max_size=16,
+        )
+    )
+    rows = []
+    for s, t in pairs:
+        scores = {}
+        for dim in ("valence", "likeness"):
+            lo, hi = DIMENSION_SCALES[dim]
+            value = draw(st.one_of(st.none(), st.integers(int(lo * 10), int(hi * 10)).map(lambda v: v / 10)))
+            if value is not None:
+                scores[dim] = value
+        view, label = (None, None) if s == "u" else (draw(TIMINGS), draw(TIMINGS))
+        rows.append((s, t, scores, view, label))
+    return table_from_rows(rows)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    table=timed_tables(),
+    dimension=st.sampled_from(["valence", "likeness", "arousal"]),
+    threshold=st.sampled_from([0.0, 0.5, 2.0]),
+    scores=st.dictionaries(
+        st.sampled_from(["a", "b", "u", "t1", "t2", "t4", "nobody"]),
+        st.sampled_from([0.0, 0.1, 0.35, 0.5, 0.95, 1.0, float("nan")]),
+    ),
+)
+def test_readers_match_record_loop_oracles(tmp_path, table, dimension, threshold, scores):
+    assert repr(duration_rank(table)) == repr(oracle_duration_rank(table))
+    got = categorize_table(table, dimension, threshold=threshold)
+    assert got.rows == oracle_categorize_table(table, dimension, threshold=threshold).rows
+    for mode, key, attr in (("subject-filter", "subject_id", "tau_mean"), ("image-filter", "task_id", "confidence")):
+        reports = [SimpleNamespace(**{key: k, attr: v}) for k, v in scores.items()]
+        want = oracle_overhead_curve(table, dimension, reports, mode)
+        assert overhead_curve(table, dimension, reports, mode) == want
+    write_responses(table, tmp_path / "got.csv")
+    oracle_write_responses(table, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # The file loads back to the same rows, and writes back to the same bytes.
+    back = load_responses(str(tmp_path / "got.csv"))
+    assert sorted(row_tuples(back)) == sorted(row_tuples(table))
+    write_responses(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "got.csv").read_bytes()

@@ -19,7 +19,7 @@ from glba.scoring import (
     precision_recall,
     rank_subjects,
 )
-from helpers import oracle_image_scores, table_from_rows
+from helpers import oracle_image_scores, rated_rows, table_from_rows
 
 
 def fake_fit(subjects, tau, gamma, alpha=None, beta=None):
@@ -174,6 +174,17 @@ def test_image_missing_params_is_error():
         subjects=["a"], tau=np.array([0.5]), alpha=np.ones(1), beta=np.ones(1), gamma=0.37
     )
     with pytest.raises(ValueError, match="zz"):
+        image_scores(table, "valence", params)
+
+
+@pytest.mark.parametrize("tau", [1.5, np.nan, np.inf])
+def test_image_rejects_invalid_params(tau):
+    # unchecked, these score a confidence of 1.25, NaN, or inf with a NaN score
+    table = table_single_task({"a": 5.0, "b": 6.0})
+    params = ModelParams(
+        subjects=["a", "b"], tau=np.array([tau, 0.5]), alpha=np.ones(2), beta=np.ones(2), gamma=0.37
+    )
+    with pytest.raises(ValueError, match="tau must lie in"):
         image_scores(table, "valence", params)
 
 
@@ -379,7 +390,7 @@ def test_overhead_above_one_removes_everything():
     table = overhead_table(rng)
     reports = [_subject_report(s, 0.5) for s in table.subjects()]
     curve = overhead_curve(table, "valence", reports, "subject-filter", [1.0 + 1e-9])
-    assert curve[0][1] == len(table.rows_for("valence"))
+    assert curve[0][1] == len(rated_rows(table, "valence"))
 
 
 def test_overhead_matches_brute_force_and_is_monotone():
@@ -392,14 +403,14 @@ def test_overhead_matches_brute_force_and_is_monotone():
     removed = [c for _, c in curve]
     assert removed == sorted(removed)
     for th, got in curve:
-        expected = sum(1 for r in table.rows_for("valence") if taus[r.subject_id] < th)
+        expected = sum(1 for r in rated_rows(table, "valence") if taus[r.subject_id] < th)
         assert got == expected
 
 
 def test_overhead_image_mode_brute_force():
     rng = np.random.default_rng(34)
     table = overhead_table(rng)
-    tasks = sorted({r.task_id for r in table.rows_for("valence")})
+    tasks = sorted({r.task_id for r in rated_rows(table, "valence")})
     confs = {t: float(rng.uniform(0, 1)) for t in tasks}
     reports = [
         ImageReport(
@@ -415,7 +426,7 @@ def test_overhead_image_mode_brute_force():
     ]
     curve = overhead_curve(table, "valence", reports, "image-filter", [0.3, 0.7])
     for th, got in curve:
-        expected = sum(1 for r in table.rows_for("valence") if confs[r.task_id] < th)
+        expected = sum(1 for r in rated_rows(table, "valence") if confs[r.task_id] < th)
         assert got == expected
 
 

@@ -12,6 +12,7 @@ from glba.simulate import (
     sample_response_table,
 )
 from glba.textio import pair_indicators
+from helpers import rated_rows
 
 
 def graph_signature(graph):
@@ -146,7 +147,7 @@ def test_inject_matches_population_marginal():
     injected = np.array(
         [r.scores["valence"] for r in new_table.rows if r.subject_id in set(ids)]
     )
-    pool = np.array([r.scores["valence"] for r in table.rows_for("valence")])
+    pool = np.array([r.scores["valence"] for r in rated_rows(table, "valence")])
     values = np.unique(pool)
     expected = np.array([(pool == v).mean() for v in values]) * injected.size
     observed = np.array([(injected == v).sum() for v in values])
