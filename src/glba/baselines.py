@@ -96,10 +96,10 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     the observed-data log-likelihood plus the smoothing pseudo-count
     prior, the quantity the smoothed EM ascends monotonically.
 
-    Rows are sorted by task with a stable sort, so every sum and product
-    runs in the order of a per-task loop over labels in input order:
-    `add.at` and `cumsum` add in sequence, and the E-step multiplies one
-    within-task position at a time.
+    Rows are sorted by (task, subject) with a stable sort, so every sum
+    and product runs in the order of a per-task loop over labels in subject
+    order, whatever the order of the rows: `add.at` and `cumsum` add in
+    sequence, and the E-step multiplies one within-task position at a time.
     """
     if not table.rows:
         raise ValueError("empty categorical table")
@@ -116,7 +116,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
         [(s_pos[r.subject_id], t_pos[r.task_id], cat_pos[r.category]) for r in table.rows],
         dtype=np.intp,
     )
-    row_s, row_t, row_c = codes[np.argsort(codes[:, 1], kind="stable")].T
+    row_s, row_t, row_c = codes[np.argsort(codes[:, 1] * len(subjects) + codes[:, 0], kind="stable")].T
     n_tasks = len(task_ids)
     within = np.arange(len(row_t)) - np.searchsorted(row_t, row_t)
     # Per within-task position: the tasks that reach it, with that label's
@@ -193,9 +193,12 @@ def duration_rank(table):
     missing_view, missing_label = np.isnan(view), np.isnan(label)
     timed = ~(missing_view & missing_label)
     secs = np.where(missing_view, 0.0, view) + np.where(missing_label, 0.0, label)
-    # bincount adds the timed rows in row order, as a loop over rows would.
-    who = table.subject_code[timed]
-    totals = np.bincount(who, weights=secs[timed], minlength=len(table.subject_index))
+    # bincount adds the timed rows in (subject, task) order, as a loop over
+    # the sorted rows would, so the sums do not depend on the row order.
+    order = np.argsort(table.subject_code * len(table.task_index) + table.task_code, kind="stable")
+    order = order[timed[order]]
+    who = table.subject_code[order]
+    totals = np.bincount(who, weights=secs[order], minlength=len(table.subject_index))
     counts = np.bincount(who, minlength=len(table.subject_index))
     has = counts > 0
     means = (totals[has] / counts[has]).tolist()

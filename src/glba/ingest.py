@@ -13,15 +13,24 @@ terms rather than in absolute value: the rule adapts to non-uniform rating
 distributions.  The percentile table is computed once from the whole pool
 of retained answers for a dimension, and every ordered rater pair within a
 task receives a binary agreement indicator.
+
+A multigraph has one packed form: ``AgreementMultigraph`` takes the task
+ids, each task's rater count, the rater ids and the pair indicators as flat
+task-major arrays, checks them and stacks each rater-count group into one
+indicator block.  ``build_multigraph`` gathers the indicators straight into
+that form; ``AgreementMultigraph.from_tasks`` packs TaskGraph records and
+``AgreementMultigraph.tasks`` gives the graph back as records, for callers
+that want them.
 """
 
 import csv
 import functools
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter, gt, itemgetter
 
 import numpy as np
 
@@ -183,7 +192,9 @@ class PercentileTable:
 
 @dataclass
 class TaskGraph:
-    """Agreement indicators for one task over its ordered rater list.
+    """Agreement indicators for one task over its ordered rater list: the
+    record form that AgreementMultigraph.from_tasks packs and
+    AgreementMultigraph.tasks gives back.
 
     ``edges[a, b]`` is the indicator for the ordered pair
     (subjects[a], subjects[b]); the diagonal is unused and kept at zero.
@@ -211,6 +222,12 @@ def _codes(ids):
     return unique, np.fromiter(map(pos.get, ids), np.intp, len(ids))
 
 
+def _commented(ids):
+    """The range of the sorted `ids` that begin with '#', the mark of a
+    comment line in every text format (so such an id would not read back)."""
+    return bisect_left(ids, "#"), bisect_left(ids, "$")
+
+
 def _size_blocks(offsets):
     """Per rater count r, ascending, over the tasks of a task-major layout
     (task k at slots offsets[k]:offsets[k+1]): the positions of the tasks
@@ -221,62 +238,129 @@ def _size_blocks(offsets):
         yield members, offsets[members, None] + np.arange(r)
 
 
-@dataclass(eq=False)
+@functools.lru_cache(maxsize=None)
+def _offdiag(r):
+    """Boolean mask of the ordered pairs (i, j), i != j, of r raters
+    (read-only: every caller shares it)."""
+    mask = ~np.eye(r, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _segments(lengths, order):
+    """Positions, in a layout of consecutive segments of `lengths`, of the
+    segments listed in `order`, concatenated in that order."""
+    picked = lengths[order]
+    shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(picked) - picked)
+    return np.repeat(shift, picked) + np.arange(picked.sum())
+
+
 class AgreementMultigraph:
     """Task graphs over one global subject list, checked and packed once.
 
-    Built from the task graphs alone: sorts them by task id, derives
-    ``subjects`` and lays every (task, rater) slot out task-major, as
-    ``offsets`` per task, ``flat_sidx`` (global rater index per slot),
+    Built from packed fields: the task ids, in any order; each task's
+    rater count; the rater ids, task-major; and the 0/1 indicators as
+    uint8, task-major and row-major over the ordered rater pairs (i, j),
+    i != j (the order graph files store them in).  Sorts the tasks by id,
+    derives ``subjects`` and lays every (task, rater) slot out task-major,
+    as ``offsets`` per task, ``flat_sidx`` (global rater index per slot),
     ``groups`` (a SizeGroup per rater count, ascending) and ``degree``
     (tasks per subject); ``blocks`` adds the groups' float forms on first
     use.  Raises ValueError naming the task on an empty or duplicate task
-    id, an empty or repeated subject id, edges not of shape (r, r), an
-    indicator other than 0 or 1, or a nonzero diagonal.
+    id, an empty or repeated subject id, and a task or subject id that
+    begins with '#'.
+
+    ``from_tasks`` packs TaskGraph records and ``tasks`` gives them back;
+    the library itself reads only the packed fields.
     """
 
-    tasks: list  # TaskGraph, sorted by task_id
-    subjects: list = field(init=False)  # sorted union of the raters
-    offsets: np.ndarray = field(init=False, repr=False)
-    flat_sidx: np.ndarray = field(init=False, repr=False)
-    groups: list = field(init=False, repr=False)
-    degree: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        tasks = self.tasks = sorted(self.tasks, key=attrgetter("task_id"))
-        ids = [t.task_id for t in tasks]
+    def __init__(self, task_ids, sizes, raters, indicators):
+        ids = list(task_ids)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        raters = list(raters)
+        flags = np.asarray(indicators, dtype=np.uint8)
+        pairs = sizes * (sizes - 1)
+        if len(sizes) != len(ids) or sizes.sum() != len(raters) or pairs.sum() != len(flags):
+            raise ValueError("task ids, rater counts, raters and indicators differ in length")
+        if any(map(gt, ids, ids[1:])):
+            order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+            ids = list(map(ids.__getitem__, order.tolist()))
+            raters = list(map(raters.__getitem__, _segments(sizes, order).tolist()))
+            flags = flags[_segments(pairs, order)]
+            sizes, pairs = sizes[order], pairs[order]
         if ids and not ids[0]:
-            raise ValueError(f"empty task id (raters {','.join(tasks[0].subjects)})")
+            raise ValueError(f"empty task id (raters {','.join(raters[: sizes[0]])})")
         for a, b in zip(ids, ids[1:]):
             if a == b:
                 raise ValueError(f"duplicate task id {a!r}")
-        self.subjects, self.flat_sidx = _codes([s for t in tasks for s in t.subjects])
+        self.task_ids = ids
+        self.subjects, self.flat_sidx = _codes(raters)
         empty = 0 if self.subjects[:1] == [""] else -1  # "" sorts first
-        sizes = np.array([len(t.subjects) for t in tasks], dtype=np.intp)
         self.offsets = np.append(0, np.cumsum(sizes))
         self.degree = np.bincount(self.flat_sidx, minlength=len(self.subjects))
+        starts = np.cumsum(pairs) - pairs  # each task's first indicator
         self.groups = []
         for members, dest in _size_blocks(self.offsets):
             r = dest.shape[1]
-            try:
-                edges = np.stack([tasks[i].edges for i in members.tolist()])
-            except ValueError:  # shapes differ
-                edges = None
-            if edges is None or edges.shape[1:] != (r, r):
-                t = next(tasks[i] for i in members if np.shape(tasks[i].edges) != (r, r))
-                shape = np.shape(t.edges)
-                raise ValueError(f"task {t.task_id!r} has edges of shape {shape}, expected ({r}, {r})")
             sidx = self.flat_sidx[dest]
             ranked = np.sort(sidx, axis=1)
             for bad, what in (
                 ((sidx == empty).any(axis=1), "has an empty subject id"),
                 ((ranked[:, 1:] == ranked[:, :-1]).any(axis=1), "lists a subject more than once"),
-                (((edges != 0) & (edges != 1)).any(axis=(1, 2)), "has an indicator other than 0 or 1"),
-                (np.einsum("gii->gi", edges).any(axis=1), "has a nonzero diagonal"),
             ):
                 if bad.any():
                     raise ValueError(f"task {ids[members[bad.argmax()]]!r} {what}")
-            self.groups.append(SizeGroup(members, edges.astype(np.uint8), sidx, dest))
+            edges = np.zeros((len(members), r, r), dtype=np.uint8)
+            edges[:, _offdiag(r)] = flags[starts[members, None] + np.arange(r * (r - 1))]
+            self.groups.append(SizeGroup(members, edges, sidx, dest))
+        lo, hi = _commented(ids)
+        if lo < hi:
+            raise ValueError(f"task {ids[lo]!r} begins with '#', which marks a comment line")
+        lo, hi = _commented(self.subjects)
+        if lo < hi:
+            slot = np.flatnonzero((self.flat_sidx >= lo) & (self.flat_sidx < hi))[0]
+            k = int(np.searchsorted(self.offsets, slot, side="right")) - 1
+            raise ValueError(f"task {ids[k]!r} has a subject id that begins with '#'")
+
+    @classmethod
+    def from_tasks(cls, tasks):
+        """Pack TaskGraph records, in any order.  Besides what the
+        constructor rejects, raises ValueError naming the task on edges not
+        of shape (r, r), an indicator other than 0 or 1 (of any dtype) and
+        a nonzero diagonal."""
+        tasks = sorted(tasks, key=attrgetter("task_id"))
+        flags = []
+        for t in tasks:
+            r = len(t.subjects)
+            edges = np.asarray(t.edges)
+            if edges.shape != (r, r):
+                raise ValueError(f"task {t.task_id!r} has edges of shape {edges.shape}, expected ({r}, {r})")
+            if ((edges != 0) & (edges != 1)).any():
+                raise ValueError(f"task {t.task_id!r} has an indicator other than 0 or 1")
+            if np.diagonal(edges).any():
+                raise ValueError(f"task {t.task_id!r} has a nonzero diagonal")
+            flags.append(edges[_offdiag(r)])
+        return cls(
+            [t.task_id for t in tasks],
+            [len(t.subjects) for t in tasks],
+            [s for t in tasks for s in t.subjects],
+            np.concatenate(flags) if flags else [],
+        )
+
+    @functools.cached_property
+    def tasks(self):
+        """The graph as TaskGraph records in task order, built on first read
+        (read-only: each record's edges view the packed indicators)."""
+        names = list(map(self.subjects.__getitem__, self.flat_sidx.tolist()))
+        bounds = self.offsets.tolist()
+        edges = [None] * self.n
+        for g in self.groups:
+            for k, e in zip(g.tasks.tolist(), g.edges):
+                e.flags.writeable = False
+                edges[k] = e
+        return tuple(
+            TaskGraph(t, names[a:b], e) for t, a, b, e in zip(self.task_ids, bounds, bounds[1:], edges)
+        )
 
     @functools.cached_property
     def blocks(self):
@@ -299,7 +383,7 @@ class AgreementMultigraph:
 
     @property
     def n(self):
-        return len(self.tasks)
+        return len(self.task_ids)
 
 
 def bin_rating(value, decimals=BIN_DECIMALS):
@@ -322,8 +406,10 @@ def load_responses(path, schema=None):
     Raises
     ------
     ValueError
-        On a missing required column, a duplicated (subject, task) pair,
-        an unparseable number, a rating outside its scale, or a negative or
+        On a missing required column, an empty id, an id holding a tab,
+        comma or newline or beginning with '#' (which marks a comment line
+        in the text formats), a duplicated (subject, task) pair, an
+        unparseable number, a rating outside its scale, or a negative or
         non-finite timing.  The message names the offending rows.
     """
     schema = schema or {}
@@ -370,12 +456,19 @@ def load_responses(path, schema=None):
     if any(c in joined for c in "\t,\n"):
         reserved = np.fromiter((any(c in s + t for c in "\t,\n") for s, t in zip(sids, tids)), bool, n)
     reserved &= ~empty
-    problems += [(j, 0, f"row {j + 2}: empty subject_id or task_id") for j in np.flatnonzero(empty).tolist()]
-    problems += [
-        (j, 0, f"row {j + 2}: subject/task id contains a reserved character")
-        for j in np.flatnonzero(reserved).tolist()
-    ]
-    live = np.flatnonzero(~(empty | reserved))
+    commented = np.zeros(n, dtype=bool)
+    for index, code in ((table.subject_index, table.subject_code), (table.task_index, table.task_code)):
+        lo, hi = _commented(index)
+        if lo < hi:
+            commented |= (lo <= code) & (code < hi)
+    commented &= ~(empty | reserved)
+    for mask, message in (
+        (empty, "empty subject_id or task_id"),
+        (reserved, "subject/task id contains a reserved character"),
+        (commented, "subject/task id begins with '#', which marks a comment line"),
+    ):
+        problems += [(j, 0, f"row {j + 2}: {message}") for j in np.flatnonzero(mask).tolist()]
+    live = np.flatnonzero(~(empty | reserved | commented))
     # Each live row's (subject, task) pair, and the first live row with it.
     pair = table.subject_code[live] * len(table.task_index) + table.task_code[live]
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
@@ -551,17 +644,18 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
         cdf[:, None], cdf[None, :], cdf_after[:, None], cdf_after[None, :], delta
     ).astype(np.uint8)
 
-    raters = list(map(layout.subjects.__getitem__, layout.scode.tolist()))
-    bounds = layout.offsets.tolist()
-    tasks = [None] * len(layout.task_ids)
+    # Each rater-count group's indicators, gathered from the table straight
+    # into the flat task-major layout over ordered pairs (i, j), i != j.
+    sizes = np.diff(layout.offsets)
+    pairs = sizes * (sizes - 1)
+    starts = np.cumsum(pairs) - pairs
+    flags = np.empty(pairs.sum(), dtype=np.uint8)
     for members, slots in _size_blocks(layout.offsets):
-        k = slots.shape[1]
+        i, j = np.nonzero(_offdiag(slots.shape[1]))
         g = at[slots]
-        block = agrees[g[:, :, None], g[:, None, :]]
-        block[:, np.arange(k), np.arange(k)] = 0
-        for q, t in enumerate(members.tolist()):
-            tasks[t] = TaskGraph(layout.task_ids[t], raters[bounds[t] : bounds[t + 1]], block[q])
-    return AgreementMultigraph(tasks)
+        flags[starts[members, None] + np.arange(len(i))] = agrees[g[:, i], g[:, j]]
+    raters = list(map(layout.subjects.__getitem__, layout.scode.tolist()))
+    return AgreementMultigraph(layout.task_ids, sizes, raters, flags)
 
 
 def variance_ratio(table, dimension):

@@ -126,7 +126,7 @@ def sample_multigraph(spec):
         np.fill_diagonal(edges, 0)
 
         tasks.append(TaskGraph(task_id=f"t{k:05d}", subjects=ids, edges=edges))
-    return AgreementMultigraph(tasks), p
+    return AgreementMultigraph.from_tasks(tasks), p
 
 
 def inject_spammers(table, dimension, spec):

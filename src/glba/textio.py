@@ -1,15 +1,21 @@
 """On-disk text formats: tab-separated tables with '#'-prefixed header
 metadata.  Floats are written with repr (shortest round-trip), so files
-are byte-identical across runs and parse back exactly."""
+are byte-identical across runs and parse back exactly.  Every reader skips
+'#' lines, which is why no id may begin with '#'.
+
+Multigraph files go to and from the graph's packed fields with operations
+over the whole file: the writer formats each rater-count group's
+indicators in one conversion, and the reader splits all records at once
+and checks them record by record only to name the first faulty one."""
 
 import csv
-import functools
 import hashlib
 import math
+from operator import methodcaller
 
 import numpy as np
 
-from .ingest import DIMENSIONS, AgreementMultigraph, TaskGraph
+from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag
 from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageReport, SubjectReport
 
@@ -34,60 +40,69 @@ def _parse_bool(raw):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _offdiag(r):
-    """Boolean mask of the ordered pairs (i, j), i != j, of r raters
-    (read-only: every caller shares it)."""
-    mask = ~np.eye(r, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def pair_indicators(task):
-    """Indicators flattened row-major over ordered pairs (i, j), i != j."""
-    return (task.edges[_offdiag(task.n_raters)] + 48).astype(np.uint8).tobytes().decode("ascii")
-
-
 def write_multigraph(graph, path):
+    """Write one record per task, in task order: the task id, its raters
+    joined by commas and its indicators as 0/1 characters, row-major over
+    the ordered rater pairs (i, j), i != j."""
+    names = list(map(graph.subjects.__getitem__, graph.flat_sidx.tolist()))
+    bounds = graph.offsets.tolist()
+    raters = [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+    flags = np.full(graph.n, "", dtype=object)
+    for g in graph.groups:
+        r = g.edges.shape[1]
+        if r > 1:  # each task's characters as one fixed-width string
+            chars = (g.edges[:, _offdiag(r)] + ord("0")).astype(np.uint32, order="C")
+            flags[g.tasks] = chars.view(f"U{r * (r - 1)}").ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# multigraph tasks={graph.n} subjects={graph.m}\n")
         fh.write("task_id\tsubjects\tindicators\n")
-        fh.writelines(
-            f"{task.task_id}\t{','.join(task.subjects)}\t{pair_indicators(task)}\n"
-            for task in graph.tasks
-        )
+        fh.writelines(map("{}\t{}\t{}\n".format, graph.task_ids, raters, flags.tolist()))
+
+
+def _record_fault(ln):
+    """What is wrong with one multigraph record line, or None: too few or
+    too many fields, then the indicator count, then an indicator character."""
+    parts = ln.split("\t")
+    if len(parts) != 3:
+        return f"malformed record {ln!r}"
+    tid, raters, flags = parts
+    r = raters.count(",") + 1
+    if len(flags) != r * (r - 1):
+        return f"task {tid!r} has {len(flags)} indicators, expected {r * (r - 1)}"
+    if flags.strip("01"):
+        return f"task {tid!r} has an indicator other than 0 or 1"
+    return None
 
 
 def read_multigraph(path):
-    """Parse a multigraph file.
+    """Parse a multigraph file, with operations over the whole file.
 
     Rejects, naming the path and the task id (or the record): a record
     without exactly three fields, a wrong indicator count, any indicator
-    other than the characters 0 and 1, and everything the
-    AgreementMultigraph constructor rejects.
+    other than the characters 0 and 1 (the first faulty record in file
+    order), and everything the AgreementMultigraph constructor rejects.
     """
-    tasks = []
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
+        body = [ln for ln in fh.read().split("\n") if ln and not ln.startswith("#")]
     if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
         raise ValueError(f"{path}: not a multigraph file")
-    for ln in body[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed record {ln!r}")
-        tid, subj_field, ind = parts
-        subjects = subj_field.split(",")
-        r = len(subjects)
-        if len(ind) != r * (r - 1):
-            raise ValueError(f"{path}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
-        if ind.strip("01"):
-            raise ValueError(f"{path}: task {tid!r} has an indicator other than 0 or 1")
-        edges = np.zeros((r, r), dtype=np.uint8)
-        edges[_offdiag(r)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
-        tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
+    records = body[1:]
+    fields = "\t".join(records).split("\t") if records else []
+    ids, raters, flags = fields[0::3], fields[1::3], fields[2::3]
+    sizes = np.fromiter(map(methodcaller("count", ","), raters), np.intp, len(raters)) + 1
+    lengths = np.fromiter(map(len, flags), np.intp, len(flags))
+    joined = "".join(flags)
+    tabs = np.fromiter(map(methodcaller("count", "\t"), records), np.intp, len(records))
+    if (
+        (tabs != 2).any()
+        or not np.array_equal(lengths, sizes * (sizes - 1))
+        or joined.count("0") + joined.count("1") != len(joined)
+    ):
+        raise ValueError(f"{path}: {next(filter(None, map(_record_fault, records)))}")
+    names = ",".join(raters).split(",") if records else []
+    indicators = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
     try:
-        return AgreementMultigraph(tasks)
+        return AgreementMultigraph(ids, sizes, names, indicators)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -40,7 +40,7 @@ def random_graph(rng, m=8, n=6, r_lo=2, r_hi=5, subject_prefix="s"):
         r = int(rng.integers(r_lo, r_hi + 1))
         members = sorted(rng.choice(m, size=r, replace=False))
         tasks.append(random_task(rng, f"t{k:03d}", [ids[i] for i in members]))
-    return AgreementMultigraph(tasks)
+    return AgreementMultigraph.from_tasks(tasks)
 
 
 def random_params(rng, graph, gamma=None):
@@ -217,9 +217,9 @@ def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0, mode):
 
 
 def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
-    """Dawid-Skene EM as plain per-task, per-label loops, with the
-    penalized log-likelihood recomputed from the prior and confusions
-    after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
+    """Dawid-Skene EM as plain per-task loops over the labels in subject
+    order, with the penalized log-likelihood recomputed from the prior and
+    confusions after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
     from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
 
     k = len(CATEGORIES)
@@ -227,7 +227,7 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
     subjects = sorted({r.subject_id for r in table.rows})
     s_pos = {s: i for i, s in enumerate(subjects)}
     task_labels = {}
-    for r in table.rows:
+    for r in sorted(table.rows, key=lambda r: (r.task_id, r.subject_id)):
         task_labels.setdefault(r.task_id, []).append((s_pos[r.subject_id], cat_pos[r.category]))
     task_ids = sorted(task_labels)
     task_labels = {t: task_labels[t] for t in task_ids}
@@ -313,7 +313,7 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
                 if a != b:
                     edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
         tasks.append(TaskGraph(task_id=tid, subjects=[r.subject_id for r in rs], edges=edges))
-    return AgreementMultigraph(tasks)
+    return AgreementMultigraph.from_tasks(tasks)
 
 
 def oracle_image_scores(table, dimension, params, direction="high", min_raters=1):
@@ -380,6 +380,36 @@ def oracle_pair_indicators(task):
     return "".join(str(int(task.edges[i, j])) for i in range(r) for j in range(r) if i != j)
 
 
+def oracle_read_multigraph(path):
+    """The multigraph reader as a loop over the records, each parsed into a
+    TaskGraph and packed by `AgreementMultigraph.from_tasks`.  Same
+    contract, graphs and error strings as `glba.textio.read_multigraph`."""
+    tasks = []
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
+        raise ValueError(f"{path}: not a multigraph file")
+    for ln in body[1:]:
+        parts = ln.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: malformed record {ln!r}")
+        tid, subj_field, ind = parts
+        subjects = subj_field.split(",")
+        r = len(subjects)
+        if len(ind) != r * (r - 1):
+            raise ValueError(f"{path}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
+        if ind.strip("01"):
+            raise ValueError(f"{path}: task {tid!r} has an indicator other than 0 or 1")
+        edges = np.zeros((r, r), dtype=np.uint8)
+        edges[~np.eye(r, dtype=bool)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
+        tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
+    try:
+        return AgreementMultigraph.from_tasks(tasks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def oracle_load_responses(path, schema=None):
     """The rating-file loader over csv.DictReader with per-row closures.
     Same contract, rows and error strings as `glba.ingest.load_responses`."""
@@ -416,6 +446,9 @@ def oracle_load_responses(path, schema=None):
             bad_id = [c for c in "\t,\n" if c in sid + tid]
             if bad_id:
                 problems.append(f"row {lineno}: subject/task id contains a reserved character")
+                continue
+            if sid.startswith("#") or tid.startswith("#"):
+                problems.append(f"row {lineno}: subject/task id begins with '#', which marks a comment line")
                 continue
             key = (sid, tid)
             if key in seen:
@@ -476,12 +509,12 @@ def oracle_load_responses(path, schema=None):
 
 
 def oracle_duration_rank(table):
-    """Mean-duration ranking as a loop over the records.  Same contract as
-    `glba.baselines.duration_rank`."""
+    """Mean-duration ranking as a loop over the records in (subject, task)
+    order.  Same contract as `glba.baselines.duration_rank`."""
     totals = {}
     counts = {}
     seen = set()
-    for r in table.rows:
+    for r in sorted(table.rows, key=lambda r: (r.subject_id, r.task_id)):
         seen.add(r.subject_id)
         if r.view_seconds is None and r.label_seconds is None:
             continue

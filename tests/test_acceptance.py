@@ -112,7 +112,7 @@ def test_m_step_stationarity():
         tau_tilde = [rng.uniform(0, 1) for _ in stats_ab]
         # subject 's' alone rates one task per statistic
         one = np.zeros((1, 1), dtype=np.uint8)
-        graph = AgreementMultigraph([TaskGraph(f"t{k:03d}", ["s"], one) for k in range(d)])
+        graph = AgreementMultigraph.from_tasks([TaskGraph(f"t{k:03d}", ["s"], one) for k in range(d)])
         stats = (*(np.array(x) for x in zip(*stats_ab)), np.array(tau_tilde))
         start = ModelParams(["s"], np.ones(1), np.ones(1), np.ones(1), gamma=0.37)
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))
@@ -419,7 +419,8 @@ def _run_pipeline(csv_path, out):
     for step in steps:
         assert cli_main([str(x) for x in step]) == 0, step
     subjects = os.path.join(out, "subjects.tsv")
-    first = open(subjects).read().splitlines()[1].split("\t")[1]
+    with open(subjects) as fh:
+        first = fh.read().splitlines()[1].split("\t")[1]
     annotated = os.path.join(out, "annotated.txt")
     with open(annotated, "w") as fh:
         fh.write(first + "\n")

@@ -41,6 +41,20 @@ def test_build_graph_missing_column_exits_2(tmp_path):
     assert run(["build-graph", bad, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("command", ["build-graph", "baseline-time"])
+def test_ids_that_begin_with_a_comment_mark_exit_2(tmp_path, capsys, command):
+    # Read back, the task '#t1' would vanish from graph.tsv and the subject
+    # '#d' from every fit report and subject table.
+    rows = "".join(f"{s},{t},5,4,6,3,1,2\n" for t in ("#t1", "t2") for s in "abc") + "#d,t2,5,4,6,3,1,2\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("subject_id,task_id,valence,arousal,dominance,likeness,view_seconds,label_seconds\n" + rows)
+    out = tmp_path / "out"
+    assert run([command, bad, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "row 2: subject/task id begins with '#'" in err and "row 8: subject/task id begins with '#'" in err
+    assert not out.exists()
+
+
 def test_build_graph_reports_dropped_tasks(tmp_path, capsys):
     rows = "".join(
         f"s{i},t1,5,5,5,4,," + "\n" for i in range(5)
@@ -304,7 +318,14 @@ def test_pipeline_outputs_byte_identical(tmp_path):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
-ORDER_FREE = ["graph.tsv", "fit_0.37.tsv", "images_high.tsv", "images_low.tsv"]
+ORDER_FREE = [
+    "graph.tsv",
+    "fit_0.37.tsv",
+    "images_high.tsv",
+    "images_low.tsv",
+    "baseline_time.tsv",
+    "baseline_ds.tsv",
+]
 
 
 def _order_free_outputs(csv_path, out):
@@ -314,6 +335,8 @@ def _order_free_outputs(csv_path, out):
     assert run(["fit", out / "graph.tsv", "--gamma", 0.37, "--config", cfg, "--out", out]) == 0
     for direction in ("high", "low"):
         assert run(["images", csv_path, out / "fit_0.37.tsv", "--direction", direction, "--out", out]) == 0
+    for baseline in ("baseline-time", "baseline-ds"):
+        assert run([baseline, csv_path, "--out", out]) == 0
     return {name: (out / name).read_bytes() for name in ORDER_FREE}
 
 
@@ -321,8 +344,9 @@ def _order_free_outputs(csv_path, out):
 @given(seed=st.integers(0, 2**32 - 1), blanks=st.lists(st.integers(0, 10_000), max_size=5))
 def test_outputs_ignore_ratings_row_order(ratings_csv, tmp_path, seed, blanks):
     # Shuffling the data rows of a ratings CSV and adding blank lines changes
-    # no graph, fit report or stimulus table.
-    header, *rows = open(ratings_csv, encoding="utf-8").read().splitlines(keepends=True)
+    # no graph, fit report, stimulus table or baseline ranking.
+    with open(ratings_csv, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines(keepends=True)
     np.random.default_rng(seed).shuffle(rows)
     for at in blanks:
         rows.insert(at % (len(rows) + 1), "\n")

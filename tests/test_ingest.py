@@ -146,6 +146,9 @@ MALFORMED_CSVS = {
         f'{FULL}\n"a,b",t1,5,4,6,3,,\na\tb,t1,5,4,6,3,,\n"a\nb",t1,5,4,6,3,,\nc,"t\n1",5,4,6,3,,\n'
         "ok,t1,5,4,6,3,,\n"
     ),
+    "comment-marked ids": (
+        f"{FULL}\n#a,t1,5,4,6,3,,\nb, #t2,5,4,6,3,,\n\"#c,d\",t1,5,4,6,3,,\n#a,t1,5,4,6,3,,\nc,t1#,5,4,6,3,,\n"
+    ),
     "empty and blank ids": f"{FULL}\n,t1,5,4,6,3,,\na,,5,4,6,3,,\n  ,t1,5,4,6,3,,\n\"\",t1,5,4,6,3,,\n",
     "duplicate pairs": f"{FULL}\na,t1,5,4,6,3,,\n\n a ,t1,6,4,6,3,,\nb,t2,1,1,1,1,,\nb,t2,1,1,1,1,,\n",
     "missing columns": "subject_id,task_id,valence,arousal\na,t1,5,4\n",
@@ -185,6 +188,15 @@ def test_load_matches_dictreader_loader_with_schema(tmp_path):
     assert load_outcome(load_responses, str(path), schema) == expected
 
 
+def test_load_rejects_ids_that_begin_with_a_comment_mark(tmp_path):
+    # Every text reader skips '#' lines: such a task would vanish from the
+    # graph file and such a subject from a fit report when read back.
+    path = write_csv(tmp_path, "a,#t1,5,4,6,3,,\nb,t1,5,4,6,3,,\n #b,t2,5,4,6,3,,\nc,t#,5,4,6,3,,\n")
+    message = "subject/task id begins with '#', which marks a comment line"
+    with pytest.raises(ValueError, match=rf"row 2: {message}; row 4: {message}$"):
+        load_responses(path)
+
+
 def test_load_counts_records_not_lines(tmp_path):
     # a quoted newline spans two lines but is one record; blank lines are not counted
     path = write_csv(tmp_path, '"x\ny",t1,5,4,6,3,,\n\nb,t1,12,4,6,3,,\n')
@@ -192,7 +204,9 @@ def test_load_counts_records_not_lines(tmp_path):
         load_responses(path)
 
 
-CSV_TOKENS = ["", " ", "a", "b", "t1", "t2", "5", "9", "9.5", "1", "-1", "x", "nan", "1e3", '"c,d"', '"e\nf"', "a\tb"]
+CSV_TOKENS = [
+    "", " ", "a", "b", "t1", "t2", "5", "9", "9.5", "1", "-1", "x", "nan", "1e3", '"c,d"', '"e\nf"', "a\tb", " #a",
+]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -483,7 +497,7 @@ def test_graph_sorts_tasks_and_derives_subjects():
     t2 = make_task("t2", ["c", "a"], {("c", "a"): 1})
     t1 = make_task("t1", ["b", "a", "d"], {("a", "d"): 1})
     given = [t2, t1]
-    graph = AgreementMultigraph(given)
+    graph = AgreementMultigraph.from_tasks(given)
     assert [t.task_id for t in graph.tasks] == ["t1", "t2"]
     assert given == [t2, t1]
     assert graph.subjects == ["a", "b", "c", "d"]
@@ -515,7 +529,7 @@ def test_graph_layout_matches_per_task_packing(seed):
 
 def test_graph_accepts_bool_and_float_indicators():
     edges = np.array([[0, 1], [0, 0]])
-    graph = AgreementMultigraph(
+    graph = AgreementMultigraph.from_tasks(
         [TaskGraph("t1", ["a", "b"], edges.astype(bool)), TaskGraph("t2", ["a", "b"], edges * 1.0)]
     )
     assert graph.groups[0].edges.dtype == np.uint8
@@ -562,11 +576,50 @@ def test_graph_rejects_malformed_task(bad, match):
     good = [make_task("t0", ["a", "b", "c"], {("a", "b"): 1}), make_task("t9", ["b", "c"], {})]
     # The constructor rejects the graph, so fit never sees it.
     with pytest.raises(ValueError, match=match):
-        fit(AgreementMultigraph([*good, bad()]), FitConfig(gamma=0.37, max_iter=1))
+        fit(AgreementMultigraph.from_tasks([*good, bad()]), FitConfig(gamma=0.37, max_iter=1))
+
+
+@pytest.mark.parametrize(
+    "tasks,match",
+    [
+        ([make_task("#t1", ["a", "b"], {}), make_task("t2", ["a", "b"], {})], r"^task '#t1' begins with '#'"),
+        (
+            [make_task("t1", ["a", "b"], {}), make_task("t2", ["#b", "a"], {})],
+            r"^task 't2' has a subject id that begins with '#'$",
+        ),
+    ],
+    ids=["task", "subject"],
+)
+def test_graph_rejects_ids_that_begin_with_a_comment_mark(tasks, match):
+    with pytest.raises(ValueError, match=match):
+        AgreementMultigraph.from_tasks(tasks)
+
+
+def test_graph_packs_tasks_in_any_order():
+    tasks = [make_task(f"t{k}", ["a", "b", "c"][: 1 + k % 3], {}, default=k % 2) for k in range(7)]
+    want = AgreementMultigraph.from_tasks(tasks)
+    ids = [t.task_id for t in tasks[::-1]]
+    sizes = [t.n_raters for t in tasks[::-1]]
+    raters = [s for t in tasks[::-1] for s in t.subjects]
+    flags = np.concatenate([t.edges[~np.eye(t.n_raters, dtype=bool)] for t in tasks[::-1]])
+    got = AgreementMultigraph(ids, sizes, raters, flags)
+    assert got.task_ids == want.task_ids == sorted(ids)
+    assert got.flat_sidx.tolist() == want.flat_sidx.tolist()
+    for g, w in zip(got.groups, want.groups, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+    with pytest.raises(ValueError, match="differ in length"):
+        AgreementMultigraph(ids, sizes, raters, flags[1:])
+
+
+def test_graph_tasks_are_read_only_records():
+    graph = random_graph(np.random.default_rng(3), m=6, n=5, r_lo=1, r_hi=4)
+    assert graph.tasks is graph.tasks
+    with pytest.raises(ValueError, match="read-only"):
+        graph.tasks[0].edges[0, 0] = 1
 
 
 def test_graph_may_be_empty():
-    graph = AgreementMultigraph([])
+    graph = AgreementMultigraph.from_tasks([])
     assert (graph.subjects, graph.n, graph.groups) == ([], 0, [])
     assert graph.offsets.tolist() == [0]
 

@@ -11,12 +11,11 @@ from glba.simulate import (
     sample_multigraph,
     sample_response_table,
 )
-from glba.textio import pair_indicators
-from helpers import rated_rows
+from helpers import oracle_pair_indicators, rated_rows
 
 
 def graph_signature(graph):
-    return [(t.task_id, tuple(t.subjects), pair_indicators(t)) for t in graph.tasks]
+    return [(t.task_id, tuple(t.subjects), oracle_pair_indicators(t)) for t in graph.tasks]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from glba.model import FitConfig, FitReport, ModelParams, Priors, fit
 from glba.scoring import ImageReport, PRResult, SubjectReport
 from glba.ingest import build_multigraph
 from glba.simulate import sample_response_table
-from helpers import oracle_pair_indicators, random_graph
+from helpers import oracle_pair_indicators, oracle_read_multigraph, random_graph
 
 
 def test_multigraph_roundtrip(tmp_path):
@@ -32,10 +32,11 @@ def test_multigraph_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_pair_indicators_match_loop(seed):
+def test_pair_indicators_match_loop(tmp_path, seed):
     graph = random_graph(np.random.default_rng(seed), m=12, n=20, r_lo=1, r_hi=9)
-    for task in graph.tasks:
-        assert textio.pair_indicators(task) == oracle_pair_indicators(task)
+    textio.write_multigraph(graph, tmp_path / "graph.tsv")
+    records = (tmp_path / "graph.tsv").read_text(encoding="utf-8").splitlines()[2:]
+    assert [ln.split("\t")[2] for ln in records] == [oracle_pair_indicators(t) for t in graph.tasks]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -98,6 +99,76 @@ def test_multigraph_rejects_malformed_records(tmp_path, record, match):
     with pytest.raises(ValueError, match=match) as info:
         textio.read_multigraph(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def _break_record(kind, record, pick):
+    """`record` with one fault of `kind` (the kinds of
+    test_multigraph_rejects_malformed_records, plus a wrong field count and
+    a comment-marked subject), as one or two records; `pick(n)` draws a
+    position below n."""
+    tid, raters, flags = record.split("\t")
+    subjects = raters.split(",")
+    if kind == "fields":
+        return [f"{tid}\t{raters}"] if pick(2) else [f"{record}\t{flags}"]
+    if kind == "count":
+        return [f"{tid}\t{raters}\t{flags[1:] if flags and pick(2) else flags + '1'}"]
+    if kind == "indicator":
+        at, bad = pick(len(flags) + 1), "2x \u00e9"[pick(4)]
+        return [f"{tid}\t{raters}\t{flags[:at]}{bad}{flags[at + 1 :]}"]
+    if kind == "duplicate-id":
+        return [record, record]
+    if kind == "empty-id":
+        return [f"\t{raters}\t{flags}"]
+    if kind == "no-raters":
+        return [f"{tid}\t\t"]
+    if kind == "comment-record":
+        return ["#" + record]
+    at = pick(len(subjects))
+    subjects[at] = {
+        "repeated-rater": subjects[pick(len(subjects))],
+        "empty-subject": "",
+        "comment-subject": "#" + subjects[at],
+    }[kind]
+    return [f"{tid}\t{','.join(subjects)}\t{flags}"]
+
+
+FAULTS = [
+    "fields", "count", "indicator", "duplicate-id", "empty-id", "no-raters",
+    "comment-record", "repeated-rater", "empty-subject", "comment-subject",
+]
+
+
+def _read_outcome(reader, path):
+    """A reader's packed fields, or its error text."""
+    try:
+        g = reader(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    groups = [(k.edges.dtype.str, *(a.tolist() for a in k)) for k in g.groups]
+    return g.task_ids, g.subjects, g.offsets.tolist(), g.flat_sidx.tolist(), g.degree.tolist(), groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_multigraph_matches_record_loop(tmp_path_factory, data):
+    # Shuffled records, comment lines, CRLF endings and up to two faults per
+    # file: both readers give the same packed graph or the same error.
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    graph = random_graph(np.random.default_rng(seed), m=8, n=data.draw(st.integers(0, 10)), r_lo=1, r_hi=5)
+    tmp = tmp_path_factory.mktemp("graphs")
+    textio.write_multigraph(graph, tmp / "clean.tsv")
+    head, *records = (tmp / "clean.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    records = data.draw(st.permutations(records), label="order")
+    faulty = st.lists(st.integers(0, len(records) - 1), max_size=2, unique=True) if records else st.just([])
+    for at in sorted(data.draw(faulty, label="faulty records"), reverse=True):
+        kind = data.draw(st.sampled_from(FAULTS), label="fault")
+        records[at : at + 1] = _break_record(kind, records[at], lambda n: data.draw(st.integers(0, max(n - 1, 0))))
+    for _ in range(data.draw(st.integers(0, 2), label="comments")):
+        records.insert(data.draw(st.integers(0, len(records))), data.draw(st.sampled_from(["#", "# note\tx", ""])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    path = tmp / "graph.tsv"
+    path.write_bytes(newline.join(["# multigraph", head, *records, ""]).encode("utf-8"))
+    assert _read_outcome(textio.read_multigraph, path) == _read_outcome(oracle_read_multigraph, path)
 
 
 def test_fit_report_roundtrip(tmp_path):
