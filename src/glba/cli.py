@@ -232,7 +232,7 @@ def cmd_simulate(args):
     graph_path = os.path.join(out, "graph.tsv")
     truth_path = os.path.join(out, "truth.tsv")
     textio.write_multigraph(graph, graph_path)
-    textio.write_params_table(truth, truth_path, kind="truth")
+    textio.write_params_table(truth, truth_path)
     written = [graph_path, truth_path]
     if args.ratings:
         table, _ = simulate.sample_response_table(

@@ -143,7 +143,7 @@ def _check_mode(mode):
 @dataclass
 class FitReport:
     params: ModelParams
-    priors: Priors
+    priors: Priors  # the priors of the last round, which fitted `params`
     iterations: int
     converged: bool
     loglik_trace: list
@@ -642,7 +642,7 @@ def fit(multigraph, config=None):
     )
     return FitReport(
         params=params,
-        priors=Priors(tau0=tau0, s0=s0),
+        priors=priors,
         iterations=total_iters,
         converged=converged,
         loglik_trace=trace,

@@ -1,7 +1,14 @@
 """On-disk text formats: tab-separated tables with '#'-prefixed header
 metadata.  Floats are written with repr (shortest round-trip), so files
 are byte-identical across runs and parse back exactly.  Every reader skips
-'#' lines, which is why no id may begin with '#'.
+'#' lines, which is why no id may begin with '#'; the report readers keep
+'# key value' lines as metadata.
+
+Each report table has one column spec, a dict from column name to parser.
+`_write_table` writes every report through it (the parser picks each
+column's text form) and `_read_table` reads every report back through it,
+parsing whole columns and checking row by row only to name the first
+faulty line.
 
 Multigraph files go to and from the graph's packed fields with operations
 over the whole file: the writer formats each rater-count group's
@@ -11,28 +18,13 @@ and checks them record by record only to name the first faulty one."""
 import csv
 import hashlib
 import math
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
 from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag
 from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageReport, SubjectReport
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _parse_bool(raw):
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +73,13 @@ def read_multigraph(path):
     without exactly three fields, a wrong indicator count, any indicator
     other than the characters 0 and 1 (the first faulty record in file
     order), and everything the AgreementMultigraph constructor rejects.
+    Rejects, naming the path and both counts, a graph whose task or
+    subject count differs from the one its '# multigraph' header states.
     """
     with open(path, encoding="utf-8") as fh:
-        body = [ln for ln in fh.read().split("\n") if ln and not ln.startswith("#")]
+        lines = fh.read().split("\n")
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    header = next((ln.split()[2:] for ln in lines if ln.startswith("# multigraph")), [])
     if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
         raise ValueError(f"{path}: not a multigraph file")
     records = body[1:]
@@ -102,40 +98,124 @@ def read_multigraph(path):
     names = ",".join(raters).split(",") if records else []
     indicators = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
     try:
-        return AgreementMultigraph(ids, sizes, names, indicators)
+        graph = AgreementMultigraph(ids, sizes, names, indicators)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    held = [f"tasks={graph.n}", f"subjects={graph.m}"]
+    stated = [field for field in header if field.startswith(("tasks=", "subjects="))]
+    if not set(stated) <= set(held):
+        raise ValueError(f"{path}: header states {' '.join(stated)}, file holds {' '.join(held)}")
+    return graph
 
 
 # ---------------------------------------------------------------------------
-# Fit reports and parameter tables
+# Report tables: one column spec (name -> parser) each, written by
+# _write_table and read by _read_table
 # ---------------------------------------------------------------------------
 
 
+def _parse_flag(raw):
+    if raw not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {raw!r}")
+    return raw == "1"
+
+
+def _parse_direction(raw):
+    if raw not in ("high", "low"):
+        raise ValueError(f"not high or low: {raw!r}")
+    return raw
+
+
+# Column parser -> (its text form in _write_table, what _read_table says a
+# value it rejects is not).
+_FORMS = {
+    float: ("%r", "a number"),
+    int: ("%d", "an integer"),
+    _parse_flag: ("%d", "0 or 1"),
+    str: ("%s", None),
+    _parse_direction: ("%s", "high or low"),
+}
+
+_PARAM_COLUMNS = {"subject_id": str, "tau": float, "alpha": float, "beta": float}
+# A subjects table adds one float column tau[<gamma>] per fitted gamma.
+_SUBJECT_COLUMNS = dict(
+    rank=int, subject_id=str, tau_mean=float, alpha=float, beta=float, beta_variance=float
+)
+_IMAGE_COLUMNS = dict(  # the fields of ImageReport, in order
+    task_id=str, adjusted_score=float, confidence=float, weighted_mean=float, raw_mean=float,
+    n_raters=int, weighted_mean_defined=_parse_flag, dimension=str, direction=_parse_direction
+)
 # Header lines every fit report carries, with their parsers.
 _REPORT_HEADER = {"gamma": float, "tau0": float, "s0": float, "iterations": int, "converged": int}
 
 
-def write_fit_report(report, path):
-    p = report.params
+def _write_table(path, columns, rows, head=()):
+    """Write the `head` (key, value) pairs as '# key value' lines, the header
+    row of the column spec `columns`, then `rows` (tuples in column order)
+    through one template: floats by repr, integers and flags (bools too)
+    by %d, strings as they are."""
+    template = "\t".join(_FORMS[parse][0] for parse in columns.values()) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# gamma {_fmt(float(p.gamma))}\n")
-        fh.write(f"# tau0 {_fmt(float(report.priors.tau0))}\n")
-        fh.write(f"# s0 {_fmt(float(report.priors.s0))}\n")
-        fh.write(f"# iterations {report.iterations}\n")
-        fh.write(f"# converged {int(report.converged)}\n")
-        if report.fallback_subjects:
-            fh.write(f"# fallback_subjects {','.join(report.fallback_subjects)}\n")
-        _write_subject_rows(fh, p)
+        fh.writelines(f"# {key} {value}\n" for key, value in head)
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines(map(template.__mod__, rows))
 
 
-def _write_subject_rows(fh, params):
-    """The subject_id/tau/alpha/beta table of fit reports and params tables."""
-    fh.write("subject_id\ttau\talpha\tbeta\n")
-    for i, s in enumerate(params.subjects):
-        fh.write(
-            f"{s}\t{_fmt(float(params.tau[i]))}\t{_fmt(float(params.alpha[i]))}\t{_fmt(float(params.beta[i]))}\n"
-        )
+def _read_table(path, columns, id_column, extra=None):
+    """Parse a table whose header row starts with the column spec `columns`.
+
+    Returns the '# key value' lines, taken anywhere in the file, as {key:
+    (line number, value)}; the values `extra` parses from the header
+    columns past `columns`; the parsed columns (the `columns` parsers, then
+    float for each extra column); and each row's line number.  Skips blank
+    lines.  Rejects, naming the path and the line: a missing header row, or
+    one that does not start with `columns` or has a column past them that
+    `extra` maps to None; and the first row whose field count differs from
+    the header's, whose `id_column` is empty or a duplicate, or with a
+    value its parser does not accept.
+    """
+    meta, rows = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, ln in enumerate(fh.read().split("\n"), start=1):
+            if ln.startswith("#"):
+                key, _, value = ln[1:].strip().partition(" ")
+                meta[key] = (lineno, value)
+            elif ln.strip():
+                rows.append((lineno, ln))
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    (head_no, head), body = rows[0], rows[1:]
+    header, names = head.split("\t"), list(columns)
+    tail = header[len(names) :]
+    extras = [extra(col) for col in tail] if extra else [None] * len(tail)
+    if header[: len(names)] != names or None in extras:
+        expected = "\t".join(names + (["tau[<gamma>]..."] if extra else []))
+        raise ValueError(f"{path}:{head_no}: header is not {expected!r}")
+    parsers = list(columns.values()) + [float] * len(tail)
+    width, key = len(header), names.index(id_column)
+    lines = [ln for _, ln in body]
+    cells = "\t".join(lines).split("\t") if lines else []
+    ids = cells[key::width]
+    tabs = {*map(methodcaller("count", "\t"), lines)}
+    if tabs <= {width - 1} and "" not in ids and len(set(ids)) == len(ids):
+        try:
+            values = [list(map(parse, cells[c::width])) for c, parse in enumerate(parsers)]
+            return meta, extras, values, [lineno for lineno, _ in body]
+        except ValueError:
+            pass  # named below
+    seen = set()
+    for lineno, ln in body:  # name the first faulty row
+        fields = ln.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        if not fields[key] or fields[key] in seen:
+            raise ValueError(f"{path}:{lineno}: empty or duplicate {id_column} {fields[key]!r}")
+        seen.add(fields[key])
+        for col, parse, raw in zip(header, parsers, fields):
+            try:
+                parse(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {col} {raw!r} is not {_FORMS[parse][1]}") from None
 
 
 def _report_number(path, lineno, name, raw, parse=float):
@@ -148,29 +228,25 @@ def _report_number(path, lineno, name, raw, parse=float):
     return value
 
 
+def write_fit_report(report, path):
+    p, priors = report.params, report.priors
+    head = [("gamma", float(p.gamma)), ("tau0", float(priors.tau0)), ("s0", float(priors.s0))]
+    head += [("iterations", report.iterations), ("converged", int(report.converged))]
+    if report.fallback_subjects:
+        head.append(("fallback_subjects", ",".join(report.fallback_subjects)))
+    rows = zip(p.subjects, p.tau.tolist(), p.alpha.tolist(), p.beta.tolist())
+    _write_table(path, _PARAM_COLUMNS, rows, head)
+
+
 def read_fit_report(path):
     """Parse a fit report.
 
-    Rejects, naming the path and the line: a missing header line, a
-    header value that is not a finite number, a row without exactly four
-    fields, an empty or duplicate subject id, an unparseable number, and a
-    tau outside [0, 1] or an alpha or beta that is not finite or below
-    EPS_POS.
+    Rejects, naming the path and the line: everything `_read_table`
+    rejects, a missing header line, a header value that is not a finite
+    number, and a tau outside [0, 1] or an alpha or beta that is not finite
+    or below EPS_POS.
     """
-    meta = {}
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.rstrip("\n")
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                key, _, value = ln[1:].strip().partition(" ")
-                meta[key] = (lineno, value)
-                continue
-            rows.append((lineno, ln.split("\t")))
-    if not rows or rows[0][1] != ["subject_id", "tau", "alpha", "beta"]:
-        raise ValueError(f"{path}: not a fit report file")
+    meta, _, (subjects, *columns), linenos = _read_table(path, _PARAM_COLUMNS, "subject_id")
     missing = [key for key in _REPORT_HEADER if key not in meta]
     if missing:
         raise ValueError(f"{path}: missing header line(s): {', '.join('# ' + k for k in missing)}")
@@ -178,32 +254,13 @@ def read_fit_report(path):
         key: _report_number(path, meta[key][0], key, meta[key][1], parse)
         for key, parse in _REPORT_HEADER.items()
     }
-
-    body = rows[1:]
-    for lineno, fields in body:
-        if len(fields) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-    subjects = [fields[0] for _, fields in body]
-    if "" in subjects or len(set(subjects)) < len(subjects):
-        seen = set()
-        for (lineno, _), sid in zip(body, subjects):
-            if not sid or sid in seen:
-                raise ValueError(f"{path}:{lineno}: empty or duplicate subject id {sid!r}")
-            seen.add(sid)
-    try:
-        tau, alpha, beta = (np.array([float(fields[c]) for _, fields in body]) for c in (1, 2, 3))
-    except ValueError:
-        for lineno, fields in body:
-            try:
-                [float(x) for x in fields[1:]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable number in {fields[1:]}") from None
+    tau, alpha, beta = map(np.array, columns)
     valid = np.isfinite(alpha) & np.isfinite(beta) & (tau >= 0.0) & (tau <= 1.0)
     valid &= (alpha >= EPS_POS) & (beta >= EPS_POS)
     if not valid.all():
         i = int(np.argmin(valid))
         raise ValueError(
-            f"{path}:{body[i][0]}: tau {tau[i]!r}, alpha {alpha[i]!r}, beta {beta[i]!r}: "
+            f"{path}:{linenos[i]}: tau {tau[i]!r}, alpha {alpha[i]!r}, beta {beta[i]!r}: "
             f"needs tau in [0, 1] and finite alpha and beta >= {EPS_POS}"
         )
     params = ModelParams(subjects=subjects, tau=tau, alpha=alpha, beta=beta, gamma=head["gamma"])
@@ -218,39 +275,9 @@ def read_fit_report(path):
     )
 
 
-def write_params_table(params, path, kind="truth"):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind {kind}\n")
-        fh.write(f"# gamma {_fmt(float(params.gamma))}\n")
-        _write_subject_rows(fh, params)
-
-
-# ---------------------------------------------------------------------------
-# Subject / image / baseline report tables
-# ---------------------------------------------------------------------------
-
-
-# Column -> parser of the subject and image tables; a subjects table adds one
-# float column tau[<gamma>] per fitted gamma.
-_SUBJECT_COLUMNS = {
-    "rank": int,
-    "subject_id": str,
-    "tau_mean": float,
-    "alpha": float,
-    "beta": float,
-    "beta_variance": float,
-}
-_IMAGE_COLUMNS = {
-    "task_id": str,
-    "adjusted_score": float,
-    "confidence": float,
-    "weighted_mean": float,
-    "raw_mean": float,
-    "n_raters": int,
-    "weighted_mean_defined": int,
-    "dimension": str,
-    "direction": str,
-}
+def write_params_table(params, path):
+    rows = zip(params.subjects, params.tau.tolist(), params.alpha.tolist(), params.beta.tolist())
+    _write_table(path, _PARAM_COLUMNS, rows, [("kind", "truth"), ("gamma", float(params.gamma))])
 
 
 def _tau_column(col):
@@ -263,150 +290,53 @@ def _tau_column(col):
     return None
 
 
-def _read_report_table(path, columns, id_column, extra=None):
-    """Parse a report table whose header starts with the `columns` dict.
-
-    Returns the values `extra` parses from the header columns past
-    `columns`, and every row as a list of values (the `columns` parsers,
-    then float for each extra column).  Rejects, naming the path and the
-    line: a missing header row, or one that does not start with `columns`
-    or has a column past them that `extra` maps to None; a row whose
-    field count differs from the header's; an empty or duplicate id in
-    column `id_column`; and a value its parser does not accept.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file, expected a header row")
-    head_no, header = lines[0][0], lines[0][1].split("\t")
-    names = list(columns)
-    tail = header[len(names) :]
-    extras = [extra(col) for col in tail] if extra else [None] * len(tail)
-    if header[: len(names)] != names or None in extras:
-        expected = "\t".join(names + (["tau[<gamma>]..."] if extra else []))
-        raise ValueError(f"{path}:{head_no}: header is not {expected!r}")
-    parsers = list(columns.values()) + [float] * len(tail)
-    key = names.index(id_column)
-    seen = set()
-    rows = []
-    for lineno, ln in lines[1:]:
-        fields = ln.split("\t")
-        if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-        if not fields[key] or fields[key] in seen:
-            raise ValueError(f"{path}:{lineno}: empty or duplicate {id_column} {fields[key]!r}")
-        seen.add(fields[key])
-        row = []
-        for col, parse, raw in zip(header, parsers, fields):
-            try:
-                row.append(parse(raw))
-            except ValueError:
-                kind = "an integer" if parse is int else "a number"
-                raise ValueError(f"{path}:{lineno}: {col} {raw!r} is not {kind}") from None
-        rows.append(row)
-    return extras, rows
-
-
 def write_subject_reports(reports, path):
     gammas = sorted(reports[0].tau_by_gamma) if reports else []
-    cols = list(_SUBJECT_COLUMNS) + [f"tau[{_fmt(g)}]" for g in gammas]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for r in sorted(reports, key=lambda x: x.rank):
-            row = [
-                str(r.rank),
-                r.subject_id,
-                _fmt(r.tau_mean),
-                _fmt(r.alpha),
-                _fmt(r.beta),
-                _fmt(r.beta_variance),
-            ]
-            row += [_fmt(r.tau_by_gamma[g]) for g in gammas]
-            fh.write("\t".join(row) + "\n")
+    columns = {**_SUBJECT_COLUMNS, **{f"tau[{g!r}]": float for g in gammas}}
+    rows = [
+        (r.rank, r.subject_id, r.tau_mean, r.alpha, r.beta, r.beta_variance)
+        + tuple(map(r.tau_by_gamma.__getitem__, gammas))
+        for r in sorted(reports, key=attrgetter("rank"))
+    ]
+    _write_table(path, columns, rows)
 
 
 def read_subject_reports(path):
-    """Parse a subjects table (see `_read_report_table` for what it rejects)."""
-    gammas, rows = _read_report_table(path, _SUBJECT_COLUMNS, "subject_id", _tau_column)
+    """Parse a subjects table (see `_read_table` for what it rejects)."""
+    _, gammas, columns, _ = _read_table(path, _SUBJECT_COLUMNS, "subject_id", _tau_column)
     return [
-        SubjectReport(
-            subject_id=sid,
-            tau_mean=tau_mean,
-            tau_by_gamma=dict(zip(gammas, taus)),
-            alpha=alpha,
-            beta=beta,
-            beta_variance=var,
-            rank=rank,
-        )
-        for rank, sid, tau_mean, alpha, beta, var, *taus in rows
+        SubjectReport(sid, tau_mean, dict(zip(gammas, taus)), alpha, beta, var, rank)
+        for rank, sid, tau_mean, alpha, beta, var, *taus in zip(*columns)
     ]
 
 
 def write_image_reports(reports, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_IMAGE_COLUMNS) + "\n")
-        for r in reports:
-            fh.write(
-                "\t".join(
-                    [
-                        r.task_id,
-                        _fmt(r.adjusted_score),
-                        _fmt(r.confidence),
-                        _fmt(r.weighted_mean),
-                        _fmt(r.raw_mean),
-                        str(r.n_raters),
-                        str(int(r.weighted_mean_defined)),
-                        r.dimension,
-                        r.direction,
-                    ]
-                )
-                + "\n"
-            )
+    _write_table(path, _IMAGE_COLUMNS, map(attrgetter(*_IMAGE_COLUMNS), reports))
 
 
 def read_image_reports(path):
-    """Parse an image table (see `_read_report_table` for what it rejects)."""
-    _, rows = _read_report_table(path, _IMAGE_COLUMNS, "task_id")
-    return [
-        ImageReport(
-            task_id=tid,
-            adjusted_score=score,
-            confidence=conf,
-            weighted_mean=wmean,
-            raw_mean=rmean,
-            n_raters=n,
-            weighted_mean_defined=bool(defined),
-            dimension=dim,
-            direction=direction,
-        )
-        for tid, score, conf, wmean, rmean, n, defined, dim, direction in rows
-    ]
+    """Parse an image table (see `_read_table` for what it rejects)."""
+    _, _, columns, _ = _read_table(path, _IMAGE_COLUMNS, "task_id")
+    return list(map(ImageReport, *columns))
 
 
 def write_baseline_ranking(ranked, method, path):
     """Ranking rows (subject_id, score) in the subject-table layout with a
     method tag column; rank 1 is the most suspect subject."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\trank\tsubject_id\tscore\n")
-        for pos, (sid, score) in enumerate(ranked, start=1):
-            fh.write(f"{method}\t{pos}\t{sid}\t{_fmt(float(score))}\n")
+    columns = {"method": str, "rank": int, "subject_id": str, "score": float}
+    rows = ((method, pos, sid, float(score)) for pos, (sid, score) in enumerate(ranked, start=1))
+    _write_table(path, columns, rows)
 
 
 def write_pr_result(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for k in sorted(result.top_k):
-            fh.write(f"# top_{k} {_fmt(result.top_k[k])}\n")
-        fh.write("k\tprecision\trecall\n")
-        for k, p, r in zip(result.ks, result.precision, result.recall):
-            fh.write(f"{k}\t{_fmt(p)}\t{_fmt(r)}\n")
+    head = [(f"top_{k}", result.top_k[k]) for k in sorted(result.top_k)]
+    columns = {"k": int, "precision": float, "recall": float}
+    _write_table(path, columns, zip(result.ks, result.precision, result.recall), head)
 
 
 def write_overhead_curve(curve, mode, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# mode {mode}\n")
-        fh.write("threshold\tlabels_removed\n")
-        for th, removed in curve:
-            fh.write(f"{_fmt(float(th))}\t{removed}\n")
+    rows = ((float(th), removed) for th, removed in curve)
+    _write_table(path, {"threshold": float, "labels_removed": int}, rows, [("mode", mode)])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +354,7 @@ def write_responses(table, path):
         # Each distinct value (by bit pattern, so -0.0 keeps its sign) is
         # formatted once.
         distinct, at = np.unique(col[order].view(np.int64), return_inverse=True)
-        text = ["" if v != v else _fmt(v) for v in distinct.view(float).tolist()]
+        text = ["" if v != v else repr(v) for v in distinct.view(float).tolist()]
         cells.append(list(map(text.__getitem__, at.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -434,18 +364,12 @@ def write_responses(table, path):
 
 def write_id_list(ids, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for s in ids:
-            fh.write(s + "\n")
+        fh.writelines(s + "\n" for s in ids)
 
 
 def read_id_list(path):
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln and not ln.startswith("#"):
-                out.append(ln)
-    return out
+        return [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
 
 
 # ---------------------------------------------------------------------------
@@ -453,26 +377,20 @@ def read_id_list(path):
 # ---------------------------------------------------------------------------
 
 
+def _parse_bool(raw):
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
 def _parse_count(raw):
     value = int(raw)
     if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
     return value
-
-
-_CONFIG_PARSERS = {
-    "gamma": "gamma",
-    "update_gamma": _parse_bool,
-    "tol": float,
-    "max_iter": int,
-    "eb_tol": float,
-    "eb_max_rounds": int,
-    "prior_grad_mode": str,
-    "psi_includes_self": _parse_bool,
-}
-# Keys older config files carry: parsed and checked, then dropped (a fit
-# draws no random numbers and runs on one thread).
-_IGNORED_CONFIG_KEYS = {"seed": int, "workers": _parse_count}
 
 
 def parse_gamma_spec(raw):
@@ -486,6 +404,21 @@ def parse_gamma_spec(raw):
     except ValueError:
         pass
     raise ValueError(f"must be a rate or lo:hi:count, got {raw!r}")
+
+
+_CONFIG_PARSERS = {
+    "gamma": parse_gamma_spec,
+    "update_gamma": _parse_bool,
+    "tol": float,
+    "max_iter": int,
+    "eb_tol": float,
+    "eb_max_rounds": int,
+    "prior_grad_mode": str,
+    "psi_includes_self": _parse_bool,
+}
+# Keys older config files carry: parsed and checked, then dropped (a fit
+# draws no random numbers and runs on one thread).
+_IGNORED_CONFIG_KEYS = {"seed": int, "workers": _parse_count}
 
 
 def read_config_file(path):
@@ -509,7 +442,7 @@ def read_config_file(path):
             if parser is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                value = parse_gamma_spec(raw) if parser == "gamma" else parser(raw)
+                value = parser(raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid value for {key}: {exc}") from None
             if key in _CONFIG_PARSERS:

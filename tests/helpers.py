@@ -573,7 +573,6 @@ def oracle_write_responses(table, path):
     import csv
 
     from glba.ingest import DIMENSIONS
-    from glba.textio import _fmt
 
     cols = ["subject_id", "task_id"] + list(DIMENSIONS) + ["view_seconds", "label_seconds"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -583,7 +582,7 @@ def oracle_write_responses(table, path):
             rec = [row.subject_id, row.task_id]
             for dim in DIMENSIONS:
                 v = row.scores.get(dim)
-                rec.append("" if v is None else _fmt(float(v)))
-            rec.append("" if row.view_seconds is None else _fmt(float(row.view_seconds)))
-            rec.append("" if row.label_seconds is None else _fmt(float(row.label_seconds)))
+                rec.append("" if v is None else repr(float(v)))
+            rec.append("" if row.view_seconds is None else repr(float(row.view_seconds)))
+            rec.append("" if row.label_seconds is None else repr(float(row.label_seconds)))
             writer.writerow(rec)

@@ -101,6 +101,14 @@ def test_fit_malformed_graph_exits_2(tmp_path, capsys, record):
     assert str(graph) in err and "'t1'" in err
 
 
+def test_fit_truncated_graph_exits_2(tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("# multigraph tasks=2 subjects=3\ntask_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    assert run(["fit", graph, "--gamma", 0.37, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{graph}: header states tasks=2 subjects=3, file holds tasks=1 subjects=3" in err
+
+
 GOOD_FIT = (
     "# gamma 0.37\n# tau0 0.6\n# s0 1.5\n# iterations 12\n# converged 1\n"
     "subject_id\ttau\talpha\tbeta\n"

@@ -525,6 +525,12 @@ def test_fit_tau_stays_in_update_bounds():
     assert np.all(report.params.tau <= hi + 1e-12)
 
 
+def test_fit_reports_the_priors_of_its_last_round():
+    graph, _ = small_sampled_graph(seed=5)
+    report = fit(graph, dataclasses.replace(FAST, eb_max_rounds=1))
+    assert (report.priors.tau0, report.priors.s0) == (0.5, 1.0)
+
+
 def test_fit_trace_monotone_within_rounds():
     graph, _ = small_sampled_graph(seed=6)
     report = fit(graph, FAST)

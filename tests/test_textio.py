@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from glba import textio
 from glba.ingest import load_responses
-from glba.model import FitConfig, FitReport, ModelParams, Priors, fit
+from glba.model import EPS_POS, FitConfig, FitReport, ModelParams, Priors, fit
 from glba.scoring import ImageReport, PRResult, SubjectReport
 from glba.ingest import build_multigraph
 from glba.simulate import sample_response_table
@@ -29,6 +29,19 @@ def test_multigraph_rejects_garbage(tmp_path):
     path.write_text("not a graph\n")
     with pytest.raises(ValueError, match="not a multigraph"):
         textio.read_multigraph(path)
+
+
+def test_multigraph_rejects_counts_its_header_does_not_state(tmp_path):
+    graph = random_graph(np.random.default_rng(3), m=9, n=7, r_lo=2, r_hi=6)
+    path = tmp_path / "graph.tsv"
+    textio.write_multigraph(graph, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")  # the last record lost
+    with pytest.raises(ValueError, match=f"header states tasks=7 subjects={graph.m}, file holds tasks=6 ") as info:
+        textio.read_multigraph(path)
+    assert str(info.value).startswith(f"{path}: ")
+    path.write_text("".join([lines[0].replace(" tasks=7", ""), *lines[1:]]), encoding="utf-8")
+    assert textio.read_multigraph(path).n == 7
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -224,9 +237,9 @@ def test_fit_report_reads_hand_written_file(tmp_path):
     [
         ("a\t0.9\t2.0\t1.0\n", "a\t0.9\t2.0\n", r":7: expected 4 fields, got 3"),
         ("a\t0.9\t2.0\t1.0\n", "a\t0.9\t2.0\t1.0\t5\n", r":7: expected 4 fields, got 5"),
-        ("b\t0.1", "a\t0.1", r":8: empty or duplicate subject id 'a'"),
-        ("b\t0.1", "\t0.1", r":8: empty or duplicate subject id ''"),
-        ("a\t0.9", "a\tx", r":7: unparseable number"),
+        ("b\t0.1", "a\t0.1", r":8: empty or duplicate subject_id 'a'"),
+        ("b\t0.1", "\t0.1", r":8: empty or duplicate subject_id ''"),
+        ("a\t0.9", "a\tx", r":7: tau 'x' is not a number"),
         ("a\t0.9", "a\tnan", r":7: tau .*: needs tau in \[0, 1\]"),
         ("a\t0.9", "a\t1.5", r":7: tau .*: needs tau in \[0, 1\]"),
         ("a\t0.9", "a\t-0.1", r":7: tau .*: needs tau in \[0, 1\]"),
@@ -360,6 +373,8 @@ IMAGE_ROW = "t1\t0.5\t0.8\tnan\t5.5\t4\t0\tvalence\thigh\n"
         (IMAGES_HEAD + IMAGE_ROW[2:], 2, "empty or duplicate task_id ''"),
         (IMAGES_HEAD + IMAGE_ROW.replace("0.8", "high"), 2, "confidence 'high' is not a number"),
         (IMAGES_HEAD + IMAGE_ROW.replace("\t4\t", "\t4.0\t"), 2, "n_raters '4.0' is not an integer"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("\t0\t", "\t7\t"), 2, "weighted_mean_defined '7' is not 0 or 1"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("high", "sideways"), 2, "direction 'sideways' is not high or low"),
     ],
     ids=[
         "blank",
@@ -371,6 +386,8 @@ IMAGE_ROW = "t1\t0.5\t0.8\tnan\t5.5\t4\t0\tvalence\thigh\n"
         "empty-id",
         "bad-number",
         "non-integer-count",
+        "non-flag-defined",
+        "bad-direction",
     ],
 )
 def test_image_reports_reject_malformed(tmp_path, text, line, match):
@@ -380,6 +397,19 @@ def test_image_reports_reject_malformed(tmp_path, text, line, match):
     with pytest.raises(ValueError, match=match) as exc:
         textio.read_image_reports(path)
     assert str(exc.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "read,head,row",
+    [(textio.read_subject_reports, SUBJECTS_HEAD, SUBJECT_ROW), (textio.read_image_reports, IMAGES_HEAD, IMAGE_ROW)],
+    ids=["subjects", "images"],
+)
+def test_report_readers_skip_comment_lines(tmp_path, read, head, row):
+    path = tmp_path / "report.tsv"
+    path.write_text(head + row)
+    plain = read(path)
+    path.write_text("# note\n" + head + "# another note\n" + row + "#\n")
+    assert repr(read(path)) == repr(plain)
 
 
 def test_image_reports_read_undefined_weighted_mean(tmp_path):
@@ -414,6 +444,172 @@ def test_pr_and_overhead_files(tmp_path):
     textio.write_overhead_curve([(0.0, 0), (0.5, 12)], "subject-filter", oh_path)
     assert "0.5\t12" in oh_path.read_text()
 
+
+GOLDEN_PARAMS = ModelParams(
+    subjects=["a", "b"], tau=[0.25, 1.0], alpha=[2.0, 0.1], beta=[1.5, 3.0000000000000004], gamma=0.37
+)
+GOLDEN = {
+    "fit.tsv": (
+        lambda path: textio.write_fit_report(
+            FitReport(
+                params=GOLDEN_PARAMS,
+                priors=Priors(tau0=0.6, s0=1.5),
+                iterations=12,
+                converged=False,
+                loglik_trace=[],
+                fallback_subjects=["a", "b"],
+            ),
+            path,
+        ),
+        "# gamma 0.37\n# tau0 0.6\n# s0 1.5\n# iterations 12\n# converged 0\n# fallback_subjects a,b\n"
+        "subject_id\ttau\talpha\tbeta\na\t0.25\t2.0\t1.5\nb\t1.0\t0.1\t3.0000000000000004\n",
+    ),
+    "truth.tsv": (
+        lambda path: textio.write_params_table(GOLDEN_PARAMS, path),
+        "# kind truth\n# gamma 0.37\n"
+        "subject_id\ttau\talpha\tbeta\na\t0.25\t2.0\t1.5\nb\t1.0\t0.1\t3.0000000000000004\n",
+    ),
+    "subjects.tsv": (
+        lambda path: textio.write_subject_reports(
+            [
+                SubjectReport("s2", 0.5, {0.3: 0.5, 0.45: 0.5}, 1e-06, 2.5, 0.04, rank=2),
+                SubjectReport("s1", 0.1, {0.3: 0.2, 0.45: 0.0}, 1.5, 2.5, 1e20, rank=1),
+            ],
+            path,
+        ),
+        "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.3]\ttau[0.45]\n"
+        "1\ts1\t0.1\t1.5\t2.5\t1e+20\t0.2\t0.0\n"
+        "2\ts2\t0.5\t1e-06\t2.5\t0.04\t0.5\t0.5\n",
+    ),
+    "images.tsv": (
+        lambda path: textio.write_image_reports(
+            [
+                ImageReport("t2", 0.5, 0.8, 0.625, 5.5, 4, True, "valence", "high"),
+                ImageReport("t1", 0.0, 0.0, float("nan"), 3.0, 1, False, "arousal", "low"),
+            ],
+            path,
+        ),
+        "task_id\tadjusted_score\tconfidence\tweighted_mean\traw_mean\tn_raters"
+        "\tweighted_mean_defined\tdimension\tdirection\n"
+        "t2\t0.5\t0.8\t0.625\t5.5\t4\t1\tvalence\thigh\n"
+        "t1\t0.0\t0.0\tnan\t3.0\t1\t0\tarousal\tlow\n",
+    ),
+    "baseline.tsv": (
+        lambda path: textio.write_baseline_ranking([("s2", 0.75), ("s1", 1)], "duration", path),
+        "method\trank\tsubject_id\tscore\nduration\t1\ts2\t0.75\nduration\t2\ts1\t1.0\n",
+    ),
+    "pr.tsv": (
+        lambda path: textio.write_pr_result(
+            PRResult(ks=[1, 2], precision=[1.0, 0.5], recall=[0.5, 0.5], top_k={2: 0.5, 1: 1.0}), path
+        ),
+        "# top_1 1.0\n# top_2 0.5\nk\tprecision\trecall\n1\t1.0\t0.5\n2\t0.5\t0.5\n",
+    ),
+    "overhead.tsv": (
+        lambda path: textio.write_overhead_curve([(0.0, 0), (0.05, 3)], "image-filter", path),
+        "# mode image-filter\nthreshold\tlabels_removed\n0.0\t0\n0.05\t3\n",
+    ),
+    "ids.txt": (lambda path: textio.write_id_list(["s1", "s2"], path), "s1\ns2\n"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_writers_write_golden_bytes(tmp_path, name):
+    write, expected = GOLDEN[name]
+    write(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
+
+
+
+IDS = st.text(st.characters(categories=("L", "N"), include_characters="_-.:[]"), min_size=1, max_size=6)
+VALUES = {  # column parser -> the values a table column of that parser holds
+    float: st.floats(),
+    int: st.integers(),
+    str: IDS,
+    textio._parse_flag: st.booleans(),
+    textio._parse_direction: st.sampled_from(["high", "low"]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_spec_write_read_write(tmp_path_factory, data):
+    # Any column spec: the values read back have the written reprs, and
+    # writing them again gives the same bytes.
+    parsers = data.draw(st.lists(st.sampled_from(list(VALUES)), max_size=5), label="parsers")
+    columns = {"id": str, **{f"c{k}": parse for k, parse in enumerate(parsers)}}
+    rows = st.tuples(*map(VALUES.__getitem__, columns.values()))
+    rows = data.draw(st.lists(rows, max_size=6, unique_by=lambda row: row[0]), label="rows")
+    head = data.draw(st.lists(st.tuples(IDS, IDS), max_size=3, unique_by=lambda kv: kv[0]), label="head")
+    tmp = tmp_path_factory.mktemp("tables")
+    textio._write_table(tmp / "first.tsv", columns, rows, head)
+    meta, extras, values, linenos = textio._read_table(tmp / "first.tsv", columns, "id")
+    assert {key: value for key, (_, value) in meta.items()} == dict(head)
+    assert extras == [] and linenos == list(range(len(head) + 2, len(head) + 2 + len(rows)))
+    assert repr(list(zip(*values))) == repr(rows)
+    textio._write_table(tmp / "second.tsv", columns, list(zip(*values)), head)
+    assert (tmp / "second.tsv").read_bytes() == (tmp / "first.tsv").read_bytes()
+
+
+@st.composite
+def _fit_reports(draw):
+    subjects = draw(st.lists(IDS, max_size=5, unique=True))
+    per_subject = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=len(subjects), max_size=len(subjects))
+    tau, alpha, beta = (draw(per_subject(lo, hi)) for lo, hi in [(0.0, 1.0), (EPS_POS, 1e6), (EPS_POS, 1e6)])
+    return FitReport(
+        params=ModelParams(subjects, tau, alpha, beta, draw(st.floats(0.01, 0.49))),
+        priors=Priors(tau0=draw(st.floats(0.0, 1.0)), s0=draw(st.floats(EPS_POS, 1e6))),
+        iterations=draw(st.integers(0, 10**6)),
+        converged=draw(st.booleans()),
+        loglik_trace=[],
+        fallback_subjects=draw(st.lists(st.sampled_from(subjects), unique=True)) if subjects else [],
+    )
+
+
+@st.composite
+def _subject_reports(draw):
+    gammas = sorted(draw(st.lists(st.floats(0.01, 0.49), max_size=3, unique=True)))
+    floats = lambda k: draw(st.lists(st.floats(), min_size=k, max_size=k))
+    return [
+        SubjectReport(sid, *floats(1), dict(zip(gammas, floats(len(gammas)))), *floats(3), rank=rank)
+        for rank, sid in enumerate(draw(st.lists(IDS, max_size=5, unique=True)), start=1)
+    ]
+
+
+_IMAGE_REPORTS = st.lists(
+    st.builds(
+        ImageReport, IDS, st.floats(), st.floats(), st.floats(), st.floats(), st.integers(), st.booleans(), IDS,
+        st.sampled_from(["high", "low"]),
+    ),
+    max_size=5,
+    unique_by=lambda r: r.task_id,
+)
+
+
+def _fit_values(report):
+    p = report.params
+    arrays = [p.tau.tolist(), p.alpha.tolist(), p.beta.tolist()]
+    return p.subjects, arrays, p.gamma, report.priors, report.iterations, report.converged, report.fallback_subjects
+
+
+@pytest.mark.parametrize(
+    "write,read,reports,values",
+    [
+        (textio.write_fit_report, textio.read_fit_report, _fit_reports(), _fit_values),
+        (textio.write_subject_reports, textio.read_subject_reports, _subject_reports(), list),
+        (textio.write_image_reports, textio.read_image_reports, _IMAGE_REPORTS, list),
+    ],
+    ids=["fit", "subjects", "images"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reports_write_read_write(tmp_path_factory, data, write, read, reports, values):
+    report = data.draw(reports, label="report")
+    tmp = tmp_path_factory.mktemp("reports")
+    write(report, tmp / "first.tsv")
+    back = read(tmp / "first.tsv")
+    assert repr(values(back)) == repr(values(report))
+    write(back, tmp / "second.tsv")
+    assert (tmp / "second.tsv").read_bytes() == (tmp / "first.tsv").read_bytes()
 
 def test_id_list_roundtrip(tmp_path):
     path = tmp_path / "ids.txt"
