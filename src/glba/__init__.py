@@ -4,10 +4,8 @@ ratings, built on per-task pairwise agreement multigraphs."""
 __version__ = "0.1.0"
 
 from .baselines import (
-    CategoricalRow,
     CategoricalTable,
     DawidSkeneModel,
-    categorize,
     categorize_table,
     dawid_skene_fit,
     dawid_skene_rank,

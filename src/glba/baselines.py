@@ -2,12 +2,12 @@
 and the average-time-duration ranking used by crowdsourcing hosts."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES
+from .ingest import DIMENSION_SCALES, _codes
 
 CATEGORIES = ("low", "neutral", "high")
 
@@ -21,21 +21,34 @@ DEFAULT_MARGIN = 0.5
 CONFUSION_SMOOTHING = 0.01
 
 
-@dataclass
-class CategoricalRow:
-    subject_id: str
-    task_id: str
-    category: str
-
-
-@dataclass
+@dataclass(eq=False)
 class CategoricalTable:
-    rows: list
+    """Categorical labels as columns, one entry per label; ``categories``
+    holds each label's position in CATEGORIES (0..2, checked).  Derives
+    ``subject_index``/``task_index`` and ``subject_code``/``task_code`` as
+    ResponseTable does."""
+
+    subject_ids: list
+    task_ids: list
+    categories: np.ndarray
+    subject_index: list = field(init=False, repr=False)
+    task_index: list = field(init=False, repr=False)
+    subject_code: np.ndarray = field(init=False, repr=False)
+    task_code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for r in self.rows:
-            if r.category not in CATEGORIES:
-                raise ValueError(f"unknown category {r.category!r}")
+        codes = np.asarray(self.categories)
+        if not len(self.subject_ids) == len(self.task_ids) == len(codes):
+            raise ValueError("categorical table columns differ in length")
+        bad = ~np.isin(codes, range(len(CATEGORIES)))
+        if bad.any():
+            raise ValueError(f"category code {codes[bad][0].item()!r} outside 0..{len(CATEGORIES) - 1}")
+        self.categories = codes.astype(np.intp)
+        self.subject_index, self.subject_code = _codes(self.subject_ids)
+        self.task_index, self.task_code = _codes(self.task_ids)
+
+    def __len__(self):
+        return len(self.subject_ids)
 
 
 @dataclass
@@ -53,35 +66,20 @@ def _check_nonnegative(name, value):
         raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
-def categorize(score, neutral, threshold=DEFAULT_MARGIN):
-    """Threshold an ordinal rating into low / neutral / high.
-
-    Strictly more than `threshold` above the neutral point is high,
-    strictly more than `threshold` below is low.  `threshold` must be
-    finite and non-negative.
-    """
-    _check_nonnegative("threshold", threshold)
-    if score > neutral + threshold:
-        return "high"
-    if score < neutral - threshold:
-        return "low"
-    return "neutral"
-
-
 def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     """Convert one dimension of a ResponseTable into categorical labels."""
     _check_nonnegative("threshold", threshold)
+    if dimension not in NEUTRAL_POINT:
+        raise ValueError(f"unknown dimension {dimension!r}")
     if neutral is None:
         neutral = NEUTRAL_POINT[dimension]
-    rated = np.flatnonzero(table.rated(dimension)).tolist()
+    rated = table.rated(dimension)
     values = table.ratings(dimension)[rated]
-    # 0, 1, 2 for low, neutral, high: the thresholds of `categorize`.
-    at = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
-    sids, tids = table.subject_ids, table.task_ids
-    rows = [
-        CategoricalRow(sids[i], tids[i], CATEGORIES[c]) for i, c in zip(rated, at.tolist())
-    ]
-    return CategoricalTable(rows=rows)
+    # 0, 1, 2 for low, neutral, high: strictly more than `threshold` above
+    # the neutral point is high, strictly more below is low.
+    codes = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
+    sids, tids = (list(compress(ids, rated)) for ids in (table.subject_ids, table.task_ids))
+    return CategoricalTable(sids, tids, codes)
 
 
 def dawid_skene_fit(table, max_iter=100, tol=1e-6):
@@ -101,22 +99,15 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     order, whatever the order of the rows: `add.at` and `cumsum` add in
     sequence, and the E-step multiplies one within-task position at a time.
     """
-    if not table.rows:
+    if not len(table):
         raise ValueError("empty categorical table")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_nonnegative("tol", tol)
     k = len(CATEGORIES)
-    cat_pos = {c: i for i, c in enumerate(CATEGORIES)}
-    subjects = sorted({r.subject_id for r in table.rows})
-    task_ids = sorted({r.task_id for r in table.rows})
-    s_pos = {s: i for i, s in enumerate(subjects)}
-    t_pos = {t: i for i, t in enumerate(task_ids)}
-    codes = np.array(
-        [(s_pos[r.subject_id], t_pos[r.task_id], cat_pos[r.category]) for r in table.rows],
-        dtype=np.intp,
-    )
-    row_s, row_t, row_c = codes[np.argsort(codes[:, 1] * len(subjects) + codes[:, 0], kind="stable")].T
+    subjects, task_ids = table.subject_index, table.task_index
+    order = np.argsort(table.task_code * len(subjects) + table.subject_code, kind="stable")
+    row_s, row_t, row_c = table.subject_code[order], table.task_code[order], table.categories[order]
     n_tasks = len(task_ids)
     within = np.arange(len(row_t)) - np.searchsorted(row_t, row_t)
     # Per within-task position: the tasks that reach it, with that label's

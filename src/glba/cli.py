@@ -210,6 +210,7 @@ def cmd_baseline_time(args):
 
 
 def cmd_simulate(args):
+    raters = _parse_raters(args.raters)
     gamma = args.gamma if args.gamma is not None else 0.37
     params = simulate.make_true_params(
         args.subjects,
@@ -219,7 +220,6 @@ def cmd_simulate(args):
         strength=args.strength,
         gamma=gamma,
     )
-    raters = _parse_raters(args.raters)
     spec = simulate.GenerativeSpec(
         m=args.subjects,
         n=args.tasks,

@@ -3,10 +3,8 @@
 A rating table is columnar: ``load_responses`` parses the CSV with
 ``csv.reader``, transposes the records into one column per field, checks
 whole columns and returns a ResponseTable of id lists and float arrays (NaN
-marks a missing value).  Every reader in the library works on those
-columns; ``ResponseTable.rows`` gives the same table as ResponseRow records
-for callers that want them, and ``ResponseTable.from_rows`` packs records
-into columns.
+marks a missing value).  Tables are built only from columns, and every
+reader in the library works on them.
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
@@ -18,9 +16,8 @@ A multigraph has one packed form: ``AgreementMultigraph`` takes the task
 ids, each task's rater count, the rater ids and the pair indicators as flat
 task-major arrays, checks them and stacks each rater-count group into one
 indicator block.  ``build_multigraph`` gathers the indicators straight into
-that form; ``AgreementMultigraph.from_tasks`` packs TaskGraph records and
-``AgreementMultigraph.tasks`` gives the graph back as records, for callers
-that want them.
+that form.  ``ResponseTable.rows`` and ``AgreementMultigraph.tasks`` give
+records back as read-only output views, which the library never reads.
 """
 
 import csv
@@ -30,7 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import attrgetter, gt, itemgetter
+from operator import gt, itemgetter
 
 import numpy as np
 
@@ -54,7 +51,7 @@ DEFAULT_MIN_RATERS = 4
 
 @dataclass
 class ResponseRow:
-    """One rating record: the form tables are built from and read back as."""
+    """One rating record, as ``ResponseTable.rows`` gives it back."""
 
     subject_id: str
     task_id: str
@@ -64,8 +61,7 @@ class ResponseRow:
 
 
 # Marks a missing rating or timing in a ResponseTable column.  The loader
-# rejects a literal nan and ResponseTable.from_rows rejects a NaN value, so
-# in a column NaN only ever means "no value".
+# rejects a literal nan, so in a column NaN only ever means "no value".
 MISSING = math.nan
 
 
@@ -79,8 +75,8 @@ class ResponseTable:
     hold one float per row, each MISSING (NaN) where the row has no value.
     Derived on construction: ``subject_index``/``task_index``, the sorted
     distinct ids, and ``subject_code``/``task_code``, each row's position
-    among them.  ``rows`` is a record view (ResponseRow per row), built on
-    first read; the library itself reads only the columns.
+    among them.  ``rows`` is a read-only record view (ResponseRow per row),
+    built on first read; the library itself reads only the columns.
     """
 
     subject_ids: list
@@ -104,28 +100,6 @@ class ResponseTable:
         self.subject_index, self.subject_code = _codes(self.subject_ids)
         self.task_index, self.task_code = _codes(self.task_ids)
 
-    @classmethod
-    def from_rows(cls, rows):
-        """Pack ResponseRow records into columns.  A dimension missing from a
-        row's ``scores`` and a timing of None become MISSING; a NaN rating or
-        timing raises ValueError naming the row (0-based)."""
-        rows = list(rows)
-        dims = list(dict.fromkeys(d for r in rows for d in r.scores))
-
-        def column(name, values):
-            nan = next((i for i, v in enumerate(values) if v is not None and v != v), None)
-            if nan is not None:
-                raise ValueError(f"row {nan}: NaN {name}")
-            return [MISSING if v is None else v for v in values]
-
-        return cls(
-            subject_ids=[r.subject_id for r in rows],
-            task_ids=[r.task_id for r in rows],
-            scores={d: column(d, [r.scores.get(d) for r in rows]) for d in dims},
-            view_seconds=column("view_seconds", [r.view_seconds for r in rows]),
-            label_seconds=column("label_seconds", [r.label_seconds for r in rows]),
-        )
-
     def __len__(self):
         return len(self.subject_ids)
 
@@ -144,7 +118,9 @@ class ResponseTable:
 
     @functools.cached_property
     def rows(self):
-        """The table as ResponseRow records in file order (read-only)."""
+        """The table as ResponseRow records in file order (read-only).  An
+        output view only, kept because glbabench/tracer.py counts rows
+        through it."""
         dims = list(self.scores)
         cells = zip(*(self.scores[d].tolist() for d in dims)) if dims else [()] * len(self)
         view, label = (
@@ -192,9 +168,8 @@ class PercentileTable:
 
 @dataclass
 class TaskGraph:
-    """Agreement indicators for one task over its ordered rater list: the
-    record form that AgreementMultigraph.from_tasks packs and
-    AgreementMultigraph.tasks gives back.
+    """Agreement indicators for one task over its ordered rater list, as
+    AgreementMultigraph.tasks gives them back.
 
     ``edges[a, b]`` is the indicator for the ordered pair
     (subjects[a], subjects[b]); the diagonal is unused and kept at zero.
@@ -259,29 +234,35 @@ class AgreementMultigraph:
     """Task graphs over one global subject list, checked and packed once.
 
     Built from packed fields: the task ids, in any order; each task's
-    rater count; the rater ids, task-major; and the 0/1 indicators as
-    uint8, task-major and row-major over the ordered rater pairs (i, j),
-    i != j (the order graph files store them in).  Sorts the tasks by id,
-    derives ``subjects`` and lays every (task, rater) slot out task-major,
-    as ``offsets`` per task, ``flat_sidx`` (global rater index per slot),
-    ``groups`` (a SizeGroup per rater count, ascending) and ``degree``
-    (tasks per subject); ``blocks`` adds the groups' float forms on first
-    use.  Raises ValueError naming the task on an empty or duplicate task
-    id, an empty or repeated subject id, and a task or subject id that
-    begins with '#'.
+    rater count; the rater ids, task-major; and the 0/1 indicators (of
+    any dtype, stored as uint8), task-major and row-major over the ordered
+    rater pairs (i, j), i != j (the order graph files store them in).
+    Sorts the tasks by id, derives ``subjects`` and lays every (task,
+    rater) slot out task-major, as ``offsets`` per task, ``flat_sidx``
+    (global rater index per slot), ``groups`` (a SizeGroup per rater
+    count, ascending) and ``degree`` (tasks per subject); ``blocks`` adds
+    the groups' float forms on first use.  Raises ValueError naming the
+    task on an indicator other than 0 or 1 (the first such task in the
+    order given), an empty or duplicate task id, an empty or repeated
+    subject id, and a task or subject id that begins with '#'.
 
-    ``from_tasks`` packs TaskGraph records and ``tasks`` gives them back;
-    the library itself reads only the packed fields.
+    ``tasks`` gives the graph back as TaskGraph records; the library itself
+    reads only the packed fields.
     """
 
     def __init__(self, task_ids, sizes, raters, indicators):
         ids = list(task_ids)
         sizes = np.asarray(sizes, dtype=np.intp)
         raters = list(raters)
-        flags = np.asarray(indicators, dtype=np.uint8)
+        flags = np.asarray(indicators)
         pairs = sizes * (sizes - 1)
         if len(sizes) != len(ids) or sizes.sum() != len(raters) or pairs.sum() != len(flags):
             raise ValueError("task ids, rater counts, raters and indicators differ in length")
+        bad = (flags != 0) & (flags != 1)
+        if bad.any():
+            k = int(np.searchsorted(np.cumsum(pairs), bad.argmax(), side="right"))
+            raise ValueError(f"task {ids[k]!r} has an indicator other than 0 or 1")
+        flags = flags.astype(np.uint8, copy=False)
         if any(map(gt, ids, ids[1:])):
             order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
             ids = list(map(ids.__getitem__, order.tolist()))
@@ -322,35 +303,12 @@ class AgreementMultigraph:
             k = int(np.searchsorted(self.offsets, slot, side="right")) - 1
             raise ValueError(f"task {ids[k]!r} has a subject id that begins with '#'")
 
-    @classmethod
-    def from_tasks(cls, tasks):
-        """Pack TaskGraph records, in any order.  Besides what the
-        constructor rejects, raises ValueError naming the task on edges not
-        of shape (r, r), an indicator other than 0 or 1 (of any dtype) and
-        a nonzero diagonal."""
-        tasks = sorted(tasks, key=attrgetter("task_id"))
-        flags = []
-        for t in tasks:
-            r = len(t.subjects)
-            edges = np.asarray(t.edges)
-            if edges.shape != (r, r):
-                raise ValueError(f"task {t.task_id!r} has edges of shape {edges.shape}, expected ({r}, {r})")
-            if ((edges != 0) & (edges != 1)).any():
-                raise ValueError(f"task {t.task_id!r} has an indicator other than 0 or 1")
-            if np.diagonal(edges).any():
-                raise ValueError(f"task {t.task_id!r} has a nonzero diagonal")
-            flags.append(edges[_offdiag(r)])
-        return cls(
-            [t.task_id for t in tasks],
-            [len(t.subjects) for t in tasks],
-            [s for t in tasks for s in t.subjects],
-            np.concatenate(flags) if flags else [],
-        )
-
     @functools.cached_property
     def tasks(self):
         """The graph as TaskGraph records in task order, built on first read
-        (read-only: each record's edges view the packed indicators)."""
+        (read-only: each record's edges view the packed indicators).  An
+        output view only, kept because glbabench/tracer.py counts pairs
+        through it."""
         names = list(map(self.subjects.__getitem__, self.flat_sidx.tolist()))
         bounds = self.offsets.tolist()
         edges = [None] * self.n

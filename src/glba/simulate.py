@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import (
-    DIMENSION_SCALES,
-    MISSING,
-    AgreementMultigraph,
-    ResponseTable,
-    TaskGraph,
-)
+from .ingest import DIMENSION_SCALES, MISSING, AgreementMultigraph, ResponseTable, _offdiag
 from .model import ModelParams
 
 
@@ -53,6 +47,8 @@ class GenerativeSpec:
     seed: int = 0
 
     def validate(self):
+        if self.n < 1:
+            raise ValueError(f"task count must be at least 1, got {self.n}")
         if len(self.true_params.subjects) != self.m:
             raise ValueError("true_params must cover exactly m subjects")
         self.true_params.validate()
@@ -86,7 +82,12 @@ def make_true_params(
     subjects=None,
 ):
     """Ground-truth parameters with the first `spammer_count` subjects
-    fully unreliable and everyone sharing one regularity shape."""
+    fully unreliable and everyone sharing one regularity shape.  Requires
+    m >= 1 and 0 <= spammer_count <= m."""
+    if m < 1:
+        raise ValueError(f"subject count must be at least 1, got {m}")
+    if not 0 <= spammer_count <= m:
+        raise ValueError(f"spammer count must lie in 0..{m} (the subject count), got {spammer_count}")
     subjects = subjects or default_subject_ids(m)
     tau = np.full(m, tau_reliable)
     tau[:spammer_count] = 0.0
@@ -109,24 +110,24 @@ def sample_multigraph(spec):
     p = spec.true_params
     lo, hi = _rater_range(spec.raters_per_task, spec.m)
 
-    tasks = []
+    task_ids, sizes, raters, flags = [], [], [], []
     for k in range(spec.n):
         rng = _task_rng(spec.seed, k)
         r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
         members = rng.choice(spec.m, size=r, replace=False)
         order = np.argsort([p.subjects[i] for i in members])
         members = members[order]
-        ids = [p.subjects[i] for i in members]
 
         gates = rng.random(r) < p.tau[members]
         rates = rng.beta(p.alpha[members], p.beta[members])
         u = rng.random((r, r))
         prob = np.where(gates[None, :], rates[:, None], p.gamma)
-        edges = (u < prob).astype(np.uint8)
-        np.fill_diagonal(edges, 0)
 
-        tasks.append(TaskGraph(task_id=f"t{k:05d}", subjects=ids, edges=edges))
-    return AgreementMultigraph.from_tasks(tasks), p
+        task_ids.append(f"t{k:05d}")
+        sizes.append(r)
+        raters.extend(p.subjects[i] for i in members)
+        flags.append((u < prob)[_offdiag(r)])
+    return AgreementMultigraph(task_ids, sizes, raters, np.concatenate(flags)), p
 
 
 def inject_spammers(table, dimension, spec):

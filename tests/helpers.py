@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from glba.ingest import AgreementMultigraph, ResponseRow, ResponseTable, TaskGraph
+from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, TaskGraph
 from glba.model import ModelParams, R_CLAMP
 
 
@@ -40,7 +40,21 @@ def random_graph(rng, m=8, n=6, r_lo=2, r_hi=5, subject_prefix="s"):
         r = int(rng.integers(r_lo, r_hi + 1))
         members = sorted(rng.choice(m, size=r, replace=False))
         tasks.append(random_task(rng, f"t{k:03d}", [ids[i] for i in members]))
-    return AgreementMultigraph.from_tasks(tasks)
+    return graph_from_tasks(tasks)
+
+
+def graph_from_tasks(tasks):
+    """AgreementMultigraph from TaskGraph records, in any order, through the
+    packed constructor: each task's off-diagonal indicators, row-major (the
+    diagonal is not read)."""
+    tasks = list(tasks)
+    flags = [np.asarray(t.edges)[~np.eye(t.n_raters, dtype=bool)] for t in tasks]
+    return AgreementMultigraph(
+        [t.task_id for t in tasks],
+        [t.n_raters for t in tasks],
+        [s for t in tasks for s in t.subjects],
+        np.concatenate(flags) if flags else [],
+    )
 
 
 def random_params(rng, graph, gamma=None):
@@ -55,16 +69,26 @@ def random_params(rng, graph, gamma=None):
 
 
 def table_from_rows(rows):
-    """rows: (subject, task, scores_dict [, view, label])"""
-    out = []
-    for row in rows:
-        s, t, scores = row[0], row[1], row[2]
-        view = row[3] if len(row) > 3 else None
-        label = row[4] if len(row) > 4 else None
-        out.append(
-            ResponseRow(subject_id=s, task_id=t, scores=dict(scores), view_seconds=view, label_seconds=label)
-        )
-    return ResponseTable.from_rows(out)
+    """ResponseTable from records (subject, task, scores_dict [, view,
+    label]) through its constructor.  A dimension missing from a record's
+    scores and a timing of None become MISSING; a NaN rating or timing
+    raises ValueError naming the row (0-based)."""
+    rows = [(*row, None, None)[:5] for row in rows]
+    dims = list(dict.fromkeys(d for row in rows for d in row[2]))
+
+    def column(name, values):
+        nan = next((i for i, v in enumerate(values) if v is not None and v != v), None)
+        if nan is not None:
+            raise ValueError(f"row {nan}: NaN {name}")
+        return [MISSING if v is None else v for v in values]
+
+    return ResponseTable(
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        {d: column(d, [row[2].get(d) for row in rows]) for d in dims},
+        column("view_seconds", [row[3] for row in rows]),
+        column("label_seconds", [row[4] for row in rows]),
+    )
 
 
 def rated_rows(table, dimension):
@@ -222,13 +246,15 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
     confusions after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
     from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
 
+    if not table.subject_ids:
+        raise ValueError("empty categorical table")
     k = len(CATEGORIES)
-    cat_pos = {c: i for i, c in enumerate(CATEGORIES)}
-    subjects = sorted({r.subject_id for r in table.rows})
+    subjects = sorted(set(table.subject_ids))
     s_pos = {s: i for i, s in enumerate(subjects)}
+    labels = zip(table.subject_ids, table.task_ids, table.categories.tolist())
     task_labels = {}
-    for r in sorted(table.rows, key=lambda r: (r.task_id, r.subject_id)):
-        task_labels.setdefault(r.task_id, []).append((s_pos[r.subject_id], cat_pos[r.category]))
+    for s, t, cat in sorted(labels, key=lambda x: (x[1], x[0])):
+        task_labels.setdefault(t, []).append((s_pos[s], cat))
     task_ids = sorted(task_labels)
     task_labels = {t: task_labels[t] for t in task_ids}
 
@@ -313,7 +339,7 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
                 if a != b:
                     edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
         tasks.append(TaskGraph(task_id=tid, subjects=[r.subject_id for r in rs], edges=edges))
-    return AgreementMultigraph.from_tasks(tasks)
+    return graph_from_tasks(tasks)
 
 
 def oracle_image_scores(table, dimension, params, direction="high", min_raters=1):
@@ -382,7 +408,7 @@ def oracle_pair_indicators(task):
 
 def oracle_read_multigraph(path):
     """The multigraph reader as a loop over the records, each parsed into a
-    TaskGraph and packed by `AgreementMultigraph.from_tasks`.  Same
+    TaskGraph and packed by `graph_from_tasks`.  Same
     contract, graphs and error strings as `glba.textio.read_multigraph`."""
     tasks = []
     with open(path, encoding="utf-8") as fh:
@@ -405,7 +431,7 @@ def oracle_read_multigraph(path):
         edges[~np.eye(r, dtype=bool)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
         tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
     try:
-        return AgreementMultigraph.from_tasks(tasks)
+        return graph_from_tasks(tasks)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -491,21 +517,13 @@ def oracle_load_responses(path, schema=None):
                     return None
                 return value
 
-            rows.append(
-                ResponseRow(
-                    subject_id=sid,
-                    task_id=tid,
-                    scores=scores,
-                    view_seconds=seconds("view_seconds", has_view),
-                    label_seconds=seconds("label_seconds", has_label),
-                )
-            )
+            rows.append((sid, tid, scores, seconds("view_seconds", has_view), seconds("label_seconds", has_label)))
 
     if problems:
         shown = "; ".join(problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
-    return ResponseTable.from_rows(rows)
+    return table_from_rows(rows)
 
 
 def oracle_duration_rank(table):
@@ -527,23 +545,69 @@ def oracle_duration_rank(table):
     return ranked, excluded
 
 
+def categorize(score, neutral, threshold=0.5):
+    """Threshold an ordinal rating into low / neutral / high.
+
+    Strictly more than `threshold` above the neutral point is high,
+    strictly more than `threshold` below is low.  `threshold` must be
+    finite and non-negative.
+    """
+    from glba.baselines import _check_nonnegative
+
+    _check_nonnegative("threshold", threshold)
+    if score > neutral + threshold:
+        return "high"
+    if score < neutral - threshold:
+        return "low"
+    return "neutral"
+
+
 def oracle_categorize_table(table, dimension, neutral=None, threshold=0.5):
     """Categorical labels as one scalar `categorize` call per record.  Same
     contract as `glba.baselines.categorize_table`."""
-    from glba.baselines import NEUTRAL_POINT, CategoricalRow, CategoricalTable, _check_nonnegative, categorize
+    from glba.baselines import CATEGORIES, NEUTRAL_POINT, CategoricalTable, _check_nonnegative
 
     _check_nonnegative("threshold", threshold)
+    if dimension not in NEUTRAL_POINT:
+        raise ValueError(f"unknown dimension {dimension!r}")
     if neutral is None:
         neutral = NEUTRAL_POINT[dimension]
-    rows = [
-        CategoricalRow(
-            subject_id=r.subject_id,
-            task_id=r.task_id,
-            category=categorize(r.scores[dimension], neutral, threshold),
-        )
-        for r in rated_rows(table, dimension)
-    ]
-    return CategoricalTable(rows=rows)
+    rows = rated_rows(table, dimension)
+    return CategoricalTable(
+        [r.subject_id for r in rows],
+        [r.task_id for r in rows],
+        [CATEGORIES.index(categorize(r.scores[dimension], neutral, threshold)) for r in rows],
+    )
+
+
+def oracle_sample_multigraph(spec):
+    """The generative sampler as a loop that builds one TaskGraph per task
+    and packs them with `graph_from_tasks`.  Same draws, in the same order,
+    and same contract as `glba.simulate.sample_multigraph`."""
+    from glba.simulate import _rater_range, _task_rng
+
+    spec.validate()
+    p = spec.true_params
+    lo, hi = _rater_range(spec.raters_per_task, spec.m)
+
+    tasks = []
+    for k in range(spec.n):
+        rng = _task_rng(spec.seed, k)
+        r = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+        members = rng.choice(spec.m, size=r, replace=False)
+        order = np.argsort([p.subjects[i] for i in members])
+        members = members[order]
+        ids = [p.subjects[i] for i in members]
+
+        gates = rng.random(r) < p.tau[members]
+        rates = rng.beta(p.alpha[members], p.beta[members])
+        u = rng.random((r, r))
+        prob = np.where(gates[None, :], rates[:, None], p.gamma)
+        edges = (u < prob).astype(np.uint8)
+        np.fill_diagonal(edges, 0)
+
+        tasks.append(TaskGraph(task_id=f"t{k:05d}", subjects=ids, edges=edges))
+    return graph_from_tasks(tasks), p
 
 
 def oracle_overhead_curve(table, dimension, reports, mode, thresholds=None):

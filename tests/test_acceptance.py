@@ -14,7 +14,7 @@ from scipy.stats import rankdata, spearmanr
 
 from glba.baselines import categorize_table, dawid_skene_fit, dawid_skene_rank
 from glba.cli import main as cli_main
-from glba.ingest import AgreementMultigraph, TaskGraph, build_multigraph
+from glba.ingest import TaskGraph, build_multigraph
 from glba.model import (
     FitConfig,
     ModelParams,
@@ -35,6 +35,7 @@ from glba.simulate import (
 )
 from glba.textio import write_responses
 from helpers import (
+    graph_from_tasks,
     oracle_estep,
     oracle_mstep_residual,
     random_graph,
@@ -112,7 +113,7 @@ def test_m_step_stationarity():
         tau_tilde = [rng.uniform(0, 1) for _ in stats_ab]
         # subject 's' alone rates one task per statistic
         one = np.zeros((1, 1), dtype=np.uint8)
-        graph = AgreementMultigraph.from_tasks([TaskGraph(f"t{k:03d}", ["s"], one) for k in range(d)])
+        graph = graph_from_tasks([TaskGraph(f"t{k:03d}", ["s"], one) for k in range(d)])
         stats = (*(np.array(x) for x in zip(*stats_ab)), np.array(tau_tilde))
         start = ModelParams(["s"], np.ones(1), np.ones(1), np.ones(1), gamma=0.37)
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))

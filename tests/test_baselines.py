@@ -3,7 +3,7 @@ import pytest
 
 from glba.baselines import (
     CATEGORIES,
-    categorize,
+    CategoricalTable,
     categorize_table,
     dawid_skene_fit,
     dawid_skene_rank,
@@ -13,8 +13,14 @@ from helpers import oracle_dawid_skene, table_from_rows
 
 
 # ---------------------------------------------------------------------------
-# categorize
+# categorize_table
 # ---------------------------------------------------------------------------
+
+
+def categorize(score, neutral, threshold):
+    """The label categorize_table gives a one-row table rated `score`."""
+    table = table_from_rows([("a", "t1", {"valence": score})])
+    return CATEGORIES[categorize_table(table, "valence", neutral, threshold).categories[0]]
 
 
 def test_categorize_midpoint_is_neutral():
@@ -48,23 +54,48 @@ def test_categorize_table_uses_dimension_midpoint():
         ]
     )
     cat_v = categorize_table(table, "valence")
-    assert [r.category for r in cat_v.rows] == ["high", "low"]
+    assert [CATEGORIES[c] for c in cat_v.categories] == ["high", "low"]
     cat_l = categorize_table(table, "likeness")  # neutral point 4 on the 1..7 scale
-    assert [r.category for r in cat_l.rows] == ["neutral", "high"]
+    assert [CATEGORIES[c] for c in cat_l.categories] == ["neutral", "high"]
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5, -10.0])
 def test_categorize_rejects_bad_threshold(threshold):
-    table = table_from_rows([("a", "t1", {"valence": 9.0}), ("b", "t1", {"valence": 1.0})])
     with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
         categorize(9.0, neutral=5.0, threshold=threshold)
-    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
-        categorize_table(table, "valence", threshold=threshold)
 
 
 def test_categorize_zero_threshold_is_allowed():
     assert categorize(5.0, neutral=5.0, threshold=0.0) == "neutral"
     assert categorize(5.1, neutral=5.0, threshold=0.0) == "high"
+
+
+def test_categorize_table_rejects_unknown_dimension():
+    table = table_from_rows([("a", "t1", {"valence": 9.0})])
+    for neutral in (None, 5.0):
+        with pytest.raises(ValueError, match="^unknown dimension 'foo'$"):
+            categorize_table(table, "foo", neutral)
+
+
+def test_categorize_table_keeps_rated_rows_in_order():
+    table = table_from_rows(
+        [("b", "t2", {"valence": 2.0}), ("a", "t1", {"arousal": 2.0}), ("a", "t2", {"valence": 7.0})]
+    )
+    cat = categorize_table(table, "valence")
+    assert (cat.subject_ids, cat.task_ids, cat.categories.tolist()) == (["b", "a"], ["t2", "t2"], [0, 2])
+    assert (cat.subject_index, cat.subject_code.tolist()) == (["a", "b"], [1, 0])
+    assert (cat.task_index, cat.task_code.tolist()) == (["t2"], [0, 0])
+
+
+@pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0, 1.5]])
+def test_categorical_table_rejects_unknown_codes(codes):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        CategoricalTable(["a", "b"], ["t1", "t1"], codes)
+
+
+def test_categorical_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        CategoricalTable(["a", "b"], ["t1"], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +104,9 @@ def test_categorize_zero_threshold_is_allowed():
 
 
 def cat_table(entries):
-    from glba.baselines import CategoricalRow, CategoricalTable
-
-    return CategoricalTable(
-        rows=[CategoricalRow(subject_id=s, task_id=t, category=c) for s, t, c in entries]
-    )
+    """CategoricalTable from (subject, task, category name) entries."""
+    sids, tids, cats = zip(*entries) if entries else ((), (), ())
+    return CategoricalTable(list(sids), list(tids), [CATEGORIES.index(c) for c in cats])
 
 
 def test_ds_single_vote_concentrates():
@@ -89,10 +118,8 @@ def test_ds_single_vote_concentrates():
 
 
 def test_ds_empty_table():
-    from glba.baselines import CategoricalTable
-
     with pytest.raises(ValueError, match="empty"):
-        dawid_skene_fit(CategoricalTable(rows=[]))
+        dawid_skene_fit(cat_table([]))
 
 
 def test_ds_perfect_agreement_near_identity():

@@ -445,6 +445,25 @@ def test_simulate_rejects_bad_raters(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--spammers", -1, "spammer count must lie in 0..20 (the subject count), got -1"),
+        ("--spammers", 500, "spammer count must lie in 0..20 (the subject count), got 500"),
+        ("--tasks", -5, "task count must be at least 1, got -5"),
+        ("--tasks", 0, "task count must be at least 1, got 0"),
+        ("--subjects", -3, "subject count must be at least 1, got -3"),
+    ],
+    ids=["spammers-negative", "spammers-above-m", "tasks-negative", "tasks-zero", "subjects-negative"],
+)
+def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    args = {"--subjects": 20, "--tasks": 10, "--spammers": 2, flag: value}
+    assert run(["simulate", *(x for kv in args.items() for x in kv), "--raters", 3, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_config_negative_workers_exits_2(tmp_path, capsys):
     graph = tmp_path / "graph.tsv"
     graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")

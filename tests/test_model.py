@@ -27,6 +27,7 @@ from glba.model import (
 )
 from glba.simulate import GenerativeSpec, make_true_params, sample_multigraph
 from helpers import (
+    graph_from_tasks,
     make_task,
     oracle_estep,
     oracle_gamma_ratio,
@@ -164,7 +165,7 @@ def test_e_step_gate_forced_closed_and_open():
 
 def test_e_step_neutral_evidence_fixed_point():
     # a single-rater task has no neighbors: R = 1, so tau~ = tau
-    graph = AgreementMultigraph.from_tasks([make_task("t", ["a"], {})])
+    graph = graph_from_tasks([make_task("t", ["a"], {})])
     params = params_for(graph, tau=0.3, alpha=1.5, beta=2.5)
     assert e_step(graph, params)[2][0] == pytest.approx(0.3, abs=0)
 
@@ -184,18 +185,19 @@ def test_e_step_matches_brute_force_oracle():
 
 def test_e_step_rejects_malformed_task():
     # One agreement a->b at tau 0.5, alpha = beta = 1: alpha~ of a is
-    # 1 + 0.5.  A diagonal of 1 or 2 would add tau_a or 2 tau_a to it.
+    # 1 + 0.5.  An indicator of 2 there would make it 1 + 2 * 0.5.  The
+    # packed form has no diagonal, so only the off-diagonal values can be
+    # malformed, and the constructor rejects them before e_step runs.
     subjects = ["a", "b", "c"]
     params = ModelParams(subjects, np.full(3, 0.5), np.ones(3), np.ones(3), 0.37)
-    edges = np.zeros((3, 3), dtype=np.uint8)
-    edges[0, 1] = 1
-    a_t = e_step(AgreementMultigraph.from_tasks([TaskGraph("t1", subjects, edges)]), params)[0]
+    flags = np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8)  # (a, b) first, row-major
+    a_t = e_step(AgreementMultigraph(["t1"], [3], subjects, flags), params)[0]
     assert a_t.tolist() == [1.5, 1.0, 1.0]
-    for diagonal, what in ((1, "nonzero diagonal"), (2, "indicator other than 0 or 1")):
-        bad = edges.copy()
-        bad[0, 0] = diagonal
-        with pytest.raises(ValueError, match=f"task 't1' has an? {what}"):
-            e_step(AgreementMultigraph.from_tasks([TaskGraph("t1", subjects, bad)]), params)
+    for value in (2, -1, 0.5):
+        bad = flags * 1.0
+        bad[0] = value
+        with pytest.raises(ValueError, match="^task 't1' has an indicator other than 0 or 1$"):
+            e_step(AgreementMultigraph(["t1"], [3], subjects, bad), params)
 
 
 def test_steps_reject_misaligned_inputs():
@@ -308,7 +310,7 @@ def _one_subject(alpha_tilde, beta_tilde, tau_tilde):
     """A graph in which subject 's' alone rates one task per given
     statistic, those flat statistics, and start parameters alpha = beta = 1."""
     tasks = [make_task(f"t{k:03d}", ["s"], {}) for k in range(len(alpha_tilde))]
-    graph = AgreementMultigraph.from_tasks(tasks)
+    graph = graph_from_tasks(tasks)
     stats = tuple(np.array(x, dtype=float) for x in (alpha_tilde, beta_tilde, tau_tilde))
     return graph, stats, params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
 
@@ -393,7 +395,7 @@ def test_update_gamma_collapses_to_pair_fraction():
         edges = (rng.random((4, 4)) < 0.3).astype(np.uint8)
         np.fill_diagonal(edges, 0)
         tasks.append(TaskGraph(task_id=f"t{k}", subjects=subs, edges=edges))
-    graph = AgreementMultigraph.from_tasks(tasks)
+    graph = graph_from_tasks(tasks)
     agree_pairs = sum(int(t.edges.sum()) for t in graph.tasks)
     all_pairs = sum(t.n_raters * (t.n_raters - 1) for t in graph.tasks)
     tau_tilde = np.zeros(graph.offsets[-1])
@@ -408,7 +410,7 @@ def test_update_gamma_degenerate_keeps_previous():
 def test_update_gamma_mixed_hand_ratio():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 0})
     t2 = make_task("t2", ["a", "c"], {("a", "c"): 0, ("c", "a"): 0})
-    graph = AgreementMultigraph.from_tasks([t1, t2])
+    graph = graph_from_tasks([t1, t2])
     tau_by_task = {"t1": {"a": 0.5, "b": 0.25}, "t2": {"a": 0.1, "c": 0.9}}
     tau_tilde = [tau_by_task[task.task_id][s] for task in graph.tasks for s in task.subjects]
     # hand sums over ordered pairs, weights 1 - tau~ of the target rater:
@@ -420,7 +422,7 @@ def test_update_gamma_mixed_hand_ratio():
 
 def test_update_gamma_clamped():
     t1 = make_task("t1", ["a", "b"], {("a", "b"): 1, ("b", "a"): 1})
-    graph = AgreementMultigraph.from_tasks([t1])
+    graph = graph_from_tasks([t1])
     assert update_gamma(graph, np.zeros(2), previous=0.2) == 0.49
 
 
@@ -438,7 +440,7 @@ def test_log_posterior_finite_on_toy():
 
 def test_log_posterior_matches_hand_expansion():
     task = make_task("t", ["x", "y"], {("x", "y"): 1, ("y", "x"): 0})
-    graph = AgreementMultigraph.from_tasks([task])
+    graph = graph_from_tasks([task])
     params = ModelParams(
         subjects=["x", "y"],
         tau=np.array([0.6, 0.3]),
@@ -746,7 +748,7 @@ def test_gamma_sums_bit_identical_to_loop(include_self):
     # size groups must interleave in task order for the layout's sort to matter
     assert interleaved > 10
     # a lone rater has no neighbour pair, only (with include_self) a self pair
-    lone = AgreementMultigraph.from_tasks([make_task("t", ["a"], {})])
+    lone = graph_from_tasks([make_task("t", ["a"], {})])
     t_t = np.array([0.25])
     sums = _gamma_sums(_pair_layout(lone, include_self), t_t)
     assert sums == oracle_gamma_ratio(lone, t_t, include_self)

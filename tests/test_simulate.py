@@ -11,7 +11,7 @@ from glba.simulate import (
     sample_multigraph,
     sample_response_table,
 )
-from helpers import oracle_pair_indicators, rated_rows
+from helpers import oracle_pair_indicators, oracle_sample_multigraph, rated_rows
 
 
 def graph_signature(graph):
@@ -80,6 +80,51 @@ def test_sample_reliable_pair_rate_matches_beta_mean():
     # J varies per (task, rater): variance of Bernoulli(J) with Beta J
     se = (mean * (1 - mean) / total) ** 0.5
     assert abs(rate - mean) <= 3 * se
+
+
+@pytest.mark.parametrize("raters", [5, (4, 8), (2, 3), 2])
+@pytest.mark.parametrize("seed", [0, 7, 20261017])
+def test_sample_packs_the_record_loop_graph(raters, seed):
+    params = make_true_params(12, spammer_count=3, gamma=0.3)
+    spec = GenerativeSpec(m=12, n=40, raters_per_task=raters, true_params=params, seed=seed)
+    got, got_params = sample_multigraph(spec)
+    want, want_params = oracle_sample_multigraph(spec)
+    assert got_params is want_params is params
+    assert got.task_ids == want.task_ids and got.subjects == want.subjects
+    for name in ("offsets", "flat_sidx", "degree"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "m,spammers,match",
+    [
+        (5, -1, r"^spammer count must lie in 0\.\.5 \(the subject count\), got -1$"),
+        (5, 6, r"^spammer count must lie in 0\.\.5 \(the subject count\), got 6$"),
+        (0, 0, r"^subject count must be at least 1, got 0$"),
+        (-3, 0, r"^subject count must be at least 1, got -3$"),
+    ],
+    ids=["spammers-negative", "spammers-above-m", "no-subjects", "negative-subjects"],
+)
+def test_true_params_reject_bad_counts(m, spammers, match):
+    with pytest.raises(ValueError, match=match):
+        make_true_params(m, spammer_count=spammers)
+
+
+def test_true_params_allow_every_subject_a_spammer():
+    assert make_true_params(4, spammer_count=4).tau.tolist() == [0.0] * 4
+    assert make_true_params(4).tau.tolist() == [0.9] * 4
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_rejects_no_tasks(n):
+    spec = GenerativeSpec(m=5, n=n, raters_per_task=2, true_params=make_true_params(5), seed=0)
+    with pytest.raises(ValueError, match=f"^task count must be at least 1, got {n}$"):
+        sample_multigraph(spec)
 
 
 def test_sample_reversed_rater_range():
