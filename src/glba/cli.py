@@ -293,7 +293,9 @@ def _parse_thresholds(raw):
         raise ValueError(f"--thresholds must be lo:hi:step, got {raw!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"--thresholds needs finite lo <= hi and step > 0, got {raw!r}")
-    count = int(round((hi - lo) / step)) + 1
+    # Floor, so no threshold passes hi; the slack absorbs rounding in the
+    # division (0.3 / 0.1 is 2.9999999999999996).
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     return [round(lo + i * step, 10) for i in range(count)]
 
 

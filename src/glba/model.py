@@ -105,8 +105,6 @@ class FitConfig:
     max_iter: int = 500
     eb_tol: float = 1e-4
     eb_max_rounds: int = 20
-    prior_grad_mode: str = "gamma-map"  # or "paper-literal"
-    psi_includes_self: bool = False
     # Record the monitored objective per iteration in FitReport.loglik_trace.
     # It never changes the fit; off, each iteration skips its evaluation.
     trace: bool = True
@@ -120,8 +118,7 @@ class FitConfig:
             raise ValueError("max_iter must be at least 1")
         if self.eb_max_rounds < 1:
             raise ValueError("eb_max_rounds must be at least 1")
-        _check_mode(self.prior_grad_mode)
-        grid = [self.gamma] if isinstance(self.gamma, (int, float)) else list(self.gamma)
+        grid = _gamma_values(self.gamma)
         if not grid:
             raise ValueError("gamma grid is empty")
         for g in grid:
@@ -130,14 +127,14 @@ class FitConfig:
                 raise ValueError(f"gamma must be a finite number in (0, 0.5), got {g!r}")
 
     def gamma_value(self):
-        if not isinstance(self.gamma, (int, float)):
+        if not isinstance(self.gamma, numbers.Real):
             raise ValueError("config.gamma is a grid; use fit_grid for grids")
         return float(self.gamma)
 
 
-def _check_mode(mode):
-    if mode not in ("gamma-map", "paper-literal"):
-        raise ValueError(f"unknown prior_grad_mode {mode!r}")
+def _gamma_values(gamma):
+    """config.gamma as a list: a single rate (any real number) or a grid."""
+    return [gamma] if isinstance(gamma, numbers.Real) else list(gamma)
 
 
 @dataclass
@@ -187,7 +184,7 @@ def _digammas(a_t, b_t):
 # ---------------------------------------------------------------------------
 
 
-def _estep_kernel(E, comp, t, a, b, gamma, include_self):
+def _estep_kernel(E, comp, t, a, b, gamma):
     """Closed-form posterior statistics for a batch of same-size tasks.
 
     E: (G, r, r) indicators with zero diagonal, comp its complement;
@@ -199,7 +196,7 @@ def _estep_kernel(E, comp, t, a, b, gamma, include_self):
     omega = np.einsum("gij,gj->gi", E, t)
     disagree = np.einsum("gij,gj->gi", comp, t)
     a_t = a + omega
-    b_t = b + disagree + (t if include_self else 0.0)
+    b_t = b + disagree
 
     log_a = np.log(a_t)
     log_b = np.log(b_t)
@@ -218,23 +215,22 @@ def _estep_kernel(E, comp, t, a, b, gamma, include_self):
     return a_t, b_t, tau_t
 
 
-def _e_step(graph, tau, alpha, beta, gamma, include_self):
+def _e_step(graph, tau, alpha, beta, gamma):
     a_t, b_t, t_t = (np.empty(graph.offsets[-1]) for _ in range(3))
     for (E, comp), g in zip(graph.blocks, graph.groups):
         a_t[g.dest], b_t[g.dest], t_t[g.dest] = _estep_kernel(
-            E, comp, tau[g.sidx], alpha[g.sidx], beta[g.sidx], gamma, include_self
+            E, comp, tau[g.sidx], alpha[g.sidx], beta[g.sidx], gamma
         )
     return a_t, b_t, t_t
 
 
-def e_step(multigraph, params, include_self=False):
+def e_step(multigraph, params):
     """Flat posterior statistics (alpha~, beta~, tau~) of every slot.
 
-    `params` must list multigraph.subjects in order.  With include_self,
-    a rater's own tau counts toward its beta~ (the literal printed form).
+    `params` must list multigraph.subjects in order.
     """
     _checked(multigraph, params)
-    return _e_step(multigraph, params.tau, params.alpha, params.beta, params.gamma, include_self)
+    return _e_step(multigraph, params.tau, params.alpha, params.beta, params.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +238,11 @@ def e_step(multigraph, params, include_self=False):
 # ---------------------------------------------------------------------------
 
 
-def _prior_term(s, s0, mode):
-    """Left-hand side h(alpha+beta) of the shape stationarity system."""
-    if mode == "paper-literal":
-        return s / s0 - np.log(s)
-    return 1.0 / s0 - 1.0 / s
-
-
-def _prior_term_deriv(s, s0, mode):
-    if mode == "paper-literal":
-        return 1.0 / s0 - 1.0 / s
-    return 1.0 / (s * s)
-
-
-def _ab_residual(a, b, d, s_a, s_b, s0, mode):
+def _ab_residual(a, b, d, s_a, s_b, s0):
     s = a + b
     dig_s = digamma(s)
-    h = _prior_term(s, s0, mode)
+    # Prior term h(alpha+beta): the gradient of the Gamma(2, s0) prior.
+    h = 1.0 / s0 - 1.0 / s
     f_a = s_a - d * (digamma(a) - dig_s) - h
     f_b = s_b - d * (digamma(b) - dig_s) - h
     return f_a, f_b
@@ -286,19 +270,19 @@ def _bisect_coord(f, lo=EPS_POS, hi0=1.0, steps=200):
     return 0.5 * (lo + hi)
 
 
-def _bisect_ab(d, s_a, s_b, s0, mode, tol=_NEWTON_TOL, sweeps=200):
+def _bisect_ab(d, s_a, s_b, s0, tol=_NEWTON_TOL, sweeps=200):
     """Alternating coordinate bisection; each coordinate map is monotone."""
     a, b = 1.0, 1.0
     for _ in range(sweeps):
-        a = _bisect_coord(lambda x: _ab_residual(x, b, d, s_a, s_b, s0, mode)[0])
-        b = _bisect_coord(lambda x: _ab_residual(a, x, d, s_a, s_b, s0, mode)[1])
-        f_a, f_b = _ab_residual(a, b, d, s_a, s_b, s0, mode)
+        a = _bisect_coord(lambda x: _ab_residual(x, b, d, s_a, s_b, s0)[0])
+        b = _bisect_coord(lambda x: _ab_residual(a, x, d, s_a, s_b, s0)[1])
+        f_a, f_b = _ab_residual(a, b, d, s_a, s_b, s0)
         if max(abs(f_a), abs(f_b)) <= tol:
             break
     return a, b
 
 
-def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
+def _solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
     """Solve the shape stationarity system for every subject at once.
 
     Every subject has d >= 1 tasks.  Newton iterates are damped (step
@@ -318,7 +302,7 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
         if active.size == 0:
             break
         aa, bb = a[active], b[active]
-        f_a, f_b = _ab_residual(aa, bb, d[active], s_a[active], s_b[active], s0, mode)
+        f_a, f_b = _ab_residual(aa, bb, d[active], s_a[active], s_b[active], s0)
         res = np.maximum(np.abs(f_a), np.abs(f_b))
         done = res <= tol
         if done.any():
@@ -333,7 +317,7 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
         # Trigamma is the Hurwitz zeta(2, x); polygamma(1, x) computes the
         # same value times exactly 1.0, plus a digamma it then discards.
         tri_s = zeta(2, ss)
-        hp = _prior_term_deriv(ss, s0, mode)
+        hp = 1.0 / (ss * ss)  # h'(alpha+beta)
         j_aa = -dd * (zeta(2, aa) - tri_s) - hp
         j_bb = -dd * (zeta(2, bb) - tri_s) - hp
         j_ab = dd * tri_s - hp
@@ -357,7 +341,7 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
         for _halving in range(_MAX_HALVINGS + 1):
             ta = np.clip(aa + scale * step_a, EPS_POS, None)
             tb = np.clip(bb + scale * step_b, EPS_POS, None)
-            tf_a, tf_b = _ab_residual(ta, tb, dd, s_a[active], s_b[active], s0, mode)
+            tf_a, tf_b = _ab_residual(ta, tb, dd, s_a[active], s_b[active], s0)
             tres = np.maximum(np.abs(tf_a), np.abs(tf_b))
             worse = ~np.isfinite(tres) | (tres > res)
             accept = stalled & ~worse
@@ -376,11 +360,11 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, mode, tol=_NEWTON_TOL):
         fallback[active] = True
 
     for i in np.flatnonzero(fallback):
-        a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0, mode)
+        a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)
     return a, b, fallback
 
 
-def _m_step(graph, t_t, lam, alpha, beta, priors, mode):
+def _m_step(graph, t_t, lam, alpha, beta, priors):
     """(tau, alpha, beta, fallback) per subject from the flat gate
     posteriors t_t and expected log agreement rates lam; Newton starts at
     (alpha, beta)."""
@@ -390,22 +374,21 @@ def _m_step(graph, t_t, lam, alpha, beta, priors, mode):
     s_b = np.bincount(flat_sidx, weights=lam[1], minlength=m)
     tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
     tau = (priors.tau0 + tau_acc) / (degree + 1.0)
-    alpha, beta, fallback = _solve_shapes(alpha, beta, degree, s_a, s_b, priors.s0, mode)
+    alpha, beta, fallback = _solve_shapes(alpha, beta, degree, s_a, s_b, priors.s0)
     return tau, alpha, beta, fallback
 
 
-def m_step(multigraph, stats, params, priors, prior_grad_mode="gamma-map"):
+def m_step(multigraph, stats, params, priors):
     """Per-subject (tau, alpha, beta, fallback) from e_step's flat stats.
 
     Newton starts at params' shapes; `fallback` marks the subjects whose
     shapes came from the bisection fallback.
     """
-    _check_mode(prior_grad_mode)
     _checked(multigraph, params)
     priors.validate()
     a_t, b_t, t_t = _flat(multigraph, stats)
     lam = _digammas(a_t, b_t)[1]
-    return _m_step(multigraph, t_t, lam, params.alpha, params.beta, priors, prior_grad_mode)
+    return _m_step(multigraph, t_t, lam, params.alpha, params.beta, priors)
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +404,19 @@ def _gamma_from_sums(num, den, previous):
     return float(np.clip(num / den, GAMMA_CLAMP[0], GAMMA_CLAMP[1]))
 
 
-def _pair_layout(graph, include_self):
+def _pair_layout(graph):
     """Flat neighbour index j and indicator E[i, j] of every ordered pair
-    (i, j != i), ordered task-major, then by i, then by j.  With
-    include_self, a self pair (i, i) with indicator 0 closes row i.
+    (i, j != i), ordered task-major, then by i, then by j.
     """
-    fi, rank, fj, e = [], [], [], []
+    fi, fj, e = [], [], []
     for g in graph.groups:
-        r = g.edges.shape[1]
-        ii, jj = np.nonzero(~np.eye(r, dtype=bool) | include_self)
+        ii, jj = np.nonzero(~np.eye(g.edges.shape[1], dtype=bool))
         fi.append(g.dest[:, ii].ravel())
-        rank.append(np.tile(np.where(ii == jj, r, jj), len(g.dest)))
         fj.append(g.dest[:, jj].ravel())
-        e.append((g.edges[:, ii, jj] * (ii != jj)).ravel())
-    fi, rank, fj, e = map(np.concatenate, (fi, rank, fj, e))
-    order = np.lexsort((rank, fi))
+        e.append(g.edges[:, ii, jj].ravel())
+    fi, fj, e = map(np.concatenate, (fi, fj, e))
+    # Each row's pairs come out with j ascending; a stable sort keeps that.
+    order = np.argsort(fi, kind="stable")
     return fj[order], e[order]
 
 
@@ -453,13 +434,13 @@ def _gamma_sums(pairs, t_t):
     return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
 
 
-def update_gamma(multigraph, tau_tilde, previous, include_self=False):
+def update_gamma(multigraph, tau_tilde, previous):
     """Closed-form chance-agreement rate from the flat gate posteriors
     tau~, clamped to GAMMA_CLAMP.  A zero denominator (all gates
     confidently open) keeps `previous`.
     """
     (t_t,) = _flat(multigraph, [tau_tilde])
-    return _gamma_from_sums(*_gamma_sums(_pair_layout(multigraph, include_self), t_t), previous)
+    return _gamma_from_sums(*_gamma_sums(_pair_layout(multigraph), t_t), previous)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +448,7 @@ def update_gamma(multigraph, tau_tilde, previous, include_self=False):
 # ---------------------------------------------------------------------------
 
 
-def _objective_flat(graph, flat, dig, lam, params, priors, include_self):
+def _objective_flat(graph, flat, dig, lam, params, priors):
     """Variational objective: expected complete-data log posterior plus
     the entropy of the factorized posterior.
 
@@ -476,7 +457,7 @@ def _objective_flat(graph, flat, dig, lam, params, priors, include_self):
     The prior enters in pseudo-count form (exponents tau0 and 1 - tau0 on
     tau, and the shape-sum Gamma kernel), which is exactly the form whose
     stationary points the M-step updates solve; the trace is therefore a
-    proper ascent monitor for the default configuration.
+    proper ascent monitor.
     """
     a_t, b_t, t_t = flat
     flat_sidx = graph.flat_sidx
@@ -497,12 +478,8 @@ def _objective_flat(graph, flat, dig, lam, params, priors, include_self):
         tt = t_t[dest]
         om = np.einsum("gij,gj->gi", E, tt)
         om_b = np.einsum("gij,gj->gi", E, 1.0 - tt)
-        if include_self:
-            ps = np.broadcast_to(tt.sum(axis=1, keepdims=True), tt.shape)
-        else:
-            ps = tt.sum(axis=1, keepdims=True) - tt
-        r = tt.shape[1]
-        ps_b = (r if include_self else r - 1) - ps
+        ps = tt.sum(axis=1, keepdims=True) - tt
+        ps_b = (tt.shape[1] - 1) - ps
         omega_tt[dest] = om
         psi_tt[dest] = ps
         omega_bar[dest] = om_b
@@ -534,7 +511,7 @@ def _objective_flat(graph, flat, dig, lam, params, priors, include_self):
     return float(gates + shapes + chance + prior + ent_gate + ent_beta)
 
 
-def log_posterior(params, priors, multigraph, stats, include_self=False):
+def log_posterior(params, priors, multigraph, stats):
     """Monitored variational objective at e_step's flat `stats`.
 
     Normally read off FitReport.loglik_trace; exposed for direct
@@ -544,7 +521,7 @@ def log_posterior(params, priors, multigraph, stats, include_self=False):
     priors.validate()
     flat = _flat(multigraph, stats)
     dig, lam = _digammas(flat[0], flat[1])
-    return _objective_flat(multigraph, flat, dig, lam, params, priors, include_self)
+    return _objective_flat(multigraph, flat, dig, lam, params, priors)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +544,8 @@ def fit(multigraph, config=None):
     if multigraph.n == 0:
         raise ValueError("multigraph has no tasks")
     gamma = config.gamma_value()
-    include_self = config.psi_includes_self
 
-    pairs = _pair_layout(multigraph, include_self) if config.update_gamma else None
+    pairs = _pair_layout(multigraph) if config.update_gamma else None
     m = multigraph.m
     tau0, s0 = 0.5, 1.0
 
@@ -592,10 +568,10 @@ def fit(multigraph, config=None):
         beta = np.ones(m)
         converged = False
         for _it in range(config.max_iter):
-            flat = _e_step(multigraph, tau, alpha, beta, gamma, include_self)
+            flat = _e_step(multigraph, tau, alpha, beta, gamma)
             dig, lam = _digammas(flat[0], flat[1])
             new_tau, new_alpha, new_beta, fb = _m_step(
-                multigraph, flat[2], lam, alpha, beta, priors, config.prior_grad_mode
+                multigraph, flat[2], lam, alpha, beta, priors
             )
             if fb.any():
                 fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
@@ -623,9 +599,7 @@ def fit(multigraph, config=None):
                 params = ModelParams(
                     subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
                 )
-                trace.append(
-                    _objective_flat(multigraph, flat, dig, lam, params, priors, include_self)
-                )
+                trace.append(_objective_flat(multigraph, flat, dig, lam, params, priors))
 
             if delta < config.tol:
                 converged = True
@@ -655,7 +629,7 @@ def fit(multigraph, config=None):
 def fit_grid(multigraph, config=None):
     """Independent fits over a grid of chance rates; one report per value."""
     config = config or FitConfig(gamma=DEFAULT_GAMMA_GRID)
-    grid = config.gamma
-    if isinstance(grid, (int, float)):
-        grid = [float(grid)]
-    return [fit(multigraph, dataclasses.replace(config, gamma=float(g))) for g in grid]
+    return [
+        fit(multigraph, dataclasses.replace(config, gamma=float(g)))
+        for g in _gamma_values(config.gamma)
+    ]

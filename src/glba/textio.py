@@ -413,8 +413,6 @@ _CONFIG_PARSERS = {
     "max_iter": int,
     "eb_tol": float,
     "eb_max_rounds": int,
-    "prior_grad_mode": str,
-    "psi_includes_self": _parse_bool,
 }
 # Keys older config files carry: parsed and checked, then dropped (a fit
 # draws no random numbers and runs on one thread).

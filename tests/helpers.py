@@ -96,14 +96,13 @@ def rated_rows(table, dimension):
     return [r for r in table.rows if r.scores.get(dimension) is not None]
 
 
-def oracle_task_sums(task, weights, focal, include_self=False):
+def oracle_task_sums(task, weights, focal):
     """Weighted agreement sums of one subject within one task.
 
     Returns (omega, psi, omega_bar, psi_bar): omega is the weight-sum of
     the focal subject's agreeing neighbors, psi the weight-sum of all
     neighbors, and the barred versions are the same sums with weights
-    1 - w.  With include_self=True, psi additionally counts the focal
-    subject's own weight (the literal printed form of the definition).
+    1 - w.
     """
     if focal not in task.subjects:
         raise ValueError(f"subject {focal!r} is not a rater of task {task.task_id!r}")
@@ -124,9 +123,6 @@ def oracle_task_sums(task, weights, focal, include_self=False):
         psi += w[j]
         omega_bar += (1.0 - w[j]) * E[i, j]
         psi_bar += 1.0 - w[j]
-    if include_self:
-        psi += w[i]
-        psi_bar += 1.0 - w[i]
     return omega, psi, omega_bar, psi_bar
 
 
@@ -164,7 +160,7 @@ def oracle_r_approx(task, focal, alpha_k, beta_k, gamma):
     return min(max(r, R_CLAMP[0]), R_CLAMP[1])
 
 
-def oracle_estep(task, params, include_self=False):
+def oracle_estep(task, params):
     """Brute-force E-step for one task: plain loops, direct (non-log)
     product for the gate odds ratio."""
     subs = task.subjects
@@ -179,8 +175,6 @@ def oracle_estep(task, params, include_self=False):
     for i in range(r):
         omega = sum(tau[j] * E[i, j] for j in range(r) if j != i)
         disagree = sum(tau[j] * (1 - E[i, j]) for j in range(r) if j != i)
-        if include_self:
-            disagree += tau[i]
         a_t.append(alpha[i] + omega)
         b_t.append(beta[i] + disagree)
 
@@ -199,11 +193,10 @@ def oracle_estep(task, params, include_self=False):
     return np.array(a_t), np.array(b_t), np.array(t_t)
 
 
-def oracle_gamma_ratio(multigraph, tau_tilde, include_self):
+def oracle_gamma_ratio(multigraph, tau_tilde):
     """Numerator and denominator of the chance-rate update as a plain
     sequential loop: over every task and ordered rater pair (i, j != i),
-    the weight 1 - tau~_j times E[i, j] and the weight alone; with
-    include_self, row i's denominator also gets 1 - tau~_i.  `tau_tilde`
+    the weight 1 - tau~_j times E[i, j] and the weight alone.  `tau_tilde`
     is flat: task k's raters hold slots offsets[k]:offsets[k+1]."""
     num = 0.0
     den = 0.0
@@ -219,22 +212,17 @@ def oracle_gamma_ratio(multigraph, tau_tilde, include_self):
                 w = 1.0 - float(tt[j])
                 num += w * float(E[i, j])
                 den += w
-            if include_self:
-                den += 1.0 - float(tt[i])
     return num, den
 
 
-def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0, mode):
+def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0):
     """Residual of the shape stationarity system, from first principles."""
     from scipy.special import digamma
 
     s_a = sum(digamma(at) - digamma(at + bt) for at, bt in stats_ab)
     s_b = sum(digamma(bt) - digamma(at + bt) for at, bt in stats_ab)
     s = a + b
-    if mode == "paper-literal":
-        h = s / s0 - math.log(s)
-    else:
-        h = 1.0 / s0 - 1.0 / s
+    h = 1.0 / s0 - 1.0 / s
     f_a = s_a - d * (digamma(a) - digamma(s)) - h
     f_b = s_b - d * (digamma(b) - digamma(s)) - h
     return f_a, f_b

@@ -119,12 +119,12 @@ def test_m_step_stationarity():
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))
         _, a, b, _ = m_step(graph, stats, start, priors)
         a, b = float(a[0]), float(b[0])
-        f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0, "gamma-map")
+        f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0)
         worst_resid = max(worst_resid, abs(f_a), abs(f_b))
 
         def system(u):
             return oracle_mstep_residual(
-                math.exp(u[0]), math.exp(u[1]), d, stats_ab, priors.tau0, priors.s0, "gamma-map"
+                math.exp(u[0]), math.exp(u[1]), d, stats_ab, priors.tau0, priors.s0
             )
 
         sol = None

@@ -426,6 +426,21 @@ def test_overhead_rejects_bad_thresholds(ratings_csv, tmp_path, capsys, value):
     assert not (out / "overhead_subject-filter.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "value, first, last, count",
+    [("0:1:0.6", 0.0, 0.6, 2), ("0:1:0.05", 0.0, 1.0, 21), ("0:1:0.25", 0.0, 1.0, 5)],
+)
+def test_overhead_thresholds_stop_at_hi(ratings_csv, tmp_path, value, first, last, count):
+    # The thresholds stop at hi even where step does not divide hi - lo.
+    ranking = tmp_path / "subjects.tsv"
+    ranking.write_text(SUBJECTS)
+    out = tmp_path / "out"
+    assert run(["overhead", ratings_csv, ranking, "--thresholds", value, "--out", out]) == 0
+    rows = (out / "overhead_subject-filter.tsv").read_text().splitlines()[2:]
+    thresholds = [float(row.split("\t")[0]) for row in rows]
+    assert (thresholds[0], thresholds[-1], len(thresholds)) == (first, last, count)
+
+
 @pytest.mark.parametrize("value", ["a", "1.5", "0", "2,-1", "1,,2"])
 def test_pr_rejects_bad_top_k(tmp_path, capsys, value):
     ranking = tmp_path / "subjects.tsv"
@@ -471,6 +486,19 @@ def test_fit_config_negative_workers_exits_2(tmp_path, capsys):
     cfg.write_text("max_iter = 5\nworkers = -1\n")
     assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert f"{cfg}:2: invalid value for workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["prior_grad_mode = gamma-map", "psi_includes_self = false"])
+def test_fit_config_unknown_key_exits_2(tmp_path, capsys, line):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"max_iter = 5\n{line}\n")
+    out = tmp_path / "out"
+    assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", out]) == 2
+    key = line.split(" = ")[0]
+    assert f"error: {cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -80,13 +80,6 @@ def test_task_sums_hand_example():
     assert psi == 0.75
 
 
-def test_task_sums_literal_index_set_adds_self():
-    task = make_task("t", ["i", "j"], {}, default=1)
-    _, psi, _, psi_bar = oracle_task_sums(task, {"i": 0.3, "j": 0.4}, "i", include_self=True)
-    assert psi == pytest.approx(0.7)
-    assert psi_bar == pytest.approx(1.3)
-
-
 def test_task_sums_unknown_focal():
     task = make_task("t", ["i", "j"], {}, default=1)
     with pytest.raises(ValueError, match="not a rater"):
@@ -214,8 +207,6 @@ def test_steps_reject_misaligned_inputs():
         update_gamma(graph, short[2], 0.37)
     with pytest.raises(ValueError, match="one value per slot"):
         log_posterior(params, Priors(), graph, short)
-    with pytest.raises(ValueError, match="unknown prior_grad_mode"):
-        m_step(graph, stats, params, Priors(), "paper")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -263,8 +254,7 @@ def test_steps_reject_non_finite_priors(priors, message):
         log_posterior(params, priors, graph, stats)
 
 
-@pytest.mark.parametrize("include_self", [False, True])
-def test_estep_kernel_matches_scalar_oracles(include_self):
+def test_estep_kernel_matches_scalar_oracles():
     # alpha~ - alpha = omega, beta~ - beta = psi - omega (weights tau), and
     # tau~ is the gate posterior of the odds ratio at the tilde statistics.
     rng = np.random.default_rng(42)
@@ -275,12 +265,12 @@ def test_estep_kernel_matches_scalar_oracles(include_self):
         params = random_params(rng, graph)
         sidx = [params.position[s] for s in task.subjects]
         t, a, b = (x[sidx] for x in (params.tau, params.alpha, params.beta))
-        a_t, b_t, tau_t = e_step(graph, params, include_self)
+        a_t, b_t, tau_t = e_step(graph, params)
         weights = dict(zip(task.subjects, t))
         alpha_t = dict(zip(task.subjects, a_t))
         beta_t = dict(zip(task.subjects, b_t))
         for i, s in enumerate(task.subjects):
-            omega, psi, _, _ = oracle_task_sums(task, weights, s, include_self)
+            omega, psi, _, _ = oracle_task_sums(task, weights, s)
             ratio = oracle_r_approx(task, s, alpha_t, beta_t, params.gamma)
             rebuilt = ratio * t[i] / (ratio * t[i] + 1.0 - t[i])
             np.testing.assert_allclose(
@@ -328,23 +318,22 @@ def _random_stats(rng, d):
     return _one_subject(*zip(*draws))
 
 
-@pytest.mark.parametrize("mode", ["gamma-map", "paper-literal"])
-def test_m_step_stationarity_and_independent_root(mode):
+def test_m_step_stationarity_and_independent_root():
     rng = np.random.default_rng(50)
     for _ in range(40):
         d = int(rng.integers(1, 9))
         graph, stats, params = _random_stats(rng, d)
         priors = Priors(tau0=0.5, s0=float(rng.uniform(0.5, 3.0)))
-        _tau, a, b, _fb = m_step(graph, stats, params, priors, mode)
+        _tau, a, b, _fb = m_step(graph, stats, params, priors)
         a, b = float(a[0]), float(b[0])
         stats_ab = list(zip(stats[0].tolist(), stats[1].tolist()))
-        f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0, mode)
+        f_a, f_b = oracle_mstep_residual(a, b, d, stats_ab, priors.tau0, priors.s0)
         assert max(abs(f_a), abs(f_b)) <= 1e-8
 
         # independent root finder on the same system, in log space for positivity
         def system(u):
             return oracle_mstep_residual(
-                math.exp(u[0]), math.exp(u[1]), d, stats_ab, priors.tau0, priors.s0, mode
+                math.exp(u[0]), math.exp(u[1]), d, stats_ab, priors.tau0, priors.s0
             )
 
         sol = None
@@ -369,7 +358,7 @@ def test_bisection_fallback_agrees_with_newton():
         a_t, b_t = stats[0], stats[1]
         s_a = sum(float(digamma(at) - digamma(at + bt)) for at, bt in zip(a_t, b_t))
         s_b = sum(float(digamma(bt) - digamma(at + bt)) for at, bt in zip(a_t, b_t))
-        ba, bb = _bisect_ab(d, s_a, s_b, priors.s0, "gamma-map")
+        ba, bb = _bisect_ab(d, s_a, s_b, priors.s0)
         assert ba == pytest.approx(a[0], abs=1e-5, rel=1e-5)
         assert bb == pytest.approx(b[0], abs=1e-5, rel=1e-5)
 
@@ -603,6 +592,7 @@ def test_fit_config_rejects_bad_tolerances(field, value, message):
         ([0.3, 0.6], "got 0.6"),
         ((), "gamma grid is empty"),
         ([], "gamma grid is empty"),
+        (np.int64(0), r"gamma must be a finite number in \(0, 0\.5\)"),
     ],
 )
 def test_fit_config_rejects_bad_gamma(gamma, message):
@@ -665,21 +655,13 @@ def test_fit_rejects_gamma_grid_in_config():
         fit(graph, FitConfig(gamma=[0.3, 0.4]))
 
 
-def test_fit_paper_literal_mode_converges():
-    graph, _ = small_sampled_graph(m=16, n=80)
-    config = FitConfig(
-        gamma=0.37, prior_grad_mode="paper-literal", max_iter=150, eb_max_rounds=2, tol=1e-5
-    )
+def test_fit_takes_a_numpy_scalar_gamma_as_one_rate():
+    graph, _ = small_sampled_graph(m=10, n=20)
+    config = FitConfig(gamma=np.float32(0.37), max_iter=20, eb_max_rounds=1)
     report = fit(graph, config)
-    assert report.converged
-    assert np.all(np.isfinite(report.params.tau))
-
-
-def test_fit_literal_psi_mode_runs():
-    graph, _ = small_sampled_graph(m=16, n=80)
-    config = FitConfig(gamma=0.37, psi_includes_self=True, max_iter=150, eb_max_rounds=2, tol=1e-5)
-    report = fit(graph, config)
-    assert np.all(report.params.tau <= 1.0)
+    assert report.params.gamma == float(np.float32(0.37))
+    [grid_report] = fit_grid(graph, config)
+    assert np.array_equal(grid_report.params.tau, report.params.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +716,7 @@ def test_gamma_update_exact_against_brute_force():
         assert report.params.gamma == expected
 
 
-@pytest.mark.parametrize("include_self", [False, True])
-def test_gamma_sums_bit_identical_to_loop(include_self):
+def test_gamma_sums_bit_identical_to_loop():
     rng = np.random.default_rng(92)
     interleaved = 0
     for trial in range(20):
@@ -743,15 +724,15 @@ def test_gamma_sums_bit_identical_to_loop(include_self):
         sizes = [t.n_raters for t in graph.tasks]
         interleaved += sizes != sorted(sizes)
         t_t = np.concatenate([rng.uniform(0.0, 1.0, size=t.n_raters) for t in graph.tasks])
-        sums = _gamma_sums(_pair_layout(graph, include_self), t_t)
-        assert sums == oracle_gamma_ratio(graph, t_t, include_self)
+        sums = _gamma_sums(_pair_layout(graph), t_t)
+        assert sums == oracle_gamma_ratio(graph, t_t)
     # size groups must interleave in task order for the layout's sort to matter
     assert interleaved > 10
-    # a lone rater has no neighbour pair, only (with include_self) a self pair
+    # a lone rater has no neighbour pair
     lone = graph_from_tasks([make_task("t", ["a"], {})])
     t_t = np.array([0.25])
-    sums = _gamma_sums(_pair_layout(lone, include_self), t_t)
-    assert sums == oracle_gamma_ratio(lone, t_t, include_self)
+    sums = _gamma_sums(_pair_layout(lone), t_t)
+    assert sums == oracle_gamma_ratio(lone, t_t)
 
 
 def test_gamma_second_iteration_exact_against_oracle():
@@ -763,39 +744,30 @@ def test_gamma_second_iteration_exact_against_oracle():
         config = FitConfig(gamma=0.37, update_gamma=True, max_iter=1, eb_max_rounds=1)
         r1 = fit(graph, config)
         r2 = fit(graph, dataclasses.replace(config, max_iter=2))
-        num, den = oracle_gamma_ratio(graph, e_step(graph, r1.params)[2], False)
+        num, den = oracle_gamma_ratio(graph, e_step(graph, r1.params)[2])
         assert den > 0.0
         assert r2.params.gamma == float(np.clip(num / den, 0.01, 0.49))
 
 
 @pytest.mark.parametrize("update", [False, True])
-@pytest.mark.parametrize("include_self", [False, True])
-def test_fit_is_the_public_steps_composed(update, include_self):
+def test_fit_is_the_public_steps_composed(update):
     rng = np.random.default_rng(94)
     priors = Priors(0.5, 1.0)
     for trial in range(10):
         graph = random_graph(rng, m=int(rng.integers(4, 9)), n=int(rng.integers(2, 7)))
-        config = FitConfig(
-            gamma=0.37,
-            update_gamma=update,
-            psi_includes_self=include_self,
-            max_iter=1,
-            eb_max_rounds=1,
-        )
+        config = FitConfig(gamma=0.37, update_gamma=update, max_iter=1, eb_max_rounds=1)
         report = fit(graph, config)
         init = params_for(graph, tau=1.0, alpha=1.0, beta=1.0)
-        stats = e_step(graph, init, include_self)
+        stats = e_step(graph, init)
         tau, alpha, beta, _ = m_step(graph, stats, init, priors)
         assert np.array_equal(report.params.tau, tau)
         assert np.array_equal(report.params.alpha, alpha)
         assert np.array_equal(report.params.beta, beta)
-        assert report.loglik_trace[0] == log_posterior(
-            report.params, priors, graph, stats, include_self
-        )
+        assert report.loglik_trace[0] == log_posterior(report.params, priors, graph, stats)
 
         second = fit(graph, dataclasses.replace(config, max_iter=2))
-        tau_tilde = e_step(graph, report.params, include_self)[2]
-        expected = update_gamma(graph, tau_tilde, report.params.gamma, include_self)
+        tau_tilde = e_step(graph, report.params)[2]
+        expected = update_gamma(graph, tau_tilde, report.params.gamma)
         assert second.params.gamma == (expected if update else 0.37)
 
 
