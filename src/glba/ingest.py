@@ -1,10 +1,12 @@
 """Loading of rating tables and construction of per-task agreement multigraphs.
 
-A rating table is columnar: ``load_responses`` parses the CSV with
-``csv.reader``, transposes the records into one column per field, checks
-whole columns and returns a ResponseTable of id lists and float arrays (NaN
-marks a missing value).  Tables are built only from columns, and every
-reader in the library works on them.
+A rating table is columnar: ``load_responses`` reads the CSV into one list
+of raw fields per column, checks whole columns and returns a ResponseTable
+of id lists and float arrays (NaN marks a missing value).  A plain file (no
+quote, LF or CRLF line ends, every record as wide as the header) is split
+at its commas directly; ``csv.reader`` reads any other file into the same
+columns.  Tables are built only from columns, and every reader in the
+library works on them.
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
@@ -22,11 +24,12 @@ records back as read-only output views, which the library never reads.
 
 import csv
 import functools
+import io
 import math
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice, repeat
 from operator import gt, itemgetter
 
 import numpy as np
@@ -354,9 +357,10 @@ def load_responses(path, schema=None):
     Parameters
     ----------
     path : str
-        Comma-separated file with a header row.  Expected columns are
-        subject_id, task_id, the four dimension columns, and optionally
-        view_seconds / label_seconds.
+        Comma-separated UTF-8 file with a header row, read as csv.reader
+        reads it (a plain file is split at its commas directly, with the
+        same result).  Expected columns are subject_id, task_id, the four
+        dimension columns, and optionally view_seconds / label_seconds.
     schema : dict, optional
         Maps the canonical column names above to the actual header names
         in the file.
@@ -364,41 +368,34 @@ def load_responses(path, schema=None):
     Raises
     ------
     ValueError
-        On a missing required column, an empty id, an id holding a tab,
-        comma or newline or beginning with '#' (which marks a comment line
-        in the text formats), a duplicated (subject, task) pair, an
-        unparseable number, a rating outside its scale, or a negative or
-        non-finite timing.  The message names the offending rows.
+        On bytes that are not UTF-8 or a record csv.reader rejects (a
+        field over csv.field_size_limit()), naming the line.  On a missing
+        required column, an empty id, an id holding a tab, comma or newline
+        or beginning with '#' (which marks a comment line in the text
+        formats), a duplicated (subject, task) pair, an unparseable number,
+        a rating outside its scale, or a negative or non-finite timing,
+        naming the offending rows.
     """
     schema = schema or {}
 
     def col(name):
         return schema.get(name, name)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file (no header row)")
-        # Of duplicated header names the last one wins, as in csv.DictReader.
-        index = {name: i for i, name in enumerate(header)}
-        required = ["subject_id", "task_id"] + list(DIMENSIONS)
-        missing = [c for c in required if col(c) not in index]
-        if missing:
-            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        # Blank lines are skipped and not counted: record j is row j + 2, as
-        # the header is row 1.
-        records = list(filter(None, reader))
-
-    n, width = len(records), len(header)
-    if records and min(map(len, records)) < width:
-        for rec in records:  # a short row's missing fields read as empty
-            rec += [""] * (width - len(rec))
+    header, columns = _read_fields(path)
+    if header is None:
+        raise ValueError(f"{path}: empty file (no header row)")
+    # Of duplicated header names the last one wins, as in csv.DictReader.
+    index = {name: i for i, name in enumerate(header)}
+    required = ["subject_id", "task_id"] + list(DIMENSIONS)
+    missing = [c for c in required if col(c) not in index]
+    if missing:
+        raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+    n = len(columns[0])
 
     def field(name):
         """Column `name` as one raw field per record ("" when absent)."""
         i = index.get(col(name))
-        return [""] * n if i is None else list(map(itemgetter(i), records))
+        return [""] * n if i is None else columns[i]
 
     names = list(DIMENSIONS) + ["view_seconds", "label_seconds"]
     raws = [field(name) for name in names]
@@ -457,6 +454,67 @@ def load_responses(path, schema=None):
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
     return table
+
+
+def _read_fields(path):
+    """The header and one list of raw fields per header column, as
+    csv.reader reads the file at `path` (header None and no columns for an
+    empty file).  Blank lines are skipped, so record j is row j + 2, as the
+    header is row 1; a short record's missing fields read as "" and extra
+    fields are dropped.  Raises ValueError naming the line on bytes that
+    are not UTF-8 and on a record csv.reader rejects."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    return _split_fields(text) or _csv_fields(path, text)
+
+
+def _split_fields(text):
+    """`_read_fields` by one split, or None unless the text is plain: not
+    empty, no quote, no line break but LF and CRLF, every non-blank line
+    after the header with as many commas as the header (checked per line,
+    so a short and a long row cannot balance out) and no line longer than
+    csv's field limit.  csv.reader splits such a text exactly at its commas
+    and line breaks."""
+    if '"' in text or not text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"  # a lone CR at the end becomes a CRLF; csv.reader ends the line there too
+    lines = text.splitlines()
+    # str.splitlines also breaks at a lone CR, and at VT, FF and a few more
+    # that csv.reader reads as field text; each such break adds a line.
+    if len(lines) != text.count("\n") or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",") if lines[0] else []
+    body = list(filter(None, islice(lines, 1, None)))
+    if body and set(map(str.count, body, repeat(","))) != {len(header) - 1}:
+        return None
+    tokens = ",".join(body).split(",") if body else []
+    width = len(header)
+    return header, [tokens[i::width] for i in range(width)]
+
+
+def _csv_fields(path, text):
+    """`_read_fields` through csv.reader, for any text."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        records = list(filter(None, reader))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        return None, []
+    width = len(header)
+    if records and min(map(len, records)) < width:
+        for rec in records:  # a short row's missing fields read as empty
+            rec += [""] * (width - len(rec))
+    return header, [list(map(itemgetter(i), records)) for i in range(width)]
 
 
 def _flags(strings):
@@ -551,7 +609,10 @@ TaskLayout = namedtuple("TaskLayout", "task_ids offsets subjects scode ratings n
 
 def _task_layout(table, dimension, min_raters):
     """TaskLayout from one stable lexsort of the rated rows by (task, rater)
-    code, both re-coded to the ids that carry the dimension."""
+    code, both re-coded to the ids that carry the dimension.  Raises
+    ValueError on a `min_raters` below 1."""
+    if min_raters < 1:
+        raise ValueError(f"min_raters must be at least 1, got {min_raters}")
     rated = table.rated(dimension)
     used_tasks, tcode = np.unique(table.task_code[rated], return_inverse=True)
     used_subjects, scode = np.unique(table.subject_code[rated], return_inverse=True)
@@ -570,8 +631,8 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
     """Build the per-task agreement multigraph for one rating dimension.
 
     Rows without a rating on `dimension` are ignored.  Tasks rated by
-    fewer than `min_raters` subjects are dropped; the percentile table is
-    computed from the remaining pool.  Task lists and rater lists are
+    fewer than `min_raters` (at least 1) subjects are dropped; the
+    percentile table is computed from the remaining pool.  Task lists and rater lists are
     sorted by id so the result does not depend on input order.
 
     Each distinct rating is binned once; the percentile rule is evaluated

@@ -101,7 +101,8 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
     mean times the task confidence 1 - prod(1 - tau_i); a task whose
     raters all have zero reliability is reported with the weighted mean
     flagged undefined and an adjusted score of 0.  Sorted by adjusted
-    score descending.  Raises ValueError if `params` fail
+    score descending.  Tasks with fewer than `min_raters` raters are left
+    out.  Raises ValueError on a `min_raters` below 1 and if `params` fail
     ModelParams.validate (a tau outside [0, 1], NaN or infinite values).
     """
     if direction not in ("high", "low"):

@@ -426,7 +426,10 @@ def oracle_read_multigraph(path):
 
 def oracle_load_responses(path, schema=None):
     """The rating-file loader over csv.DictReader with per-row closures.
-    Same contract, rows and error strings as `glba.ingest.load_responses`."""
+    Same contract, rows and error strings as `glba.ingest.load_responses`
+    (which reads the whole file before it checks the header, so on a file
+    with both a missing column and a record csv rejects, only it names
+    the record)."""
     import csv
 
     from glba.ingest import DIMENSION_SCALES, DIMENSIONS
@@ -438,74 +441,78 @@ def oracle_load_responses(path, schema=None):
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file (no header row)")
-        header = set(reader.fieldnames)
-        required = ["subject_id", "task_id"] + list(DIMENSIONS)
-        missing = [c for c in required if col(c) not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        has_view = col("view_seconds") in header
-        has_label = col("label_seconds") in header
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty file (no header row)")
+            header = set(reader.fieldnames)
+            required = ["subject_id", "task_id"] + list(DIMENSIONS)
+            missing = [c for c in required if col(c) not in header]
+            if missing:
+                raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+            has_view = col("view_seconds") in header
+            has_label = col("label_seconds") in header
 
-        rows = []
-        problems = []
-        seen = {}
-        for lineno, rec in enumerate(reader, start=2):  # header is line 1
-            sid = (rec[col("subject_id")] or "").strip()
-            tid = (rec[col("task_id")] or "").strip()
-            if not sid or not tid:
-                problems.append(f"row {lineno}: empty subject_id or task_id")
-                continue
-            bad_id = [c for c in "\t,\n" if c in sid + tid]
-            if bad_id:
-                problems.append(f"row {lineno}: subject/task id contains a reserved character")
-                continue
-            if sid.startswith("#") or tid.startswith("#"):
-                problems.append(f"row {lineno}: subject/task id begins with '#', which marks a comment line")
-                continue
-            key = (sid, tid)
-            if key in seen:
-                problems.append(f"row {lineno}: duplicate (subject, task) pair {key}, first seen at row {seen[key]}")
-                continue
-            seen[key] = lineno
-
-            scores = {}
-            for dim in DIMENSIONS:
-                raw = (rec.get(col(dim)) or "").strip()
-                if raw == "":
+            rows = []
+            problems = []
+            seen = {}
+            for lineno, rec in enumerate(reader, start=2):  # header is line 1
+                sid = (rec[col("subject_id")] or "").strip()
+                tid = (rec[col("task_id")] or "").strip()
+                if not sid or not tid:
+                    problems.append(f"row {lineno}: empty subject_id or task_id")
                     continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    problems.append(f"row {lineno}: unparseable {dim} value {raw!r}")
+                bad_id = [c for c in "\t,\n" if c in sid + tid]
+                if bad_id:
+                    problems.append(f"row {lineno}: subject/task id contains a reserved character")
                     continue
-                lo, hi = DIMENSION_SCALES[dim]
-                if not (lo <= value <= hi) or not math.isfinite(value):
-                    problems.append(f"row {lineno}: {dim} {value} outside [{lo:g}, {hi:g}]")
+                if sid.startswith("#") or tid.startswith("#"):
+                    problems.append(f"row {lineno}: subject/task id begins with '#', which marks a comment line")
                     continue
-                scores[dim] = value
+                key = (sid, tid)
+                if key in seen:
+                    problems.append(f"row {lineno}: duplicate (subject, task) pair {key}, first seen at row {seen[key]}")
+                    continue
+                seen[key] = lineno
 
-            def seconds(name, available):
-                if not available:
-                    return None
-                raw = (rec.get(col(name)) or "").strip()
-                if raw == "":
-                    return None
-                try:
-                    value = float(raw)
-                except ValueError:
-                    problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
-                    return None
-                if not math.isfinite(value):
-                    problems.append(f"row {lineno}: non-finite {name} value {raw!r}")
-                    return None
-                if value < 0:
-                    problems.append(f"row {lineno}: negative {name}")
-                    return None
-                return value
+                scores = {}
+                for dim in DIMENSIONS:
+                    raw = (rec.get(col(dim)) or "").strip()
+                    if raw == "":
+                        continue
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        problems.append(f"row {lineno}: unparseable {dim} value {raw!r}")
+                        continue
+                    lo, hi = DIMENSION_SCALES[dim]
+                    if not (lo <= value <= hi) or not math.isfinite(value):
+                        problems.append(f"row {lineno}: {dim} {value} outside [{lo:g}, {hi:g}]")
+                        continue
+                    scores[dim] = value
 
-            rows.append((sid, tid, scores, seconds("view_seconds", has_view), seconds("label_seconds", has_label)))
+                def seconds(name, available):
+                    if not available:
+                        return None
+                    raw = (rec.get(col(name)) or "").strip()
+                    if raw == "":
+                        return None
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        problems.append(f"row {lineno}: unparseable {name} value {raw!r}")
+                        return None
+                    if not math.isfinite(value):
+                        problems.append(f"row {lineno}: non-finite {name} value {raw!r}")
+                        return None
+                    if value < 0:
+                        problems.append(f"row {lineno}: negative {name}")
+                        return None
+                    return value
+
+                rows.append((sid, tid, scores, seconds("view_seconds", has_view), seconds("label_seconds", has_label)))
+        except csv.Error as exc:
+            # DictReader.line_num is only updated once a row is returned.
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
 
     if problems:
         shown = "; ".join(problems[:20])

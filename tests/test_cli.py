@@ -55,6 +55,42 @@ def test_ids_that_begin_with_a_comment_mark_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["build-graph"], ["images", "fit.tsv"], ["overhead", "subjects.tsv"], ["baseline-ds"], ["baseline-time"], ["inject"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize(
+    "body,line,message",
+    [
+        (b"a,t1,5,4,6,3,,\n" + b"b" * 200_000 + b",t1,5,4,6,3,,\n", 3, "field larger than field limit"),
+        (b"a,t1,5,4,6,3,,\r\n\r\nb,t1,5\xff,4,6,3,,\r\n", 4, "byte 0xff is not UTF-8"),
+    ],
+    ids=["oversized-field", "bad-utf8"],
+)
+def test_unreadable_ratings_exit_2_naming_the_line(tmp_path, capsys, command, body, line, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(CSV_HEADER.encode() + body)
+    out = tmp_path / "out"
+    assert run([command[0], bad, *command[1:], "--out", out]) == 2
+    assert f"error: {bad}: line {line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,value", [("build-graph", -1), ("build-graph", 0), ("images", -2), ("images", 0)])
+def test_min_raters_below_one_exits_2(ratings_csv, tmp_path, capsys, command, value):
+    inputs = [ratings_csv]
+    if command == "images":
+        fit_dir = tmp_path / "fit"
+        run(["build-graph", ratings_csv, "--out", fit_dir])
+        run(["fit", fit_dir / "graph.tsv", "--gamma", 0.37, "--out", fit_dir])
+        inputs.append(fit_dir / "fit_0.37.tsv")
+    out = tmp_path / "out"
+    assert run([command, *inputs, "--min-raters", value, "--out", out]) == 2
+    assert f"min_raters must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_graph_reports_dropped_tasks(tmp_path, capsys):
     rows = "".join(
         f"s{i},t1,5,5,5,4,," + "\n" for i in range(5)

@@ -1,3 +1,5 @@
+import csv
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,6 +14,9 @@ from glba.ingest import (
     AgreementMultigraph,
     ResponseTable,
     TaskGraph,
+    _csv_fields,
+    _read_fields,
+    _split_fields,
     agree,
     bin_rating,
     build_multigraph,
@@ -21,6 +26,7 @@ from glba.ingest import (
 )
 from glba.model import FitConfig, fit
 from glba.scoring import overhead_curve
+from glba.simulate import sample_response_table
 from glba.textio import write_responses
 from helpers import (
     graph_from_tasks,
@@ -160,6 +166,14 @@ MALFORMED_CSVS = {
     "no timing columns": "subject_id,task_id,valence,arousal,dominance,likeness\na,t1,5,4,6,3\n",
     "many problems": FULL + "\n" + "".join(f"s{i},t1,x,4,6,3,,\n" for i in range(25)),
     "quoted values": f'{FULL}\n"a","t1","5.5","4","6","3","",""\n',
+    "CRLF": f"{FULL}\r\na,t1,5,4,6,3,1,2\r\n\r\nb,t1,12,4,6,3,,\r\nc,t2,1,1,1,1,,\r\n",
+    "CR only": f"{FULL}\ra,t1,5,4,6,3,1,2\r\rb,t1,12,4,6,3,,\rc,t2,1,1,1,1,,\r",
+    "short row balances long row": f"{FULL}\na,t1,5,4,6,3,1\nb,t1,5,4,6,3,1,2,9\nc,t1,5,4,6,3,-1,2\n",
+    "header only, no trailing newline": FULL,
+    "whitespace-only line": f"{FULL}\na,t1,5,4,6,3,,\n   \nb,t1,5,4,6,3,,\n",
+    "no trailing newline": f"{FULL}\na,t1,5,4,6,3,1,2\nb,t1,12,4,6,3,,",
+    "final lone CR": f"{FULL}\na,t1,5,4,6,3,1,2\nb,t1,12,4,6,3,,\r",
+    "breaks csv reads as text": f"{FULL}\na\x0cb,t1,5,4,6,3,,\nc,t1\x85,5,4,6,3,,\nd\u2028,t1,5,4\x1c,6,3,,\n",
 }
 
 
@@ -206,9 +220,9 @@ def test_load_counts_records_not_lines(tmp_path):
         load_responses(path)
 
 
-CSV_TOKENS = [
-    "", " ", "a", "b", "t1", "t2", "5", "9", "9.5", "1", "-1", "x", "nan", "1e3", '"c,d"', '"e\nf"', "a\tb", " #a",
-]
+PLAIN_TOKENS = ["", " ", "a", "b", "t1", "t2", "5", "9", "9.5", "1", "-1", "x", "nan", "1e3", "a\tb", " #a"]
+CSV_TOKENS = PLAIN_TOKENS + ['"c,d"', '"e\nf"']
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -217,17 +231,80 @@ CSV_TOKENS = [
         st.sampled_from(FULL.split(",") + ["extra"]), min_size=6, max_size=10
     ),
     records=st.lists(st.lists(st.sampled_from(CSV_TOKENS), max_size=10), max_size=12),
+    ends=st.one_of(
+        st.sampled_from(LINE_ENDS).map(lambda end: [end] * 13),
+        st.lists(st.sampled_from(LINE_ENDS), min_size=13, max_size=13),
+    ),
+    final=st.booleans(),
 )
-def test_load_matches_dictreader_loader_on_random_files(tmp_path, header, records):
+def test_load_matches_dictreader_loader_on_random_files(tmp_path, header, records, ends, final):
     # required columns first so that most files get past the header check
     header = FULL.split(",")[:6] + header
+    lines = [",".join(header)] + [",".join(r) for r in records]
     path = tmp_path / "fuzz.csv"
-    path.write_text(
-        "\n".join([",".join(header)] + [",".join(r) for r in records]) + "\n",
-        encoding="utf-8",
-        newline="",
-    )
+    path.write_text(join_lines(lines, ends, final), encoding="utf-8", newline="")
     assert load_outcome(load_responses, str(path)) == load_outcome(oracle_load_responses, str(path))
+
+
+def join_lines(lines, ends, final):
+    """`lines`, each ended by the matching entry of `ends`, the last one
+    only when `final`."""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if final else text[: len(text) - len(ends[len(lines) - 1])]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(st.sampled_from(FULL.split(",") + ["extra"]), min_size=6, max_size=8),
+    data=st.data(),
+    ends=st.lists(st.sampled_from(LINE_ENDS + ["\n\n", "\r\n\r\n"]), min_size=11, max_size=11),
+    final=st.booleans(),
+)
+def test_split_read_matches_csv_reader(tmp_path, header, data, ends, final):
+    # Records mostly of the header's width, so that many files are plain.
+    header = FULL.split(",")[:6] + header
+    width = len(header)
+    tokens = st.sampled_from(PLAIN_TOKENS + ['"q"'])
+    lengths = st.sampled_from([width] * 6 + [width - 1, width + 1, 1])
+    records = data.draw(st.lists(lengths.flatmap(lambda k: st.lists(tokens, min_size=k, max_size=k)), max_size=10))
+    text = join_lines([",".join(header)] + [",".join(r) for r in records], ends, final)
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _read_fields(str(path)) == _csv_fields(str(path), text)
+    assert load_outcome(load_responses, str(path)) == load_outcome(oracle_load_responses, str(path))
+
+
+def test_written_ratings_take_the_split_read(tmp_path):
+    # Every ratings file glba writes is plain (CRLF lines, no quotes).
+    table, _ = sample_response_table(12, 30, 4, seed=0, with_timing=True)
+    path = tmp_path / "ratings.csv"
+    write_responses(table, path)
+    text = path.read_bytes().decode("utf-8")
+    split = _split_fields(text)
+    assert "\r\n" in text and split is not None
+    assert split == _csv_fields(str(path), text)
+
+
+def test_load_names_the_line_of_an_oversized_field(tmp_path):
+    # csv.reader refuses a field over csv.field_size_limit(); the split read
+    # sends such a line to it, and both loaders name the file and the line.
+    path = write_csv(tmp_path, "a,t1,5,4,6,3,,\n\n" + "b" * 200_000 + ",t1,5,4,6,3,,\nc,t1,5,4,6,3,,\n")
+    expected = f"{path}: line 4: field larger than field limit ({csv.field_size_limit()})"
+    for loader in (load_responses, oracle_load_responses):
+        with pytest.raises(ValueError) as err:
+            loader(path)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    [(b"a,t1,5,4,6,3,,\r\nb\xff,t1,5,4,6,3,,\r\n", 3), (b"a,t1,5,4,6,3,,\n\n\nb,t1,5,4,6,3,,\xe2\x82", 5)],
+)
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, body, line):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CSV_HEADER.encode() + body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: byte 0x(ff|e2) is not UTF-8"):
+        load_responses(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +438,13 @@ def test_build_no_survivor_is_error():
     table = rows_for_tasks({"t1": {"a": 5, "b": 5}})
     with pytest.raises(ValueError, match="at least 4"):
         build_multigraph(table, "valence", min_raters=4)
+
+
+@pytest.mark.parametrize("min_raters", [0, -1])
+def test_build_rejects_min_raters_below_one(min_raters):
+    table = rows_for_tasks({"t1": {"a": 5, "b": 5}})
+    with pytest.raises(ValueError, match=f"min_raters must be at least 1, got {min_raters}"):
+        build_multigraph(table, "valence", min_raters=min_raters)
 
 
 def test_build_matches_per_pair_agree_calls():

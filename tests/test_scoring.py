@@ -310,6 +310,14 @@ def test_image_unfitted_raters_only_in_dropped_tasks_are_not_an_error():
     assert_same_reports(got, oracle_image_scores(table, "valence", params, min_raters=3))
 
 
+@pytest.mark.parametrize("min_raters", [0, -2])
+def test_image_rejects_min_raters_below_one(min_raters):
+    table = table_from_rows([(s, "t1", {"valence": 5.0}) for s in "ab"])
+    params = ModelParams(subjects=["a", "b"], tau=np.ones(2), alpha=np.ones(2), beta=np.ones(2), gamma=0.37)
+    with pytest.raises(ValueError, match=f"min_raters must be at least 1, got {min_raters}"):
+        image_scores(table, "valence", params, min_raters=min_raters)
+
+
 def test_image_unfitted_raters_named_for_first_kept_task_in_id_order():
     rows = [(s, "t3", {"valence": 5.0}) for s in ("zz", "b", "ya")]
     rows += [(s, "t2", {"valence": 5.0}) for s in ("zz", "a", "yb", "b")]
