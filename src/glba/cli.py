@@ -81,6 +81,18 @@ def _gamma_tag(g):
     return f"{g:.6g}"
 
 
+def _report_names(gammas, kind="gamma values"):
+    """The fit report file name of each gamma value.  Rejects two values
+    that would write the same file, naming both and the file."""
+    names = {}
+    for g in gammas:
+        name = f"fit_{_gamma_tag(g)}.tsv"
+        if name in names:
+            raise ValueError(f"{kind} {names[name]!r} and {g!r} both write {name}")
+        names[name] = g
+    return list(names)
+
+
 def cmd_build_graph(args):
     table = ingest.load_responses(args.responses)
     graph = ingest.build_multigraph(
@@ -102,19 +114,22 @@ def cmd_build_graph(args):
 def cmd_fit(args):
     graph = textio.read_multigraph(args.graph)
     config = _fit_config(args)
+    if not config.update_gamma:  # each report is named by its fixed gamma
+        _report_names(model._gamma_values(config.gamma))
     out = _outdir(args)
-    written = []
-    for report in model.fit_grid(graph, config):
-        path = os.path.join(out, f"fit_{_gamma_tag(report.params.gamma)}.tsv")
-        textio.write_fit_report(report, path)
-        written.append(path)
+    reports = model.fit_grid(graph, config)
+    # A learned gamma names its report, and fits from different starts
+    # can learn the same one.
+    names = _report_names([report.params.gamma for report in reports], "fitted gamma values")
+    for report, name in zip(reports, names):
+        textio.write_fit_report(report, os.path.join(out, name))
         status = "converged" if report.converged else "NOT converged"
         print(
             f"gamma={_gamma_tag(report.params.gamma)}: {report.iterations} iterations, "
             f"{status}, tau0={report.priors.tau0:.4f}, s0={report.priors.s0:.4f}"
         )
-    _manifest(args, "fit", [args.graph], extra={"gamma_values": len(written)})
-    print(f"wrote {len(written)} fit report(s) to {out}")
+    _manifest(args, "fit", [args.graph], extra={"gamma_values": len(reports)})
+    print(f"wrote {len(reports)} fit report(s) to {out}")
     return EXIT_OK
 
 

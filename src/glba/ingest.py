@@ -463,16 +463,23 @@ def _read_fields(path):
     header is row 1; a short record's missing fields read as "" and extra
     fields are dropped.  Raises ValueError naming the line on bytes that
     are not UTF-8 and on a record csv.reader rejects."""
+    text = _read_text(path)
+    return _split_fields(text) or _csv_fields(path, text)
+
+
+def _read_text(path):
+    """The file at `path` decoded as UTF-8, line breaks as stored.  Raises
+    ValueError naming the path, the line and the byte on bytes that are
+    not UTF-8.  Every reader of glba's input files reads through it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(
             f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from None
-    return _split_fields(text) or _csv_fields(path, text)
 
 
 def _split_fields(text):

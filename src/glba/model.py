@@ -13,6 +13,9 @@ gate odds ratio), and the M-step re-estimates each subject's parameters
 (projected damped Newton-Raphson for the Beta shapes, exact closed forms
 for tau and gamma).  An outer empirical-Bayes loop re-centers the priors
 on the population means.
+
+scipy.special is imported inside the kernels that call it, so importing
+glba, or running a command that never fits, does not load it.
 """
 
 import dataclasses
@@ -21,7 +24,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma, xlogy, zeta
 
 # Positivity floor for Beta shape parameters.
 EPS_POS = 1e-6
@@ -175,6 +177,8 @@ def _flat(multigraph, arrays):
 def _digammas(a_t, b_t):
     """digamma of alpha~, beta~ and alpha~ + beta~ over the flat layout,
     and the expected log agreement rates (dig_a - dig_s, dig_b - dig_s)."""
+    from scipy.special import digamma
+
     dig = digamma(a_t), digamma(b_t), digamma(a_t + b_t)
     return dig, (dig[0] - dig[2], dig[1] - dig[2])
 
@@ -239,6 +243,8 @@ def e_step(multigraph, params):
 
 
 def _ab_residual(a, b, d, s_a, s_b, s0):
+    from scipy.special import digamma
+
     s = a + b
     dig_s = digamma(s)
     # Prior term h(alpha+beta): the gradient of the Gamma(2, s0) prior.
@@ -292,6 +298,8 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
 
     Returns (alpha, beta, fallback_mask).
     """
+    from scipy.special import zeta
+
     m = len(d)
     a = np.clip(np.asarray(a0, dtype=float).copy(), EPS_POS, None)
     b = np.clip(np.asarray(b0, dtype=float).copy(), EPS_POS, None)
@@ -459,6 +467,8 @@ def _objective_flat(graph, flat, dig, lam, params, priors):
     stationary points the M-step updates solve; the trace is therefore a
     proper ascent monitor.
     """
+    from scipy.special import betaln, xlogy
+
     a_t, b_t, t_t = flat
     flat_sidx = graph.flat_sidx
     tau_i = params.tau[flat_sidx]

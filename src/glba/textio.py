@@ -22,9 +22,19 @@ from operator import attrgetter, methodcaller
 
 import numpy as np
 
-from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag
+from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag, _read_text
 from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageReport, SubjectReport
+
+
+def _read_lines(path):
+    """The lines of the text file at `path`, broken at LF, CRLF and a lone
+    CR as text mode breaks them; bytes that are not UTF-8 raise ValueError
+    naming the path and the line."""
+    text = _read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +86,7 @@ def read_multigraph(path):
     Rejects, naming the path and both counts, a graph whose task or
     subject count differs from the one its '# multigraph' header states.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_lines(path)
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     header = next((ln.split()[2:] for ln in lines if ln.startswith("# multigraph")), [])
     if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
@@ -175,13 +184,12 @@ def _read_table(path, columns, id_column, extra=None):
     value its parser does not accept.
     """
     meta, rows = {}, []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh.read().split("\n"), start=1):
-            if ln.startswith("#"):
-                key, _, value = ln[1:].strip().partition(" ")
-                meta[key] = (lineno, value)
-            elif ln.strip():
-                rows.append((lineno, ln))
+    for lineno, ln in enumerate(_read_lines(path), start=1):
+        if ln.startswith("#"):
+            key, _, value = ln[1:].strip().partition(" ")
+            meta[key] = (lineno, value)
+        elif ln.strip():
+            rows.append((lineno, ln))
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header row")
     (head_no, head), body = rows[0], rows[1:]
@@ -368,8 +376,7 @@ def write_id_list(ids, path):
 
 
 def read_id_list(path):
-    with open(path, encoding="utf-8") as fh:
-        return [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+    return [ln for ln in map(str.strip, _read_lines(path)) if ln and not ln.startswith("#")]
 
 
 # ---------------------------------------------------------------------------
@@ -426,25 +433,24 @@ def read_config_file(path):
     key and a value that does not parse.
     """
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            if "=" not in ln:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {ln!r}")
-            key, _, raw = ln.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            parser = _CONFIG_PARSERS.get(key) or _IGNORED_CONFIG_KEYS.get(key)
-            if parser is None:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                value = parser(raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid value for {key}: {exc}") from None
-            if key in _CONFIG_PARSERS:
-                overrides[key] = value
+    for lineno, ln in enumerate(_read_lines(path), start=1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if "=" not in ln:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {ln!r}")
+        key, _, raw = ln.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        parser = _CONFIG_PARSERS.get(key) or _IGNORED_CONFIG_KEYS.get(key)
+        if parser is None:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            value = parser(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid value for {key}: {exc}") from None
+        if key in _CONFIG_PARSERS:
+            overrides[key] = value
     return overrides
 
 

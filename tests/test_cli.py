@@ -1,13 +1,16 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glba.cli import main
-from glba.model import FitConfig, fit
+import glba
+from glba.cli import _report_names, main
+from glba.model import DEFAULT_GAMMA_GRID, FitConfig, fit
 from glba.simulate import sample_response_table
 from glba.textio import read_multigraph, write_fit_report, write_responses
 
@@ -416,6 +419,37 @@ def test_fit_gamma_grid_writes_one_file_per_value(tmp_path):
     assert (out / "fit_0.4.tsv").exists()
 
 
+def test_fit_gamma_values_sharing_a_report_name_exit_2_before_any_fit(tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n")
+    out = tmp_path / "out"
+    assert run(["fit", graph, "--gamma-grid", "0.3:0.3000001:3", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: gamma values 0.3 and 0.30000004999999996 both write fit_0.3.tsv\n"
+    assert not out.exists()
+
+
+def test_fit_learned_gammas_sharing_a_report_name_exit_2(tmp_path, capsys):
+    # Fits from different starting rates learn the same gamma; each would
+    # overwrite the last one's report.
+    table, _ = sample_response_table(10, 40, 4, seed=12)
+    csv_path = tmp_path / "r.csv"
+    write_responses(table, csv_path)
+    run(["build-graph", csv_path, "--out", tmp_path / "graph"])
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("update_gamma = true\ntol = 1e-9\nmax_iter = 5000\neb_max_rounds = 2\n")
+    out = tmp_path / "out"
+    argv = ["fit", tmp_path / "graph" / "graph.tsv", "--gamma-grid", "0.3:0.45:2", "--config", cfg]
+    assert run([*argv, "--out", out]) == 2
+    assert "error: fitted gamma values " in capsys.readouterr().err
+    assert not list(out.glob("fit_*.tsv"))
+
+
+def test_default_gamma_grid_keeps_its_report_names():
+    names = [f"fit_{g}.tsv" for g in ("0.3", "0.32", "0.34", "0.36", "0.38", "0.4", "0.42", "0.44", "0.46", "0.48")]
+    assert _report_names(DEFAULT_GAMMA_GRID) == names
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -427,6 +461,35 @@ SUBJECTS = (
     "1\ts000\t0.2\t1.0\t2.0\t0.05\t0.2\n"
     "2\ts001\t0.9\t2.0\t1.0\t0.05\t0.9\n"
 )
+
+
+GRAPH = "task_id\tsubjects\tindicators\nt0\ta,b,c\t111111\n"
+IDS = "# annotated\ns000\ns001\n"
+CONFIG = "# budget\nmax_iter = 5\ntol = 1e-3\n"
+
+
+@pytest.mark.parametrize(
+    "command,bad_text,good_text",
+    [
+        (["fit", "{bad}", "--gamma", "0.37"], GRAPH, None),
+        (["rank", "{bad}"], GOOD_FIT + "s000\t0.9\t2.0\t1.0\n", None),
+        (["pr", "{bad}", "{good}"], SUBJECTS, IDS),
+        (["pr", "{good}", "{bad}"], IDS, SUBJECTS),
+        (["fit", "{good}", "--config", "{bad}"], CONFIG, GRAPH),
+    ],
+    ids=["graph", "fit-report", "subject-report", "id-list", "config"],
+)
+def test_non_utf8_input_files_exit_2_naming_the_line(tmp_path, capsys, command, bad_text, good_text):
+    # A 0xff byte at the start of the last line of each reader's input.
+    *head, last = bad_text.splitlines(keepends=True)
+    bad, good = tmp_path / "bad", tmp_path / "good"
+    bad.write_bytes("".join(head).encode() + b"\xff" + last.encode())
+    if good_text:
+        good.write_text(good_text)
+    out = tmp_path / "out"
+    assert run([arg.format(bad=bad, good=good) for arg in command] + ["--out", out]) == 2
+    assert f"error: {bad}: line {len(head) + 1}: byte 0xff is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -617,3 +680,61 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _fresh_python(tmp_path, script):
+    """Run `script` in a new interpreter that imports glba from where this
+    one does; returns its stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(glba.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, done.stderr
+
+
+NON_FIT_COMMANDS = {
+    "simulate": "--subjects 8 --tasks 30 --raters 4 --spammers 2 --ratings",
+    "build-graph": "ratings.csv",
+    "baseline-ds": "ratings.csv",
+    "baseline-time": "ratings.csv",
+    "rank": "fit_0.37.tsv",
+    "images": "ratings.csv fit_0.37.tsv",
+    "overhead": "ratings.csv out/subjects.tsv",
+    "pr": "out/subjects.tsv ids.txt --top-k 1",
+    "inject": "ratings.csv --spammers 2 --tasks-per-spammer 5",
+}
+
+
+def test_commands_but_fit_never_load_scipy_special(ratings_csv, tmp_path):
+    os.replace(ratings_csv, tmp_path / "ratings.csv")
+    run(["build-graph", tmp_path / "ratings.csv", "--out", tmp_path])
+    (tmp_path / "fit.cfg").write_text("max_iter = 40\neb_max_rounds = 1\ntol = 1e-3\n")
+    run(["fit", tmp_path / "graph.tsv", "--gamma", 0.37, "--config", tmp_path / "fit.cfg", "--out", tmp_path])
+    first_subject = (tmp_path / "ratings.csv").read_text().splitlines()[1].split(",")[0]
+    (tmp_path / "ids.txt").write_text(first_subject + "\n")
+    script = f"""
+import sys
+import glba
+import glba.cli
+print("before", *(m for m in sys.modules if m.startswith("scipy.special")))
+for command, args in {NON_FIT_COMMANDS!r}.items():
+    print(command, glba.cli.main([command, *args.split(), "--out", "out"]), file=sys.stderr)
+print("after", *(m for m in sys.modules if m.startswith("scipy.special")))
+"""
+    stdout, stderr = _fresh_python(tmp_path, script)
+    assert stderr.splitlines() == [f"{command} 0" for command in NON_FIT_COMMANDS]
+    lines = stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("before", "after")
+
+
+def test_fit_in_a_fresh_interpreter_matches_an_in_process_fit(ratings_csv, tmp_path):
+    run(["build-graph", ratings_csv, "--out", tmp_path])
+    script = """
+import sys
+import glba.cli
+print(glba.cli.main(["fit", "graph.tsv", "--gamma", "0.37", "--out", "fresh"]))
+print("scipy.special" in sys.modules)
+"""
+    assert _fresh_python(tmp_path, script)[0].splitlines()[-2:] == ["0", "True"]
+    want = tmp_path / "library.tsv"
+    write_fit_report(fit(read_multigraph(tmp_path / "graph.tsv"), FitConfig(gamma=0.37)), want)
+    assert filecmp.cmp(tmp_path / "fresh" / "fit_0.37.tsv", want, shallow=False)

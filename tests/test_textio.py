@@ -617,6 +617,23 @@ def test_id_list_roundtrip(tmp_path):
     assert textio.read_id_list(path) == ["a", "b"]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize(
+    "read,text",
+    [
+        (textio.read_id_list, "# annotated\na\n\nb\n"),
+        (textio.read_config_file, "# budget\ntol = 1e-3\nmax_iter = 5\n"),
+        (lambda p: repr(textio.read_fit_report(p)), "# gamma 0.37\n# tau0 0.6\n# s0 1.5\n# iterations 3\n# converged 1\nsubject_id\ttau\talpha\tbeta\na\t0.9\t2.0\t1.0\n"),
+    ],
+    ids=["id-list", "config", "fit-report"],
+)
+def test_readers_break_lines_as_text_mode(tmp_path, read, text, newline):
+    # Files written on other systems end their lines in CRLF or a lone CR.
+    (tmp_path / "lf").write_text(text, encoding="utf-8")
+    (tmp_path / "other").write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert read(tmp_path / "other") == read(tmp_path / "lf")
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "fit.cfg"
     path.write_text(
