@@ -2,18 +2,14 @@
 #
 # Two raters "agree" on a stimulus when their ratings are close in
 # percentile terms over the whole pool of answers, which adapts the
-# comparison to how people actually use the scale.  This script builds
-# the percentile table, inspects the pairwise rule, and assembles the
-# per-task multigraph that everything downstream consumes.
+# comparison to how people actually use the scale.  This script prints
+# the pool's cumulative fractions, shows the pairwise rule on a
+# three-rater table, and assembles the per-task multigraph that
+# everything downstream consumes.
 
 import numpy as np
 
-from glba import (
-    agree,
-    build_multigraph,
-    percentile_table,
-    variance_ratio,
-)
+from glba import ResponseTable, build_multigraph, variance_ratio
 from glba.simulate import sample_response_table
 
 # A small synthetic ratings corpus: 40 subjects, 200 stimuli, 4-6 raters
@@ -22,22 +18,31 @@ from glba.simulate import sample_response_table
 table, _ = sample_response_table(40, 200, (4, 6), rating_sigma=1.0, seed=7)
 print(f"{len(table)} responses from {len(table.subjects())} subjects")
 
-# The percentile table of the pooled valence ratings.  Most mass sits
+# The cumulative fractions P(v) of the pooled valence ratings, binned to
+# one decimal: the share of the pool at or below v.  Most mass sits
 # mid-scale, so equal absolute gaps can mean very different percentile
 # gaps.  The table is columnar: one float per response (NaN where a
 # response has no valence rating), and `rated` masks the rated ones.
 values = table.ratings("valence")[table.rated("valence")]
-ptable = percentile_table(values, scale=sorted(set(values)))
+support, counts = np.unique(np.round(values, 1), return_counts=True)
+cdf = np.cumsum(counts) / len(values)
 print("\ncumulative fractions:")
-for v in ptable.support:
-    print(f"  rating {v:>3}: {ptable.cdf[v]:.3f}")
+for v, p in zip(support.tolist(), cdf.tolist()):
+    print(f"  rating {v:>3}: {p:.3f}")
 
-# The pairwise rule at the default threshold 0.2: identical ratings always
-# agree; mid-scale neighbors usually agree; extremes rarely agree with
-# anything far away.
-print("\nagree(4, 5) =", agree(4.0, 5.0, ptable))
-print("agree(1, 9) =", agree(1.0, 9.0, ptable))
-print("agree(8, 9) =", agree(8.0, 9.0, ptable))
+# The pairwise rule, shown on one stimulus rated 4, 5 and 9 by three
+# raters.  Each rating's successor is the next *observed* rating (the
+# top one's P is 1), and two ratings a, b agree iff
+#   0.5 |P(a) - P(b)| + 0.5 |P(a+) - P(b+)| <= delta.
+# Here P(4) = 1/3, P(5) = 2/3, P(9) = 1: 5 and 9 are percentile
+# neighbours, as no rating lies between them, while 4 and 5 sit a third
+# of the pool apart.  At delta 0.2 only b and c agree; at 0.4, a and b
+# do too; a and c never do below 0.5.
+nan3 = [np.nan] * 3
+tiny = ResponseTable(["a", "b", "c"], ["t1"] * 3, {"valence": [4.0, 5.0, 9.0]}, nan3, nan3)
+for delta in (0.2, 0.4):
+    edges = build_multigraph(tiny, "valence", delta=delta, min_raters=1).tasks[0].edges
+    print(f"\nratings 4, 5, 9 at delta {delta}:\n{edges}")
 
 # Assemble the multigraph.  Stimuli with fewer than four raters are
 # screened out, mirroring the usual minimum-evidence rule.

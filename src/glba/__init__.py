@@ -15,14 +15,11 @@ from .ingest import (
     DIMENSION_SCALES,
     DIMENSIONS,
     AgreementMultigraph,
-    PercentileTable,
     ResponseRow,
     ResponseTable,
     TaskGraph,
-    agree,
     build_multigraph,
     load_responses,
-    percentile_table,
     variance_ratio,
 )
 from .model import (

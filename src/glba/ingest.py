@@ -10,9 +10,12 @@ library works on them.
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
-distributions.  The percentile table is computed once from the whole pool
-of retained answers for a dimension, and every ordered rater pair within a
-task receives a binary agreement indicator.
+distributions.  ``build_multigraph`` holds the one percentile rule: over
+the pool of a dimension's ratings on the kept tasks, binned to one
+decimal, P(v) is the fraction at or below v and v+ the next observed
+value (P(v+) = 1 for the top one), and two ratings a, b agree iff
+0.5 |P(a) - P(b)| + 0.5 |P(a+) - P(b+)| <= delta.  Every ordered rater
+pair within a task receives that binary indicator.
 
 A multigraph has one packed form: ``AgreementMultigraph`` takes the task
 ids, each task's rater count, the rater ids and the pair indicators as flat
@@ -134,39 +137,6 @@ class ResponseTable:
             ResponseRow(s, t, {d: v for d, v in zip(dims, vals) if v == v}, vs, ls)
             for s, t, vals, vs, ls in zip(self.subject_ids, self.task_ids, cells, view, label)
         ]
-
-
-@dataclass
-class PercentileTable:
-    """Cumulative rating fractions over a discrete support.
-
-    ``cdf[v]`` is the fraction of the pool with rating <= v (inclusive, so
-    the maximum support value maps to exactly 1.0).  ``value_after(v)``
-    steps to the next support value; one step past the top of the scale
-    carries full cumulative mass.
-    """
-
-    dimension: str
-    support: list
-    cdf: dict
-    _index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.support)}
-
-    def cum(self, value):
-        if value not in self._index:
-            raise ValueError(f"rating {value!r} not in the {self.dimension or 'rating'} support")
-        return self.cdf[value]
-
-    def cum_after(self, value):
-        """Cumulative fraction at the support value following `value`."""
-        i = self._index.get(value)
-        if i is None:
-            raise ValueError(f"rating {value!r} not in the {self.dimension or 'rating'} support")
-        if i + 1 >= len(self.support):
-            return 1.0
-        return self.cdf[self.support[i + 1]]
 
 
 @dataclass
@@ -345,10 +315,6 @@ class AgreementMultigraph:
     @property
     def n(self):
         return len(self.task_ids)
-
-
-def bin_rating(value, decimals=BIN_DECIMALS):
-    return round(float(value), decimals)
 
 
 def load_responses(path, schema=None):
@@ -556,57 +522,6 @@ def _parse_floats(raw):
     return present, values, bad
 
 
-def _cumulative(at, size):
-    """Fraction of a pool at or below each of `size` sorted support values,
-    from the support position `at` of every pool value."""
-    return np.cumsum(np.bincount(at, minlength=size)) / len(at)
-
-
-def percentile_table(values, scale, dimension=""):
-    """Build the cumulative-fraction table of a rating pool.
-
-    Parameters
-    ----------
-    values : iterable of ratings (the pool, with multiplicity)
-    scale : iterable of the valid discrete rating values
-    """
-    pool = np.asarray([float(v) for v in values])
-    if not pool.size:
-        raise ValueError("empty rating pool")
-    support = np.array(sorted({float(s) for s in scale}))
-    outside = ~np.isin(pool, support)
-    if outside.any():
-        raise ValueError(f"pool value {float(pool[outside][0])!r} not in scale")
-    cdf = _cumulative(np.searchsorted(support, pool), len(support))
-    keys = support.tolist()
-    return PercentileTable(dimension=dimension, support=keys, cdf=dict(zip(keys, cdf.tolist())))
-
-
-def _check_delta(delta):
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
-def _agree_rule(c0_i, c0_j, c1_i, c1_j, delta):
-    """The percentile rule, elementwise: the mean of the cumulative-fraction
-    gap at two ratings (c0) and at their successor values (c1) is at most
-    `delta`."""
-    return 0.5 * np.abs(c0_i - c0_j) + 0.5 * np.abs(c1_i - c1_j) <= delta
-
-
-def agree(a_i, a_j, table, delta=DEFAULT_DELTA):
-    """Percentile-rule agreement indicator for two ratings.
-
-    Returns 1 iff the mean of the percentile gap at the two ratings and
-    the gap at their successor values is at most `delta`.  Symmetric in
-    the two ratings.
-    """
-    _check_delta(delta)
-    c0_i, c0_j = table.cum(a_i), table.cum(a_j)
-    c1_i, c1_j = table.cum_after(a_i), table.cum_after(a_j)
-    return 1 if _agree_rule(c0_i, c0_j, c1_i, c1_j, delta) else 0
-
-
 # One dimension's ratings on its tasks with at least min_raters raters, task
 # k's at slots offsets[k]:offsets[k+1]: the kept task ids (sorted) and per
 # slot the rater's code into `subjects` (all raters, sorted; ascending within
@@ -639,15 +554,17 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
 
     Rows without a rating on `dimension` are ignored.  Tasks rated by
     fewer than `min_raters` (at least 1) subjects are dropped; the
-    percentile table is computed from the remaining pool.  Task lists and rater lists are
-    sorted by id so the result does not depend on input order.
+    percentile rule (see the module docstring) reads the pool of the
+    remaining ratings.  Task lists and rater lists are sorted by id so the
+    result does not depend on input order.
 
     Each distinct rating is binned once; the percentile rule is evaluated
     once per pair of distinct binned ratings, and the indicators of all
     tasks with the same rater count are gathered from that table in one
     step.
     """
-    _check_delta(delta)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     layout = _task_layout(table, dimension, min_raters)
     if not layout.n_tasks:
         raise ValueError(f"no rows carry a rating for dimension {dimension!r}")
@@ -657,18 +574,18 @@ def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_M
         )
 
     values, inverse = np.unique(layout.ratings, return_inverse=True)
-    pool = np.fromiter(map(bin_rating, values.tolist()), float, len(values))[inverse]
+    pool = np.array([round(v, BIN_DECIMALS) for v in values.tolist()])[inverse]
     support = np.unique(pool)
     at = np.searchsorted(support, pool)
-    cdf = _cumulative(at, len(support))
-    # One step past the top of the scale carries full cumulative mass.
+    # P(v), the fraction of the pool at or below each observed value v, and
+    # P(v+) at the next observed value; the top value's successor is 1.0.
+    cdf = np.cumsum(np.bincount(at, minlength=len(support))) / len(at)
     cdf_after = np.append(cdf[1:], 1.0)
     # The rule depends on the two ratings alone, so it is evaluated once per
     # pair of support values (at most 81 values on a 1..9 scale binned to
     # one decimal) and every rater pair looks its indicator up.
-    agrees = _agree_rule(
-        cdf[:, None], cdf[None, :], cdf_after[:, None], cdf_after[None, :], delta
-    ).astype(np.uint8)
+    gap = 0.5 * np.abs(cdf[:, None] - cdf) + 0.5 * np.abs(cdf_after[:, None] - cdf_after)
+    agrees = (gap <= delta).astype(np.uint8)
 
     # Each rater-count group's indicators, gathered from the table straight
     # into the flat task-major layout over ordered pairs (i, j), i != j.

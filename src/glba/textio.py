@@ -154,8 +154,15 @@ _IMAGE_COLUMNS = dict(  # the fields of ImageReport, in order
     task_id=str, adjusted_score=float, confidence=float, weighted_mean=float, raw_mean=float,
     n_raters=int, weighted_mean_defined=_parse_flag, dimension=str, direction=_parse_direction
 )
-# Header lines every fit report carries, with their parsers.
-_REPORT_HEADER = {"gamma": float, "tau0": float, "s0": float, "iterations": int, "converged": int}
+# Header lines every fit report carries: their parser, the test a value
+# must pass and the range that test names.
+_REPORT_HEADER = {
+    "gamma": (float, lambda v: 0.0 < v < 0.5, "in (0, 0.5)"),
+    "tau0": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "s0": (float, lambda v: v > 0.0, "> 0"),
+    "iterations": (int, lambda v: v >= 0, ">= 0"),
+    "converged": (int, lambda v: v in (0, 1), "0 or 1"),
+}
 
 
 def _write_table(path, columns, rows, head=()):
@@ -226,13 +233,15 @@ def _read_table(path, columns, id_column, extra=None):
                 raise ValueError(f"{path}:{lineno}: {col} {raw!r} is not {_FORMS[parse][1]}") from None
 
 
-def _report_number(path, lineno, name, raw, parse=float):
+def _report_number(path, lineno, name, raw, parse, valid, bounds):
     try:
         value = parse(raw)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: unparseable {name} {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {name} {raw!r}")
+    if not valid(value):
+        raise ValueError(f"{path}:{lineno}: {name} {raw!r} is not {bounds}")
     return value
 
 
@@ -251,16 +260,17 @@ def read_fit_report(path):
 
     Rejects, naming the path and the line: everything `_read_table`
     rejects, a missing header line, a header value that is not a finite
-    number, and a tau outside [0, 1] or an alpha or beta that is not finite
-    or below EPS_POS.
+    number or lies outside its `_REPORT_HEADER` range (gamma in (0, 0.5),
+    tau0 in [0, 1], s0 > 0, iterations >= 0, converged 0 or 1), and a tau
+    outside [0, 1] or an alpha or beta that is not finite or below EPS_POS.
     """
     meta, _, (subjects, *columns), linenos = _read_table(path, _PARAM_COLUMNS, "subject_id")
     missing = [key for key in _REPORT_HEADER if key not in meta]
     if missing:
         raise ValueError(f"{path}: missing header line(s): {', '.join('# ' + k for k in missing)}")
     head = {
-        key: _report_number(path, meta[key][0], key, meta[key][1], parse)
-        for key, parse in _REPORT_HEADER.items()
+        key: _report_number(path, meta[key][0], key, meta[key][1], *check)
+        for key, check in _REPORT_HEADER.items()
     }
     tau, alpha, beta = map(np.array, columns)
     valid = np.isfinite(alpha) & np.isfinite(beta) & (tau >= 0.0) & (tau <= 1.0)

@@ -303,29 +303,58 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
     )
 
 
-def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
-    """The agreement multigraph as a per-task, per-pair loop of scalar
-    `agree` calls over a dict-based percentile table.  Same contract as
-    `glba.ingest.build_multigraph`."""
-    from glba.ingest import agree, bin_rating, percentile_table
+def oracle_bin(value):
+    """A rating binned to one decimal, as the percentile rule reads it."""
+    return round(float(value), 1)
 
+
+def oracle_percentile_table(pool):
+    """{v: (P(v), P(v+))} for each distinct value v of the binned `pool`,
+    counted by hand: P(v) is the fraction of the pool at or below v, and v+
+    the next value observed in the pool (P(v+) = 1.0 for the top one)."""
+    counts = {}
+    for v in pool:
+        counts[v] = counts.get(v, 0) + 1
+    support = sorted(counts)
+    cum, below = {}, 0
+    for v in support:
+        below += counts[v]
+        cum[v] = below / len(pool)
+    after = [cum[w] for w in support[1:]] + [1.0]
+    return {v: (cum[v], a) for v, a in zip(support, after)}
+
+
+def oracle_agree(a, b, table, delta):
+    """The percentile rule for two binned ratings over an
+    `oracle_percentile_table`: 1 iff 0.5 |P(a) - P(b)| + 0.5 |P(a+) - P(b+)|
+    <= delta."""
+    (pa, pa_next), (pb, pb_next) = table[a], table[b]
+    return int(0.5 * abs(pa - pb) + 0.5 * abs(pa_next - pb_next) <= delta)
+
+
+def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
+    """The agreement multigraph as a per-task, per-pair loop of
+    `oracle_agree` calls over a dict-based percentile table.  Same contract
+    as `glba.ingest.build_multigraph`."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     by_task = {}
     for r in rated_rows(table, dimension):
         by_task.setdefault(r.task_id, []).append(r)
     retained = {tid: rs for tid, rs in by_task.items() if len(rs) >= min_raters}
-    pool = [bin_rating(r.scores[dimension]) for rs in retained.values() for r in rs]
-    ptable = percentile_table(pool, sorted(set(pool)), dimension=dimension)
+    pool = [oracle_bin(r.scores[dimension]) for rs in retained.values() for r in rs]
+    ptable = oracle_percentile_table(pool)
 
     tasks = []
     for tid in sorted(retained):
         rs = sorted(retained[tid], key=lambda r: r.subject_id)
-        ratings = [bin_rating(r.scores[dimension]) for r in rs]
+        ratings = [oracle_bin(r.scores[dimension]) for r in rs]
         k = len(rs)
         edges = np.zeros((k, k), dtype=np.uint8)
         for a in range(k):
             for b in range(k):
                 if a != b:
-                    edges[a, b] = agree(ratings[a], ratings[b], ptable, delta)
+                    edges[a, b] = oracle_agree(ratings[a], ratings[b], ptable, delta)
         tasks.append(TaskGraph(task_id=tid, subjects=[r.subject_id for r in rs], edges=edges))
     return graph_from_tasks(tasks)
 

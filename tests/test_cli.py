@@ -161,6 +161,11 @@ GOOD_FIT = (
         ("s000\t0.9\t2.0\t1.0\ns000\t0.8\t2.0\t1.0\n", 8),  # duplicate subject
         ("s000\tnan\t2.0\t1.0\n", 7),  # non-finite tau
         ("s000\t0.9\t-2.0\t1.0\n", 7),  # alpha out of bounds
+        # a header value out of range, on a '#' line that overrides GOOD_FIT's
+        *(
+            (f"# {kv}\ns000\t0.9\t2.0\t1.0\n", 7)
+            for kv in ("gamma 0.7", "tau0 5", "s0 -1", "iterations -3", "converged 7")
+        ),
     ],
 )
 def test_rank_and_images_malformed_fit_report_exit_2(ratings_csv, tmp_path, capsys, body, line):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from glba.baselines import categorize_table, dawid_skene_fit, duration_rank
@@ -17,11 +17,8 @@ from glba.ingest import (
     _csv_fields,
     _read_fields,
     _split_fields,
-    agree,
-    bin_rating,
     build_multigraph,
     load_responses,
-    percentile_table,
     variance_ratio,
 )
 from glba.model import FitConfig, fit
@@ -31,12 +28,15 @@ from glba.textio import write_responses
 from helpers import (
     graph_from_tasks,
     make_task,
+    oracle_agree,
+    oracle_bin,
     oracle_build_multigraph,
     oracle_categorize_table,
     oracle_dawid_skene,
     oracle_duration_rank,
     oracle_load_responses,
     oracle_overhead_curve,
+    oracle_percentile_table,
     oracle_write_responses,
     random_graph,
     table_from_rows,
@@ -308,96 +308,45 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, body, line):
 
 
 # ---------------------------------------------------------------------------
-# percentile_table
+# The percentile rule: hand-computed cases of the scalar oracle in helpers
 # ---------------------------------------------------------------------------
 
 
 def test_percentile_degenerate_pool():
-    t = percentile_table([5, 5, 5, 5], scale=[5])
-    assert t.cdf[5.0] == 1.0
+    assert oracle_percentile_table([5.0] * 4) == {5.0: (1.0, 1.0)}
 
 
 def test_percentile_counting():
-    # brute-force count: 4 of 8 values are <= 2
-    t = percentile_table([1, 1, 2, 2, 3, 3, 4, 4], scale=[1, 2, 3, 4])
-    assert t.cdf[2.0] == 0.5
+    # brute-force count: 4 of 8 values are <= 2, 6 of 8 are <= 3
+    t = oracle_percentile_table([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
+    assert t[2.0] == (0.5, 0.75)
 
 
 def test_percentile_uniform_pool():
-    t = percentile_table(list(range(1, 10)), scale=range(1, 10))
+    t = oracle_percentile_table([float(k) for k in range(1, 10)])
     for k in range(1, 10):
-        assert t.cdf[float(k)] == pytest.approx(k / 9, abs=0)
-
-
-def test_percentile_empty_pool():
-    with pytest.raises(ValueError, match="empty"):
-        percentile_table([], scale=[1, 2])
-
-
-def test_percentile_value_outside_scale():
-    with pytest.raises(ValueError, match="not in scale"):
-        percentile_table([1, 2, 7], scale=[1, 2, 3])
-
-
-def test_percentile_invariant_under_pool_duplication():
-    rng = np.random.default_rng(7)
-    pool = list(rng.integers(1, 10, size=40))
-    t1 = percentile_table(pool, scale=range(1, 10))
-    t2 = percentile_table(pool * 3, scale=range(1, 10))
-    assert t1.cdf == t2.cdf
+        assert t[float(k)][0] == pytest.approx(k / 9, abs=0)
 
 
 def test_percentile_top_of_scale_successor():
-    t = percentile_table([1, 9], scale=range(1, 10))
-    assert t.cum_after(9.0) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# agree
-# ---------------------------------------------------------------------------
+    # the successor is the next observed value, not the next scale value:
+    # 1's is 9, and the top value's successor carries full mass
+    t = oracle_percentile_table([1.0, 9.0])
+    assert t == {1.0: (0.5, 1.0), 9.0: (1.0, 1.0)}
 
 
 def test_agree_identical_ratings():
-    t = percentile_table([1, 2, 3, 9, 9], scale=range(1, 10))
+    t = oracle_percentile_table([1.0, 2.0, 3.0, 5.0, 9.0, 9.0])
     for delta in (0.01, 0.2, 0.99):
-        assert agree(5.0, 5.0, t, delta) == 1
+        assert oracle_agree(5.0, 5.0, t, delta) == 1
 
 
 def test_agree_bimodal_pool_extremes():
     # ten 1s and ten 9s: percentile gap between the extremes is 0.5 > 0.2
-    t = percentile_table([1] * 10 + [9] * 10, scale=range(1, 10))
-    d0 = abs(t.cum(1.0) - t.cum(9.0))
-    d1 = abs(t.cum_after(1.0) - t.cum_after(9.0))
-    assert 0.5 * d0 + 0.5 * d1 == 0.5
-    assert agree(1.0, 9.0, t, 0.2) == 0
-
-
-def test_agree_symmetric_over_full_grid():
-    rng = np.random.default_rng(3)
-    pool = list(rng.integers(1, 10, size=60))
-    t = percentile_table(pool, scale=range(1, 10))
-    for a in range(1, 10):
-        for b in range(1, 10):
-            assert agree(float(a), float(b), t) == agree(float(b), float(a), t)
-
-
-def test_agree_monotone_in_delta():
-    rng = np.random.default_rng(11)
-    pool = list(rng.integers(1, 10, size=50))
-    t = percentile_table(pool, scale=range(1, 10))
-    deltas = [0.05, 0.1, 0.2, 0.4, 0.8]
-    for a in range(1, 10):
-        for b in range(1, 10):
-            vals = [agree(float(a), float(b), t, d) for d in deltas]
-            assert vals == sorted(vals)
-
-
-def test_agree_rejects_bad_delta_and_rating():
-    t = percentile_table([1, 2], scale=[1, 2])
-    with pytest.raises(ValueError, match="delta"):
-        agree(1.0, 2.0, t, 0.0)
-    with pytest.raises(ValueError, match="not in the"):
-        agree(1.0, 3.0, t, 0.2)
+    t = oracle_percentile_table([1.0] * 10 + [9.0] * 10)
+    assert t == {1.0: (0.5, 1.0), 9.0: (1.0, 1.0)}
+    assert oracle_agree(1.0, 9.0, t, 0.2) == 0
+    assert oracle_agree(1.0, 9.0, t, 0.25) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +403,15 @@ def test_build_matches_per_pair_agree_calls():
     table = rows_for_tasks({"t1": ratings, "t2": extra | {"pad": 5.0}})
     graph = build_multigraph(table, "valence", delta=0.2, min_raters=4)
     # oracle: the percentile table over the full retained pool, pair by pair
-    from glba.ingest import bin_rating, percentile_table
-
-    pool = [bin_rating(v) for v in list(ratings.values()) + list(extra.values()) + [5.0]]
-    ptable = percentile_table(pool, sorted(set(pool)))
+    pool = [oracle_bin(v) for v in list(ratings.values()) + list(extra.values()) + [5.0]]
+    ptable = oracle_percentile_table(pool)
     task = next(t for t in graph.tasks if t.task_id == "t1")
     subs = task.subjects
     for i, si in enumerate(subs):
         for j, sj in enumerate(subs):
             if i == j:
                 continue
-            expected = agree(bin_rating(ratings[si]), bin_rating(ratings[sj]), ptable, 0.2)
+            expected = oracle_agree(oracle_bin(ratings[si]), oracle_bin(ratings[sj]), ptable, 0.2)
             assert task.edges[i, j] == expected
 
 
@@ -494,15 +441,13 @@ def pool_gaps(rows, min_raters):
     ratings of the retained pool."""
     by_task = {}
     for _, t, scores in rows:
-        by_task.setdefault(t, []).append(bin_rating(scores["valence"]))
+        by_task.setdefault(t, []).append(oracle_bin(scores["valence"]))
     pool = [v for vs in by_task.values() if len(vs) >= min_raters for v in vs]
-    if not pool:
-        return []
-    table = percentile_table(pool, sorted(set(pool)))
+    table = oracle_percentile_table(pool)
     gaps = {
-        0.5 * abs(table.cum(a) - table.cum(b)) + 0.5 * abs(table.cum_after(a) - table.cum_after(b))
-        for a in table.support
-        for b in table.support
+        0.5 * abs(pa - pb) + 0.5 * abs(pa_next - pb_next)
+        for pa, pa_next in table.values()
+        for pb, pb_next in table.values()
     }
     return sorted(g for g in gaps if 0.0 < g < 1.0)
 
@@ -530,6 +475,48 @@ def test_build_matches_per_pair_oracle(rows, min_raters, data):
         assert g.subjects == e.subjects
         assert g.edges.dtype == e.edges.dtype == np.uint8
         assert np.array_equal(g.edges, e.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rating_tables(), delta=st.floats(0.001, 0.999))
+def test_agree_symmetric_over_full_grid(rows, delta):
+    # E[i, j] == E[j, i] for every rater pair of every task
+    graph = build_multigraph(table_from_rows(rows), "valence", delta=delta, min_raters=1)
+    for g in graph.groups:
+        assert np.array_equal(g.edges, g.edges.transpose(0, 2, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rating_tables(), data=st.data())
+def test_agree_monotone_in_delta(rows, data):
+    # raising delta never removes an edge; the deltas include the pool's
+    # decision boundaries, where an edge appears
+    gaps = pool_gaps(rows, 1)
+    deltas = st.sampled_from(gaps) if gaps else st.floats(0.001, 0.999)
+    low, high = sorted([data.draw(deltas), data.draw(st.floats(0.001, 0.999))])
+    table = table_from_rows(rows)
+    narrow, wide = (build_multigraph(table, "valence", delta=d, min_raters=1) for d in (low, high))
+    for a, b in zip(narrow.groups, wide.groups):
+        assert np.all(a.edges <= b.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rating_tables(), min_raters=st.integers(1, 5), delta=st.floats(0.001, 0.999))
+def test_percentile_invariant_under_pool_duplication(rows, min_raters, delta):
+    # a copy of every task under a new id doubles the count of each pool
+    # value: the fractions, and so every indicator, stay as they were
+    assume(max(Counter(t for _, t, _ in rows).values()) >= min_raters)
+    copies = rows + [(s, f"{t}-copy", scores) for s, t, scores in rows]
+    once, twice = (
+        build_multigraph(table_from_rows(r), "valence", delta=delta, min_raters=min_raters)
+        for r in (rows, copies)
+    )
+    tasks = {t.task_id: t for t in twice.tasks}
+    assert len(tasks) == 2 * once.n
+    for task in once.tasks:
+        for copy in (tasks[task.task_id], tasks[f"{task.task_id}-copy"]):
+            assert copy.subjects == task.subjects
+            assert np.array_equal(copy.edges, task.edges)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, float("nan")])

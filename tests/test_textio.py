@@ -250,6 +250,16 @@ def test_fit_report_reads_hand_written_file(tmp_path):
         ("# gamma 0.37", "# gamma nan", r":1: non-finite gamma 'nan'"),
         ("# s0 1.5", "# s0 big", r":3: unparseable s0 'big'"),
         ("# converged 1", "# converged yes", r":5: unparseable converged 'yes'"),
+        ("# gamma 0.37", "# gamma 0.7", r":1: gamma '0.7' is not in \(0, 0.5\)"),
+        ("# gamma 0.37", "# gamma 0.5", r":1: gamma '0.5' is not in \(0, 0.5\)"),
+        ("# gamma 0.37", "# gamma 0", r":1: gamma '0' is not in \(0, 0.5\)"),
+        ("# tau0 0.6", "# tau0 5", r":2: tau0 '5' is not in \[0, 1\]"),
+        ("# tau0 0.6", "# tau0 -0.1", r":2: tau0 '-0.1' is not in \[0, 1\]"),
+        ("# s0 1.5", "# s0 -1", r":3: s0 '-1' is not > 0"),
+        ("# s0 1.5", "# s0 0.0", r":3: s0 '0.0' is not > 0"),
+        ("# iterations 12", "# iterations -3", r":4: iterations '-3' is not >= 0"),
+        ("# converged 1", "# converged 7", r":5: converged '7' is not 0 or 1"),
+        ("# converged 1", "# converged -1", r":5: converged '-1' is not 0 or 1"),
     ],
 )
 def test_fit_report_rejects_malformed_lines(tmp_path, old, new, match):
