@@ -2,12 +2,17 @@
 process, population-mimicking spammer injection, and a ratings simulator.
 
 All sampling uses the counter-based Philox generator with per-task
-substreams spawned from (seed, task index), so outputs are identical
-across platforms and independent of evaluation order.
+substreams spawned from (seed, task index), so a task's draws do not
+depend on the tasks before it.  For a given numpy `Generator`
+implementation, the ratings simulator writes the same bytes as a loop that
+finishes each task before the next (tests/helpers.py holds that loop as
+the oracle it is checked against).
 """
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -158,13 +163,10 @@ def inject_spammers(table, dimension, spec):
 
     rng = _task_rng(spec.seed, 0)
     chosen = rng.choice(len(task_ids), size=needed, replace=False)
-    sids, tids, ratings = [], [], []
-    for j, sid in enumerate(injected_ids):
-        block = chosen[j * spec.tasks_per_spammer : (j + 1) * spec.tasks_per_spammer]
-        for t_idx in block:
-            sids.append(sid)
-            tids.append(task_ids[t_idx])
-            ratings.append(float(pool[rng.integers(pool.size)]))
+    # Spammer j labels the tasks chosen[j * tasks_per_spammer:][:tasks_per_spammer].
+    sids = np.repeat(injected_ids, spec.tasks_per_spammer).tolist()
+    tids = [task_ids[t] for t in chosen.tolist()]
+    ratings = pool[rng.integers(pool.size, size=needed)]
     # The spammers' rows carry only `dimension`, without timings.
     pad = np.full(needed, MISSING)
     scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
@@ -197,39 +199,74 @@ def sample_response_table(
     crowds are) plus Gaussian noise, rounded onto the scale.  A
     non-serious response (gate closed, probability 1 - tau) is uniform
     over the scale.  Returns (table, tau_by_subject).
+
+    Task k draws from its own substream, in this order: the rater count
+    (only for a (lo, hi) range), the raters, one gate double per rater;
+    then per dimension the location, a normal per rater and a uniform
+    scale value per rater; then, with timing, a (view, label) pair of
+    doubles per rater.  Draws per rater follow the raters' sorted order.
     """
-    subjects = default_subject_ids(m)
+    if n < 1:
+        raise ValueError(f"n (the task count) must be at least 1, got {n}")
+    for name, value in (("rating_sigma", rating_sigma), ("bias_sigma", bias_sigma)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    lo_r, hi_r = _rater_range(raters_per_task, m)
     tau_true = np.full(m, 1.0) if tau_true is None else np.asarray(tau_true, dtype=float)
     if tau_true.shape != (m,):
         raise ValueError("tau_true must have one entry per subject")
+    bad = np.flatnonzero(~((tau_true >= 0.0) & (tau_true <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"tau_true must be finite and in [0, 1], got {tau_true[bad[0]]} for subject {bad[0]}"
+        )
+    for dim in dimensions:
+        if dim not in DIMENSION_SCALES:
+            raise ValueError(f"dimensions: unknown dimension {dim!r}")
+    if len(set(dimensions)) != len(dimensions):
+        raise ValueError(f"dimensions must be distinct, got {tuple(dimensions)!r}")
+    subjects = default_subject_ids(m)
     bias_rng = _task_rng(seed, 2**31)
     bias = bias_rng.normal(0.0, bias_sigma, size=m) if bias_sigma > 0 else np.zeros(m)
-    lo_r, hi_r = _rater_range(raters_per_task, m)
+    scales = [DIMENSION_SCALES[dim] for dim in dimensions]
 
-    sids, tids, view, label = [], [], [], []
-    scores = {dim: [] for dim in dimensions}
+    # Draw every task's numbers, kept as drawn; all arithmetic comes after.
+    sizes, drawn, gate_u, timing_u = [], [], [], []
+    centers, noise, uniform = ([[] for _ in dimensions] for _ in range(3))
     for k in range(n):
         rng = _task_rng(seed, k)
         r = int(rng.integers(lo_r, hi_r + 1)) if hi_r > lo_r else lo_r
-        members = np.sort(rng.choice(m, size=r, replace=False))
-        serious = rng.random(r) < tau_true[members]
-        task_scores = {}
-        for dim in dimensions:
-            lo, hi = DIMENSION_SCALES[dim]
-            center = rng.uniform(lo, hi)
-            noisy = np.rint(center + bias[members] + rng.normal(0.0, rating_sigma, size=r))
-            noisy = np.clip(noisy, lo, hi)
-            uniform = rng.integers(int(lo), int(hi) + 1, size=r).astype(float)
-            task_scores[dim] = np.where(serious, noisy, uniform)
-        for dim, values in task_scores.items():
-            scores[dim].extend(values.tolist())
-        sids.extend(subjects[i] for i in members.tolist())
-        tids.extend([f"t{k:05d}"] * r)
-        for speed in np.where(serious, 1.0, 0.6).tolist() if with_timing else ():
-            view.append(round(float(rng.uniform(3.0, 10.0) * speed), 2))
-            label.append(round(float(rng.uniform(5.0, 20.0) * speed), 2))
-    if not with_timing:
-        view = label = [MISSING] * len(sids)
+        sizes.append(r)
+        drawn.append(rng.choice(m, size=r, replace=False))
+        gate_u.append(rng.random(r))
+        for d, (lo, hi) in enumerate(scales):
+            centers[d].append(rng.uniform(lo, hi))
+            noise[d].append(rng.normal(0.0, rating_sigma, size=r))
+            uniform[d].append(rng.integers(int(lo), int(hi) + 1, size=r))
+        if with_timing:
+            timing_u.append(rng.random(2 * r))
+
+    task_of = np.repeat(np.arange(n), sizes)
+    members = np.concatenate(drawn)
+    members = members[np.lexsort((members, task_of))]
+    serious = np.concatenate(gate_u) < tau_true[members]
+    scores = {}
+    for d, (dim, (lo, hi)) in enumerate(zip(dimensions, scales)):
+        center = np.repeat(centers[d], sizes)
+        noisy = np.clip(np.rint(center + bias[members] + np.concatenate(noise[d])), lo, hi)
+        scores[dim] = np.where(serious, noisy, np.concatenate(uniform[d]).astype(float))
+    if with_timing:
+        u = np.concatenate(timing_u).reshape(-1, 2)
+        speed = np.where(serious, 1.0, 0.6)
+        # Generator.uniform(low, high) computes low + (high - low) * u.
+        view = (3.0 + (10.0 - 3.0) * u[:, 0]) * speed
+        label = (5.0 + (20.0 - 5.0) * u[:, 1]) * speed
+        # Python's round(v, 2) is correctly rounded; np.round can differ.
+        view, label = (list(map(round, col.tolist(), repeat(2))) for col in (view, label))
+    else:
+        view = label = np.full(members.size, MISSING)
+    sids = np.array(subjects)[members].tolist()
+    tids = np.array([f"t{k:05d}" for k in range(n)])[task_of].tolist()
     table = ResponseTable(sids, tids, scores, view, label)
-    truth = {subjects[i]: float(tau_true[i]) for i in range(m)}
+    truth = dict(zip(subjects, tau_true.tolist()))
     return table, truth

@@ -634,6 +634,94 @@ def oracle_sample_multigraph(spec):
     return graph_from_tasks(tasks), p
 
 
+def oracle_inject_spammers(table, dimension, spec):
+    """Spammer injection drawing one scalar rating per (spammer, task) in a
+    nested loop.  Same draws, in the same order, as
+    `glba.simulate.inject_spammers`, for arguments that function accepts."""
+    from glba.simulate import _task_rng
+
+    rated = table.rated(dimension)
+    pool = table.ratings(dimension)[rated]
+    task_ids = [table.task_index[t] for t in np.unique(table.task_code[rated]).tolist()]
+    needed = spec.spammer_count * spec.tasks_per_spammer
+    injected_ids = [f"spammer_{j:03d}" for j in range(spec.spammer_count)]
+    rng = _task_rng(spec.seed, 0)
+    chosen = rng.choice(len(task_ids), size=needed, replace=False)
+    sids, tids, ratings = [], [], []
+    for j, sid in enumerate(injected_ids):
+        block = chosen[j * spec.tasks_per_spammer : (j + 1) * spec.tasks_per_spammer]
+        for t_idx in block:
+            sids.append(sid)
+            tids.append(task_ids[t_idx])
+            ratings.append(float(pool[rng.integers(pool.size)]))
+    pad = np.full(needed, MISSING)
+    scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
+    new_table = ResponseTable(
+        table.subject_ids + sids,
+        table.task_ids + tids,
+        scores,
+        np.concatenate((table.view_seconds, pad)),
+        np.concatenate((table.label_seconds, pad)),
+    )
+    return new_table, injected_ids
+
+
+def oracle_sample_response_table(
+    m,
+    n,
+    raters_per_task,
+    tau_true=None,
+    rating_sigma=1.0,
+    bias_sigma=0.0,
+    seed=0,
+    dimensions=("valence",),
+    with_timing=False,
+):
+    """The ratings simulator as a loop over tasks that finishes each task's
+    rows (and draws each rater's two timings with scalar calls) before the
+    next task.  Same draws, in the same order, as
+    `glba.simulate.sample_response_table`, for arguments that function
+    accepts."""
+    from glba.ingest import DIMENSION_SCALES
+    from glba.simulate import _rater_range, _task_rng, default_subject_ids
+
+    subjects = default_subject_ids(m)
+    tau_true = np.full(m, 1.0) if tau_true is None else np.asarray(tau_true, dtype=float)
+    if tau_true.shape != (m,):
+        raise ValueError("tau_true must have one entry per subject")
+    bias_rng = _task_rng(seed, 2**31)
+    bias = bias_rng.normal(0.0, bias_sigma, size=m) if bias_sigma > 0 else np.zeros(m)
+    lo_r, hi_r = _rater_range(raters_per_task, m)
+
+    sids, tids, view, label = [], [], [], []
+    scores = {dim: [] for dim in dimensions}
+    for k in range(n):
+        rng = _task_rng(seed, k)
+        r = int(rng.integers(lo_r, hi_r + 1)) if hi_r > lo_r else lo_r
+        members = np.sort(rng.choice(m, size=r, replace=False))
+        serious = rng.random(r) < tau_true[members]
+        task_scores = {}
+        for dim in dimensions:
+            lo, hi = DIMENSION_SCALES[dim]
+            center = rng.uniform(lo, hi)
+            noisy = np.rint(center + bias[members] + rng.normal(0.0, rating_sigma, size=r))
+            noisy = np.clip(noisy, lo, hi)
+            uniform = rng.integers(int(lo), int(hi) + 1, size=r).astype(float)
+            task_scores[dim] = np.where(serious, noisy, uniform)
+        for dim, values in task_scores.items():
+            scores[dim].extend(values.tolist())
+        sids.extend(subjects[i] for i in members.tolist())
+        tids.extend([f"t{k:05d}"] * r)
+        for speed in np.where(serious, 1.0, 0.6).tolist() if with_timing else ():
+            view.append(round(float(rng.uniform(3.0, 10.0) * speed), 2))
+            label.append(round(float(rng.uniform(5.0, 20.0) * speed), 2))
+    if not with_timing:
+        view = label = [MISSING] * len(sids)
+    table = ResponseTable(sids, tids, scores, view, label)
+    truth = {subjects[i]: float(tau_true[i]) for i in range(m)}
+    return table, truth
+
+
 def oracle_overhead_curve(table, dimension, reports, mode, thresholds=None):
     """Labels removed per threshold from a Counter over the records.  Same
     contract as `glba.scoring.overhead_curve`."""

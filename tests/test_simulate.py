@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from glba import simulate
+from glba.ingest import DIMENSION_SCALES
 from glba.model import ModelParams
 from glba.simulate import (
     GenerativeSpec,
@@ -11,7 +15,24 @@ from glba.simulate import (
     sample_multigraph,
     sample_response_table,
 )
-from helpers import oracle_pair_indicators, oracle_sample_multigraph, rated_rows
+from helpers import (
+    oracle_inject_spammers,
+    oracle_pair_indicators,
+    oracle_sample_multigraph,
+    oracle_sample_response_table,
+    rated_rows,
+)
+
+
+def assert_same_tables(got, want):
+    """Equal ids and columns, compared exactly (NaN equal to NaN)."""
+    assert got.subject_ids == want.subject_ids
+    assert got.task_ids == want.task_ids
+    assert list(got.scores) == list(want.scores)
+    columns = [(got.scores[d], want.scores[d]) for d in got.scores]
+    columns += [(got.view_seconds, want.view_seconds), (got.label_seconds, want.label_seconds)]
+    for a, b in columns:
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
 def graph_signature(graph):
@@ -207,6 +228,17 @@ def test_inject_rows_carry_only_target_dimension():
     assert all(r.view_seconds is None for r in spam_rows)
 
 
+@pytest.mark.parametrize("spammers,tasks", [(10, 50), (3, 7), (1, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 5, 20261017])
+def test_inject_matches_the_scalar_loop(spammers, tasks, seed):
+    table = base_table(n_tasks=600, seed=seed)
+    spec = InjectionSpec(spammers, tasks, seed=seed)
+    got, got_ids = inject_spammers(table, "valence", spec)
+    want, want_ids = oracle_inject_spammers(table, "valence", spec)
+    assert got_ids == want_ids
+    assert_same_tables(got, want)
+
+
 # ---------------------------------------------------------------------------
 # sample_response_table
 # ---------------------------------------------------------------------------
@@ -265,3 +297,121 @@ def test_ratings_timing_flags():
     assert all(r.view_seconds is not None and r.label_seconds is not None for r in table.rows)
     table2, _ = sample_response_table(8, 20, 3, seed=4, with_timing=False)
     assert all(r.view_seconds is None for r in table2.rows)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n=0), r"^n \(the task count\) must be at least 1, got 0$"),
+        (dict(n=-2), r"^n \(the task count\) must be at least 1, got -2$"),
+        (dict(bias_sigma=-1.0), r"^bias_sigma must be finite and >= 0, got -1\.0$"),
+        (dict(bias_sigma=float("inf")), r"^bias_sigma must be finite and >= 0, got inf$"),
+        (dict(rating_sigma=float("nan")), r"^rating_sigma must be finite and >= 0, got nan$"),
+        (dict(rating_sigma=-0.5), r"^rating_sigma must be finite and >= 0, got -0\.5$"),
+        (
+            dict(tau_true=[1.0, 1.0, 2.0, 0.5, 0.0]),
+            r"^tau_true must be finite and in \[0, 1\], got 2\.0 for subject 2$",
+        ),
+        (
+            dict(tau_true=[float("nan")] + [1.0] * 4),
+            r"^tau_true must be finite and in \[0, 1\], got nan for subject 0$",
+        ),
+        (
+            dict(tau_true=[0.5, -0.1, 0.5, 0.5, 0.5]),
+            r"^tau_true must be finite and in \[0, 1\], got -0\.1 for subject 1$",
+        ),
+        (dict(dimensions=("valence", "joy")), r"^dimensions: unknown dimension 'joy'$"),
+        (
+            dict(dimensions=("valence", "valence")),
+            r"^dimensions must be distinct, got \('valence', 'valence'\)$",
+        ),
+    ],
+    ids=[
+        "no-tasks",
+        "negative-tasks",
+        "negative-bias",
+        "infinite-bias",
+        "nan-rating-sigma",
+        "negative-rating-sigma",
+        "tau-above-one",
+        "tau-nan",
+        "tau-negative",
+        "unknown-dimension",
+        "repeated-dimension",
+    ],
+)
+def test_ratings_reject_bad_arguments_before_drawing(monkeypatch, kwargs, message):
+    def no_draws(seed, k):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(simulate, "_task_rng", no_draws)
+    args = {"m": 5, "n": 10, "raters_per_task": 3, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        sample_response_table(**args)
+
+
+def test_ratings_accept_the_boundary_arguments():
+    tau = [0.0, 1.0, 0.0, 1.0, 0.5]
+    table, truth = sample_response_table(
+        5, 1, 3, tau_true=tau, rating_sigma=0.0, bias_sigma=0.0, dimensions=()
+    )
+    assert len(table) == 3 and table.scores == {}
+    assert truth == dict(zip(simulate.default_subject_ids(5), tau))
+
+
+@st.composite
+def ratings_arguments(draw):
+    m = draw(st.integers(2, 12))
+    lo = draw(st.integers(2, m))
+    hi = draw(st.integers(lo, m))
+    raters = draw(st.sampled_from([lo, (lo, hi)]))
+    tau = draw(
+        st.none()
+        | st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)
+    )
+    return dict(
+        m=m,
+        n=draw(st.integers(1, 15)),
+        raters_per_task=raters,
+        tau_true=tau,
+        rating_sigma=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 4.0)),
+        bias_sigma=draw(st.just(0.0) | st.floats(0.0, 3.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dimensions=tuple(
+            draw(st.lists(st.sampled_from(sorted(DIMENSION_SCALES)), min_size=1, max_size=4, unique=True))
+        ),
+        with_timing=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=ratings_arguments())
+def test_ratings_match_the_per_task_loop(args):
+    got, got_truth = sample_response_table(**args)
+    want, want_truth = oracle_sample_response_table(**args)
+    assert_same_tables(got, want)
+    assert got_truth == want_truth
+
+
+# The full-size inputs of the benchmark's three workloads (ratings-grid,
+# large, learned-gamma), at seed 1.
+BENCHMARK_RATINGS = {
+    "ratings-grid": dict(m=200, n=1200, raters_per_task=5, spammers=20, bias_sigma=0.0),
+    "large": dict(m=500, n=5000, raters_per_task=(4, 8), spammers=50, bias_sigma=1.0),
+    "learned-gamma": dict(m=120, n=700, raters_per_task=(4, 8), spammers=None, bias_sigma=1.0),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_RATINGS))
+def test_ratings_match_the_per_task_loop_on_benchmark_inputs(workload):
+    args = dict(BENCHMARK_RATINGS[workload])
+    spammers = args.pop("spammers")
+    tau = None
+    if spammers is not None:
+        tau = np.full(args["m"], 0.9)
+        tau[:spammers] = 0.0
+    args.update(tau_true=tau, rating_sigma=1.0, seed=1, dimensions=("valence",), with_timing=True)
+    got, got_truth = sample_response_table(**args)
+    want, want_truth = oracle_sample_response_table(**args)
+    assert_same_tables(got, want)
+    assert got_truth == want_truth
