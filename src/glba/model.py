@@ -22,8 +22,11 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .ingest import _offdiag
 
 # Positivity floor for Beta shape parameters.
 EPS_POS = 1e-6
@@ -36,6 +39,7 @@ GAMMA_CLAMP = (0.01, 0.49)
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-8
 _MAX_HALVINGS = 20
+_BISECT_ITER = 200  # the fallback's bisection steps per coordinate, and sweeps
 
 DEFAULT_GAMMA_GRID = tuple(float(g) for g in np.linspace(0.3, 0.48, 10))
 
@@ -56,13 +60,16 @@ class ModelParams:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: float
-    position: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        self.position = {s: i for i, s in enumerate(self.subjects)}
+
+    @cached_property
+    def position(self):
+        """Each subject's index in `subjects`."""
+        return {s: i for i, s in enumerate(self.subjects)}
 
     def validate(self):
         m = len(self.subjects)
@@ -254,19 +261,20 @@ def _ab_residual(a, b, d, s_a, s_b, s0):
     return f_a, f_b
 
 
-def _bisect_coord(f, lo=EPS_POS, hi0=1.0, steps=200):
+def _bisect_coord(f):
     """Root of a scalar function by bracket expansion + bisection."""
+    lo = EPS_POS
     flo = f(lo)
     if not np.isfinite(flo) or flo <= 0.0:
         return lo
-    hi = max(hi0, 2 * lo)
+    hi = 1.0
     fhi = f(hi)
     while fhi > 0.0 and hi < 1e12:
         hi *= 4.0
         fhi = f(hi)
     if fhi > 0.0:
         return hi
-    for _ in range(steps):
+    for _ in range(_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid > 0.0:
@@ -276,51 +284,46 @@ def _bisect_coord(f, lo=EPS_POS, hi0=1.0, steps=200):
     return 0.5 * (lo + hi)
 
 
-def _bisect_ab(d, s_a, s_b, s0, tol=_NEWTON_TOL, sweeps=200):
+def _bisect_ab(d, s_a, s_b, s0):
     """Alternating coordinate bisection; each coordinate map is monotone."""
     a, b = 1.0, 1.0
-    for _ in range(sweeps):
+    for _ in range(_BISECT_ITER):
         a = _bisect_coord(lambda x: _ab_residual(x, b, d, s_a, s_b, s0)[0])
         b = _bisect_coord(lambda x: _ab_residual(a, x, d, s_a, s_b, s0)[1])
         f_a, f_b = _ab_residual(a, b, d, s_a, s_b, s0)
-        if max(abs(f_a), abs(f_b)) <= tol:
+        if max(abs(f_a), abs(f_b)) <= _NEWTON_TOL:
             break
     return a, b
 
 
-def _solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
+def _solve_shapes(a0, b0, d, s_a, s_b, s0):
     """Solve the shape stationarity system for every subject at once.
 
     Every subject has d >= 1 tasks.  Newton iterates are damped (step
-    halving on residual increase) and projected to stay >= EPS_POS;
-    subjects where Newton stalls or fails within the iteration budget fall
-    back to coordinate bisection.
+    halving while the max-norm residual grows or is not finite) and
+    projected to stay >= EPS_POS; each trial point's residual is evaluated
+    once and kept when the point is accepted.  A subject leaves Newton
+    when its residual is <= _NEWTON_TOL, and falls back to coordinate
+    bisection when its Jacobian is singular or not finite, when
+    _MAX_HALVINGS halvings of its step still give no acceptable point, or
+    when it is still iterating after _NEWTON_MAX_ITER steps.
 
     Returns (alpha, beta, fallback_mask).
     """
     from scipy.special import zeta
 
-    m = len(d)
     a = np.clip(np.asarray(a0, dtype=float).copy(), EPS_POS, None)
     b = np.clip(np.asarray(b0, dtype=float).copy(), EPS_POS, None)
-    fallback = np.zeros(m, dtype=bool)
-    active = np.arange(m)
+    f_a, f_b = _ab_residual(a, b, d, s_a, s_b, s0)
+    res = np.maximum(np.abs(f_a), np.abs(f_b))
+    fallback = np.zeros(len(d), dtype=bool)
+    active = np.arange(len(d))
 
     for _ in range(_NEWTON_MAX_ITER):
+        active = active[~(res[active] <= _NEWTON_TOL)]  # a NaN residual stays
         if active.size == 0:
             break
-        aa, bb = a[active], b[active]
-        f_a, f_b = _ab_residual(aa, bb, d[active], s_a[active], s_b[active], s0)
-        res = np.maximum(np.abs(f_a), np.abs(f_b))
-        done = res <= tol
-        if done.any():
-            active = active[~done]
-            if active.size == 0:
-                break
-            aa, bb = a[active], b[active]
-            f_a, f_b, res = f_a[~done], f_b[~done], res[~done]
-
-        dd = d[active]
+        aa, bb, dd = a[active], b[active], d[active]
         ss = aa + bb
         # Trigamma is the Hurwitz zeta(2, x); polygamma(1, x) computes the
         # same value times exactly 1.0, plus a digamma it then discards.
@@ -330,42 +333,35 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
         j_bb = -dd * (zeta(2, bb) - tri_s) - hp
         j_ab = dd * tri_s - hp
         det = j_aa * j_bb - j_ab * j_ab
-        bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        if bad.any():
-            fallback[active[bad]] = True
-            keep = ~bad
-            active = active[keep]
-            if active.size == 0:
-                break
-            aa, bb, f_a, f_b, res = aa[keep], bb[keep], f_a[keep], f_b[keep], res[keep]
-            j_aa, j_bb, j_ab, det = j_aa[keep], j_bb[keep], j_ab[keep], det[keep]
-            dd = d[active]
+        singular = ~np.isfinite(det) | (np.abs(det) < 1e-300)
+        det[singular] = np.nan  # a NaN step, never accepted
+        fa, fb, r0 = f_a[active], f_b[active], res[active]
+        step_a = (-fa * j_bb + fb * j_ab) / det
+        step_b = (-fb * j_aa + fa * j_ab) / det
 
-        step_a = (-f_a * j_bb + f_b * j_ab) / det
-        step_b = (-f_b * j_aa + f_a * j_ab) / det
-
-        scale = np.ones_like(step_a)
-        stalled = np.ones(active.size, dtype=bool)
+        scale = np.ones(active.size)
+        stalled = ~singular
         for _halving in range(_MAX_HALVINGS + 1):
             ta = np.clip(aa + scale * step_a, EPS_POS, None)
             tb = np.clip(bb + scale * step_b, EPS_POS, None)
             tf_a, tf_b = _ab_residual(ta, tb, dd, s_a[active], s_b[active], s0)
             tres = np.maximum(np.abs(tf_a), np.abs(tf_b))
-            worse = ~np.isfinite(tres) | (tres > res)
+            worse = ~np.isfinite(tres) | (tres > r0)
             accept = stalled & ~worse
-            a[active[accept]] = ta[accept]
-            b[active[accept]] = tb[accept]
+            i = active[accept]
+            a[i], b[i], res[i] = ta[accept], tb[accept], tres[accept]
+            f_a[i], f_b[i] = tf_a[accept], tf_b[accept]
             stalled &= worse
             if not stalled.any():
                 break
             scale[stalled] *= 0.5
-        if stalled.any():
-            fallback[active[stalled]] = True
-            active = active[~stalled]
+        leave = singular | stalled
+        fallback[active[leave]] = True
+        active = active[~leave]
 
-    if active.size:
-        # Newton budget exhausted without reaching the residual target.
-        fallback[active] = True
+    # Newton budget exhausted: whoever is still iterating falls back, even
+    # a subject whose last accepted step met the residual target.
+    fallback[active] = True
 
     for i in np.flatnonzero(fallback):
         a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)
@@ -418,7 +414,7 @@ def _pair_layout(graph):
     """
     fi, fj, e = [], [], []
     for g in graph.groups:
-        ii, jj = np.nonzero(~np.eye(g.edges.shape[1], dtype=bool))
+        ii, jj = np.nonzero(_offdiag(g.edges.shape[1]))
         fi.append(g.dest[:, ii].ravel())
         fj.append(g.dest[:, jj].ravel())
         e.append(g.edges[:, ii, jj].ravel())

@@ -52,14 +52,16 @@ def beta_variance(alpha, beta):
 def rank_subjects(fits):
     """Rank subjects by reliability averaged over a grid of fits.
 
-    `fits` is one FitReport per chance-rate value; all must cover the
-    same subjects.  The reported (alpha, beta) come from the fit whose
-    gamma is closest to the midpoint of the grid range (ties toward the
-    smaller gamma).  Rank 1 is the most susceptible subject; ties break
-    by subject id.
+    `fits` is one FitReport per chance-rate value, in any order; all must
+    cover the same subjects.  They are taken in ascending gamma (a stable
+    sort), so the report does not depend on their order.  The reported
+    (alpha, beta) come from the fit whose gamma is closest to the midpoint
+    of the grid range (ties toward the smaller gamma).  Rank 1 is the most
+    susceptible subject; ties break by subject id.
     """
     if not fits:
         raise ValueError("need at least one fit")
+    fits = sorted(fits, key=lambda f: f.params.gamma)
     subjects = fits[0].params.subjects
     for f in fits[1:]:
         if f.params.subjects != subjects:

@@ -10,7 +10,16 @@ import math
 import numpy as np
 
 from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, TaskGraph
-from glba.model import ModelParams, R_CLAMP
+from glba.model import (
+    EPS_POS,
+    ModelParams,
+    R_CLAMP,
+    _MAX_HALVINGS,
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
+    _ab_residual,
+    _bisect_ab,
+)
 
 
 def make_task(task_id, subjects, pairs, default=0):
@@ -226,6 +235,93 @@ def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0):
     f_a = s_a - d * (digamma(a) - digamma(s)) - h
     f_b = s_b - d * (digamma(b) - digamma(s)) - h
     return f_a, f_b
+
+
+# The Beta-shape solver as a loop that re-evaluates the residual at the top
+# of every iteration and shrinks its working arrays at each exit: the
+# reference model._solve_shapes must match bit for bit.
+def oracle_solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
+    """Solve the shape stationarity system for every subject at once.
+
+    Every subject has d >= 1 tasks.  Newton iterates are damped (step
+    halving on residual increase) and projected to stay >= EPS_POS;
+    subjects where Newton stalls or fails within the iteration budget fall
+    back to coordinate bisection.
+
+    Returns (alpha, beta, fallback_mask).
+    """
+    from scipy.special import zeta
+
+    m = len(d)
+    a = np.clip(np.asarray(a0, dtype=float).copy(), EPS_POS, None)
+    b = np.clip(np.asarray(b0, dtype=float).copy(), EPS_POS, None)
+    fallback = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+
+    for _ in range(_NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        aa, bb = a[active], b[active]
+        f_a, f_b = _ab_residual(aa, bb, d[active], s_a[active], s_b[active], s0)
+        res = np.maximum(np.abs(f_a), np.abs(f_b))
+        done = res <= tol
+        if done.any():
+            active = active[~done]
+            if active.size == 0:
+                break
+            aa, bb = a[active], b[active]
+            f_a, f_b, res = f_a[~done], f_b[~done], res[~done]
+
+        dd = d[active]
+        ss = aa + bb
+        # Trigamma is the Hurwitz zeta(2, x); polygamma(1, x) computes the
+        # same value times exactly 1.0, plus a digamma it then discards.
+        tri_s = zeta(2, ss)
+        hp = 1.0 / (ss * ss)  # h'(alpha+beta)
+        j_aa = -dd * (zeta(2, aa) - tri_s) - hp
+        j_bb = -dd * (zeta(2, bb) - tri_s) - hp
+        j_ab = dd * tri_s - hp
+        det = j_aa * j_bb - j_ab * j_ab
+        bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
+        if bad.any():
+            fallback[active[bad]] = True
+            keep = ~bad
+            active = active[keep]
+            if active.size == 0:
+                break
+            aa, bb, f_a, f_b, res = aa[keep], bb[keep], f_a[keep], f_b[keep], res[keep]
+            j_aa, j_bb, j_ab, det = j_aa[keep], j_bb[keep], j_ab[keep], det[keep]
+            dd = d[active]
+
+        step_a = (-f_a * j_bb + f_b * j_ab) / det
+        step_b = (-f_b * j_aa + f_a * j_ab) / det
+
+        scale = np.ones_like(step_a)
+        stalled = np.ones(active.size, dtype=bool)
+        for _halving in range(_MAX_HALVINGS + 1):
+            ta = np.clip(aa + scale * step_a, EPS_POS, None)
+            tb = np.clip(bb + scale * step_b, EPS_POS, None)
+            tf_a, tf_b = _ab_residual(ta, tb, dd, s_a[active], s_b[active], s0)
+            tres = np.maximum(np.abs(tf_a), np.abs(tf_b))
+            worse = ~np.isfinite(tres) | (tres > res)
+            accept = stalled & ~worse
+            a[active[accept]] = ta[accept]
+            b[active[accept]] = tb[accept]
+            stalled &= worse
+            if not stalled.any():
+                break
+            scale[stalled] *= 0.5
+        if stalled.any():
+            fallback[active[stalled]] = True
+            active = active[~stalled]
+
+    if active.size:
+        # Newton budget exhausted without reaching the residual target.
+        fallback[active] = True
+
+    for i in np.flatnonzero(fallback):
+        a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)
+    return a, b, fallback
 
 
 def oracle_dawid_skene(table, max_iter=100, tol=1e-6):

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import root
 from scipy.special import betaln, digamma
 
+import helpers
+from glba import model
 from glba.ingest import AgreementMultigraph, TaskGraph
 from glba.model import (
     EPS_POS,
@@ -17,6 +21,7 @@ from glba.model import (
     _bisect_ab,
     _gamma_sums,
     _pair_layout,
+    _solve_shapes,
     e_step,
     fit,
     fit_grid,
@@ -33,6 +38,7 @@ from helpers import (
     oracle_gamma_ratio,
     oracle_mstep_residual,
     oracle_r_approx,
+    oracle_solve_shapes,
     oracle_task_sums,
     random_graph,
     random_params,
@@ -191,6 +197,13 @@ def test_e_step_rejects_malformed_task():
         bad[0] = value
         with pytest.raises(ValueError, match="^task 't1' has an indicator other than 0 or 1$"):
             e_step(AgreementMultigraph(["t1"], [3], subjects, bad), params)
+
+
+def test_model_params_derive_position():
+    params = ModelParams(["b", "a"], np.ones(2), np.ones(2), np.ones(2), 0.37)
+    assert params.position == {"b": 0, "a": 1}
+    with pytest.raises(TypeError, match="position"):
+        ModelParams(["a"], np.ones(1), np.ones(1), np.ones(1), 0.37, position={"a": 0})
 
 
 def test_steps_reject_misaligned_inputs():
@@ -368,6 +381,85 @@ def test_m_step_projection_floor():
     graph, stats, params = _one_subject([1e-5], [50.0], [0.1])
     _, a, b, _ = m_step(graph, stats, params, Priors(tau0=0.5, s0=1.0))
     assert a[0] >= EPS_POS and b[0] >= EPS_POS
+
+
+def _assert_same_solve(system):
+    got = _solve_shapes(*system)
+    want = oracle_solve_shapes(*system)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+    return got
+
+
+# One subject per Newton exit and two edge cases, as (a0, b0, d),
+# (s_a, s_b, s0) and whether the subject falls back to bisection.
+SOLVER_EXITS = {
+    "converged": ((1.0, 1.0, 5), (-4.0, -3.0, 1.5), False),
+    # d = 0 makes all three Jacobian entries -h', so det is exactly 0.
+    "singular-jacobian": ((1.0, 1.0, 0), (-1.0, -1.0, 1.0), True),
+    # Projected to the floor, no halving of the step lowers the residual.
+    "stalled-halvings": ((1e-3, 1e3, 1000), (-3000.0, -3000.0, 1.0), True),
+    # With d = 1e10 rounding keeps the residual above the target while
+    # every step is accepted, until the iteration budget runs out.
+    "budget-exhausted": ((1.0, 1.0, 10**10), (-2e10, -2e10, 1.0), True),
+    # The last step the budget allows meets the target; the subject still
+    # falls back.
+    "budget-exhausted-at-target": (
+        (59.01028384618827, 0.3171179739141798, 652),
+        (-1860.7459877965578, -7336.09922838282, 0.050267703269579606),
+        True,
+    ),
+    # A trial whose residual equals the current one is accepted, and
+    # Newton goes on to converge.
+    "equal-residual-accepted": (
+        (1.8651433338474859, 0.0023493323532220766, 62988096),
+        (-319945015.5596076, -12787416.028923951, 0.21370509090850362),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVER_EXITS))
+def test_solve_shapes_exit_matches_oracle(name):
+    (a0, b0, d), (s_a, s_b, s0), falls_back = SOLVER_EXITS[name]
+    system = (*(np.array([x]) for x in (a0, b0, d, s_a, s_b)), s0)
+    assert _assert_same_solve(system)[2].tolist() == [falls_back]
+
+
+@st.composite
+def shape_systems(draw):
+    """Shape systems whose subjects leave Newton by every exit: small and
+    huge task counts (0 makes the Jacobian singular), starts over 14
+    decades or NaN, and sums that need not be attainable."""
+    m = draw(st.integers(1, 6))
+    d = np.array(draw(st.lists(
+        st.one_of(st.integers(0, 8), st.floats(0, 12).map(lambda e: float(np.floor(10.0**e)))),
+        min_size=m, max_size=m,
+    )))
+    # One start in fifteen is NaN.
+    start = st.floats(-7, 8).map(lambda e: 10.0**e if e <= 7 else math.nan)
+    a0, b0 = (np.array(draw(st.lists(start, min_size=m, max_size=m))) for _ in range(2))
+    per_task = st.floats(-3, 3).map(lambda e: -(10.0**e))
+    s_a, s_b = (
+        np.array(draw(st.lists(per_task, min_size=m, max_size=m))) * np.maximum(d, 1)
+        for _ in range(2)
+    )
+    return a0, b0, d, s_a, s_b, 10.0 ** draw(st.floats(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=shape_systems())
+def test_solve_shapes_matches_oracle(system):
+    # Both solvers call the same _bisect_ab for their fallback subjects;
+    # a cheap stand-in that still tells subjects apart keeps the examples
+    # fast (the named exits above run the real bisection).
+    def stand_in(d, s_a, s_b, s0):
+        return float(s_a), float(s_b) + d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_bisect_ab", stand_in)
+        mp.setattr(helpers, "_bisect_ab", stand_in)
+        _assert_same_solve(system)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glba.ingest import DIMENSION_SCALES, build_multigraph
-from glba.model import FitReport, ModelParams, Priors
+from glba.model import DEFAULT_GAMMA_GRID, FitReport, ModelParams, Priors
 from glba.scoring import (
     ImageReport,
     beta_variance,
@@ -65,8 +65,8 @@ def test_rank_three_gamma_arithmetic_mean():
 
 
 def test_rank_reference_gamma_is_nearest_midpoint():
-    # grid 0.3..0.48: midpoint 0.39, nearest grid points 0.38 and 0.4; ties
-    # resolve toward the earlier (smaller) gamma
+    # grid 0.3..0.48: midpoint 0.39, nearest grid points 0.38 and 0.4; the
+    # tie resolves toward the smaller gamma, whatever the order of the fits
     gammas = [round(0.3 + 0.02 * i, 2) for i in range(10)]
     fits = [
         fake_fit(["a"], [0.5], g, alpha=[float(i + 1)], beta=[1.0])
@@ -74,6 +74,23 @@ def test_rank_reference_gamma_is_nearest_midpoint():
     ]
     reports = rank_subjects(fits)
     assert reports[0].alpha == 5.0  # fit at gamma = 0.38 (index 4)
+
+
+def test_rank_ignores_the_order_of_the_fits():
+    # The default grid puts 0.38 and 0.4 exactly as far from its midpoint.
+    rng = np.random.default_rng(7)
+    subjects = [f"s{i}" for i in range(6)]
+    fits = [
+        fake_fit(subjects, rng.uniform(0, 1, 6), g, rng.uniform(0.5, 9, 6), rng.uniform(0.5, 9, 6))
+        for g in DEFAULT_GAMMA_GRID
+    ]
+    want = rank_subjects(fits)
+    ref = dict(zip(subjects, fits[4].params.alpha))  # gamma 0.38
+    assert {r.subject_id: r.alpha for r in want} == ref
+    for order in (fits[::-1], [fits[i] for i in rng.permutation(len(fits))]):
+        got = rank_subjects(order)
+        assert got == want
+        assert [list(r.tau_by_gamma) for r in got] == [list(r.tau_by_gamma) for r in want]
 
 
 def test_rank_ties_break_by_subject_id():
