@@ -96,7 +96,7 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
 
     Rows are sorted by (task, subject) with a stable sort, so every sum
     and product runs in the order of a per-task loop over labels in subject
-    order, whatever the order of the rows: `add.at` and `cumsum` add in
+    order, whatever the order of the rows: `bincount` and `cumsum` add in
     sequence, and the E-step multiplies one within-task position at a time.
     """
     if not len(table):
@@ -123,14 +123,22 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     top = votes == votes.max(axis=1, keepdims=True)
     posterior = top / top.sum(axis=1, keepdims=True)
 
+    # Soft confusion counts by one bincount: cell (s, true class, label)
+    # takes its smoothing first, then each label's posterior in row order,
+    # so every cell adds in the sequence of a loop over the rows.
+    n_cells = len(subjects) * k * k
+    smoothing_weights = np.full(n_cells, CONFUSION_SMOOTHING)
+    label_cells = (row_s[:, None] * k + np.arange(k)) * k + row_c[:, None]
+    cells = np.concatenate((np.arange(n_cells), label_cells.ravel()))
+
     trace = []
     iterations = 0
     converged = False
     for _ in range(max_iter):
         # M-step: class prior and confusion rows from soft counts.
         prior = np.cumsum(posterior, axis=0)[-1] / n_tasks
-        counts = np.full((len(subjects), k, k), CONFUSION_SMOOTHING)
-        np.add.at(counts, (row_s, slice(None), row_c), posterior[row_t])
+        weights = np.concatenate((smoothing_weights, posterior[row_t].ravel()))
+        counts = np.bincount(cells, weights=weights, minlength=n_cells).reshape(-1, k, k)
         confusion = counts / counts.sum(axis=2, keepdims=True)
 
         # E-step: prior times each label's confusion column, task by task.

@@ -202,27 +202,43 @@ def _estep_kernel(E, comp, t, a, b, gamma):
     t/a/b: (G, r) parameter values of the raters.  Returns
     (alpha_tilde, beta_tilde, tau_tilde).  Agreement and disagreement
     masses are accumulated separately so the tilde statistics never fall
-    below the base parameters, not even by rounding.
+    below the base parameters, not even by rounding.  Each temporary is
+    reused in place once its value is spent; every operation keeps the
+    operands and order of the plain expression, so the doubles are the same.
     """
-    omega = np.einsum("gij,gj->gi", E, t)
-    disagree = np.einsum("gij,gj->gi", comp, t)
-    a_t = a + omega
-    b_t = b + disagree
+    a_t = np.einsum("gij,gj->gi", E, t)
+    a_t += a
+    b_t = np.einsum("gij,gj->gi", comp, t)
+    b_t += b
 
-    log_a = np.log(a_t)
-    log_b = np.log(b_t)
-    log_s = np.log(a_t + b_t)
     log_g = math.log(gamma)
     log_1g = math.log1p(-gamma)
-    # Factor of neighbor i toward focal j: base + I_{i,j} * swing.
-    base = log_b - log_s - log_1g
-    swing = log_a - log_b - log_g + log_1g
-    log_r = base.sum(axis=1, keepdims=True) - base + np.einsum("gi,gij->gj", swing, E)
+    # Factor of neighbor i toward focal j: base + I_{i,j} * swing, with
+    # base = log b~ - log(a~ + b~) - log(1 - gamma) and
+    # swing = log a~ - log b~ - log gamma + log(1 - gamma).
+    base = np.add(a_t, b_t)
+    np.log(base, out=base)
+    log_b = np.log(b_t)
+    np.subtract(log_b, base, out=base)
+    base -= log_1g
+    swing = np.log(a_t)
+    swing -= log_b
+    swing -= log_g
+    swing += log_1g
+    # log_r = (sum_i base_i - base_j) + sum_i swing_i I_{i,j}
+    log_r = np.einsum("gi,gij->gj", swing, E, out=log_b)
+    np.subtract(base.sum(axis=1, keepdims=True), base, out=base)
+    log_r += base
     with np.errstate(over="ignore", under="ignore"):
-        r = np.exp(log_r)
-    r = np.clip(r, R_CLAMP[0], R_CLAMP[1])
+        r = np.exp(log_r, out=log_r)
+    np.maximum(r, R_CLAMP[0], out=r)
+    np.minimum(r, R_CLAMP[1], out=r)
 
-    tau_t = r * t / (r * t + (1.0 - t))
+    # tau~ = r t / (r t + (1 - t))
+    r *= t
+    den = np.subtract(1.0, t, out=swing)
+    den += r
+    tau_t = np.divide(r, den, out=r)
     return a_t, b_t, tau_t
 
 
@@ -409,8 +425,9 @@ def _gamma_from_sums(num, den, previous):
 
 
 def _pair_layout(graph):
-    """Flat neighbour index j and indicator E[i, j] of every ordered pair
-    (i, j != i), ordered task-major, then by i, then by j.
+    """Flat neighbour index j of every ordered pair (i, j != i), ordered
+    task-major, then by i, then by j; and of the agreeing pairs alone
+    (E[i, j] = 1), in the same order.
     """
     fi, fj, e = [], [], []
     for g in graph.groups:
@@ -421,7 +438,8 @@ def _pair_layout(graph):
     fi, fj, e = map(np.concatenate, (fi, fj, e))
     # Each row's pairs come out with j ascending; a stable sort keeps that.
     order = np.argsort(fi, kind="stable")
-    return fj[order], e[order]
+    pair_j = fj[order]
+    return pair_j, pair_j[e[order] == 1]
 
 
 def _gamma_sums(pairs, t_t):
@@ -429,13 +447,15 @@ def _gamma_sums(pairs, t_t):
     ordered pair (i, j) of `pairs` (a _pair_layout), the weight 1 - tau~_j
     times E[i, j], and the weight alone.  cumsum adds in sequence, so both
     equal the plain loop's sums bit for bit (np.sum adds pairwise and would
-    not).
+    not).  The numerator runs over the agreeing pairs only: each pair it
+    skips adds w * 0 = +0.0 to a sum of weights w >= 0, which leaves it as
+    it is, and w * 1 = w.
     """
-    pair_j, pair_e = pairs
-    if pair_j.size == 0:
-        return 0.0, 0.0
-    w = (1.0 - t_t)[pair_j]
-    return float(np.cumsum(w * pair_e)[-1]), float(np.cumsum(w)[-1])
+    pair_j, agree_j = pairs
+    w = 1.0 - t_t
+    num = float(np.cumsum(w[agree_j])[-1]) if agree_j.size else 0.0
+    den = float(np.cumsum(w[pair_j])[-1]) if pair_j.size else 0.0
+    return num, den
 
 
 def update_gamma(multigraph, tau_tilde, previous):
@@ -492,10 +512,12 @@ def _objective_flat(graph, flat, dig, lam, params, priors):
         psi_bar[dest] = ps_b
 
     gates = np.sum(xlogy(t_t, tau_i) + xlogy(1.0 - t_t, 1.0 - tau_i))
+    # betaln(alpha_i, beta_i) depends on the subject alone: one call per
+    # subject, gathered to the slots, gives the per-slot call's elements.
     shapes = np.sum(
         (alpha_i - 1.0 + omega_tt) * lam_a
         + (beta_i - 1.0 + psi_tt - omega_tt) * lam_b
-        - betaln(alpha_i, beta_i)
+        - betaln(params.alpha, params.beta)[flat_sidx]
     )
     chance = math.log(params.gamma) * float(np.sum(omega_bar)) + math.log1p(
         -params.gamma

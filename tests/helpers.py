@@ -202,6 +202,32 @@ def oracle_estep(task, params):
     return np.array(a_t), np.array(b_t), np.array(t_t)
 
 
+def oracle_estep_kernel(E, comp, t, a, b, gamma):
+    """The E-step kernel as plain expressions, each on fresh arrays: the
+    reference the library's in-place kernel must match byte for byte.
+    Same arguments and returns as glba.model._estep_kernel."""
+    omega = np.einsum("gij,gj->gi", E, t)
+    disagree = np.einsum("gij,gj->gi", comp, t)
+    a_t = a + omega
+    b_t = b + disagree
+
+    log_a = np.log(a_t)
+    log_b = np.log(b_t)
+    log_s = np.log(a_t + b_t)
+    log_g = math.log(gamma)
+    log_1g = math.log1p(-gamma)
+    # Factor of neighbor i toward focal j: base + I_{i,j} * swing.
+    base = log_b - log_s - log_1g
+    swing = log_a - log_b - log_g + log_1g
+    log_r = base.sum(axis=1, keepdims=True) - base + np.einsum("gi,gij->gj", swing, E)
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.exp(log_r)
+    r = np.clip(r, R_CLAMP[0], R_CLAMP[1])
+
+    tau_t = r * t / (r * t + (1.0 - t))
+    return a_t, b_t, tau_t
+
+
 def oracle_gamma_ratio(multigraph, tau_tilde):
     """Numerator and denominator of the chance-rate update as a plain
     sequential loop: over every task and ordered rater pair (i, j != i),
@@ -222,6 +248,64 @@ def oracle_gamma_ratio(multigraph, tau_tilde):
                 num += w * float(E[i, j])
                 den += w
     return num, den
+
+
+def oracle_objective_per_slot(graph, flat, dig, lam, params, priors):
+    """The monitored objective with betaln(alpha_i, beta_i) evaluated once
+    per slot, as plain expressions: the reference for the library's
+    once-per-subject form.  Same arguments as glba.model._objective_flat."""
+    from scipy.special import betaln, xlogy
+
+    a_t, b_t, t_t = flat
+    flat_sidx = graph.flat_sidx
+    tau_i = params.tau[flat_sidx]
+    alpha_i = params.alpha[flat_sidx]
+    beta_i = params.beta[flat_sidx]
+
+    dig_a, dig_b, dig_s = dig
+    lam_a, lam_b = lam
+
+    # Weighted neighbor sums evaluated at the gate posteriors.
+    omega_tt = np.empty_like(t_t)
+    psi_tt = np.empty_like(t_t)
+    omega_bar = np.empty_like(t_t)
+    psi_bar = np.empty_like(t_t)
+    for (E, _comp), g in zip(graph.blocks, graph.groups):
+        dest = g.dest
+        tt = t_t[dest]
+        om = np.einsum("gij,gj->gi", E, tt)
+        om_b = np.einsum("gij,gj->gi", E, 1.0 - tt)
+        ps = tt.sum(axis=1, keepdims=True) - tt
+        ps_b = (tt.shape[1] - 1) - ps
+        omega_tt[dest] = om
+        psi_tt[dest] = ps
+        omega_bar[dest] = om_b
+        psi_bar[dest] = ps_b
+
+    gates = np.sum(xlogy(t_t, tau_i) + xlogy(1.0 - t_t, 1.0 - tau_i))
+    shapes = np.sum(
+        (alpha_i - 1.0 + omega_tt) * lam_a
+        + (beta_i - 1.0 + psi_tt - omega_tt) * lam_b
+        - betaln(alpha_i, beta_i)
+    )
+    chance = math.log(params.gamma) * float(np.sum(omega_bar)) + math.log1p(
+        -params.gamma
+    ) * float(np.sum(psi_bar - omega_bar))
+
+    prior = float(
+        np.sum(xlogy(priors.tau0, params.tau) + xlogy(1.0 - priors.tau0, 1.0 - params.tau))
+    )
+    shape_sum = params.alpha + params.beta
+    prior += float(np.sum(np.log(shape_sum) - shape_sum / priors.s0))
+
+    ent_gate = -np.sum(xlogy(t_t, t_t) + xlogy(1.0 - t_t, 1.0 - t_t))
+    ent_beta = np.sum(
+        betaln(a_t, b_t)
+        - (a_t - 1.0) * dig_a
+        - (b_t - 1.0) * dig_b
+        + (a_t + b_t - 2.0) * dig_s
+    )
+    return float(gates + shapes + chance + prior + ent_gate + ent_beta)
 
 
 def oracle_mstep_residual(a, b, d, stats_ab, tau0, s0):

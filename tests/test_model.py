@@ -294,6 +294,49 @@ def test_estep_kernel_matches_scalar_oracles():
             )
 
 
+def _kernel_batch(rng, r, g):
+    """g tasks of r raters as the E-step kernel reads them: float indicators
+    and their complement, both zero on the diagonal; gate rates with exact
+    0s and 1s; shapes over thirteen orders of magnitude either side of 1."""
+    diag = np.arange(r)
+    E = rng.integers(0, 2, size=(g, r, r)).astype(float)
+    E[:, diag, diag] = 0.0
+    comp = 1.0 - E
+    comp[:, diag, diag] = 0.0
+    t = rng.uniform(0.0, 1.0, size=(g, r))
+    pick = rng.integers(0, 4, size=(g, r))
+    t[pick == 0] = 0.0
+    t[pick == 1] = 1.0
+    a, b = np.exp(rng.uniform(-30.0, 30.0, size=(2, g, r)))
+    return E, comp, t, a, b
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_estep_kernel_bytes_equal_to_oracle(r):
+    # numpy's einsum adds in another order from r = 8 on; both sides are
+    # covered.  gamma reaches down to 1e-14 so that the upper odds-ratio
+    # clamp is reachable with a single neighbour.
+    rng = np.random.default_rng(500 + r)
+    clamped = [False, False]
+    for _ in range(60):
+        E, comp, t, a, b = _kernel_batch(rng, r, int(rng.integers(1, 25)))
+        gamma = float(np.exp(rng.uniform(math.log(1e-14), math.log(0.49))))
+        got = model._estep_kernel(E, comp, t, a, b, gamma)
+        want = helpers.oracle_estep_kernel(E, comp, t, a, b, gamma)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        # The unclamped log odds ratio, to check that both bounds were hit.
+        a_t, b_t = want[:2]
+        base = np.log(b_t) - np.log(a_t + b_t) - math.log1p(-gamma)
+        swing = np.log(a_t) - np.log(b_t) - math.log(gamma) + math.log1p(-gamma)
+        log_r = base.sum(axis=1, keepdims=True) - base + np.einsum("gi,gij->gj", swing, E)
+        clamped[0] |= bool((log_r < math.log(R_CLAMP[0])).any())
+        clamped[1] |= bool((log_r > math.log(R_CLAMP[1])).any())
+    # A lone rater has no neighbour, so its odds ratio is always 1.
+    assert clamped == ([False, False] if r == 1 else [True, True])
+
+
 def test_e_step_tilde_dominates_parameters():
     rng = np.random.default_rng(41)
     graph = random_graph(rng, m=6, n=4, r_lo=3, r_hi=6)
@@ -657,6 +700,22 @@ def test_fit_grid_without_trace_is_bit_identical():
         _assert_same_fit(t, u)
 
 
+@pytest.mark.parametrize("update", [False, True])
+def test_trace_bit_identical_to_per_slot_betaln(monkeypatch, update):
+    # The objective calls betaln(alpha, beta) once per subject; the trace
+    # must equal, hex for hex, that of the per-slot form.
+    graph, _ = small_sampled_graph(m=14, n=50)
+    config = FitConfig(
+        gamma=[0.3, 0.37, 0.45], update_gamma=update, max_iter=25, eb_max_rounds=2, tol=1e-4
+    )
+    got = fit_grid(graph, config)
+    monkeypatch.setattr(model, "_objective_flat", helpers.oracle_objective_per_slot)
+    want = fit_grid(graph, config)
+    for g, w in zip(got, want):
+        assert len(g.loglik_trace) == g.iterations > 0
+        assert [x.hex() for x in g.loglik_trace] == [x.hex() for x in w.loglik_trace]
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -825,6 +884,26 @@ def test_gamma_sums_bit_identical_to_loop():
     t_t = np.array([0.25])
     sums = _gamma_sums(_pair_layout(lone), t_t)
     assert sums == oracle_gamma_ratio(lone, t_t)
+
+    def hexes(sums):
+        return [x.hex() for x in sums]
+
+    base = random_graph(rng, m=10, n=12, r_lo=2, r_hi=6)
+    t_t = rng.uniform(0.0, 1.0, size=base.offsets[-1])
+    for flag in (0, 1):
+        # no agreeing pair (the numerator is +0.0), then every pair agreeing
+        graph = graph_from_tasks(
+            make_task(t.task_id, t.subjects, {}, default=flag) for t in base.tasks
+        )
+        assert _pair_layout(graph)[1].size == flag * _pair_layout(graph)[0].size
+        sums = _gamma_sums(_pair_layout(graph), t_t)
+        assert hexes(sums) == hexes(oracle_gamma_ratio(graph, t_t))
+        assert (sums[0] == 0.0) == (flag == 0) and sums[1] > 0.0
+    # every tau~ = 1: a zero denominator, and the update keeps gamma
+    t_t = np.ones(base.offsets[-1])
+    sums = _gamma_sums(_pair_layout(base), t_t)
+    assert hexes(sums) == hexes(oracle_gamma_ratio(base, t_t)) == [(0.0).hex()] * 2
+    assert update_gamma(base, t_t, previous=0.3) == 0.3
 
 
 def test_gamma_second_iteration_exact_against_oracle():
