@@ -18,7 +18,6 @@ scipy.special is imported inside the kernels that call it, so importing
 glba, or running a command that never fits, does not load it.
 """
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -315,7 +314,10 @@ def _bisect_ab(d, s_a, s_b, s0):
 def _solve_shapes(a0, b0, d, s_a, s_b, s0):
     """Solve the shape stationarity system for every subject at once.
 
-    Every subject has d >= 1 tasks.  Newton iterates are damped (step
+    Every subject has d >= 1 tasks.  `s0` is each subject's prior scale
+    (an array), or one scale for all.  Every step works element by element
+    and every subject starts at Newton step 0, so a subject's result does
+    not depend on the others solved with it.  Newton iterates are damped (step
     halving while the max-norm residual grows or is not finite) and
     projected to stay >= EPS_POS; each trial point's residual is evaluated
     once and kept when the point is accepted.  A subject leaves Newton
@@ -330,6 +332,7 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0):
 
     a = np.clip(np.asarray(a0, dtype=float).copy(), EPS_POS, None)
     b = np.clip(np.asarray(b0, dtype=float).copy(), EPS_POS, None)
+    s0 = np.full(a.shape, s0, dtype=float)
     f_a, f_b = _ab_residual(a, b, d, s_a, s_b, s0)
     res = np.maximum(np.abs(f_a), np.abs(f_b))
     fallback = np.zeros(len(d), dtype=bool)
@@ -355,12 +358,14 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0):
         step_a = (-fa * j_bb + fb * j_ab) / det
         step_b = (-fb * j_aa + fa * j_ab) / det
 
+        sums = s_a[active], s_b[active], s0[active]
         scale = np.ones(active.size)
         stalled = ~singular
         for _halving in range(_MAX_HALVINGS + 1):
-            ta = np.clip(aa + scale * step_a, EPS_POS, None)
-            tb = np.clip(bb + scale * step_b, EPS_POS, None)
-            tf_a, tf_b = _ab_residual(ta, tb, dd, s_a[active], s_b[active], s0)
+            # np.maximum gives np.clip's doubles (NaN included) at less cost.
+            ta = np.maximum(aa + scale * step_a, EPS_POS)
+            tb = np.maximum(bb + scale * step_b, EPS_POS)
+            tf_a, tf_b = _ab_residual(ta, tb, dd, *sums)
             tres = np.maximum(np.abs(tf_a), np.abs(tf_b))
             worse = ~np.isfinite(tres) | (tres > r0)
             accept = stalled & ~worse
@@ -380,22 +385,21 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0):
     fallback[active] = True
 
     for i in np.flatnonzero(fallback):
-        a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)
+        a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0[i])
     return a, b, fallback
 
 
-def _m_step(graph, t_t, lam, alpha, beta, priors):
-    """(tau, alpha, beta, fallback) per subject from the flat gate
-    posteriors t_t and expected log agreement rates lam; Newton starts at
-    (alpha, beta)."""
+def _m_sums(graph, t_t, lam, priors):
+    """Per subject: the updated tau and the shape system's sums (s_a, s_b),
+    from the flat gate posteriors t_t and expected log agreement rates
+    lam."""
     flat_sidx, degree, m = graph.flat_sidx, graph.degree, graph.m
     # bincount adds the weights in flat (task-major) order.
     s_a = np.bincount(flat_sidx, weights=lam[0], minlength=m)
     s_b = np.bincount(flat_sidx, weights=lam[1], minlength=m)
     tau_acc = np.bincount(flat_sidx, weights=t_t, minlength=m)
     tau = (priors.tau0 + tau_acc) / (degree + 1.0)
-    alpha, beta, fallback = _solve_shapes(alpha, beta, degree, s_a, s_b, priors.s0)
-    return tau, alpha, beta, fallback
+    return tau, s_a, s_b
 
 
 def m_step(multigraph, stats, params, priors):
@@ -408,7 +412,11 @@ def m_step(multigraph, stats, params, priors):
     priors.validate()
     a_t, b_t, t_t = _flat(multigraph, stats)
     lam = _digammas(a_t, b_t)[1]
-    return _m_step(multigraph, t_t, lam, params.alpha, params.beta, priors)
+    tau, s_a, s_b = _m_sums(multigraph, t_t, lam, priors)
+    alpha, beta, fallback = _solve_shapes(
+        params.alpha, params.beta, multigraph.degree, s_a, s_b, priors.s0
+    )
+    return tau, alpha, beta, fallback
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +565,150 @@ def log_posterior(params, priors, multigraph, stats):
 # ---------------------------------------------------------------------------
 
 
+class _Run:
+    """One fit of the lockstep driver: its chance rate, the priors and
+    parameters of its current EB round, and what its report collects."""
+
+    def __init__(self, gamma, subjects):
+        self.gamma = gamma
+        self.subjects = subjects
+        self.tau0, self.s0 = 0.5, 1.0
+        self.trace = []
+        self.round_starts = []
+        self.fallback_ids = set()
+        self.gamma_kept = 0
+        self.total_iters = 0
+        self.start_round()
+
+    def start_round(self):
+        self.round_starts.append(self.total_iters)
+        self.priors = Priors(tau0=self.tau0, s0=self.s0)
+        # Each round refits from the standard initialization: the E-step
+        # re-derives gate posteriors from the reliability parameters, so a
+        # warm start is not an ascent point of the new round's objective
+        # and would break the monotone trace.
+        m = len(self.subjects)
+        self.tau = np.ones(m)
+        self.alpha = np.ones(m)
+        self.beta = np.ones(m)
+        self.round_iters = 0
+        self.converged = False
+
+    def end_round(self, config):
+        """Re-center the priors; False once the fit is done."""
+        new_tau0 = float(np.mean(self.tau))
+        new_s0 = float(np.mean(self.alpha + self.beta) / 2.0)
+        if max(abs(new_tau0 - self.tau0), abs(new_s0 - self.s0)) < config.eb_tol:
+            return False
+        if len(self.round_starts) == config.eb_max_rounds:
+            return False
+        self.tau0, self.s0 = new_tau0, new_s0
+        self.start_round()
+        return True
+
+    def params(self):
+        return ModelParams(
+            self.subjects, tau=self.tau, alpha=self.alpha, beta=self.beta, gamma=self.gamma
+        )
+
+    def report(self):
+        return FitReport(
+            params=self.params(),
+            priors=self.priors,
+            iterations=self.total_iters,
+            converged=self.converged,
+            loglik_trace=self.trace,
+            round_starts=self.round_starts,
+            fallback_subjects=sorted(self.fallback_ids),
+            gamma_kept_count=self.gamma_kept,
+        )
+
+
+def _stacked(arrays):
+    """The arrays end to end; a lone array as it is (the solver copies)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _fit_lockstep(multigraph, config, gammas):
+    """Fits at each chance rate of `gammas`, moved forward in lockstep.
+
+    Each iteration runs every running fit's E-step and statistics on its
+    own flat arrays, then one `_solve_shapes` call solves the Beta shapes
+    of all their subjects, stacked fit by fit, each with its fit's prior
+    scale.  The solver works element by element, so every fit gets the
+    doubles it gets alone.  A fit leaves the batch when it finishes.  When
+    a fit's parameters turn non-finite, it and the fits after it leave,
+    and once the fits before it finish, the first such fit's error is
+    raised, as running the fits one after another would raise it.
+    """
+    if multigraph.n == 0:
+        raise ValueError("multigraph has no tasks")
+    subjects, m, degree = multigraph.subjects, multigraph.m, multigraph.degree
+    pairs = _pair_layout(multigraph) if config.update_gamma else None
+    runs = [_Run(float(g), subjects) for g in gammas]
+    running = list(runs)
+    error = None
+    while running:
+        new_tau, s_a, s_b, stats = [], [], [], []
+        for run in running:
+            flat = _e_step(multigraph, run.tau, run.alpha, run.beta, run.gamma)
+            dig, lam = _digammas(flat[0], flat[1])
+            tau, sa, sb = _m_sums(multigraph, flat[2], lam, run.priors)
+            new_tau.append(tau)
+            s_a.append(sa)
+            s_b.append(sb)
+            if config.update_gamma:
+                num, den = _gamma_sums(pairs, flat[2])
+                run.gamma_kept += int(den <= 0.0)
+                run.gamma = _gamma_from_sums(num, den, run.gamma)
+            stats.append((flat, dig, lam) if config.trace else None)
+
+        k = len(running)
+        alpha, beta, fallback = _solve_shapes(
+            _stacked([run.alpha for run in running]),
+            _stacked([run.beta for run in running]),
+            _stacked([degree] * k),
+            _stacked(s_a),
+            _stacked(s_b),
+            _stacked([np.full(m, run.priors.s0) for run in running]),
+        )
+        alpha, beta, fallback = (x.reshape(k, m) for x in (alpha, beta, fallback))
+
+        still = []
+        for i, run in enumerate(running):
+            if fallback[i].any():
+                run.fallback_ids.update(subjects[j] for j in np.flatnonzero(fallback[i]))
+            delta = max(
+                float(np.max(np.abs(new_tau[i] - run.tau))),
+                float(np.max(np.abs(alpha[i] - run.alpha))),
+                float(np.max(np.abs(beta[i] - run.beta))),
+            )
+            run.tau, run.alpha, run.beta = new_tau[i], alpha[i], beta[i]
+            run.total_iters += 1
+            run.round_iters += 1
+            if not (
+                np.all(np.isfinite(run.tau))
+                and np.all(np.isfinite(run.alpha))
+                and np.all(np.isfinite(run.beta))
+            ):
+                # The fits after this one stop; those before it run on, and
+                # one of them may fail first.
+                error = RuntimeError(f"non-finite parameters at EM iteration {run.total_iters}")
+                break
+
+            if config.trace:
+                run.trace.append(_objective_flat(multigraph, *stats[i], run.params(), run.priors))
+
+            run.converged = delta < config.tol
+            round_over = run.converged or run.round_iters == config.max_iter
+            if not round_over or run.end_round(config):
+                still.append(run)
+        running = still
+    if error is not None:
+        raise error
+    return [run.report() for run in runs]
+
+
 def fit(multigraph, config=None):
     """Variational EM fit of the reliability model on one multigraph.
 
@@ -566,98 +718,23 @@ def fit(multigraph, config=None):
     per-subject M-step until the largest parameter change drops below
     config.tol.  An outer loop re-centers the priors on the fitted
     population means and refits until they stop moving.  Deterministic:
-    identical inputs give a bit-identical report.
+    identical inputs give a bit-identical report.  Invariant, up to
+    rounding, to how the subjects are named and how each task orders its
+    raters: renaming the subjects (whatever sort order that gives them) or
+    permuting a task's raters together with its indicators moves no tau,
+    alpha or beta by more than 1e-12 (addition order changes, so the
+    doubles may not be the same) and leaves the ranking as it is.
     """
     config = config or FitConfig()
-    if multigraph.n == 0:
-        raise ValueError("multigraph has no tasks")
-    gamma = config.gamma_value()
-
-    pairs = _pair_layout(multigraph) if config.update_gamma else None
-    m = multigraph.m
-    tau0, s0 = 0.5, 1.0
-
-    trace = []
-    round_starts = []
-    fallback_ids = set()
-    gamma_kept = 0
-    total_iters = 0
-    converged = False
-
-    for _round in range(config.eb_max_rounds):
-        round_starts.append(total_iters)
-        priors = Priors(tau0=tau0, s0=s0)
-        # Each round refits from the standard initialization: the E-step
-        # re-derives gate posteriors from the reliability parameters, so a
-        # warm start is not an ascent point of the new round's objective
-        # and would break the monotone trace.
-        tau = np.ones(m)
-        alpha = np.ones(m)
-        beta = np.ones(m)
-        converged = False
-        for _it in range(config.max_iter):
-            flat = _e_step(multigraph, tau, alpha, beta, gamma)
-            dig, lam = _digammas(flat[0], flat[1])
-            new_tau, new_alpha, new_beta, fb = _m_step(
-                multigraph, flat[2], lam, alpha, beta, priors
-            )
-            if fb.any():
-                fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
-
-            if config.update_gamma:
-                num, den = _gamma_sums(pairs, flat[2])
-                gamma_kept += int(den <= 0.0)
-                gamma = _gamma_from_sums(num, den, gamma)
-
-            delta = max(
-                float(np.max(np.abs(new_tau - tau))),
-                float(np.max(np.abs(new_alpha - alpha))),
-                float(np.max(np.abs(new_beta - beta))),
-            )
-            tau, alpha, beta = new_tau, new_alpha, new_beta
-            total_iters += 1
-            if not (
-                np.all(np.isfinite(tau))
-                and np.all(np.isfinite(alpha))
-                and np.all(np.isfinite(beta))
-            ):
-                raise RuntimeError(f"non-finite parameters at EM iteration {total_iters}")
-
-            if config.trace:
-                params = ModelParams(
-                    subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
-                )
-                trace.append(_objective_flat(multigraph, flat, dig, lam, params, priors))
-
-            if delta < config.tol:
-                converged = True
-                break
-
-        new_tau0 = float(np.mean(tau))
-        new_s0 = float(np.mean(alpha + beta) / 2.0)
-        if max(abs(new_tau0 - tau0), abs(new_s0 - s0)) < config.eb_tol:
-            break
-        tau0, s0 = new_tau0, new_s0
-
-    params = ModelParams(
-        subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
-    )
-    return FitReport(
-        params=params,
-        priors=priors,
-        iterations=total_iters,
-        converged=converged,
-        loglik_trace=trace,
-        round_starts=round_starts,
-        fallback_subjects=sorted(fallback_ids),
-        gamma_kept_count=gamma_kept,
-    )
+    return _fit_lockstep(multigraph, config, [config.gamma_value()])[0]
 
 
 def fit_grid(multigraph, config=None):
-    """Independent fits over a grid of chance rates; one report per value."""
+    """Fits over a grid of chance rates; one report per value, in grid order.
+
+    The fits run in lockstep, with one shape solve per EM iteration across
+    all of them.  Each report is bit-identical to `fit` with its rate
+    alone, whatever the other rates and their order.
+    """
     config = config or FitConfig(gamma=DEFAULT_GAMMA_GRID)
-    return [
-        fit(multigraph, dataclasses.replace(config, gamma=float(g)))
-        for g in _gamma_values(config.gamma)
-    ]
+    return _fit_lockstep(multigraph, config, _gamma_values(config.gamma))

@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 
+from glba import model
 from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, TaskGraph
 from glba.model import (
     EPS_POS,
+    FitReport,
     ModelParams,
+    Priors,
     R_CLAMP,
     _MAX_HALVINGS,
     _NEWTON_MAX_ITER,
@@ -406,6 +409,95 @@ def oracle_solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
     for i in np.flatnonzero(fallback):
         a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)
     return a, b, fallback
+
+
+# The fit as one loop per chance rate, each rate fitted alone: model.fit_grid,
+# which runs its fits in lockstep, must give the same report for every rate.
+# The steps are looked up on the module at call time, so a test that patches
+# one patches both drivers.
+def oracle_fit(multigraph, config):
+    """Variational EM fit at the single rate config.gamma, with its
+    empirical-Bayes outer loop, one EM iteration after another."""
+    if multigraph.n == 0:
+        raise ValueError("multigraph has no tasks")
+    gamma = config.gamma_value()
+
+    pairs = model._pair_layout(multigraph) if config.update_gamma else None
+    m = multigraph.m
+    tau0, s0 = 0.5, 1.0
+
+    trace = []
+    round_starts = []
+    fallback_ids = set()
+    gamma_kept = 0
+    total_iters = 0
+    converged = False
+
+    for _round in range(config.eb_max_rounds):
+        round_starts.append(total_iters)
+        priors = Priors(tau0=tau0, s0=s0)
+        tau = np.ones(m)
+        alpha = np.ones(m)
+        beta = np.ones(m)
+        converged = False
+        for _it in range(config.max_iter):
+            flat = model._e_step(multigraph, tau, alpha, beta, gamma)
+            dig, lam = model._digammas(flat[0], flat[1])
+            new_tau, s_a, s_b = model._m_sums(multigraph, flat[2], lam, priors)
+            new_alpha, new_beta, fb = model._solve_shapes(
+                alpha, beta, multigraph.degree, s_a, s_b, priors.s0
+            )
+            if fb.any():
+                fallback_ids.update(multigraph.subjects[i] for i in np.flatnonzero(fb))
+
+            if config.update_gamma:
+                num, den = model._gamma_sums(pairs, flat[2])
+                gamma_kept += int(den <= 0.0)
+                gamma = model._gamma_from_sums(num, den, gamma)
+
+            delta = max(
+                float(np.max(np.abs(new_tau - tau))),
+                float(np.max(np.abs(new_alpha - alpha))),
+                float(np.max(np.abs(new_beta - beta))),
+            )
+            tau, alpha, beta = new_tau, new_alpha, new_beta
+            total_iters += 1
+            if not (
+                np.all(np.isfinite(tau))
+                and np.all(np.isfinite(alpha))
+                and np.all(np.isfinite(beta))
+            ):
+                raise RuntimeError(f"non-finite parameters at EM iteration {total_iters}")
+
+            if config.trace:
+                params = ModelParams(
+                    subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
+                )
+                trace.append(model._objective_flat(multigraph, flat, dig, lam, params, priors))
+
+            if delta < config.tol:
+                converged = True
+                break
+
+        new_tau0 = float(np.mean(tau))
+        new_s0 = float(np.mean(alpha + beta) / 2.0)
+        if max(abs(new_tau0 - tau0), abs(new_s0 - s0)) < config.eb_tol:
+            break
+        tau0, s0 = new_tau0, new_s0
+
+    params = ModelParams(
+        subjects=multigraph.subjects, tau=tau, alpha=alpha, beta=beta, gamma=gamma
+    )
+    return FitReport(
+        params=params,
+        priors=priors,
+        iterations=total_iters,
+        converged=converged,
+        loglik_trace=trace,
+        round_starts=round_starts,
+        fallback_subjects=sorted(fallback_ids),
+        gamma_kept_count=gamma_kept,
+    )
 
 
 def oracle_dawid_skene(table, max_iter=100, tol=1e-6):

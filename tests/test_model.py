@@ -13,6 +13,7 @@ import helpers
 from glba import model
 from glba.ingest import AgreementMultigraph, TaskGraph
 from glba.model import (
+    DEFAULT_GAMMA_GRID,
     EPS_POS,
     FitConfig,
     ModelParams,
@@ -30,11 +31,13 @@ from glba.model import (
     m_step,
     update_gamma,
 )
+from glba.scoring import rank_subjects
 from glba.simulate import GenerativeSpec, make_true_params, sample_multigraph
 from helpers import (
     graph_from_tasks,
     make_task,
     oracle_estep,
+    oracle_fit,
     oracle_gamma_ratio,
     oracle_mstep_residual,
     oracle_r_approx,
@@ -490,19 +493,25 @@ def shape_systems(draw):
     return a0, b0, d, s_a, s_b, 10.0 ** draw(st.floats(-3, 3))
 
 
-@settings(max_examples=150, deadline=None)
-@given(system=shape_systems())
-def test_solve_shapes_matches_oracle(system):
+@settings(max_examples=100, deadline=None)
+@given(systems=st.lists(shape_systems(), min_size=1, max_size=3))
+def test_solve_shapes_matches_oracle(systems):
     # Both solvers call the same _bisect_ab for their fallback subjects;
     # a cheap stand-in that still tells subjects apart keeps the examples
-    # fast (the named exits above run the real bisection).
+    # fast (the named exits above run the real bisection).  Stacked with a
+    # per-subject s0, the blocks must solve as each does alone.
     def stand_in(d, s_a, s_b, s0):
-        return float(s_a), float(s_b) + d
+        return float(s_a) + s0, float(s_b) + d
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_bisect_ab", stand_in)
         mp.setattr(helpers, "_bisect_ab", stand_in)
-        _assert_same_solve(system)
+        alone = [_assert_same_solve(system) for system in systems]
+        stacked = [np.concatenate(x) for x in zip(*(system[:5] for system in systems))]
+        s0 = np.concatenate([np.full(len(system[2]), system[5]) for system in systems])
+        got = _solve_shapes(*stacked, s0)
+    for x, y in zip(got, zip(*alone)):
+        assert x.tobytes() == np.concatenate(y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +723,200 @@ def test_trace_bit_identical_to_per_slot_betaln(monkeypatch, update):
     for g, w in zip(got, want):
         assert len(g.loglik_trace) == g.iterations > 0
         assert [x.hex() for x in g.loglik_trace] == [x.hex() for x in w.loglik_trace]
+
+
+# ---------------------------------------------------------------------------
+# fit_grid runs its fits in lockstep; each must equal the fit alone
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_report(got, want):
+    for name in ("tau", "alpha", "beta"):
+        assert getattr(got.params, name).tobytes() == getattr(want.params, name).tobytes()
+    assert got.params.subjects == want.params.subjects
+    assert got.params.gamma == want.params.gamma
+    assert got.priors == want.priors
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.round_starts == want.round_starts
+    assert got.fallback_subjects == want.fallback_subjects
+    assert got.gamma_kept_count == want.gamma_kept_count
+    assert [x.hex() for x in got.loglik_trace] == [x.hex() for x in want.loglik_trace]
+
+
+def _assert_grid_is_fits_alone(graph, config):
+    got = fit_grid(graph, config)
+    grid = list(config.gamma)
+    assert len(got) == len(grid)
+    for report, g in zip(got, grid):
+        _assert_same_report(report, oracle_fit(graph, dataclasses.replace(config, gamma=g)))
+    return got
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A small random graph and a grid config whose fits stop at different
+    iterations and rounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_graph(rng, m=draw(st.integers(3, 9)), n=draw(st.integers(2, 12)))
+    config = FitConfig(
+        gamma=draw(st.lists(st.floats(0.02, 0.48), min_size=1, max_size=5)),
+        update_gamma=draw(st.booleans()),
+        tol=10.0 ** draw(st.floats(-7, -1)),
+        max_iter=draw(st.integers(1, 30)),
+        eb_tol=draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.1])),
+        eb_max_rounds=draw(st.integers(1, 4)),
+        trace=draw(st.booleans()),
+    )
+    return graph, config
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=lockstep_cases())
+def test_fit_grid_equals_each_fit_alone(case):
+    _assert_grid_is_fits_alone(*case)
+
+
+def test_fit_grid_fits_leave_the_batch_at_different_iterations():
+    graph, _ = small_sampled_graph(m=14, n=50)
+    config = FitConfig(
+        gamma=DEFAULT_GAMMA_GRID[::2], max_iter=70, eb_tol=0.09, eb_max_rounds=5, tol=1e-5
+    )
+    reports = _assert_grid_is_fits_alone(graph, config)
+    assert len({r.iterations for r in reports}) == len(reports)
+    assert {len(r.round_starts) for r in reports} == {3, 4}
+    assert {r.converged for r in reports} == {False, True}
+
+
+@pytest.mark.parametrize("update", [False, True])
+def test_fit_grid_reversed_grid_reverses_reports(update):
+    graph, _ = small_sampled_graph(m=14, n=50)
+    config = FitConfig(
+        gamma=[0.3, 0.37, 0.41, 0.45], update_gamma=update, max_iter=60, eb_max_rounds=2, tol=1e-4
+    )
+    forward = fit_grid(graph, config)
+    backward = fit_grid(graph, dataclasses.replace(config, gamma=config.gamma[::-1]))
+    for got, want in zip(backward, forward[::-1]):
+        _assert_same_report(got, want)
+
+
+def test_fit_grid_fallback_subject_reported_by_its_own_fit_only(monkeypatch):
+    # In the fit at gamma 0.37 alone, one subject's expected log rates are
+    # NaN, so its Newton steps are never accepted and it falls back every
+    # iteration; the stand-in bisection gives it finite shapes.
+    graph, _ = small_sampled_graph(m=14, n=50)
+    poisoned = graph.subjects[5]
+    slots = graph.flat_sidx == 5
+    e_step_of = model._e_step
+
+    def poisoning_e_step(multigraph, tau, alpha, beta, gamma):
+        a_t, b_t, t_t = e_step_of(multigraph, tau, alpha, beta, gamma)
+        if gamma == 0.37:
+            a_t[slots] = math.nan
+        return a_t, b_t, t_t
+
+    def stand_in(d, s_a, s_b, s0):
+        return 1.0 + s0, 2.0 + d
+
+    monkeypatch.setattr(model, "_e_step", poisoning_e_step)
+    monkeypatch.setattr(model, "_bisect_ab", stand_in)
+    config = FitConfig(gamma=[0.3, 0.37, 0.45], max_iter=30, eb_max_rounds=2, trace=False)
+    reports = _assert_grid_is_fits_alone(graph, config)
+    assert [poisoned in r.fallback_subjects for r in reports] == [False, True, False]
+
+
+def test_fit_grid_raises_the_first_failing_fit_like_fits_alone(monkeypatch):
+    # Fit 4 turns non-finite at its 2nd iteration, fit 2 at its 5th; run
+    # one after another, fit 2 raises first, and so must the lockstep grid.
+    grid = [0.3, 0.34, 0.38, 0.42, 0.46]
+    fails_at = {0.34: 5, 0.42: 2}
+    graph, _ = small_sampled_graph(m=14, n=50)
+    e_step_of = model._e_step
+    calls = {}
+
+    def failing_e_step(multigraph, tau, alpha, beta, gamma):
+        a_t, b_t, t_t = e_step_of(multigraph, tau, alpha, beta, gamma)
+        calls[gamma] = calls.get(gamma, 0) + 1
+        if calls[gamma] >= fails_at.get(gamma, math.inf):
+            t_t = t_t * math.nan
+        return a_t, b_t, t_t
+
+    monkeypatch.setattr(model, "_e_step", failing_e_step)
+    config = FitConfig(gamma=grid, max_iter=20, eb_max_rounds=1)
+    with pytest.raises(RuntimeError) as alone:
+        for g in grid:
+            oracle_fit(graph, dataclasses.replace(config, gamma=g))
+    assert str(alone.value) == "non-finite parameters at EM iteration 5"
+    calls.clear()
+    with pytest.raises(RuntimeError) as batched:
+        fit_grid(graph, config)
+    assert str(batched.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# invariance to subject naming and to the rater order within a task
+# ---------------------------------------------------------------------------
+
+INVARIANCE_BOUND = 1e-12
+
+
+def _renamed_and_permuted(graph, rng):
+    """The graph with every subject renamed so the sort order reverses and
+    every task's raters permuted, indicators permuted to match; and the
+    new name of each subject."""
+    m = graph.m
+    rename = {s: f"x{m - 1 - i:04d}" for i, s in enumerate(graph.subjects)}
+    tasks = []
+    for task in graph.tasks:
+        p = rng.permutation(task.n_raters)
+        tasks.append(
+            TaskGraph(
+                task_id=task.task_id,
+                subjects=[rename[task.subjects[i]] for i in p],
+                edges=np.asarray(task.edges)[np.ix_(p, p)],
+            )
+        )
+    return graph_from_tasks(tasks), rename
+
+
+def _assert_invariant_fit(graph, config, rng, exact_ranking=False):
+    other, rename = _renamed_and_permuted(graph, rng)
+    assert other.subjects == sorted(rename.values())
+    assert other.subjects[::-1] == [rename[s] for s in graph.subjects]
+    base, moved = fit(graph, config), fit(other, config)
+    order = [other.subjects.index(rename[s]) for s in graph.subjects]
+    for name in ("tau", "alpha", "beta"):
+        a, b = getattr(base.params, name), getattr(moved.params, name)[order]
+        assert np.max(np.abs(a - b)) <= INVARIANCE_BOUND, name
+    tau, moved_tau = base.params.tau, moved.params.tau[order]
+    # Same order of every pair of subjects the fit separates by more than
+    # the bound allows to swap.
+    gap = tau[:, None] - tau[None, :]
+    apart = np.abs(gap) > 2 * INVARIANCE_BOUND
+    assert np.array_equal(
+        np.sign(gap)[apart], np.sign(moved_tau[:, None] - moved_tau[None, :])[apart]
+    )
+    if exact_ranking:
+        back = {v: k for k, v in rename.items()}
+        ranked = [r.subject_id for r in rank_subjects([base])]
+        assert [back[r.subject_id] for r in rank_subjects([moved])] == ranked
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), update=st.booleans())
+def test_fit_invariant_to_subject_names_and_rater_order(seed, update):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, m=int(rng.integers(3, 10)), n=int(rng.integers(2, 12)))
+    config = FitConfig(gamma=0.37, update_gamma=update, max_iter=40, eb_max_rounds=3, trace=False)
+    _assert_invariant_fit(graph, config, rng)
+
+
+def test_fit_invariant_on_acceptance_size_graph():
+    truth = make_true_params(200, spammer_count=20, gamma=0.37)
+    spec = GenerativeSpec(m=200, n=2000, raters_per_task=5, true_params=truth, seed=1)
+    graph, _ = sample_multigraph(spec)
+    config = FitConfig(gamma=0.37, max_iter=25, eb_max_rounds=2, trace=False)
+    _assert_invariant_fit(graph, config, np.random.default_rng(1), exact_ranking=True)
 
 
 @pytest.mark.parametrize(
