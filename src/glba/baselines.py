@@ -2,12 +2,12 @@
 and the average-time-duration ranking used by crowdsourcing hosts."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import compress
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES, _codes
+from .ingest import DIMENSION_SCALES, _ids_at, _recoded, _set_codes
 
 CATEGORIES = ("low", "neutral", "high")
 
@@ -26,7 +26,7 @@ class CategoricalTable:
     """Categorical labels as columns, one entry per label; ``categories``
     holds each label's position in CATEGORIES (0..2, checked).  Derives
     ``subject_index``/``task_index`` and ``subject_code``/``task_code`` as
-    ResponseTable does."""
+    ResponseTable does, or takes them as ``codes``."""
 
     subject_ids: list
     task_ids: list
@@ -35,17 +35,17 @@ class CategoricalTable:
     task_index: list = field(init=False, repr=False)
     subject_code: np.ndarray = field(init=False, repr=False)
     task_code: np.ndarray = field(init=False, repr=False)
+    codes: InitVar[tuple] = None
 
-    def __post_init__(self):
-        codes = np.asarray(self.categories)
-        if not len(self.subject_ids) == len(self.task_ids) == len(codes):
+    def __post_init__(self, codes):
+        categories = np.asarray(self.categories)
+        if not len(self.subject_ids) == len(self.task_ids) == len(categories):
             raise ValueError("categorical table columns differ in length")
-        bad = ~np.isin(codes, range(len(CATEGORIES)))
+        bad = ~np.isin(categories, range(len(CATEGORIES)))
         if bad.any():
-            raise ValueError(f"category code {codes[bad][0].item()!r} outside 0..{len(CATEGORIES) - 1}")
-        self.categories = codes.astype(np.intp)
-        self.subject_index, self.subject_code = _codes(self.subject_ids)
-        self.task_index, self.task_code = _codes(self.task_ids)
+            raise ValueError(f"category code {categories[bad][0].item()!r} outside 0..{len(CATEGORIES) - 1}")
+        self.categories = categories.astype(np.intp)
+        _set_codes(self, codes)
 
     def __len__(self):
         return len(self.subject_ids)
@@ -67,7 +67,9 @@ def _check_nonnegative(name, value):
 
 
 def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
-    """Convert one dimension of a ResponseTable into categorical labels."""
+    """Convert one dimension of a ResponseTable into categorical labels,
+    one per rated row in row order.  The label table's ids are coded from
+    the table's codes, not coded again."""
     _check_nonnegative("threshold", threshold)
     if dimension not in NEUTRAL_POINT:
         raise ValueError(f"unknown dimension {dimension!r}")
@@ -77,9 +79,12 @@ def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     values = table.ratings(dimension)[rated]
     # 0, 1, 2 for low, neutral, high: strictly more than `threshold` above
     # the neutral point is high, strictly more below is low.
-    codes = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
-    sids, tids = (list(compress(ids, rated)) for ids in (table.subject_ids, table.task_ids))
-    return CategoricalTable(sids, tids, codes)
+    categories = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
+    sindex, scode = _recoded(table.subject_index, table.subject_code[rated])
+    tindex, tcode = _recoded(table.task_index, table.task_code[rated])
+    return CategoricalTable(
+        _ids_at(sindex, scode), _ids_at(tindex, tcode), categories, codes=(sindex, scode, tindex, tcode)
+    )
 
 
 def dawid_skene_fit(table, max_iter=100, tol=1e-6):

@@ -1,12 +1,14 @@
 """Loading of rating tables and construction of per-task agreement multigraphs.
 
-A rating table is columnar: ``load_responses`` reads the CSV into one list
-of raw fields per column, checks whole columns and returns a ResponseTable
-of id lists and float arrays (NaN marks a missing value).  A plain file (no
-quote, LF or CRLF line ends, every record as wide as the header) is split
-at its commas directly; ``csv.reader`` reads any other file into the same
-columns.  Tables are built only from columns, and every reader in the
-library works on them.
+A rating table is columnar.  ``load_responses`` reads each column of the
+CSV as its distinct raw fields and each record's position among them, so
+every distinct field is stripped, parsed and checked once; it returns a
+ResponseTable of id lists and float arrays (NaN marks a missing value)
+built from those codes.  A plain file (no quote, LF or CRLF line ends,
+every record as wide as the header) is read by one numpy scan of its bytes
+for commas and LFs, its fields deduplicated as bytes; ``csv.reader`` reads
+any other file into the same form.  Tables are built only from columns,
+and every reader in the library works on them.
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
@@ -31,8 +33,8 @@ import io
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from dataclasses import InitVar, dataclass, field
+from itertools import compress
 from operator import gt, itemgetter
 
 import numpy as np
@@ -81,8 +83,9 @@ class ResponseTable:
     hold one float per row, each MISSING (NaN) where the row has no value.
     Derived on construction: ``subject_index``/``task_index``, the sorted
     distinct ids, and ``subject_code``/``task_code``, each row's position
-    among them.  ``rows`` is a read-only record view (ResponseRow per row),
-    built on first read; the library itself reads only the columns.
+    among them (given as ``codes`` when the ids are already coded; see
+    ``_set_codes``).  ``rows`` is a read-only record view (ResponseRow per
+    row), built on first read; the library itself reads only the columns.
     """
 
     subject_ids: list
@@ -94,8 +97,9 @@ class ResponseTable:
     task_index: list = field(init=False, repr=False)
     subject_code: np.ndarray = field(init=False, repr=False)
     task_code: np.ndarray = field(init=False, repr=False)
+    codes: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, codes):
         n = len(self.subject_ids)
         self.scores = {dim: np.asarray(col, dtype=float) for dim, col in self.scores.items()}
         self.view_seconds = np.asarray(self.view_seconds, dtype=float)
@@ -103,8 +107,7 @@ class ResponseTable:
         columns = [self.task_ids, self.view_seconds, self.label_seconds, *self.scores.values()]
         if any(len(col) != n for col in columns):
             raise ValueError("response table columns differ in length")
-        self.subject_index, self.subject_code = _codes(self.subject_ids)
-        self.task_index, self.task_code = _codes(self.task_ids)
+        _set_codes(self, codes)
 
     def __len__(self):
         return len(self.subject_ids)
@@ -168,6 +171,29 @@ def _codes(ids):
     unique = sorted(set(ids))
     pos = dict(zip(unique, range(len(unique))))
     return unique, np.fromiter(map(pos.get, ids), np.intp, len(ids))
+
+
+def _set_codes(table, codes):
+    """Set a table's ``subject_index``, ``subject_code``, ``task_index`` and
+    ``task_code``: to `codes`, those four in that order, when the ids are
+    already coded (the id lists must then be the indexes at the codes, as
+    `_ids_at` gives them), else by coding its id lists."""
+    if codes is None:
+        codes = (*_codes(table.subject_ids), *_codes(table.task_ids))
+    table.subject_index, table.subject_code, table.task_index, table.task_code = codes
+
+
+def _ids_at(index, code):
+    """The ids of coded rows: `index` at each code, as references to its
+    strings."""
+    return np.array(index, dtype=object)[code].tolist()
+
+
+def _recoded(index, code):
+    """The distinct ids among coded rows (sorted, as `index` is) and each
+    row's position among them."""
+    used, code = np.unique(code, return_inverse=True)
+    return list(map(index.__getitem__, used.tolist())), code
 
 
 def _commented(ids):
@@ -317,6 +343,19 @@ class AgreementMultigraph:
         return len(self.task_ids)
 
 
+# Characters an id may not hold: the text formats separate fields with tabs
+# and commas and end lines at CR and LF.
+_RESERVED = "\t,\r\n"
+
+# A record's id problems, each hiding the ones after it: an empty id, an id
+# holding a reserved character, an id that begins with '#'.
+_ID_PROBLEMS = (
+    "empty subject_id or task_id",
+    "subject/task id contains a reserved character",
+    "subject/task id begins with '#', which marks a comment line",
+)
+
+
 def load_responses(path, schema=None):
     """Read a delimited rating file into a validated ResponseTable.
 
@@ -324,19 +363,25 @@ def load_responses(path, schema=None):
     ----------
     path : str
         Comma-separated UTF-8 file with a header row, read as csv.reader
-        reads it (a plain file is split at its commas directly, with the
-        same result).  Expected columns are subject_id, task_id, the four
+        reads it (a plain file is scanned as bytes instead, with the same
+        result).  Expected columns are subject_id, task_id, the four
         dimension columns, and optionally view_seconds / label_seconds.
     schema : dict, optional
         Maps the canonical column names above to the actual header names
         in the file.
+
+    Each column is read as its distinct raw fields and each record's
+    position among them (see `_read_fields`).  Every distinct field is
+    stripped, parsed and checked once, the ids are sorted once, and the
+    records reach the results through their positions; the table is built
+    from those codes, its id lists referring to the distinct ids.
 
     Raises
     ------
     ValueError
         On bytes that are not UTF-8 or a record csv.reader rejects (a
         field over csv.field_size_limit()), naming the line.  On a missing
-        required column, an empty id, an id holding a tab, comma or newline
+        required column, an empty id, an id holding a tab, comma, CR or LF
         or beginning with '#' (which marks a comment line in the text
         formats), a duplicated (subject, task) pair, an unparseable number,
         a rating outside its scale, or a negative or non-finite timing,
@@ -356,42 +401,34 @@ def load_responses(path, schema=None):
     missing = [c for c in required if col(c) not in index]
     if missing:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-    n = len(columns[0])
+    n = len(columns[0][1])
 
     def field(name):
-        """Column `name` as one raw field per record ("" when absent)."""
+        """Column `name` as its distinct raw fields and each record's
+        position among them (one empty field when absent)."""
         i = index.get(col(name))
-        return [""] * n if i is None else columns[i]
+        return ([""], np.zeros(n, dtype=np.intp)) if i is None else columns[i]
 
+    coded = []  # per id column: its sorted distinct stripped ids, each record's code
+    for name in ("subject_id", "task_id"):
+        distinct, inverse = field(name)
+        ids, remap = _codes(list(map(str.strip, distinct)))
+        coded += [ids, remap[inverse]]
+    sindex, scode, tindex, tcode = coded
     names = list(DIMENSIONS) + ["view_seconds", "label_seconds"]
     raws = [field(name) for name in names]
-    parsed = [_parse_floats(raw) for raw in raws]
-    sids, tids = (list(map(str.strip, field(name))) for name in ("subject_id", "task_id"))
+    parsed = [[a[inverse] for a in _parse_floats(distinct)] for distinct, inverse in raws]
     *ratings, view, label = (values for _, values, _ in parsed)
-    table = ResponseTable(sids, tids, dict(zip(DIMENSIONS, ratings)), view, label)
+    sids, tids = _ids_at(sindex, scode), _ids_at(tindex, tcode)
+    table = ResponseTable(sids, tids, dict(zip(DIMENSIONS, ratings)), view, label, codes=coded)
 
     problems = []  # (record, column order, message); one per record and column
-    empty = ~(_flags(sids) & _flags(tids))
-    reserved = np.zeros(n, dtype=bool)
-    joined = "".join(sids) + "".join(tids)
-    if any(c in joined for c in "\t,\n"):
-        reserved = np.fromiter((any(c in s + t for c in "\t,\n") for s, t in zip(sids, tids)), bool, n)
-    reserved &= ~empty
-    commented = np.zeros(n, dtype=bool)
-    for index, code in ((table.subject_index, table.subject_code), (table.task_index, table.task_code)):
-        lo, hi = _commented(index)
-        if lo < hi:
-            commented |= (lo <= code) & (code < hi)
-    commented &= ~(empty | reserved)
-    for mask, message in (
-        (empty, "empty subject_id or task_id"),
-        (reserved, "subject/task id contains a reserved character"),
-        (commented, "subject/task id begins with '#', which marks a comment line"),
-    ):
-        problems += [(j, 0, f"row {j + 2}: {message}") for j in np.flatnonzero(mask).tolist()]
-    live = np.flatnonzero(~(empty | reserved | commented))
+    status = np.minimum(_id_status(sindex)[scode], _id_status(tindex)[tcode])
+    for level, message in enumerate(_ID_PROBLEMS):
+        problems += [(j, 0, f"row {j + 2}: {message}") for j in np.flatnonzero(status == level).tolist()]
+    live = np.flatnonzero(status == len(_ID_PROBLEMS))
     # Each live row's (subject, task) pair, and the first live row with it.
-    pair = table.subject_code[live] * len(table.task_index) + table.task_code[live]
+    pair = scode[live] * len(tindex) + tcode[live]
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
     first = live[first][inverse]
     for j, f in zip(live[first != live].tolist(), first[first != live].tolist()):
@@ -400,16 +437,16 @@ def load_responses(path, schema=None):
     ok = np.zeros(n, dtype=bool)  # rows whose values are checked
     ok[live[first == live]] = True
 
-    for order, (name, raw, (present, values, bad)) in enumerate(zip(names, raws, parsed), start=1):
+    for order, (name, (distinct, inverse), (present, values, bad)) in enumerate(zip(names, raws, parsed), start=1):
         checked = ok & present & ~bad
-        checks = [(ok & bad, lambda j: f"unparseable {name} value {raw[j].strip()!r}")]
+        checks = [(ok & bad, lambda j: f"unparseable {name} value {distinct[inverse[j]].strip()!r}")]
         if name in DIMENSION_SCALES:
             lo, hi = DIMENSION_SCALES[name]
             outside = checked & ~((lo <= values) & (values <= hi))
             checks.append((outside, lambda j: f"{name} {float(values[j])} outside [{lo:g}, {hi:g}]"))
         else:
             finite = np.isfinite(values)
-            checks.append((checked & ~finite, lambda j: f"non-finite {name} value {raw[j].strip()!r}"))
+            checks.append((checked & ~finite, lambda j: f"non-finite {name} value {distinct[inverse[j]].strip()!r}"))
             checks.append((checked & finite & (values < 0), lambda j: f"negative {name}"))
         for mask, message in checks:
             problems += [(j, order, f"row {j + 2}: {message(j)}") for j in np.flatnonzero(mask).tolist()]
@@ -422,23 +459,46 @@ def load_responses(path, schema=None):
     return table
 
 
+def _id_status(ids):
+    """Per id of the sorted distinct `ids`, the position in _ID_PROBLEMS of
+    the first problem it has, or len(_ID_PROBLEMS) for none."""
+    status = np.full(len(ids), len(_ID_PROBLEMS), dtype=np.int8)
+    lo, hi = _commented(ids)
+    status[lo:hi] = 2
+    joined = "".join(ids)
+    if any(c in joined for c in _RESERVED):
+        status[np.fromiter((any(c in i for c in _RESERVED) for i in ids), bool, len(ids))] = 1
+    if ids and not ids[0]:  # "" sorts first
+        status[0] = 0
+    return status
+
+
 def _read_fields(path):
-    """The header and one list of raw fields per header column, as
-    csv.reader reads the file at `path` (header None and no columns for an
-    empty file).  Blank lines are skipped, so record j is row j + 2, as the
-    header is row 1; a short record's missing fields read as "" and extra
-    fields are dropped.  Raises ValueError naming the line on bytes that
-    are not UTF-8 and on a record csv.reader rejects."""
-    text = _read_text(path)
-    return _split_fields(text) or _csv_fields(path, text)
+    """The header and, per header column, its distinct raw fields and each
+    record's position among them (an intp array), as csv.reader reads the
+    file at `path` (header None and no columns for an empty file).  Blank
+    lines are skipped, so record j is row j + 2, as the header is row 1; a
+    short record's missing fields read as "" and extra fields are dropped.
+    Raises ValueError naming the line on bytes that are not UTF-8 and on a
+    record csv.reader rejects."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = _decode(path, data)
+    return _scan_fields(text, data) or _csv_fields(path, text)
 
 
 def _read_text(path):
-    """The file at `path` decoded as UTF-8, line breaks as stored.  Raises
-    ValueError naming the path, the line and the byte on bytes that are
-    not UTF-8.  Every reader of glba's input files reads through it."""
+    """The file at `path` decoded as UTF-8, line breaks as stored (see
+    `_decode`).  Every reader of glba's text files but the ratings loader
+    reads through it."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _decode(path, fh.read())
+
+
+def _decode(path, data):
+    """`data`, the bytes of the file at `path`, decoded as UTF-8.  Raises
+    ValueError naming the path, the line and the byte on bytes that are
+    not UTF-8."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -448,29 +508,98 @@ def _read_text(path):
         ) from None
 
 
-def _split_fields(text):
-    """`_read_fields` by one split, or None unless the text is plain: not
-    empty, no quote, no line break but LF and CRLF, every non-blank line
-    after the header with as many commas as the header (checked per line,
-    so a short and a long row cannot balance out) and no line longer than
-    csv's field limit.  csv.reader splits such a text exactly at its commas
-    and line breaks."""
-    if '"' in text or not text:
+# Line breaks of str.splitlines that csv.reader reads as field text, besides
+# a lone CR: VT, FF, FS, GS, RS, NEL, LS and PS.
+_TEXT_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# A field of at most 8 * _KEY_WORDS - 1 bytes is deduplicated as an integer
+# key of that many little-endian 8-byte words, zero past its end, with its
+# length in the top byte of the last word; a column with a wider field is
+# deduplicated as str.
+_KEY_WORDS = 3
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _scan_fields(text, data):
+    """`_read_fields` for the file `text`, UTF-8 encoded as `data`, by one
+    numpy scan of the bytes for commas and LFs, or None unless the file is
+    plain: not empty, no quote, no line break but LF and CRLF, every
+    non-blank line after the header as wide as the header (checked per
+    line, so a short and a long row cannot balance out) and no line longer
+    than csv's field limit (measured in bytes, so a multibyte line near the
+    limit goes to csv.reader).  csv.reader splits such a file exactly at
+    its commas and line breaks."""
+    if not text or '"' in text or any(c in text for c in _TEXT_BREAKS):
         return None
-    if not text.endswith("\n"):
-        text += "\n"  # a lone CR at the end becomes a CRLF; csv.reader ends the line there too
-    lines = text.splitlines()
-    # str.splitlines also breaks at a lone CR, and at VT, FF and a few more
-    # that csv.reader reads as field text; each such break adds a line.
-    if len(lines) != text.count("\n") or max(map(len, lines)) > csv.field_size_limit():
+    if not data.endswith(b"\n"):
+        data += b"\n"  # a lone CR at the end becomes a CRLF; csv.reader ends the line there too
+    padded = np.zeros(len(data) + 8 * _KEY_WORDS, dtype=np.uint8)
+    buf = padded[: len(data)]
+    buf[:] = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # each field's delimiter
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    cr = buf[ends - 1] == ord("\r")  # ends[0] - 1 may be -1: the final LF
+    lf = buf[ends] == ord("\n")
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(cr & lf):
+        return None  # a lone CR
+    ends -= cr  # a CRLF line's last field ends before the CR
+    last = np.flatnonzero(lf)  # each line's last field
+    first = np.append(0, last[:-1] + 1)
+    if (ends[last] - starts[first]).max() > csv.field_size_limit():
         return None
-    header = lines[0].split(",") if lines[0] else []
-    body = list(filter(None, islice(lines, 1, None)))
-    if body and set(map(str.count, body, repeat(","))) != {len(header) - 1}:
-        return None
-    tokens = ",".join(body).split(",") if body else []
+    line = data[: ends[last[0]]].decode("utf-8")
+    header = line.split(",") if line else []
     width = len(header)
-    return header, [tokens[i::width] for i in range(width)]
+    blank = (first == last) & (starts[last] == ends[last])
+    if (last - first + 1 != width)[1:][~blank[1:]].any():
+        return None
+    if not width:
+        return header, []
+    body = slice(last[0] + 1, None)
+    if blank.any():
+        body = np.ones(len(starts), dtype=bool)
+        body[: last[0] + 1] = False
+        body[last[blank]] = False
+    starts, ends = starts[body].reshape(-1, width), ends[body].reshape(-1, width)
+    return header, [_distinct(padded, starts[:, c], ends[:, c]) for c in range(width)]
+
+
+def _distinct(padded, starts, ends):
+    """One column's distinct fields, given by their byte spans in the file's
+    bytes (`padded`: followed by 8 * _KEY_WORDS zeros), and each record's
+    position among them."""
+    n = len(starts)
+    lengths = ends - starts
+    top = int(lengths.max(initial=0))
+    if top >= 8 * _KEY_WORDS:
+        return _codes(_decoded(padded, starts, ends))
+    if not top:  # no records, or only empty fields
+        return [""] * min(n, 1), np.zeros(n, dtype=np.intp)
+    # The 8 bytes at each offset as one integer (unaligned reads).
+    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
+    keys = [words[starts + 8 * k] & _BYTE_MASKS[np.clip(lengths - 8 * k, 0, 8)] for k in range(top // 8 + 1)]
+    keys[-1] |= lengths.astype(np.uint64) << np.uint64(56)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    ranked = [key[order] for key in keys]
+    new = np.ones(n, dtype=bool)  # each key's first place in the order
+    new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in ranked])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    picked = order[new]
+    return _decoded(padded, starts[picked], ends[picked]), inverse
+
+
+def _decoded(padded, starts, ends):
+    """The fields at the byte spans (starts, ends) of `padded`, each followed
+    by its delimiter there, as str: gathered with commas between them,
+    decoded and split at once."""
+    size = ends - starts + 1
+    after = np.cumsum(size)  # one past each field's comma in the gathered bytes
+    gathered = padded[np.repeat(starts - (after - size), size) + np.arange(after[-1])]
+    gathered[after - 1] = ord(",")
+    return gathered.tobytes().decode("utf-8").split(",")[:-1]
 
 
 def _csv_fields(path, text):
@@ -487,12 +616,7 @@ def _csv_fields(path, text):
     if records and min(map(len, records)) < width:
         for rec in records:  # a short row's missing fields read as empty
             rec += [""] * (width - len(rec))
-    return header, [list(map(itemgetter(i), records)) for i in range(width)]
-
-
-def _flags(strings):
-    """Whether each string is non-empty."""
-    return np.fromiter(map(bool, strings), bool, len(strings))
+    return header, [_codes(list(map(itemgetter(i), records))) for i in range(width)]
 
 
 def _parse_floats(raw):
@@ -507,7 +631,7 @@ def _parse_floats(raw):
     except ValueError:
         pass
     raw = list(map(str.strip, raw))
-    present = _flags(raw)
+    present = np.fromiter(map(bool, raw), bool, n)
     values = np.full(n, MISSING)
     bad = np.zeros(n, dtype=bool)
     filled = list(compress(raw, present))
@@ -536,17 +660,16 @@ def _task_layout(table, dimension, min_raters):
     if min_raters < 1:
         raise ValueError(f"min_raters must be at least 1, got {min_raters}")
     rated = table.rated(dimension)
-    used_tasks, tcode = np.unique(table.task_code[rated], return_inverse=True)
-    used_subjects, scode = np.unique(table.subject_code[rated], return_inverse=True)
+    task_ids, tcode = _recoded(table.task_index, table.task_code[rated])
+    subjects, scode = _recoded(table.subject_index, table.subject_code[rated])
     ratings = table.ratings(dimension)[rated]
-    counts = np.bincount(tcode, minlength=len(used_tasks))
+    counts = np.bincount(tcode, minlength=len(task_ids))
     kept = counts >= min_raters
     order = np.lexsort((scode, tcode))
     order = order[kept[tcode[order]]]
-    kept_ids = [table.task_index[t] for t in used_tasks[kept].tolist()]
     offsets = np.append(0, np.cumsum(counts[kept]))
-    subjects = [table.subject_index[s] for s in used_subjects.tolist()]
-    return TaskLayout(kept_ids, offsets, subjects, scode[order], ratings[order], len(used_tasks))
+    kept_ids = list(compress(task_ids, kept))
+    return TaskLayout(kept_ids, offsets, subjects, scode[order], ratings[order], len(task_ids))
 
 
 def build_multigraph(table, dimension, delta=DEFAULT_DELTA, min_raters=DEFAULT_MIN_RATERS):

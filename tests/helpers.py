@@ -762,7 +762,7 @@ def oracle_load_responses(path, schema=None):
                 if not sid or not tid:
                     problems.append(f"row {lineno}: empty subject_id or task_id")
                     continue
-                bad_id = [c for c in "\t,\n" if c in sid + tid]
+                bad_id = [c for c in "\t,\r\n" if c in sid + tid]
                 if bad_id:
                     problems.append(f"row {lineno}: subject/task id contains a reserved character")
                     continue

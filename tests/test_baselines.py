@@ -1,5 +1,9 @@
+from itertools import compress
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glba.baselines import (
     CATEGORIES,
@@ -9,6 +13,7 @@ from glba.baselines import (
     dawid_skene_rank,
     duration_rank,
 )
+from glba.ingest import _codes
 from helpers import oracle_dawid_skene, table_from_rows
 
 
@@ -85,6 +90,39 @@ def test_categorize_table_keeps_rated_rows_in_order():
     assert (cat.subject_ids, cat.task_ids, cat.categories.tolist()) == (["b", "a"], ["t2", "t2"], [0, 2])
     assert (cat.subject_index, cat.subject_code.tolist()) == (["a", "b"], [1, 0])
     assert (cat.task_index, cat.task_code.tolist()) == (["t2"], [0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from(["valence", "arousal", "both"])),
+        max_size=40,
+        unique_by=lambda c: c[:2],
+    ),
+    data=st.data(),
+)
+def test_categorize_table_codes_match_coding_the_rated_ids(cells, data):
+    # Subjects and tasks rated only on arousal have no valence label.
+    rows = []
+    for s, t, dims in cells:
+        scores = {d: data.draw(st.sampled_from([1.0, 5.0, 9.0])) for d in ("valence", "arousal") if dims in (d, "both")}
+        rows.append((f"s{s}", f"t{t}", scores))
+    table = table_from_rows(rows)
+    cat = categorize_table(table, "valence")
+    rated = table.rated("valence")
+    sids, tids = list(compress(table.subject_ids, rated)), list(compress(table.task_ids, rated))
+    assert (cat.subject_ids, cat.task_ids) == (sids, tids)
+    for index, code, ids in ((cat.subject_index, cat.subject_code, sids), (cat.task_index, cat.task_code, tids)):
+        expected_index, expected_code = _codes(ids)
+        assert index == expected_index
+        assert code.dtype == expected_code.dtype and code.tolist() == expected_code.tolist()
+    if len(cat):
+        ours, recoded = dawid_skene_fit(cat), dawid_skene_fit(CategoricalTable(sids, tids, cat.categories))
+        assert ours.class_prior.tobytes() == recoded.class_prior.tobytes()
+        assert ours.loglik_trace == recoded.loglik_trace
+        for field in ("confusion", "task_posterior"):
+            a, b = getattr(ours, field), getattr(recoded, field)
+            assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0, 1.5]])

@@ -44,6 +44,18 @@ def test_build_graph_missing_column_exits_2(tmp_path):
     assert run(["build-graph", bad, "--out", tmp_path / "o"]) == 2
 
 
+def test_id_holding_a_carriage_return_exits_2(tmp_path, capsys):
+    # Every text reader breaks lines at a lone CR too, so the graph record of
+    # a task rated by "a\rb" would read back as two malformed records.
+    rows = "".join(f"{s},t1,5,4,6,3,1,2\n" for s in ("x", '"a\rb"', "c", "d"))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(CSV_HEADER + rows, newline="")
+    out = tmp_path / "out"
+    assert run(["build-graph", bad, "--out", out]) == 2
+    assert "row 3: subject/task id contains a reserved character" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build-graph", "baseline-time"])
 def test_ids_that_begin_with_a_comment_mark_exit_2(tmp_path, capsys, command):
     # Read back, the task '#t1' would vanish from graph.tsv and the subject

@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from glba.ingest import (
     TaskGraph,
     _csv_fields,
     _read_fields,
-    _split_fields,
+    _scan_fields,
     build_multigraph,
     load_responses,
     variance_ratio,
@@ -253,6 +254,13 @@ def join_lines(lines, ends, final):
     return text if final else text[: len(text) - len(ends[len(lines) - 1])]
 
 
+def expanded(read):
+    """A `_read_fields` result with each column written out as one field per
+    record."""
+    header, columns = read
+    return header, [[distinct[i] for i in inverse.tolist()] for distinct, inverse in columns]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     header=st.lists(st.sampled_from(FULL.split(",") + ["extra"]), min_size=6, max_size=8),
@@ -270,7 +278,7 @@ def test_split_read_matches_csv_reader(tmp_path, header, data, ends, final):
     text = join_lines([",".join(header)] + [",".join(r) for r in records], ends, final)
     path = tmp_path / "fuzz.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _read_fields(str(path)) == _csv_fields(str(path), text)
+    assert expanded(_read_fields(str(path))) == expanded(_csv_fields(str(path), text))
     assert load_outcome(load_responses, str(path)) == load_outcome(oracle_load_responses, str(path))
 
 
@@ -279,10 +287,73 @@ def test_written_ratings_take_the_split_read(tmp_path):
     table, _ = sample_response_table(12, 30, 4, seed=0, with_timing=True)
     path = tmp_path / "ratings.csv"
     write_responses(table, path)
-    text = path.read_bytes().decode("utf-8")
-    split = _split_fields(text)
+    data = path.read_bytes()
+    text = data.decode("utf-8")
+    split = _scan_fields(text, data)
     assert "\r\n" in text and split is not None
-    assert split == _csv_fields(str(path), text)
+    assert expanded(split) == expanded(_csv_fields(str(path), text))
+
+
+# Fields a byte scan can get wrong: multibyte UTF-8; U+00A0 and U+3000, which
+# str.strip and float() take for whitespace; ids of 7, 8, 9, 16 and 17 bytes,
+# around the scan's 8-byte key words, some differing in their last byte only;
+# an id with a NUL next to the same id without it; ids that differ only by
+# surrounding whitespace; one number written four ways; a 70-byte token,
+# wider than any key.
+SCAN_IDS = [
+    "a", "a\x00", " a", "a ", "\u00a0a", "a\u3000", "é", "日本", "abcdefg", "abcdefgh", "abcdefgX",
+    "abcdefghi", "p" * 16, "p" * 15 + "X", "p" * 17, "éééé", "日本日本日本", "q" * 70, "", "\u00a0",
+]
+SCAN_NUMBERS = ["", "5", "5.0", "05", " 5", "5\u00a0", "\u30005", "\u3000", "7.25", "x", "é", "r" * 70]
+
+
+def table_codes(table):
+    return table.subject_index, table.subject_code.tolist(), table.task_index, table.task_code.tolist()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    extra=st.lists(st.sampled_from(["extra", "valence"]), max_size=2),
+    data=st.data(),
+    end=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
+def test_scan_matches_dictreader_loader_on_plain_files(tmp_path, extra, data, end, final):
+    header = FULL.split(",") + extra
+    fields = [st.sampled_from(SCAN_IDS)] * 2 + [st.sampled_from(SCAN_NUMBERS)] * (len(header) - 2)
+    record = st.one_of(st.tuples(*fields), st.just(()))  # () is a blank line
+    records = data.draw(st.lists(record, max_size=12))
+    lines = [",".join(header)] + [",".join(r) for r in records]
+    text = join_lines(lines, [end] * len(lines), final)
+    path = tmp_path / "plain.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    scanned = _scan_fields(text, text.encode())
+    assert scanned is not None and all(len(set(d)) == len(d) for d, _ in scanned[1])
+    assert expanded(scanned) == expanded(_csv_fields(str(path), text))
+    outcome = load_outcome(load_responses, str(path))
+    assert outcome == load_outcome(oracle_load_responses, str(path))
+    if outcome[0] == "rows":
+        assert table_codes(load_responses(str(path))) == table_codes(oracle_load_responses(str(path)))
+
+
+def test_scan_reads_one_very_wide_id_in_little_memory(tmp_path):
+    # One 100,000-character id among 2,000 rows: gathering every id at the
+    # widest id's width would take about 200 MB.
+    rows = [f"{'w' * 100_000 if j == 1000 else f's{j % 50}'},t{j},5,,,,1.5,2" for j in range(2000)]
+    text = FULL + "\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "wide.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _scan_fields(text, text.encode()) is not None
+    tracemalloc.start()
+    try:
+        table = load_responses(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    expected = oracle_load_responses(str(path))
+    assert row_tuples(table) == row_tuples(expected)
+    assert table_codes(table) == table_codes(expected)
 
 
 def test_load_names_the_line_of_an_oversized_field(tmp_path):
