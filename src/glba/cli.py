@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,18 +27,6 @@ _FLAGS = {
     "--min-raters": dict(type=int, default=ingest.DEFAULT_MIN_RATERS),
     "--gamma": dict(type=float, help="single chance-agreement rate"),
 }
-
-
-def _add_command(subs, name, func, help, *flags):
-    """Subcommand `name` running `func`, with --seed (every manifest records
-    it), --out and the named optional `flags`."""
-    p = subs.add_parser(name, help=help)
-    p.add_argument("--seed", type=int, default=0)
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
-    p.add_argument("--out", default="out", help="output directory")
-    p.set_defaults(func=func)
-    return p
 
 
 def _outdir(args):
@@ -67,14 +56,14 @@ def _settings(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _manifest(args, command, inputs, extra=None):
+def _manifest(args, command, inputs, extra=None, versions=None):
     settings = _settings(
         args, ("dimension", "delta", "gamma", "gamma_grid", "min_raters", "config")
     )
     if extra:
         settings.update(extra)
     path = os.path.join(args.out, f"manifest_{command.replace('-', '_')}.txt")
-    textio.write_manifest(path, command, settings, args.seed, inputs)
+    textio.write_manifest(path, command, settings, args.seed, inputs, versions)
 
 
 def _gamma_tag(g):
@@ -128,7 +117,13 @@ def cmd_fit(args):
             f"gamma={_gamma_tag(report.params.gamma)}: {report.iterations} iterations, "
             f"{status}, tau0={report.priors.tau0:.4f}, s0={report.priors.s0:.4f}"
         )
-    _manifest(args, "fit", [args.graph], extra={"gamma_values": len(reports)})
+    # Only fit runs scipy code, so only its manifest records scipy's version.
+    import scipy
+
+    _manifest(
+        args, "fit", [args.graph], extra={"gamma_values": len(reports)},
+        versions={"scipy": scipy.__version__},
+    )
     print(f"wrote {len(reports)} fit report(s) to {out}")
     return EXIT_OK
 
@@ -336,81 +331,111 @@ def _parse_raters(raw):
     return bounds if len(bounds) == 2 else bounds[0]
 
 
+_Command = namedtuple("Command", "func help flags args")
+
+# The commands in `glba -h` order: handler, help, the _FLAGS it takes and
+# its own arguments, each name mapped to add_argument's keywords (a tuple of
+# names, to a tuple of keywords, is a mutually exclusive group).  Every
+# command also takes --seed (every manifest records it) and --out.
+_COMMANDS = {
+    "build-graph": _Command(
+        cmd_build_graph, "CSV ratings -> agreement multigraph", ("--dimension", "--delta", "--min-raters"),
+        {"responses": dict(help="ratings CSV")},
+    ),
+    "fit": _Command(cmd_fit, "fit the reliability model on a multigraph", (), {
+        "graph": dict(help="multigraph file"),
+        ("--gamma", "--gamma-grid"): (
+            _FLAGS["--gamma"], dict(help="lo:hi:count grid (default 0.3:0.48:10)"),
+        ),
+        "--config": dict(help="fit configuration file (key = value lines)"),
+    }),
+    "rank": _Command(cmd_rank, "rank subjects from one or more fits", (), {
+        "fits": dict(nargs="+", help="fit report files (one per gamma)"),
+    }),
+    "images": _Command(cmd_images, "confidence-weighted stimulus scores", ("--dimension", "--min-raters"), {
+        "responses": {},
+        "fit": dict(help="fit report supplying subject reliabilities"),
+        "--direction": dict(choices=["high", "low"], default="high"),
+    }),
+    "overhead": _Command(cmd_overhead, "labels removed vs quality threshold", ("--dimension",), {
+        "responses": {},
+        "report": dict(help="subjects.tsv or images tsv, per --mode"),
+        "--mode": dict(choices=["subject-filter", "image-filter"], default="subject-filter"),
+        "--thresholds": dict(help="lo:hi:step (default 0:1:0.05)"),
+    }),
+    "pr": _Command(cmd_pr, "precision/recall against annotated spammers", (), {
+        "ranking": dict(help="subjects.tsv from rank"),
+        "annotated": dict(help="file of known-spammer ids, one per line"),
+        "--top-k": dict(help="comma-separated K values (default 20,40,60)"),
+    }),
+    "baseline-ds": _Command(cmd_baseline_ds, "confusion-matrix EM baseline", ("--dimension",), {
+        "responses": {},
+        "--threshold": dict(type=float, default=baselines.DEFAULT_MARGIN),
+        "--ds-max-iter": dict(type=int, default=100),
+        "--ds-tol": dict(type=float, default=1e-6),
+    }),
+    "baseline-time": _Command(cmd_baseline_time, "mean-duration baseline", (), {"responses": {}}),
+    "simulate": _Command(cmd_simulate, "sample a synthetic multigraph", ("--dimension", "--gamma"), {
+        "--subjects": dict(type=int, default=200),
+        "--tasks": dict(type=int, default=2000),
+        "--raters": dict(default="5", help="raters per task: int or lo:hi"),
+        "--spammers": dict(type=int, default=20),
+        "--tau-reliable": dict(type=float, default=0.9),
+        "--agree-mean": dict(type=float, default=0.7),
+        "--strength": dict(type=float, default=5.0),
+        "--ratings": dict(action="store_true", help="also emit a synthetic ratings CSV"),
+    }),
+    "inject": _Command(cmd_inject, "inject population-mimicking spammers", ("--dimension",), {
+        "responses": {},
+        "--spammers": dict(type=int, default=10),
+        "--tasks-per-spammer": dict(type=int, default=50),
+    }),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  It is registered by name and help alone, and
+    adds -h and its command's arguments on its first parse, so a run builds
+    the arguments of the command it dispatches and of no other."""
+
+    def __init__(self, command, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self._unbuilt = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._unbuilt is not None:
+            command, self._unbuilt = self._unbuilt, None
+            self._add_arguments(command)
+        return super().parse_known_args(args, namespace)
+
+    def _add_arguments(self, command):
+        # The order of these calls is the order of the help and usage texts.
+        self.add_argument(
+            "-h", "--help", action="help", default=argparse.SUPPRESS,
+            help="show this help message and exit",
+        )
+        self.add_argument("--seed", type=int, default=0)
+        for flag in command.flags:
+            self.add_argument(flag, **_FLAGS[flag])
+        self.add_argument("--out", default="out", help="output directory")
+        for names, kwargs in command.args.items():
+            if isinstance(names, str):
+                self.add_argument(names, **kwargs)
+            else:
+                group = self.add_mutually_exclusive_group()
+                for name, keywords in zip(names, kwargs):
+                    group.add_argument(name, **keywords)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="glba",
         description="Reliability estimation for crowdsourced ratings over agreement multigraphs",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(
-        subs, "build-graph", cmd_build_graph, "CSV ratings -> agreement multigraph",
-        "--dimension", "--delta", "--min-raters",
-    )
-    p.add_argument("responses", help="ratings CSV")
-
-    p = _add_command(subs, "fit", cmd_fit, "fit the reliability model on a multigraph")
-    p.add_argument("graph", help="multigraph file")
-    gam = p.add_mutually_exclusive_group()
-    gam.add_argument("--gamma", **_FLAGS["--gamma"])
-    gam.add_argument("--gamma-grid", help="lo:hi:count grid (default 0.3:0.48:10)")
-    p.add_argument("--config", help="fit configuration file (key = value lines)")
-
-    p = _add_command(subs, "rank", cmd_rank, "rank subjects from one or more fits")
-    p.add_argument("fits", nargs="+", help="fit report files (one per gamma)")
-
-    p = _add_command(
-        subs, "images", cmd_images, "confidence-weighted stimulus scores",
-        "--dimension", "--min-raters",
-    )
-    p.add_argument("responses")
-    p.add_argument("fit", help="fit report supplying subject reliabilities")
-    p.add_argument("--direction", choices=["high", "low"], default="high")
-
-    p = _add_command(
-        subs, "overhead", cmd_overhead, "labels removed vs quality threshold", "--dimension"
-    )
-    p.add_argument("responses")
-    p.add_argument("report", help="subjects.tsv or images tsv, per --mode")
-    p.add_argument("--mode", choices=["subject-filter", "image-filter"], default="subject-filter")
-    p.add_argument("--thresholds", help="lo:hi:step (default 0:1:0.05)")
-
-    p = _add_command(subs, "pr", cmd_pr, "precision/recall against annotated spammers")
-    p.add_argument("ranking", help="subjects.tsv from rank")
-    p.add_argument("annotated", help="file of known-spammer ids, one per line")
-    p.add_argument("--top-k", help="comma-separated K values (default 20,40,60)")
-
-    p = _add_command(
-        subs, "baseline-ds", cmd_baseline_ds, "confusion-matrix EM baseline", "--dimension"
-    )
-    p.add_argument("responses")
-    p.add_argument("--threshold", type=float, default=baselines.DEFAULT_MARGIN)
-    p.add_argument("--ds-max-iter", type=int, default=100)
-    p.add_argument("--ds-tol", type=float, default=1e-6)
-
-    p = _add_command(subs, "baseline-time", cmd_baseline_time, "mean-duration baseline")
-    p.add_argument("responses")
-
-    p = _add_command(
-        subs, "simulate", cmd_simulate, "sample a synthetic multigraph", "--dimension", "--gamma"
-    )
-    p.add_argument("--subjects", type=int, default=200)
-    p.add_argument("--tasks", type=int, default=2000)
-    p.add_argument("--raters", default="5", help="raters per task: int or lo:hi")
-    p.add_argument("--spammers", type=int, default=20)
-    p.add_argument("--tau-reliable", type=float, default=0.9)
-    p.add_argument("--agree-mean", type=float, default=0.7)
-    p.add_argument("--strength", type=float, default=5.0)
-    p.add_argument("--ratings", action="store_true", help="also emit a synthetic ratings CSV")
-
-    p = _add_command(
-        subs, "inject", cmd_inject, "inject population-mimicking spammers", "--dimension"
-    )
-    p.add_argument("responses")
-    p.add_argument("--spammers", type=int, default=10)
-    p.add_argument("--tasks-per-spammer", type=int, default=50)
-
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, command in _COMMANDS.items():
+        subs.add_parser(name, help=command.help, command=command)
     return parser
 
 
@@ -418,7 +443,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command].func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -324,7 +324,8 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0):
     when its residual is <= _NEWTON_TOL, and falls back to coordinate
     bisection when its Jacobian is singular or not finite, when
     _MAX_HALVINGS halvings of its step still give no acceptable point, or
-    when it is still iterating after _NEWTON_MAX_ITER steps.
+    when its residual is still above the target after _NEWTON_MAX_ITER
+    steps.
 
     Returns (alpha, beta, fallback_mask).
     """
@@ -380,9 +381,9 @@ def _solve_shapes(a0, b0, d, s_a, s_b, s0):
         fallback[active[leave]] = True
         active = active[~leave]
 
-    # Newton budget exhausted: whoever is still iterating falls back, even
-    # a subject whose last accepted step met the residual target.
-    fallback[active] = True
+    # Newton budget exhausted: whoever is still short of the residual
+    # target falls back; a subject whose last step met it keeps its root.
+    fallback[active[~(res[active] <= _NEWTON_TOL)]] = True
 
     for i in np.flatnonzero(fallback):
         a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0[i])

@@ -149,11 +149,11 @@ def inject_spammers(table, dimension, spec):
     pool = table.ratings(dimension)[rated]
     if pool.size == 0:
         raise ValueError(f"table has no ratings for dimension {dimension!r}")
-    task_ids = [table.task_index[t] for t in np.unique(table.task_code[rated]).tolist()]
+    task_codes = np.unique(table.task_code[rated])
     needed = spec.spammer_count * spec.tasks_per_spammer
-    if needed > len(task_ids):
+    if needed > task_codes.size:
         raise ValueError(
-            f"need {needed} distinct tasks for disjoint assignment, have {len(task_ids)}"
+            f"need {needed} distinct tasks for disjoint assignment, have {task_codes.size}"
         )
     existing = set(table.subject_index)
     injected_ids = [f"spammer_{j:03d}" for j in range(spec.spammer_count)]
@@ -162,20 +162,34 @@ def inject_spammers(table, dimension, spec):
         raise ValueError(f"table already contains reserved id(s): {', '.join(clash)}")
 
     rng = _task_rng(spec.seed, 0)
-    chosen = rng.choice(len(task_ids), size=needed, replace=False)
     # Spammer j labels the tasks chosen[j * tasks_per_spammer:][:tasks_per_spammer].
+    chosen = task_codes[rng.choice(task_codes.size, size=needed, replace=False)]
     sids = np.repeat(injected_ids, spec.tasks_per_spammer).tolist()
-    tids = [task_ids[t] for t in chosen.tolist()]
+    tids = [table.task_index[t] for t in chosen.tolist()]
     ratings = pool[rng.integers(pool.size, size=needed)]
     # The spammers' rows carry only `dimension`, without timings.
     pad = np.full(needed, MISSING)
     scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
+    # The table's codes carry over: the spammer ids join the sorted subject
+    # ids, and the spammers label tasks the table already has.
+    subject_index = sorted(table.subject_index + injected_ids)
+    pos = dict(zip(subject_index, range(len(subject_index))))
+    old, new = (
+        np.fromiter(map(pos.get, ids), np.intp, len(ids)) for ids in (table.subject_index, injected_ids)
+    )
+    codes = (
+        subject_index,
+        np.concatenate((old[table.subject_code], np.repeat(new, spec.tasks_per_spammer))),
+        list(table.task_index),
+        np.concatenate((table.task_code, chosen)),
+    )
     new_table = ResponseTable(
         table.subject_ids + sids,
         table.task_ids + tids,
         scores,
         np.concatenate((table.view_seconds, pad)),
         np.concatenate((table.label_seconds, pad)),
+        codes=codes,
     )
     return new_table, injected_ids
 

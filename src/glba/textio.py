@@ -472,16 +472,18 @@ def file_digest(path):
     return h.hexdigest()
 
 
-def write_manifest(path, command, settings, seed, input_paths):
+def write_manifest(path, command, settings, seed, input_paths, versions=None):
     """Record what produced a run: command, settings, seed, input digests,
-    and library versions.  Deliberately timestamp- and path-free (inputs
-    are identified by name and content digest), so identical runs produce
-    identical manifests wherever they run."""
+    and library versions: glba's, numpy's and those in `versions` (name to
+    version string; the command names the libraries it ran).  Deliberately
+    timestamp- and path-free (inputs are identified by name and content
+    digest), so identical runs produce identical manifests wherever they
+    run."""
     import os
 
-    import scipy
-
     from . import __version__
+
+    versions = {"glba": __version__, "numpy": np.__version__, **(versions or {})}
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
@@ -490,4 +492,4 @@ def write_manifest(path, command, settings, seed, input_paths):
             fh.write(f"{key} = {settings[key]}\n")
         for p in input_paths:
             fh.write(f"input {os.path.basename(p)} sha256={file_digest(p)}\n")
-        fh.write(f"version glba={__version__} numpy={np.__version__} scipy={scipy.__version__}\n")
+        fh.write("version " + " ".join(f"{k}={v}" for k, v in versions.items()) + "\n")

@@ -403,8 +403,10 @@ def oracle_solve_shapes(a0, b0, d, s_a, s_b, s0, tol=_NEWTON_TOL):
             active = active[~stalled]
 
     if active.size:
-        # Newton budget exhausted without reaching the residual target.
-        fallback[active] = True
+        # Newton budget exhausted: a subject whose last step met the residual
+        # target keeps its root, the others fall back.
+        f_a, f_b = _ab_residual(a[active], b[active], d[active], s_a[active], s_b[active], s0)
+        fallback[active[~(np.maximum(np.abs(f_a), np.abs(f_b)) <= tol)]] = True
 
     for i in np.flatnonzero(fallback):
         a[i], b[i] = _bisect_ab(d[i], s_a[i], s_b[i], s0)

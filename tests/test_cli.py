@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glba
+from glba import cli
 from glba.cli import _report_names, main
 from glba.model import DEFAULT_GAMMA_GRID, FitConfig, fit
 from glba.simulate import sample_response_table
@@ -473,6 +475,101 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+COMMAND_HELP = {
+    "build-graph": "CSV ratings -> agreement multigraph",
+    "fit": "fit the reliability model on a multigraph",
+    "rank": "rank subjects from one or more fits",
+    "images": "confidence-weighted stimulus scores",
+    "overhead": "labels removed vs quality threshold",
+    "pr": "precision/recall against annotated spammers",
+    "baseline-ds": "confusion-matrix EM baseline",
+    "baseline-time": "mean-duration baseline",
+    "simulate": "sample a synthetic multigraph",
+    "inject": "inject population-mimicking spammers",
+}
+DIMENSION = "[--dimension {valence,arousal,dominance,likeness}]"
+COMMAND_USAGE = {
+    "build-graph": f"[--seed SEED] {DIMENSION} [--delta DELTA] [--min-raters MIN_RATERS] [--out OUT] responses",
+    "fit": "[--seed SEED] [--out OUT] [--gamma GAMMA | --gamma-grid GAMMA_GRID] [--config CONFIG] graph",
+    "rank": "[--seed SEED] [--out OUT] fits [fits ...]",
+    "images": f"[--seed SEED] {DIMENSION} [--min-raters MIN_RATERS] [--out OUT] [--direction {{high,low}}] responses fit",
+    "overhead": (
+        f"[--seed SEED] {DIMENSION} [--out OUT] [--mode {{subject-filter,image-filter}}] "
+        "[--thresholds THRESHOLDS] responses report"
+    ),
+    "pr": "[--seed SEED] [--out OUT] [--top-k TOP_K] ranking annotated",
+    "baseline-ds": (
+        f"[--seed SEED] {DIMENSION} [--out OUT] [--threshold THRESHOLD] [--ds-max-iter DS_MAX_ITER] "
+        "[--ds-tol DS_TOL] responses"
+    ),
+    "baseline-time": "[--seed SEED] [--out OUT] responses",
+    "simulate": (
+        f"[--seed SEED] {DIMENSION} [--gamma GAMMA] [--out OUT] [--subjects SUBJECTS] [--tasks TASKS] "
+        "[--raters RATERS] [--spammers SPAMMERS] [--tau-reliable TAU_RELIABLE] [--agree-mean AGREE_MEAN] "
+        "[--strength STRENGTH] [--ratings]"
+    ),
+    "inject": f"[--seed SEED] {DIMENSION} [--out OUT] [--spammers SPAMMERS] [--tasks-per-spammer TASKS_PER_SPAMMER] responses",
+}
+TOP_USAGE = f"usage: glba [-h] [--version] {{{','.join(COMMAND_HELP)}}} ...\n"
+
+
+def _exit_text(monkeypatch, capsys, argv):
+    """The exit code, stdout and stderr of `glba argv`, with the help
+    formatter's terminal wide enough that no usage line wraps."""
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_help_lists_every_command_in_order(monkeypatch, capsys):
+    code, out, _ = _exit_text(monkeypatch, capsys, ["-h"])
+    assert code == 0 and out.startswith(TOP_USAGE)
+    lines = out.splitlines()
+    first = lines.index(f"  {{{','.join(COMMAND_HELP)}}}") + 1
+    listed = [line.split(None, 1) for line in lines[first : first + len(COMMAND_HELP) + 1]]
+    assert listed == [[name, text] for name, text in COMMAND_HELP.items()] + [[]]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_USAGE))
+def test_command_help_exits_0_with_its_usage(monkeypatch, capsys, command):
+    code, out, _ = _exit_text(monkeypatch, capsys, [command, "-h"])
+    assert code == 0
+    assert out.splitlines()[0] == f"usage: glba {command} [-h] {COMMAND_USAGE[command]}"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+         + ", ".join(map(repr, COMMAND_HELP)) + ")"),
+        (["--bogus", "rank", "f.tsv"], "unrecognized arguments: --bogus"),
+        (["rank", "f.tsv", "--bogus"], "unrecognized arguments: --bogus"),
+        (["fit", "g.tsv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ],
+)
+def test_unknown_command_or_flag_exits_2_with_the_top_level_usage(monkeypatch, capsys, argv, error):
+    code, out, err = _exit_text(monkeypatch, capsys, argv)
+    assert (code, out, err) == (2, "", f"{TOP_USAGE}glba: error: {error}\n")
+
+
+def test_dispatch_builds_only_the_dispatched_commands_arguments(monkeypatch, tmp_path):
+    built, build_parser = [], cli.build_parser
+
+    def recording_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert run(["rank", tmp_path / "missing.tsv", "--out", tmp_path]) == 1
+    (subs,) = (a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(COMMAND_HELP)
+    dests = {name: [a.dest for a in sub._actions] for name, sub in subs.choices.items()}
+    assert dests.pop("rank") == ["help", "seed", "out", "fits"]
+    assert dests == {name: [] for name in COMMAND_HELP if name != "rank"}
+
+
 SUBJECTS = (
     "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.37]\n"
     "1\ts000\t0.2\t1.0\t2.0\t0.05\t0.2\n"
@@ -722,6 +819,8 @@ NON_FIT_COMMANDS = {
 
 
 def test_commands_but_fit_never_load_scipy_special(ratings_csv, tmp_path):
+    # No scipy module at all: not scipy.special, nor the scipy package that
+    # only the fit manifest's version line reads.
     os.replace(ratings_csv, tmp_path / "ratings.csv")
     run(["build-graph", tmp_path / "ratings.csv", "--out", tmp_path])
     (tmp_path / "fit.cfg").write_text("max_iter = 40\neb_max_rounds = 1\ntol = 1e-3\n")
@@ -732,15 +831,20 @@ def test_commands_but_fit_never_load_scipy_special(ratings_csv, tmp_path):
 import sys
 import glba
 import glba.cli
-print("before", *(m for m in sys.modules if m.startswith("scipy.special")))
+print("before", *(m for m in sys.modules if m.split(".")[0] == "scipy"))
 for command, args in {NON_FIT_COMMANDS!r}.items():
     print(command, glba.cli.main([command, *args.split(), "--out", "out"]), file=sys.stderr)
-print("after", *(m for m in sys.modules if m.startswith("scipy.special")))
+print("after", *(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     stdout, stderr = _fresh_python(tmp_path, script)
     assert stderr.splitlines() == [f"{command} 0" for command in NON_FIT_COMMANDS]
     lines = stdout.splitlines()
     assert (lines[0], lines[-1]) == ("before", "after")
+    versions = f"version glba={glba.__version__} numpy={np.__version__}"
+    for command in NON_FIT_COMMANDS:
+        manifest = tmp_path / "out" / f"manifest_{command.replace('-', '_')}.txt"
+        assert manifest.read_text().splitlines()[-1] == versions
+    assert (tmp_path / "manifest_fit.txt").read_text().splitlines()[-1].startswith(versions + " scipy=")
 
 
 def test_fit_in_a_fresh_interpreter_matches_an_in_process_fit(ratings_csv, tmp_path):

@@ -448,12 +448,12 @@ SOLVER_EXITS = {
     # With d = 1e10 rounding keeps the residual above the target while
     # every step is accepted, until the iteration budget runs out.
     "budget-exhausted": ((1.0, 1.0, 10**10), (-2e10, -2e10, 1.0), True),
-    # The last step the budget allows meets the target; the subject still
-    # falls back.
+    # The last step the budget allows meets the target; the subject keeps
+    # Newton's root.
     "budget-exhausted-at-target": (
         (59.01028384618827, 0.3171179739141798, 652),
         (-1860.7459877965578, -7336.09922838282, 0.050267703269579606),
-        True,
+        False,
     ),
     # A trial whose residual equals the current one is accepted, and
     # Newton goes on to converge.

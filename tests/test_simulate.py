@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from glba import simulate
-from glba.ingest import DIMENSION_SCALES
+from glba.ingest import DIMENSION_SCALES, ResponseTable, load_responses
 from glba.model import ModelParams
 from glba.simulate import (
     GenerativeSpec,
@@ -15,6 +15,7 @@ from glba.simulate import (
     sample_multigraph,
     sample_response_table,
 )
+from glba.textio import write_responses
 from helpers import (
     oracle_inject_spammers,
     oracle_pair_indicators,
@@ -25,9 +26,12 @@ from helpers import (
 
 
 def assert_same_tables(got, want):
-    """Equal ids and columns, compared exactly (NaN equal to NaN)."""
+    """Equal ids, codes and columns, compared exactly (NaN equal to NaN)."""
     assert got.subject_ids == want.subject_ids
     assert got.task_ids == want.task_ids
+    assert (got.subject_index, got.task_index) == (want.subject_index, want.task_index)
+    for a, b in ((got.subject_code, want.subject_code), (got.task_code, want.task_code)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     assert list(got.scores) == list(want.scores)
     columns = [(got.scores[d], want.scores[d]) for d in got.scores]
     columns += [(got.view_seconds, want.view_seconds), (got.label_seconds, want.label_seconds)]
@@ -237,6 +241,27 @@ def test_inject_matches_the_scalar_loop(spammers, tasks, seed):
     want, want_ids = oracle_inject_spammers(table, "valence", spec)
     assert got_ids == want_ids
     assert_same_tables(got, want)
+
+
+@pytest.mark.parametrize("prefixes", [("s",), ("a", "spammer_0x", "t", "z"), ("spammer_01x", "spammer_")])
+def test_inject_codes_match_recoding_the_ids(tmp_path, prefixes):
+    # The injected table carries the source table's codes over; coding its
+    # id lists afresh must give the same codes, wherever the spammer ids
+    # sort among the subject ids, and for a table loaded from a CSV.
+    sampled = base_table(n_tasks=200, seed=3)
+    renamed = [f"{prefixes[i % len(prefixes)]}{i}" for i in range(len(sampled.subject_index))]
+    sids = [renamed[c] for c in sampled.subject_code.tolist()]
+    table = ResponseTable(
+        sids, sampled.task_ids, sampled.scores, sampled.view_seconds, sampled.label_seconds
+    )
+    write_responses(table, tmp_path / "ratings.csv")
+    spec = InjectionSpec(spammer_count=12, tasks_per_spammer=5, seed=4)
+    for source in (table, load_responses(tmp_path / "ratings.csv")):
+        got, _ = inject_spammers(source, "valence", spec)
+        recoded = ResponseTable(
+            got.subject_ids, got.task_ids, got.scores, got.view_seconds, got.label_seconds
+        )
+        assert_same_tables(got, recoded)
 
 
 # ---------------------------------------------------------------------------
