@@ -23,8 +23,10 @@ graph = build_multigraph(table, "valence", min_raters=4)
 report = fit(graph, FitConfig(gamma=0.37))
 params = report.params
 
-# Adjusted scores in the "reliably high valence" direction.
-reports = image_scores(table, "valence", params, direction="high")
+# Adjusted scores in the "reliably high valence" direction, as columns in
+# report order; iterating them gives one ImageReport record per stimulus.
+scores = image_scores(table, "valence", params, direction="high")
+reports = list(scores)
 print("top five stimuli by adjusted score:")
 for r in reports[:5]:
     print(
@@ -32,18 +34,17 @@ for r in reports[:5]:
         f"(confidence {r.confidence:.2f}, raw mean {r.raw_mean:.2f})"
     )
 
-confs = np.array([r.confidence for r in reports])
-print(f"\n{np.mean(confs > 0.9):.0%} of stimuli have confidence above 90%")
+print(f"\n{np.mean(scores.confidence > 0.9):.0%} of stimuli have confidence above 90%")
 
 # Stimuli whose estimated score clears 8 on the 1..9 scale with over 90%
 # confidence: candidate gold-standard positives.
-high = extreme_subset(reports, score_min=8.0, conf_min=0.9)
+high = extreme_subset(scores, score_min=8.0, conf_min=0.9)
 print(f"{len(high)} stimuli estimated >= 8 with confidence > 90%")
 
 # The same machinery retrieves reliably *low* stimuli: ratings are
 # flipped before weighting, so high adjusted scores mean low valence.
-low_reports = image_scores(table, "valence", params, direction="low")
-low = extreme_subset(low_reports, score_min=8.0, conf_min=0.9)
+low_scores = image_scores(table, "valence", params, direction="low")
+low = extreme_subset(low_scores, score_min=8.0, conf_min=0.9)
 print(f"{len(low)} stimuli estimated <= 2 with confidence > 90%")
 
 # Confidence only collapses when nearly every rater of a stimulus is

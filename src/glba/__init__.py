@@ -38,6 +38,7 @@ from .model import (
 )
 from .scoring import (
     ImageReport,
+    ImageScores,
     PRResult,
     SubjectReport,
     extreme_subset,

@@ -142,7 +142,7 @@ def cmd_rank(args):
 def cmd_images(args):
     table = ingest.load_responses(args.responses)
     fit_report = textio.read_fit_report(args.fit)
-    reports = scoring.image_scores(
+    scores = scoring.image_scores(
         table,
         args.dimension,
         fit_report.params,
@@ -151,9 +151,9 @@ def cmd_images(args):
     )
     out = _outdir(args)
     path = os.path.join(out, f"images_{args.direction}.tsv")
-    textio.write_image_reports(reports, path)
+    textio.write_image_reports(scores, path)
     _manifest(args, "images", [args.responses, args.fit], extra={"direction": args.direction})
-    print(f"scored {len(reports)} tasks; wrote {path}")
+    print(f"scored {len(scores)} tasks; wrote {path}")
     return EXIT_OK
 
 
@@ -395,16 +395,17 @@ _COMMANDS = {
 
 class _CommandParser(argparse.ArgumentParser):
     """One command's parser.  It is registered by name and help alone, and
-    adds -h and its command's arguments on its first parse, so a run builds
-    the arguments of the command it dispatches and of no other."""
+    runs ArgumentParser.__init__ and adds -h and its command's arguments on
+    its first parse, so a run builds the parser of the command it
+    dispatches and of no other."""
 
-    def __init__(self, command, **kwargs):
-        super().__init__(add_help=False, **kwargs)
-        self._unbuilt = command
+    def __init__(self, command, **kwargs):  # ArgumentParser.__init__ waits for the first parse
+        self._unbuilt = command, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
         if self._unbuilt is not None:
-            command, self._unbuilt = self._unbuilt, None
+            (command, kwargs), self._unbuilt = self._unbuilt, None
+            super().__init__(add_help=False, **kwargs)
             self._add_arguments(command)
         return super().parse_known_args(args, namespace)
 

@@ -654,18 +654,27 @@ TaskLayout = namedtuple("TaskLayout", "task_ids offsets subjects scode ratings n
 
 
 def _task_layout(table, dimension, min_raters):
-    """TaskLayout from one stable lexsort of the rated rows by (task, rater)
-    code, both re-coded to the ids that carry the dimension.  Raises
+    """TaskLayout from one stable sort of the rated rows by (task, rater)
+    code, both re-coded to the ids that carry the dimension; when every row
+    carries it, those are the table's own indexes and codes.  Raises
     ValueError on a `min_raters` below 1."""
     if min_raters < 1:
         raise ValueError(f"min_raters must be at least 1, got {min_raters}")
     rated = table.rated(dimension)
-    task_ids, tcode = _recoded(table.task_index, table.task_code[rated])
-    subjects, scode = _recoded(table.subject_index, table.subject_code[rated])
-    ratings = table.ratings(dimension)[rated]
+    task_ids, tcode = table.task_index, table.task_code
+    subjects, scode = table.subject_index, table.subject_code
+    ratings = table.ratings(dimension)
+    if not rated.all():
+        task_ids, tcode = _recoded(task_ids, tcode[rated])
+        subjects, scode = _recoded(subjects, scode[rated])
+        ratings = ratings[rated]
     counts = np.bincount(tcode, minlength=len(task_ids))
     kept = counts >= min_raters
-    order = np.lexsort((scode, tcode))
+    # np.lexsort((scode, tcode)) as two stable sorts, which numpy does as
+    # linear-time radix sorts on codes that fit 16 bits.
+    width = np.uint16 if max(len(subjects), len(task_ids)) <= 1 << 16 else np.intp
+    order = np.argsort(scode.astype(width), kind="stable")
+    order = order[np.argsort(tcode.astype(width)[order], kind="stable")]
     order = order[kept[tcode[order]]]
     offsets = np.append(0, np.cumsum(counts[kept]))
     kept_ids = list(compress(task_ids, kept))

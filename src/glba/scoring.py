@@ -5,7 +5,8 @@ rates; stimuli get a confidence-weighted adjusted score that discounts
 tasks whose raters were collectively unreliable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -25,6 +26,8 @@ class SubjectReport:
 
 @dataclass
 class ImageReport:
+    """One task's row of ImageScores, as iterating them gives it back."""
+
     task_id: str
     adjusted_score: float
     confidence: float
@@ -34,6 +37,30 @@ class ImageReport:
     weighted_mean_defined: bool = True
     dimension: str = ""
     direction: str = "high"
+
+
+@dataclass(eq=False)
+class ImageScores:
+    """Stimulus scores as columns, one entry per task in report order, each
+    a list or a 1-D array.  Iterating gives the ImageReport records, a view
+    built from the columns; the library itself reads only the columns."""
+
+    task_id: list
+    adjusted_score: np.ndarray
+    confidence: np.ndarray
+    weighted_mean: np.ndarray
+    raw_mean: np.ndarray
+    n_raters: np.ndarray
+    weighted_mean_defined: np.ndarray
+    dimension: list
+    direction: list
+
+    def __len__(self):
+        return len(self.task_id)
+
+    def __iter__(self):
+        columns = (getattr(self, f.name) for f in fields(self))
+        return map(ImageReport, *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
 @dataclass
@@ -102,10 +129,11 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
     lowest-rated stimuli.  The adjusted score is the reliability-weighted
     mean times the task confidence 1 - prod(1 - tau_i); a task whose
     raters all have zero reliability is reported with the weighted mean
-    flagged undefined and an adjusted score of 0.  Sorted by adjusted
-    score descending.  Tasks with fewer than `min_raters` raters are left
-    out.  Raises ValueError on a `min_raters` below 1 and if `params` fail
-    ModelParams.validate (a tau outside [0, 1], NaN or infinite values).
+    flagged undefined and an adjusted score of 0.  Returns ImageScores,
+    sorted by adjusted score descending.  Tasks with fewer than
+    `min_raters` raters are left out.  Raises ValueError on a `min_raters`
+    below 1 and if `params` fail ModelParams.validate (a tau outside
+    [0, 1], NaN or infinite values).
     """
     if direction not in ("high", "low"):
         raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
@@ -141,29 +169,27 @@ def image_scores(table, dimension, params, direction="high", min_raters=1):
     adjusted = np.where(defined, wm * confidence, 0.0)
     # Tasks are in id order, so a stable sort breaks score ties by task id.
     order = np.argsort(-adjusted, kind="stable")
-    columns = (adjusted, confidence, wm, raw_mean, sizes, defined)
-    return [
-        ImageReport(layout.task_ids[i], *values, dimension=dimension, direction=direction)
-        for i, *values in zip(order.tolist(), *(c[order].tolist() for c in columns))
-    ]
+    return ImageScores(
+        list(map(layout.task_ids.__getitem__, order.tolist())),
+        *(c[order] for c in (adjusted, confidence, wm, raw_mean, sizes, defined)),
+        [dimension] * n,
+        [direction] * n,
+    )
 
 
-def extreme_subset(reports, score_min, conf_min):
-    """Task ids whose estimated score and confidence clear both thresholds.
+def extreme_subset(scores, score_min, conf_min):
+    """Task ids of ImageScores whose estimated score and confidence clear
+    both thresholds, in report order.
 
     The estimated score is the weighted mean mapped back to the original
-    scale (for direction="low" reports the threshold therefore applies on
+    scale (for direction="low" scores the threshold therefore applies on
     the flipped scale).  Confidence must strictly exceed conf_min.
     """
-    out = []
-    for r in reports:
-        if not r.weighted_mean_defined:
-            continue
-        lo, hi = DIMENSION_SCALES[r.dimension]
-        est = lo + r.weighted_mean * (hi - lo)
-        if est >= score_min and r.confidence > conf_min:
-            out.append(r.task_id)
-    return out
+    lo, hi = np.array([DIMENSION_SCALES[d] for d in scores.dimension], dtype=float).reshape(-1, 2).T
+    est = lo + np.asarray(scores.weighted_mean, dtype=float) * (hi - lo)
+    keep = np.asarray(scores.weighted_mean_defined, dtype=bool) & (est >= score_min)
+    keep &= np.asarray(scores.confidence, dtype=float) > conf_min
+    return list(compress(scores.task_id, keep.tolist()))
 
 
 def overhead_curve(table, dimension, reports, mode, thresholds=None):
@@ -172,19 +198,20 @@ def overhead_curve(table, dimension, reports, mode, thresholds=None):
     mode="subject-filter": every response by a subject whose tau_mean is
     below the threshold is removed (`reports` are SubjectReports).
     mode="image-filter": every response on a task whose confidence is
-    below the threshold is removed (`reports` are ImageReports; tasks
-    without a report are never removed).  Counts are over responses that
-    carry the dimension.
+    below the threshold is removed (`reports` are ImageScores, read by
+    their task_id and confidence columns; tasks without a score are never
+    removed).  Counts are over responses that carry the dimension.
     """
     if mode not in ("subject-filter", "image-filter"):
         raise ValueError(f"unknown overhead mode {mode!r}")
     if thresholds is None:
         thresholds = [round(0.05 * i, 2) for i in range(21)]
     if mode == "subject-filter":
-        key, attr, code, ids = "subject_id", "tau_mean", table.subject_code, table.subject_index
+        code, ids = table.subject_code, table.subject_index
+        score_of = {r.subject_id: r.tau_mean for r in reports}
     else:
-        key, attr, code, ids = "task_id", "confidence", table.task_code, table.task_index
-    score_of = {getattr(r, key): getattr(r, attr) for r in reports}
+        code, ids = table.task_code, table.task_index
+        score_of = dict(zip(reports.task_id, reports.confidence))
     # Labels per id, and each id's score (NaN, never below a threshold, for
     # an id without a report).
     labels_per = np.bincount(code[table.rated(dimension)], minlength=len(ids))

@@ -5,10 +5,11 @@ are byte-identical across runs and parse back exactly.  Every reader skips
 '# key value' lines as metadata.
 
 Each report table has one column spec, a dict from column name to parser.
-`_write_table` writes every report through it (the parser picks each
-column's text form) and `_read_table` reads every report back through it,
-parsing whole columns and checking row by row only to name the first
-faulty line.
+`_write_table` writes every report through it from columns, not rows: it
+formats each column once in the text form its parser picks (a float
+column one repr per distinct bit pattern) and joins the cells into lines.
+`_read_table` reads every report back through it, parsing whole columns
+and checking row by row only to name the first faulty line.
 
 Multigraph files go to and from the graph's packed fields with operations
 over the whole file: the writer formats each rater-count group's
@@ -24,7 +25,7 @@ import numpy as np
 
 from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag, _read_text
 from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
-from .scoring import ImageReport, SubjectReport
+from .scoring import ImageScores, SubjectReport
 
 
 def _read_lines(path):
@@ -150,7 +151,7 @@ _PARAM_COLUMNS = {"subject_id": str, "tau": float, "alpha": float, "beta": float
 _SUBJECT_COLUMNS = dict(
     rank=int, subject_id=str, tau_mean=float, alpha=float, beta=float, beta_variance=float
 )
-_IMAGE_COLUMNS = dict(  # the fields of ImageReport, in order
+_IMAGE_COLUMNS = dict(  # the fields of ImageScores (and ImageReport), in order
     task_id=str, adjusted_score=float, confidence=float, weighted_mean=float, raw_mean=float,
     n_raters=int, weighted_mean_defined=_parse_flag, dimension=str, direction=_parse_direction
 )
@@ -165,16 +166,35 @@ _REPORT_HEADER = {
 }
 
 
-def _write_table(path, columns, rows, head=()):
+def _column_text(form, column):
+    """The cells of one column (a list or a 1-D array) in its `_FORMS` text
+    form: floats by repr, integers and flags (bools too) by %d, strings as
+    they are.  A float column, and an integer or flag array, is formatted
+    once per distinct value (a float per bit pattern, so -0.0 keeps its
+    sign)."""
+    if form == "%s":
+        return column
+    if form == "%r":
+        distinct, at = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+        text = list(map(repr, distinct.view(float).tolist()))
+    elif isinstance(column, np.ndarray):
+        distinct, at = np.unique(column, return_inverse=True)
+        text = list(map(form.__mod__, distinct.tolist()))
+    else:
+        return list(map(form.__mod__, column))
+    return list(map(text.__getitem__, at.tolist()))
+
+
+def _write_table(path, columns, values, head=()):
     """Write the `head` (key, value) pairs as '# key value' lines, the header
-    row of the column spec `columns`, then `rows` (tuples in column order)
-    through one template: floats by repr, integers and flags (bools too)
-    by %d, strings as they are."""
-    template = "\t".join(_FORMS[parse][0] for parse in columns.values()) + "\n"
+    row of the column spec `columns`, then one row per entry of `values`,
+    the table's columns in spec order, each formatted once as
+    `_column_text` says."""
+    cells = [_column_text(_FORMS[parse][0], col) for parse, col in zip(columns.values(), values)]
+    lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {key} {value}\n" for key, value in head)
-        fh.write("\t".join(columns) + "\n")
-        fh.writelines(map(template.__mod__, rows))
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_table(path, columns, id_column, extra=None):
@@ -251,8 +271,7 @@ def write_fit_report(report, path):
     head += [("iterations", report.iterations), ("converged", int(report.converged))]
     if report.fallback_subjects:
         head.append(("fallback_subjects", ",".join(report.fallback_subjects)))
-    rows = zip(p.subjects, p.tau.tolist(), p.alpha.tolist(), p.beta.tolist())
-    _write_table(path, _PARAM_COLUMNS, rows, head)
+    _write_table(path, _PARAM_COLUMNS, [p.subjects, p.tau, p.alpha, p.beta], head)
 
 
 def read_fit_report(path):
@@ -294,8 +313,8 @@ def read_fit_report(path):
 
 
 def write_params_table(params, path):
-    rows = zip(params.subjects, params.tau.tolist(), params.alpha.tolist(), params.beta.tolist())
-    _write_table(path, _PARAM_COLUMNS, rows, [("kind", "truth"), ("gamma", float(params.gamma))])
+    values = [params.subjects, params.tau, params.alpha, params.beta]
+    _write_table(path, _PARAM_COLUMNS, values, [("kind", "truth"), ("gamma", float(params.gamma))])
 
 
 def _tau_column(col):
@@ -311,12 +330,10 @@ def _tau_column(col):
 def write_subject_reports(reports, path):
     gammas = sorted(reports[0].tau_by_gamma) if reports else []
     columns = {**_SUBJECT_COLUMNS, **{f"tau[{g!r}]": float for g in gammas}}
-    rows = [
-        (r.rank, r.subject_id, r.tau_mean, r.alpha, r.beta, r.beta_variance)
-        + tuple(map(r.tau_by_gamma.__getitem__, gammas))
-        for r in sorted(reports, key=attrgetter("rank"))
-    ]
-    _write_table(path, columns, rows)
+    ranked = sorted(reports, key=attrgetter("rank"))
+    values = [list(map(attrgetter(name), ranked)) for name in _SUBJECT_COLUMNS]
+    values += [[r.tau_by_gamma[g] for r in ranked] for g in gammas]
+    _write_table(path, columns, values)
 
 
 def read_subject_reports(path):
@@ -328,33 +345,35 @@ def read_subject_reports(path):
     ]
 
 
-def write_image_reports(reports, path):
-    _write_table(path, _IMAGE_COLUMNS, map(attrgetter(*_IMAGE_COLUMNS), reports))
+def write_image_reports(scores, path):
+    """Write ImageScores columns, in their order."""
+    _write_table(path, _IMAGE_COLUMNS, attrgetter(*_IMAGE_COLUMNS)(scores))
 
 
 def read_image_reports(path):
-    """Parse an image table (see `_read_table` for what it rejects)."""
+    """Parse an image table into ImageScores (see `_read_table` for what it
+    rejects)."""
     _, _, columns, _ = _read_table(path, _IMAGE_COLUMNS, "task_id")
-    return list(map(ImageReport, *columns))
+    return ImageScores(*columns)
 
 
 def write_baseline_ranking(ranked, method, path):
     """Ranking rows (subject_id, score) in the subject-table layout with a
     method tag column; rank 1 is the most suspect subject."""
     columns = {"method": str, "rank": int, "subject_id": str, "score": float}
-    rows = ((method, pos, sid, float(score)) for pos, (sid, score) in enumerate(ranked, start=1))
-    _write_table(path, columns, rows)
+    values = [[method] * len(ranked), range(1, len(ranked) + 1)]
+    _write_table(path, columns, values + [[sid for sid, _ in ranked], [score for _, score in ranked]])
 
 
 def write_pr_result(result, path):
     head = [(f"top_{k}", result.top_k[k]) for k in sorted(result.top_k)]
     columns = {"k": int, "precision": float, "recall": float}
-    _write_table(path, columns, zip(result.ks, result.precision, result.recall), head)
+    _write_table(path, columns, [result.ks, result.precision, result.recall], head)
 
 
 def write_overhead_curve(curve, mode, path):
-    rows = ((float(th), removed) for th, removed in curve)
-    _write_table(path, {"threshold": float, "labels_removed": int}, rows, [("mode", mode)])
+    values = [[th for th, _ in curve], [removed for _, removed in curve]]
+    _write_table(path, {"threshold": float, "labels_removed": int}, values, [("mode", mode)])
 
 
 # ---------------------------------------------------------------------------

@@ -633,6 +633,30 @@ def oracle_build_multigraph(table, dimension, delta=0.2, min_raters=4):
     return graph_from_tasks(tasks)
 
 
+def oracle_task_layout(table, dimension, min_raters):
+    """TaskLayout from a dict of each task's rated records, its raters
+    sorted by id (ties in table order).  Same contract as
+    `glba.ingest._task_layout` for a `min_raters` of at least 1."""
+    from glba.ingest import TaskLayout
+
+    by_task = {}
+    for row in rated_rows(table, dimension):
+        by_task.setdefault(row.task_id, []).append(row)
+    subjects = sorted({row.subject_id for rows in by_task.values() for row in rows})
+    code = {s: i for i, s in enumerate(subjects)}
+    kept = [sorted(rows, key=lambda r: r.subject_id) for _, rows in sorted(by_task.items())]
+    kept = [rows for rows in kept if len(rows) >= min_raters]
+    slots = [row for rows in kept for row in rows]
+    return TaskLayout(
+        task_ids=[rows[0].task_id for rows in kept],
+        offsets=np.cumsum([0] + [len(rows) for rows in kept]),
+        subjects=subjects,
+        scode=np.array([code[row.subject_id] for row in slots], dtype=np.intp),
+        ratings=np.array([row.scores[dimension] for row in slots], dtype=float),
+        n_tasks=len(by_task),
+    )
+
+
 def oracle_image_scores(table, dimension, params, direction="high", min_raters=1):
     """Stimulus scores as a per-task loop: group the rows in a dict, sort
     each task's raters and score it with scalar numpy calls.  Same
@@ -688,6 +712,28 @@ def oracle_image_scores(table, dimension, params, direction="high", min_raters=1
         )
     reports.sort(key=lambda r: (-r.adjusted_score, r.task_id))
     return reports
+
+
+def image_columns(reports):
+    """ImageScores whose list columns hold the ImageReport records
+    `reports`, in order."""
+    from dataclasses import fields
+
+    from glba.scoring import ImageScores
+
+    return ImageScores(*([getattr(r, f.name) for r in reports] for f in fields(ImageScores)))
+
+
+def oracle_write_table(path, columns, rows, head=()):
+    """A report table written row by row through one % template.  Same
+    bytes as `glba.textio._write_table` given the rows' columns."""
+    from glba.textio import _FORMS
+
+    template = "\t".join(_FORMS[parse][0] for parse in columns.values()) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key} {value}\n" for key, value in head)
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines(map(template.__mod__, rows))
 
 
 def oracle_pair_indicators(task):
@@ -998,15 +1044,18 @@ def oracle_sample_response_table(
 
 def oracle_overhead_curve(table, dimension, reports, mode, thresholds=None):
     """Labels removed per threshold from a Counter over the records.  Same
-    contract as `glba.scoring.overhead_curve`."""
+    contract as `glba.scoring.overhead_curve`: SubjectReport records, or
+    image scores read by their task_id and confidence columns."""
     from collections import Counter
 
     if mode not in ("subject-filter", "image-filter"):
         raise ValueError(f"unknown overhead mode {mode!r}")
     if thresholds is None:
         thresholds = [round(0.05 * i, 2) for i in range(21)]
-    key, attr = ("subject_id", "tau_mean") if mode == "subject-filter" else ("task_id", "confidence")
-    score_of = {getattr(r, key): getattr(r, attr) for r in reports}
+    if mode == "subject-filter":
+        key, score_of = "subject_id", {r.subject_id: r.tau_mean for r in reports}
+    else:
+        key, score_of = "task_id", dict(zip(reports.task_id, reports.confidence))
     labels_per = Counter(getattr(row, key) for row in rated_rows(table, dimension))
     keys = [(score_of[k], c) for k, c in labels_per.items() if k in score_of]
 

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from glba.baselines import categorize_table, dawid_skene_fit, duration_rank
 from glba.ingest import (
     DIMENSION_SCALES,
+    MISSING,
     AgreementMultigraph,
     ResponseTable,
     TaskGraph,
     _csv_fields,
     _read_fields,
     _scan_fields,
+    _task_layout,
     build_multigraph,
     load_responses,
     variance_ratio,
@@ -38,6 +40,7 @@ from helpers import (
     oracle_load_responses,
     oracle_overhead_curve,
     oracle_percentile_table,
+    oracle_task_layout,
     oracle_write_responses,
     random_graph,
     table_from_rows,
@@ -879,8 +882,9 @@ def test_readers_match_record_loop_oracles(tmp_path, table, dimension, threshold
             except ValueError as exc:  # no labels on the drawn dimension
                 outcomes.append(repr(exc))
     assert outcomes[0] == outcomes[1]
-    for mode, key, attr in (("subject-filter", "subject_id", "tau_mean"), ("image-filter", "task_id", "confidence")):
-        reports = [SimpleNamespace(**{key: k, attr: v}) for k, v in scores.items()]
+    subject_reports = [SimpleNamespace(subject_id=k, tau_mean=v) for k, v in scores.items()]
+    image_scores = SimpleNamespace(task_id=list(scores), confidence=list(scores.values()))
+    for mode, reports in (("subject-filter", subject_reports), ("image-filter", image_scores)):
         want = oracle_overhead_curve(table, dimension, reports, mode)
         assert overhead_curve(table, dimension, reports, mode) == want
     write_responses(table, tmp_path / "got.csv")
@@ -891,3 +895,32 @@ def test_readers_match_record_loop_oracles(tmp_path, table, dimension, threshold
     assert sorted(row_tuples(back)) == sorted(row_tuples(table))
     write_responses(back, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "got.csv").read_bytes()
+
+
+def assert_same_layout(got, expected):
+    assert (got.task_ids, got.subjects, got.n_tasks) == (expected.task_ids, expected.subjects, expected.n_tasks)
+    for name in ("offsets", "scode", "ratings"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=timed_tables(), dimension=st.sampled_from(["valence", "likeness", "arousal"]), min_raters=st.integers(1, 3)
+)
+def test_task_layout_matches_record_loop_oracle(table, dimension, min_raters):
+    # Tables where every row, some rows or no row carries the dimension.
+    assert_same_layout(_task_layout(table, dimension, min_raters), oracle_task_layout(table, dimension, min_raters))
+
+
+def test_task_layout_of_codes_wider_than_16_bits():
+    # 2^16 + 3 tasks, so the two stable sorts run on full-width codes.
+    rng = np.random.default_rng(5)
+    n = (1 << 16) + 3
+    tasks = [f"t{k:06d}" for k in rng.permutation(n).tolist()]
+    raters = rng.integers(0, 3, size=n)
+    sids = [f"s{r}" for r in raters.tolist()] + [f"s{r}" for r in ((raters[:500] + 1) % 3).tolist()]
+    tids = tasks + tasks[:500]
+    ratings = rng.integers(1, 10, size=len(sids)).astype(float)
+    table = ResponseTable(sids, tids, {"valence": ratings}, [MISSING] * len(sids), [MISSING] * len(sids))
+    for min_raters in (1, 2):
+        assert_same_layout(_task_layout(table, "valence", min_raters), oracle_task_layout(table, "valence", min_raters))

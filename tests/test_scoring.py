@@ -19,7 +19,7 @@ from glba.scoring import (
     precision_recall,
     rank_subjects,
 )
-from helpers import oracle_image_scores, rated_rows, table_from_rows
+from helpers import image_columns, oracle_image_scores, rated_rows, table_from_rows
 
 
 def fake_fit(subjects, tau, gamma, alpha=None, beta=None):
@@ -180,9 +180,9 @@ def test_image_sorted_by_adjusted_score():
     params = ModelParams(
         subjects=["a", "b"], tau=np.array([0.9, 0.8]), alpha=np.ones(2), beta=np.ones(2), gamma=0.37
     )
-    reports = image_scores(table_from_rows(rows), "valence", params)
-    assert [r.task_id for r in reports] == ["t1", "t2"]
-    assert reports[0].adjusted_score > reports[1].adjusted_score
+    scores = image_scores(table_from_rows(rows), "valence", params)
+    assert scores.task_id == ["t1", "t2"]
+    assert scores.adjusted_score[0] > scores.adjusted_score[1]
 
 
 def test_image_missing_params_is_error():
@@ -368,18 +368,18 @@ def _img(task_id, est_score, conf, dimension="valence"):
 
 
 def test_extreme_subset_empty():
-    assert extreme_subset([], 8.0, 0.9) == []
+    assert extreme_subset(image_columns([]), 8.0, 0.9) == []
 
 
 def test_extreme_subset_threshold_semantics():
     reports = [_img("keep", 8.2, 0.95), _img("dropconf", 8.2, 0.5), _img("droplow", 7.0, 0.99)]
-    assert extreme_subset(reports, 8.0, 0.9) == ["keep"]
+    assert extreme_subset(image_columns(reports), 8.0, 0.9) == ["keep"]
 
 
 def test_extreme_subset_requires_defined_mean():
     rep = _img("t", 8.5, 0.95)
     rep.weighted_mean_defined = False
-    assert extreme_subset([rep], 8.0, 0.9) == []
+    assert extreme_subset(image_columns([rep]), 8.0, 0.9) == []
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def test_overhead_image_mode_brute_force():
         )
         for t in tasks
     ]
-    curve = overhead_curve(table, "valence", reports, "image-filter", [0.3, 0.7])
+    curve = overhead_curve(table, "valence", image_columns(reports), "image-filter", [0.3, 0.7])
     for th, got in curve:
         expected = sum(1 for r in rated_rows(table, "valence") if confs[r.task_id] < th)
         assert got == expected

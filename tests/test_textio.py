@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from glba.model import EPS_POS, FitConfig, FitReport, ModelParams, Priors, fit
 from glba.scoring import ImageReport, PRResult, SubjectReport
 from glba.ingest import build_multigraph
 from glba.simulate import sample_response_table
-from helpers import oracle_pair_indicators, oracle_read_multigraph, random_graph
+from helpers import image_columns, oracle_pair_indicators, oracle_read_multigraph, oracle_write_table, random_graph
 
 
 def test_multigraph_roundtrip(tmp_path):
@@ -314,12 +316,9 @@ def test_image_reports_roundtrip(tmp_path):
         )
     ]
     path = tmp_path / "images.tsv"
-    textio.write_image_reports(reports, path)
+    textio.write_image_reports(image_columns(reports), path)
     back = textio.read_image_reports(path)
-    assert back[0].task_id == "t1"
-    assert back[0].adjusted_score == 0.5
-    assert back[0].weighted_mean == 0.625
-    assert back[0].weighted_mean_defined
+    assert list(back) == reports
 
 
 SUBJECTS_HEAD = "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.3]\n"
@@ -493,10 +492,12 @@ GOLDEN = {
     ),
     "images.tsv": (
         lambda path: textio.write_image_reports(
-            [
-                ImageReport("t2", 0.5, 0.8, 0.625, 5.5, 4, True, "valence", "high"),
-                ImageReport("t1", 0.0, 0.0, float("nan"), 3.0, 1, False, "arousal", "low"),
-            ],
+            image_columns(
+                [
+                    ImageReport("t2", 0.5, 0.8, 0.625, 5.5, 4, True, "valence", "high"),
+                    ImageReport("t1", 0.0, 0.0, float("nan"), 3.0, 1, False, "arousal", "low"),
+                ]
+            ),
             path,
         ),
         "task_id\tadjusted_score\tconfidence\tweighted_mean\traw_mean\tn_raters"
@@ -551,13 +552,50 @@ def test_table_spec_write_read_write(tmp_path_factory, data):
     rows = data.draw(st.lists(rows, max_size=6, unique_by=lambda row: row[0]), label="rows")
     head = data.draw(st.lists(st.tuples(IDS, IDS), max_size=3, unique_by=lambda kv: kv[0]), label="head")
     tmp = tmp_path_factory.mktemp("tables")
-    textio._write_table(tmp / "first.tsv", columns, rows, head)
+    textio._write_table(tmp / "first.tsv", columns, [[row[c] for row in rows] for c in range(len(columns))], head)
     meta, extras, values, linenos = textio._read_table(tmp / "first.tsv", columns, "id")
     assert {key: value for key, (_, value) in meta.items()} == dict(head)
     assert extras == [] and linenos == list(range(len(head) + 2, len(head) + 2 + len(rows)))
     assert repr(list(zip(*values))) == repr(rows)
-    textio._write_table(tmp / "second.tsv", columns, list(zip(*values)), head)
+    textio._write_table(tmp / "second.tsv", columns, values, head)
     assert (tmp / "second.tsv").read_bytes() == (tmp / "first.tsv").read_bytes()
+
+
+# Every kind of cell a writer is given: floats with NaN (both signs), signed
+# zeros, infinities and subnormals; integers beyond 64 bits and bools in %d
+# columns; any text.
+CELLS = {
+    float: st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+    ),
+    int: st.one_of(st.integers(), st.booleans()),
+    str: st.text(max_size=4),
+    textio._parse_flag: st.booleans(),
+    textio._parse_direction: st.sampled_from(["high", "low"]),
+}
+ARRAY_DTYPES = {float: float, int: np.int64, textio._parse_flag: bool}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_columnar_writer_matches_row_template_oracle(tmp_path_factory, data):
+    # Random columns of every _FORMS type, numbers as lists or as arrays, and
+    # head lines: the columnar writer writes the row template's bytes.
+    parsers = data.draw(st.lists(st.sampled_from(list(textio._FORMS)), min_size=1, max_size=6), label="parsers")
+    columns = {f"c{k}": parse for k, parse in enumerate(parsers)}
+    n = data.draw(st.integers(0, 8), label="rows")
+    values = [data.draw(st.lists(CELLS[parse], min_size=n, max_size=n), label=f"c{k}") for k, parse in enumerate(parsers)]
+    given_as = list(values)
+    for k, parse in enumerate(parsers):
+        fits = parse is not int or all(-(2**63) <= v < 2**63 for v in values[k])
+        if parse in ARRAY_DTYPES and fits and data.draw(st.booleans(), label=f"c{k} as array"):
+            given_as[k] = np.array(values[k], dtype=ARRAY_DTYPES[parse])
+    head = data.draw(st.lists(st.tuples(IDS, st.one_of(IDS, st.floats(), st.integers()))), label="head")
+    tmp = tmp_path_factory.mktemp("tables")
+    textio._write_table(tmp / "got.tsv", columns, given_as, head)
+    oracle_write_table(tmp / "want.tsv", columns, list(zip(*values)), head)
+    assert (tmp / "got.tsv").read_bytes() == (tmp / "want.tsv").read_bytes()
 
 
 @st.composite
@@ -592,7 +630,7 @@ _IMAGE_REPORTS = st.lists(
     ),
     max_size=5,
     unique_by=lambda r: r.task_id,
-)
+).map(image_columns)
 
 
 def _fit_values(report):
