@@ -583,8 +583,10 @@ def test_dispatch_builds_only_the_dispatched_commands_arguments(monkeypatch, tmp
     (subs,) = (a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
     assert list(subs.choices) == list(COMMAND_HELP)
     # Only rank's parser is constructed (ArgumentParser.__init__ sets _actions).
-    constructed = {name: [a.dest for a in sub._actions] for name, sub in subs.choices.items() if hasattr(sub, "_actions")}
-    assert constructed == {"rank": ["help", "seed", "out", "fits"]}
+    constructed = {name: sub for name, sub in subs.choices.items() if hasattr(sub, "_actions")}
+    assert {name: [a.dest for a in sub._actions] for name, sub in constructed.items()} == {
+        "rank": ["help", "seed", "out", "fits"]
+    }
 
 
 SUBJECTS = (

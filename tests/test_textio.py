@@ -585,7 +585,9 @@ def test_columnar_writer_matches_row_template_oracle(tmp_path_factory, data):
     parsers = data.draw(st.lists(st.sampled_from(list(textio._FORMS)), min_size=1, max_size=6), label="parsers")
     columns = {f"c{k}": parse for k, parse in enumerate(parsers)}
     n = data.draw(st.integers(0, 8), label="rows")
-    values = [data.draw(st.lists(CELLS[parse], min_size=n, max_size=n), label=f"c{k}") for k, parse in enumerate(parsers)]
+    values = [
+        data.draw(st.lists(CELLS[parse], min_size=n, max_size=n), label=f"c{k}") for k, parse in enumerate(parsers)
+    ]
     given_as = list(values)
     for k, parse in enumerate(parsers):
         fits = parse is not int or all(-(2**63) <= v < 2**63 for v in values[k])
