@@ -16,7 +16,7 @@ from glba.simulate import sample_response_table
 # per stimulus, everyone rating seriously around each stimulus's latent
 # valence.
 table, _ = sample_response_table(40, 200, (4, 6), rating_sigma=1.0, seed=7)
-print(f"{len(table)} responses from {len(table.subjects())} subjects")
+print(f"{len(table)} responses from {len(table.subject_index)} subjects")
 
 # The cumulative fractions P(v) of the pooled valence ratings, binned to
 # one decimal: the share of the pool at or below v.  Most mass sits
@@ -37,9 +37,11 @@ for v, p in zip(support.tolist(), cdf.tolist()):
 # Here P(4) = 1/3, P(5) = 2/3, P(9) = 1: 5 and 9 are percentile
 # neighbours, as no rating lies between them, while 4 and 5 sit a third
 # of the pool apart.  At delta 0.2 only b and c agree; at 0.4, a and b
-# do too; a and c never do below 0.5.
+# do too; a and c never do below 0.5.  A table holds each id column as
+# its sorted distinct ids and one code per row: the rows are (a, t1),
+# (b, t1) and (c, t1).
 nan3 = [np.nan] * 3
-tiny = ResponseTable(["a", "b", "c"], ["t1"] * 3, {"valence": [4.0, 5.0, 9.0]}, nan3, nan3)
+tiny = ResponseTable(["a", "b", "c"], [0, 1, 2], ["t1"], [0, 0, 0], {"valence": [4.0, 5.0, 9.0]}, nan3, nan3)
 for delta in (0.2, 0.4):
     edges = build_multigraph(tiny, "valence", delta=delta, min_raters=1).tasks[0].edges
     print(f"\nratings 4, 5, 9 at delta {delta}:\n{edges}")

@@ -21,16 +21,18 @@ from glba import (
 from glba.simulate import sample_response_table
 
 base, _ = sample_response_table(60, 400, (4, 6), rating_sigma=1.0, bias_sigma=1.0, seed=31)
-print(f"base corpus: {len(base)} responses, {len(base.subjects())} subjects")
+print(f"base corpus: {len(base)} responses, {len(base.subject_index)} subjects")
 
 spec = InjectionSpec(spammer_count=5, tasks_per_spammer=40, seed=1)
 mixed, spam_ids = inject_spammers(base, "valence", spec)
 print(f"injected {len(spam_ids)} spammers x {spec.tasks_per_spammer} disjoint tasks")
 
 # Their labels are marginally indistinguishable from the crowd's ...
-# (read from the tables' columns: one id and one rating per response)
+# (read from the tables' columns: one subject code and one rating per
+# response, the code a position in the sorted subject ids)
 pool = base.ratings("valence")[base.rated("valence")]
-spam_pool = mixed.ratings("valence")[[s in set(spam_ids) for s in mixed.subject_ids]]
+spam_codes = [mixed.subject_index.index(s) for s in spam_ids]
+spam_pool = mixed.ratings("valence")[np.isin(mixed.subject_code, spam_codes)]
 print(f"population rating mean {np.mean(pool):.2f} vs injected mean {np.mean(spam_pool):.2f}")
 
 # ... but their per-task agreement patterns are not.

@@ -2,12 +2,12 @@
 and the average-time-duration ranking used by crowdsourcing hosts."""
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES, _ids_at, _recoded, _set_codes
+from .ingest import DIMENSION_SCALES, _check_ids, _recoded
 
 CATEGORIES = ("low", "neutral", "high")
 
@@ -23,32 +23,26 @@ CONFUSION_SMOOTHING = 0.01
 
 @dataclass(eq=False)
 class CategoricalTable:
-    """Categorical labels as columns, one entry per label; ``categories``
-    holds each label's position in CATEGORIES (0..2, checked).  Derives
-    ``subject_index``/``task_index`` and ``subject_code``/``task_code`` as
-    ResponseTable does, or takes them as ``codes``."""
+    """Categorical labels as columns, one entry per label: the coded ids as
+    in ResponseTable (checked as it checks them), and ``categories``, each
+    label's position in CATEGORIES (0..2, checked)."""
 
-    subject_ids: list
-    task_ids: list
+    subject_index: list
+    subject_code: np.ndarray
+    task_index: list
+    task_code: np.ndarray
     categories: np.ndarray
-    subject_index: list = field(init=False, repr=False)
-    task_index: list = field(init=False, repr=False)
-    subject_code: np.ndarray = field(init=False, repr=False)
-    task_code: np.ndarray = field(init=False, repr=False)
-    codes: InitVar[tuple] = None
 
-    def __post_init__(self, codes):
+    def __post_init__(self):
         categories = np.asarray(self.categories)
-        if not len(self.subject_ids) == len(self.task_ids) == len(categories):
-            raise ValueError("categorical table columns differ in length")
+        _check_ids(self, "categorical table", [categories])
         bad = ~np.isin(categories, range(len(CATEGORIES)))
         if bad.any():
             raise ValueError(f"category code {categories[bad][0].item()!r} outside 0..{len(CATEGORIES) - 1}")
         self.categories = categories.astype(np.intp)
-        _set_codes(self, codes)
 
     def __len__(self):
-        return len(self.subject_ids)
+        return len(self.subject_code)
 
 
 @dataclass
@@ -80,10 +74,10 @@ def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
     # 0, 1, 2 for low, neutral, high: strictly more than `threshold` above
     # the neutral point is high, strictly more below is low.
     categories = 1 + (values > neutral + threshold).astype(np.intp) - (values < neutral - threshold)
-    sindex, scode = _recoded(table.subject_index, table.subject_code[rated])
-    tindex, tcode = _recoded(table.task_index, table.task_code[rated])
     return CategoricalTable(
-        _ids_at(sindex, scode), _ids_at(tindex, tcode), categories, codes=(sindex, scode, tindex, tcode)
+        *_recoded(table.subject_index, table.subject_code[rated]),
+        *_recoded(table.task_index, table.task_code[rated]),
+        categories,
     )
 
 

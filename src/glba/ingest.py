@@ -1,14 +1,15 @@
 """Loading of rating tables and construction of per-task agreement multigraphs.
 
-A rating table is columnar.  ``load_responses`` reads each column of the
-CSV as its distinct raw fields and each record's position among them, so
-every distinct field is stripped, parsed and checked once; it returns a
-ResponseTable of id lists and float arrays (NaN marks a missing value)
-built from those codes.  A plain file (no quote, LF or CRLF line ends,
-every record as wide as the header) is read by one numpy scan of its bytes
-for commas and LFs, its fields deduplicated as bytes; ``csv.reader`` reads
-any other file into the same form.  Tables are built only from columns,
-and every reader in the library works on them.
+A rating table is columnar; it holds each id column once, as the sorted
+distinct ids and each row's position among them (its codes).
+``load_responses`` reads each CSV column as its distinct raw fields and
+each record's position among them, so every distinct field is stripped,
+parsed and checked once; it returns a ResponseTable of the id codes and
+float arrays (NaN marks a missing value).  A plain file (no quote, LF or
+CRLF line ends, every record as wide as the header) is read by one numpy
+scan of its bytes for commas and LFs, its fields deduplicated as bytes;
+``csv.reader`` reads any other file into the same form.  Every builder
+passes the codes it holds, and every reader works on the columns.
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
@@ -33,9 +34,9 @@ import io
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from operator import gt, itemgetter
+from operator import ge, gt, itemgetter
 
 import numpy as np
 
@@ -78,39 +79,35 @@ class ResponseTable:
     """Raw per-(subject, task) ordinal ratings, at most one row per pair,
     stored as columns in file order.
 
-    ``subject_ids`` and ``task_ids`` hold one id per row; ``scores`` maps a
-    dimension to one float per row and ``view_seconds``/``label_seconds``
+    Each id column is held once, coded: ``subject_index``/``task_index``
+    are the sorted distinct ids and ``subject_code``/``task_code`` each
+    row's position among them (``_codes`` codes a list of per-row ids;
+    ``_check_ids`` checks the four).  ``scores`` maps a dimension of
+    DIMENSIONS to one float per row and ``view_seconds``/``label_seconds``
     hold one float per row, each MISSING (NaN) where the row has no value.
-    Derived on construction: ``subject_index``/``task_index``, the sorted
-    distinct ids, and ``subject_code``/``task_code``, each row's position
-    among them (given as ``codes`` when the ids are already coded; see
-    ``_set_codes``).  ``rows`` is a read-only record view (ResponseRow per
-    row), built on first read; the library itself reads only the columns.
+    ``rows`` is a read-only record view (ResponseRow per row), built on
+    first read; the library itself reads only the columns.
     """
 
-    subject_ids: list
-    task_ids: list
+    subject_index: list
+    subject_code: np.ndarray
+    task_index: list
+    task_code: np.ndarray
     scores: dict
     view_seconds: np.ndarray
     label_seconds: np.ndarray
-    subject_index: list = field(init=False, repr=False)
-    task_index: list = field(init=False, repr=False)
-    subject_code: np.ndarray = field(init=False, repr=False)
-    task_code: np.ndarray = field(init=False, repr=False)
-    codes: InitVar[tuple] = None
 
-    def __post_init__(self, codes):
-        n = len(self.subject_ids)
+    def __post_init__(self):
+        unknown = [dim for dim in self.scores if dim not in DIMENSION_SCALES]
+        if unknown:
+            raise ValueError(f"unknown dimension {unknown[0]!r} (known: {', '.join(DIMENSIONS)})")
         self.scores = {dim: np.asarray(col, dtype=float) for dim, col in self.scores.items()}
         self.view_seconds = np.asarray(self.view_seconds, dtype=float)
         self.label_seconds = np.asarray(self.label_seconds, dtype=float)
-        columns = [self.task_ids, self.view_seconds, self.label_seconds, *self.scores.values()]
-        if any(len(col) != n for col in columns):
-            raise ValueError("response table columns differ in length")
-        _set_codes(self, codes)
+        _check_ids(self, "response table", [self.view_seconds, self.label_seconds, *self.scores.values()])
 
     def __len__(self):
-        return len(self.subject_ids)
+        return len(self.subject_code)
 
     def ratings(self, dimension):
         """The `dimension` column, MISSING where a row has no rating (all
@@ -121,9 +118,6 @@ class ResponseTable:
     def rated(self, dimension):
         """Mask of the rows that carry a rating for `dimension`."""
         return ~np.isnan(self.ratings(dimension))
-
-    def subjects(self):
-        return list(self.subject_index)
 
     @functools.cached_property
     def rows(self):
@@ -136,10 +130,38 @@ class ResponseTable:
             [None if v != v else v for v in col.tolist()]
             for col in (self.view_seconds, self.label_seconds)
         )
+        sids, tids = _ids_at(self.subject_index, self.subject_code), _ids_at(self.task_index, self.task_code)
         return [
             ResponseRow(s, t, {d: v for d, v in zip(dims, vals) if v == v}, vs, ls)
-            for s, t, vals, vs, ls in zip(self.subject_ids, self.task_ids, cells, view, label)
+            for s, t, vals, vs, ls in zip(sids, tids, cells, view, label)
         ]
+
+
+def _check_ids(table, what, columns):
+    """Check the coded ids of `table` (a ResponseTable or CategoricalTable),
+    keeping each index as a list and each code column as intp: each index
+    sorted and distinct, each of its ids used, and one integer code in range
+    per row of the data `columns`.  Raises ValueError naming the table
+    (`what`) and the first fault."""
+    n = len(table.subject_code)
+    if any(len(col) != n for col in [table.task_code, *columns]):
+        raise ValueError(f"{what} columns differ in length")
+    for name in ("subject", "task"):
+        index = list(getattr(table, f"{name}_index"))
+        code = np.asarray(getattr(table, f"{name}_code"))
+        for a, b in compress(zip(index, index[1:]), map(ge, index, index[1:])):
+            fault = f"repeats {a!r}" if a == b else f"is not sorted: {a!r} before {b!r}"
+            raise ValueError(f"{what}: {name} index {fault}")
+        if n and code.dtype.kind not in "iu":
+            raise ValueError(f"{what}: {name} codes are not integers")
+        code = code.astype(np.intp, copy=False)
+        for bad in code[(code < 0) | (code >= len(index))][:1].tolist():
+            raise ValueError(f"{what}: {name} code {bad} outside 0..{len(index) - 1}")
+        unused = np.bincount(code, minlength=len(index)) == 0
+        if unused.any():
+            raise ValueError(f"{what}: {name} id {index[unused.argmax()]!r} is used by no row")
+        setattr(table, f"{name}_index", index)
+        setattr(table, f"{name}_code", code)
 
 
 @dataclass
@@ -171,16 +193,6 @@ def _codes(ids):
     unique = sorted(set(ids))
     pos = dict(zip(unique, range(len(unique))))
     return unique, np.fromiter(map(pos.get, ids), np.intp, len(ids))
-
-
-def _set_codes(table, codes):
-    """Set a table's ``subject_index``, ``subject_code``, ``task_index`` and
-    ``task_code``: to `codes`, those four in that order, when the ids are
-    already coded (the id lists must then be the indexes at the codes, as
-    `_ids_at` gives them), else by coding its id lists."""
-    if codes is None:
-        codes = (*_codes(table.subject_ids), *_codes(table.task_ids))
-    table.subject_index, table.subject_code, table.task_index, table.task_code = codes
 
 
 def _ids_at(index, code):
@@ -373,8 +385,8 @@ def load_responses(path, schema=None):
     Each column is read as its distinct raw fields and each record's
     position among them (see `_read_fields`).  Every distinct field is
     stripped, parsed and checked once, the ids are sorted once, and the
-    records reach the results through their positions; the table is built
-    from those codes, its id lists referring to the distinct ids.
+    records reach the results through their positions; the table holds
+    those codes.
 
     Raises
     ------
@@ -419,8 +431,7 @@ def load_responses(path, schema=None):
     raws = [field(name) for name in names]
     parsed = [[a[inverse] for a in _parse_floats(distinct)] for distinct, inverse in raws]
     *ratings, view, label = (values for _, values, _ in parsed)
-    sids, tids = _ids_at(sindex, scode), _ids_at(tindex, tcode)
-    table = ResponseTable(sids, tids, dict(zip(DIMENSIONS, ratings)), view, label, codes=coded)
+    table = ResponseTable(sindex, scode, tindex, tcode, dict(zip(DIMENSIONS, ratings)), view, label)
 
     problems = []  # (record, column order, message); one per record and column
     status = np.minimum(_id_status(sindex)[scode], _id_status(tindex)[tcode])
@@ -432,7 +443,7 @@ def load_responses(path, schema=None):
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
     first = live[first][inverse]
     for j, f in zip(live[first != live].tolist(), first[first != live].tolist()):
-        key = (sids[j], tids[j])
+        key = (sindex[scode[j]], tindex[tcode[j]])
         problems.append((j, 0, f"row {j + 2}: duplicate (subject, task) pair {key}, first seen at row {f + 2}"))
     ok = np.zeros(n, dtype=bool)  # rows whose values are checked
     ok[live[first == live]] = True

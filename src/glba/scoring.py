@@ -79,12 +79,12 @@ def beta_variance(alpha, beta):
 def rank_subjects(fits):
     """Rank subjects by reliability averaged over a grid of fits.
 
-    `fits` is one FitReport per chance-rate value, in any order; all must
-    cover the same subjects.  They are taken in ascending gamma (a stable
-    sort), so the report does not depend on their order.  The reported
-    (alpha, beta) come from the fit whose gamma is closest to the midpoint
-    of the grid range (ties toward the smaller gamma).  Rank 1 is the most
-    susceptible subject; ties break by subject id.
+    `fits` is one FitReport per chance-rate value (two at one gamma raise
+    ValueError), in any order; all must cover the same subjects.  They are
+    taken in ascending gamma, so the report does not depend on their order.
+    The reported (alpha, beta) come from the fit whose gamma is closest to
+    the midpoint of the grid range (ties toward the smaller gamma).  Rank 1
+    is the most susceptible subject; ties break by subject id.
     """
     if not fits:
         raise ValueError("need at least one fit")
@@ -94,6 +94,9 @@ def rank_subjects(fits):
         if f.params.subjects != subjects:
             raise ValueError("fits cover different subject sets")
     gammas = [f.params.gamma for f in fits]
+    for a, b in zip(gammas, gammas[1:]):
+        if a == b:
+            raise ValueError(f"two fits at gamma {float(a)!r}; rank needs one fit per gamma")
     mid = 0.5 * (min(gammas) + max(gammas))
     ref = int(np.argmin([abs(g - mid) for g in gammas]))
     tau_grid = np.stack([f.params.tau for f in fits])  # (n_gamma, m)

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES, MISSING, AgreementMultigraph, ResponseTable, _offdiag
+from .ingest import DIMENSION_SCALES, MISSING, AgreementMultigraph, ResponseTable, _codes, _offdiag, _recoded
 from .model import ModelParams
 
 
@@ -164,32 +164,21 @@ def inject_spammers(table, dimension, spec):
     rng = _task_rng(spec.seed, 0)
     # Spammer j labels the tasks chosen[j * tasks_per_spammer:][:tasks_per_spammer].
     chosen = task_codes[rng.choice(task_codes.size, size=needed, replace=False)]
-    sids = np.repeat(injected_ids, spec.tasks_per_spammer).tolist()
-    tids = [table.task_index[t] for t in chosen.tolist()]
     ratings = pool[rng.integers(pool.size, size=needed)]
     # The spammers' rows carry only `dimension`, without timings.
     pad = np.full(needed, MISSING)
     scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
-    # The table's codes carry over: the spammer ids join the sorted subject
-    # ids, and the spammers label tasks the table already has.
-    subject_index = sorted(table.subject_index + injected_ids)
-    pos = dict(zip(subject_index, range(len(subject_index))))
-    old, new = (
-        np.fromiter(map(pos.get, ids), np.intp, len(ids)) for ids in (table.subject_index, injected_ids)
-    )
-    codes = (
-        subject_index,
-        np.concatenate((old[table.subject_code], np.repeat(new, spec.tasks_per_spammer))),
-        list(table.task_index),
-        np.concatenate((table.task_code, chosen)),
-    )
+    # The table's codes carry over: the spammer ids join the subject index,
+    # and the spammers label tasks the table already has.
+    subject_index, remap = _codes(table.subject_index + injected_ids)
     new_table = ResponseTable(
-        table.subject_ids + sids,
-        table.task_ids + tids,
+        subject_index,
+        np.concatenate((remap[table.subject_code], np.repeat(remap[-spec.spammer_count :], spec.tasks_per_spammer))),
+        table.task_index,
+        np.concatenate((table.task_code, chosen)),
         scores,
         np.concatenate((table.view_seconds, pad)),
         np.concatenate((table.label_seconds, pad)),
-        codes=codes,
     )
     return new_table, injected_ids
 
@@ -279,8 +268,9 @@ def sample_response_table(
         view, label = (list(map(round, col.tolist(), repeat(2))) for col in (view, label))
     else:
         view = label = np.full(members.size, MISSING)
-    sids = np.array(subjects)[members].tolist()
-    tids = np.array([f"t{k:05d}" for k in range(n)])[task_of].tolist()
-    table = ResponseTable(sids, tids, scores, view, label)
+    # Coded through the sorted ids: past s9999 and t99999 they sort apart.
+    sindex, scode = _codes(subjects)
+    tindex, tcode = _codes([f"t{k:05d}" for k in range(n)])
+    table = ResponseTable(*_recoded(sindex, scode[members]), tindex, tcode[task_of], scores, view, label)
     truth = dict(zip(subjects, tau_true.tolist()))
     return table, truth

@@ -23,7 +23,7 @@ from operator import attrgetter, methodcaller
 
 import numpy as np
 
-from .ingest import DIMENSIONS, AgreementMultigraph, _offdiag, _read_text
+from .ingest import DIMENSIONS, AgreementMultigraph, _ids_at, _offdiag, _read_text
 from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageScores, SubjectReport
 
@@ -385,8 +385,9 @@ def write_responses(table, path):
     """Write a ResponseTable as a ratings CSV, rows sorted by (subject, task)
     with ties in table order; a missing value is an empty field."""
     cols = ["subject_id", "task_id"] + list(DIMENSIONS) + ["view_seconds", "label_seconds"]
-    order = np.lexsort((table.task_code, table.subject_code)).tolist()
-    cells = [[table.subject_ids[i] for i in order], [table.task_ids[i] for i in order]]
+    order = np.lexsort((table.task_code, table.subject_code))
+    cells = [_ids_at(table.subject_index, table.subject_code[order])]
+    cells.append(_ids_at(table.task_index, table.task_code[order]))
     for col in [*map(table.ratings, DIMENSIONS), table.view_seconds, table.label_seconds]:
         # Each distinct value (by bit pattern, so -0.0 keeps its sign) is
         # formatted once.

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from glba import model
-from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, TaskGraph
+from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, TaskGraph, _codes, _ids_at
 from glba.model import (
     EPS_POS,
     FitReport,
@@ -95,12 +95,22 @@ def table_from_rows(rows):
         return [MISSING if v is None else v for v in values]
 
     return ResponseTable(
-        [row[0] for row in rows],
-        [row[1] for row in rows],
+        *_codes([row[0] for row in rows]),
+        *_codes([row[1] for row in rows]),
         {d: column(d, [row[2].get(d) for row in rows]) for d in dims},
         column("view_seconds", [row[3] for row in rows]),
         column("label_seconds", [row[4] for row in rows]),
     )
+
+
+def assert_codes_ids(table, subject_ids, task_ids):
+    """The indexes and codes of `table` (a ResponseTable or CategoricalTable)
+    are `_codes` of its per-row ids, codes of the same dtype."""
+    columns = [(table.subject_index, table.subject_code, subject_ids), (table.task_index, table.task_code, task_ids)]
+    for index, code, ids in columns:
+        expected_index, expected_code = _codes(ids)
+        assert index == expected_index
+        assert code.dtype == expected_code.dtype and code.tolist() == expected_code.tolist()
 
 
 def rated_rows(table, dimension):
@@ -508,12 +518,13 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
     confusions after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
     from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
 
-    if not table.subject_ids:
+    sids, tids = _ids_at(table.subject_index, table.subject_code), _ids_at(table.task_index, table.task_code)
+    if not sids:
         raise ValueError("empty categorical table")
     k = len(CATEGORIES)
-    subjects = sorted(set(table.subject_ids))
+    subjects = sorted(set(sids))
     s_pos = {s: i for i, s in enumerate(subjects)}
-    labels = zip(table.subject_ids, table.task_ids, table.categories.tolist())
+    labels = zip(sids, tids, table.categories.tolist())
     task_labels = {}
     for s, t, cat in sorted(labels, key=lambda x: (x[1], x[0])):
         task_labels.setdefault(t, []).append((s_pos[s], cat))
@@ -918,8 +929,8 @@ def oracle_categorize_table(table, dimension, neutral=None, threshold=0.5):
         neutral = NEUTRAL_POINT[dimension]
     rows = rated_rows(table, dimension)
     return CategoricalTable(
-        [r.subject_id for r in rows],
-        [r.task_id for r in rows],
+        *_codes([r.subject_id for r in rows]),
+        *_codes([r.task_id for r in rows]),
         [CATEGORIES.index(categorize(r.scores[dimension], neutral, threshold)) for r in rows],
     )
 
@@ -977,8 +988,8 @@ def oracle_inject_spammers(table, dimension, spec):
     pad = np.full(needed, MISSING)
     scores = {d: np.concatenate((c, ratings if d == dimension else pad)) for d, c in table.scores.items()}
     new_table = ResponseTable(
-        table.subject_ids + sids,
-        table.task_ids + tids,
+        *_codes(_ids_at(table.subject_index, table.subject_code) + sids),
+        *_codes(_ids_at(table.task_index, table.task_code) + tids),
         scores,
         np.concatenate((table.view_seconds, pad)),
         np.concatenate((table.label_seconds, pad)),
@@ -1037,7 +1048,7 @@ def oracle_sample_response_table(
             label.append(round(float(rng.uniform(5.0, 20.0) * speed), 2))
     if not with_timing:
         view = label = [MISSING] * len(sids)
-    table = ResponseTable(sids, tids, scores, view, label)
+    table = ResponseTable(*_codes(sids), *_codes(tids), scores, view, label)
     truth = {subjects[i]: float(tau_true[i]) for i in range(m)}
     return table, truth
 

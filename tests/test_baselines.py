@@ -1,8 +1,9 @@
+import csv
 from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glba.baselines import (
@@ -13,8 +14,10 @@ from glba.baselines import (
     dawid_skene_rank,
     duration_rank,
 )
-from glba.ingest import _codes
-from helpers import oracle_dawid_skene, table_from_rows
+from glba.ingest import _codes, load_responses
+from glba.simulate import sample_response_table
+from glba.textio import write_responses
+from helpers import assert_codes_ids, oracle_dawid_skene, oracle_sample_response_table, table_from_rows
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +90,12 @@ def test_categorize_table_keeps_rated_rows_in_order():
         [("b", "t2", {"valence": 2.0}), ("a", "t1", {"arousal": 2.0}), ("a", "t2", {"valence": 7.0})]
     )
     cat = categorize_table(table, "valence")
-    assert (cat.subject_ids, cat.task_ids, cat.categories.tolist()) == (["b", "a"], ["t2", "t2"], [0, 2])
+    assert cat.categories.tolist() == [0, 2]
     assert (cat.subject_index, cat.subject_code.tolist()) == (["a", "b"], [1, 0])
     assert (cat.task_index, cat.task_code.tolist()) == (["t2"], [0, 0])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     cells=st.lists(
         st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from(["valence", "arousal", "both"])),
@@ -101,23 +104,38 @@ def test_categorize_table_keeps_rated_rows_in_order():
     ),
     data=st.data(),
 )
-def test_categorize_table_codes_match_coding_the_rated_ids(cells, data):
-    # Subjects and tasks rated only on arousal have no valence label.
+def test_categorize_table_codes_match_coding_the_rated_ids(tmp_path, cells, data):
+    # Subjects and tasks rated only on arousal have no valence label.  The
+    # tables labelled: one built from records; the same records written and
+    # loaded through the byte scan and (fully quoted) through csv.reader,
+    # their ids as the csv module reads them; a sample_response_table, its
+    # ids as the per-task loop draws them.
     rows = []
     for s, t, dims in cells:
         scores = {d: data.draw(st.sampled_from([1.0, 5.0, 9.0])) for d in ("valence", "arousal") if dims in (d, "both")}
         rows.append((f"s{s}", f"t{t}", scores))
     table = table_from_rows(rows)
-    cat = categorize_table(table, "valence")
-    rated = table.rated("valence")
-    sids, tids = list(compress(table.subject_ids, rated)), list(compress(table.task_ids, rated))
-    assert (cat.subject_ids, cat.task_ids) == (sids, tids)
-    for index, code, ids in ((cat.subject_index, cat.subject_code, sids), (cat.task_index, cat.task_code, tids)):
-        expected_index, expected_code = _codes(ids)
-        assert index == expected_index
-        assert code.dtype == expected_code.dtype and code.tolist() == expected_code.tolist()
-    if len(cat):
-        ours, recoded = dawid_skene_fit(cat), dawid_skene_fit(CategoricalTable(sids, tids, cat.categories))
+    sources = [(table, [r[0] for r in rows], [r[1] for r in rows])]
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path / f"ratings-{quoting}.csv"
+        write_responses(table, path)
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, quoting=quoting).writerows(records)
+        sources.append((load_responses(path), [r[0] for r in records[1:]], [r[1] for r in records[1:]]))
+    args = dict(m=6, n=8, raters_per_task=(2, 4), seed=data.draw(st.integers(0, 99)), dimensions=("valence",))
+    sampled = oracle_sample_response_table(**args)[0].rows
+    sources.append((sample_response_table(**args)[0], [r.subject_id for r in sampled], [r.task_id for r in sampled]))
+    for source, sids, tids in sources:
+        cat = categorize_table(source, "valence")
+        rated = source.rated("valence").tolist()
+        sids, tids = list(compress(sids, rated)), list(compress(tids, rated))
+        assert_codes_ids(cat, sids, tids)
+        if source is not table or not len(cat):
+            continue
+        recoded = CategoricalTable(*_codes(sids), *_codes(tids), cat.categories)
+        ours, recoded = dawid_skene_fit(cat), dawid_skene_fit(recoded)
         assert ours.class_prior.tobytes() == recoded.class_prior.tobytes()
         assert ours.loglik_trace == recoded.loglik_trace
         for field in ("confusion", "task_posterior"):
@@ -128,12 +146,12 @@ def test_categorize_table_codes_match_coding_the_rated_ids(cells, data):
 @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0, 1.5]])
 def test_categorical_table_rejects_unknown_codes(codes):
     with pytest.raises(ValueError, match="outside 0..2"):
-        CategoricalTable(["a", "b"], ["t1", "t1"], codes)
+        CategoricalTable(*_codes(["a", "b"]), *_codes(["t1", "t1"]), codes)
 
 
 def test_categorical_table_rejects_ragged_columns():
     with pytest.raises(ValueError, match="differ in length"):
-        CategoricalTable(["a", "b"], ["t1"], [0, 1])
+        CategoricalTable(*_codes(["a", "b"]), *_codes(["t1", "t1"]), [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +162,7 @@ def test_categorical_table_rejects_ragged_columns():
 def cat_table(entries):
     """CategoricalTable from (subject, task, category name) entries."""
     sids, tids, cats = zip(*entries) if entries else ((), (), ())
-    return CategoricalTable(list(sids), list(tids), [CATEGORIES.index(c) for c in cats])
+    return CategoricalTable(*_codes(list(sids)), *_codes(list(tids)), [CATEGORIES.index(c) for c in cats])
 
 
 def test_ds_single_vote_concentrates():

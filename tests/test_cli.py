@@ -201,6 +201,16 @@ def test_rank_fit_report_missing_header_exits_2(tmp_path, capsys):
     assert "missing header line(s): # s0" in capsys.readouterr().err
 
 
+def test_rank_two_fits_at_one_gamma_exits_2(tmp_path, capsys):
+    # Fits of two graphs (say, at two deltas) at one gamma.
+    fits = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    for path, tau in zip(fits, (0.9, 0.8)):
+        path.write_text(GOOD_FIT + f"s000\t{tau}\t2.0\t1.0\n")
+    assert run(["rank", *fits, "--out", tmp_path / "out"]) == 2
+    assert "error: two fits at gamma 0.37; rank needs one fit per gamma" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "subjects.tsv").exists()
+
+
 def test_images_and_overhead_commands(ratings_csv, tmp_path):
     out = tmp_path / "out"
     run(["build-graph", ratings_csv, "--out", out])

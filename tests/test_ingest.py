@@ -9,13 +9,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from glba.baselines import categorize_table, dawid_skene_fit, duration_rank
+from glba.baselines import CategoricalTable, categorize_table, dawid_skene_fit, duration_rank
 from glba.ingest import (
     DIMENSION_SCALES,
     MISSING,
     AgreementMultigraph,
     ResponseTable,
     TaskGraph,
+    _codes,
     _csv_fields,
     _read_fields,
     _scan_fields,
@@ -69,7 +70,7 @@ def test_load_well_formed(tmp_path):
     )
     table = load_responses(path)
     assert len(table.rows) == 3
-    assert table.subjects() == ["a", "b"]
+    assert table.subject_index == ["a", "b"]
     assert table.rows[0].scores["valence"] == 5.0
     assert table.rows[0].view_seconds == 2.5
     assert table.rows[2].view_seconds is None
@@ -806,8 +807,8 @@ def test_table_columns_and_record_view():
     table = table_from_rows(
         [("b", "t1", {"valence": 5, "likeness": 2.5}, 1.5), ("a", "t2", {"arousal": 3.0}, None, 0.0)]
     )
-    assert table.subject_ids == ["b", "a"] and table.task_ids == ["t1", "t2"]
     assert table.subject_index == ["a", "b"] and table.subject_code.tolist() == [1, 0]
+    assert table.task_index == ["t1", "t2"] and table.task_code.tolist() == [0, 1]
     assert np.array_equal(table.ratings("valence"), [5.0, np.nan], equal_nan=True)
     assert np.isnan(table.ratings("dominance")).all()
     assert np.array_equal(table.view_seconds, [1.5, np.nan], equal_nan=True)
@@ -826,7 +827,50 @@ def test_table_from_rows_rejects_nan(row):
 
 def test_table_rejects_ragged_columns():
     with pytest.raises(ValueError, match="differ in length"):
-        ResponseTable(["a"], ["t1"], {"valence": [5.0, 6.0]}, [1.0], [1.0])
+        ResponseTable(*_codes(["a"]), *_codes(["t1"]), {"valence": [5.0, 6.0]}, [1.0], [1.0])
+
+
+def test_table_rejects_an_unknown_dimension():
+    # Its column would be kept but never read or written.
+    with pytest.raises(ValueError, match="unknown dimension 'valance'"):
+        ResponseTable(*_codes(["a", "b"]), *_codes(["t", "t"]), {"valance": [3.0, 4.0]}, [MISSING] * 2, [MISSING] * 2)
+
+
+def coded_table(kind, coded, rows):
+    """A ResponseTable or CategoricalTable of the coded ids `coded` (subject
+    index and codes, task index and codes) with data columns of `rows`."""
+    if kind == "response":
+        return ResponseTable(*coded, {"valence": [5.0] * rows}, [MISSING] * rows, [MISSING] * rows)
+    return CategoricalTable(*coded, [1] * rows)
+
+
+# Coded ids of two rows that both tables reject, and the fault named: an
+# unsorted index, a repeated id, an unused id, a negative code, a code past
+# the index, a code column of the wrong length, codes that are not integers.
+BAD_CODES = [
+    ((["b", "a"], [0, 1], ["t"], [0, 0]), "subject index is not sorted: 'b' before 'a'"),
+    ((["a", "b"], [0, 1], ["t", "t"], [0, 1]), "task index repeats 't'"),
+    ((["a", "b", "c"], [0, 1], ["t"], [0, 0]), "subject id 'c' is used by no row"),
+    ((["a", "b"], [0, -1], ["t"], [0, 0]), "subject code -1 outside 0..1"),
+    ((["a", "b"], [0, 1], ["t"], [0, 1]), "task code 1 outside 0..0"),
+    ((["a", "b"], [0, 1], ["t"], [0]), "columns differ in length"),
+    ((["a", "b"], [0, 1], ["t"], [0, 0, 0]), "columns differ in length"),
+    ((["a", "b"], [0.0, 1.0], ["t"], [0, 0]), "subject codes are not integers"),
+]
+
+
+@pytest.mark.parametrize("kind", ["response", "categorical"])
+@pytest.mark.parametrize("coded, message", BAD_CODES)
+def test_tables_reject_bad_codes(kind, coded, message):
+    with pytest.raises(ValueError, match=f"^{kind} table.*{re.escape(message)}$"):
+        coded_table(kind, coded, 2)
+    coded_table(kind, (["a", "b"], [0, 1], ["t"], [0, 0]), 2)  # the same table, coded right
+
+
+@pytest.mark.parametrize("kind", ["response", "categorical"])
+def test_tables_reject_ragged_data_columns(kind):
+    with pytest.raises(ValueError, match="differ in length"):
+        coded_table(kind, (["a", "b"], [0, 1], ["t"], [0, 0]), 3)
 
 
 TIMINGS = st.one_of(
@@ -872,7 +916,7 @@ def test_readers_match_record_loop_oracles(tmp_path, table, dimension, threshold
     assert repr(duration_rank(table)) == repr(oracle_duration_rank(table))
     got = categorize_table(table, dimension, threshold=threshold)
     want = oracle_categorize_table(table, dimension, threshold=threshold)
-    assert (got.subject_ids, got.task_ids) == (want.subject_ids, want.task_ids)
+    assert table_codes(got) == table_codes(want)
     assert np.array_equal(got.categories, want.categories) and got.categories.dtype == want.categories.dtype
     outcomes = []
     with np.printoptions(floatmode="unique"):  # every array element in full
@@ -921,6 +965,7 @@ def test_task_layout_of_codes_wider_than_16_bits():
     sids = [f"s{r}" for r in raters.tolist()] + [f"s{r}" for r in ((raters[:500] + 1) % 3).tolist()]
     tids = tasks + tasks[:500]
     ratings = rng.integers(1, 10, size=len(sids)).astype(float)
-    table = ResponseTable(sids, tids, {"valence": ratings}, [MISSING] * len(sids), [MISSING] * len(sids))
+    missing = [MISSING] * len(sids)
+    table = ResponseTable(*_codes(sids), *_codes(tids), {"valence": ratings}, missing, missing)
     for min_raters in (1, 2):
         assert_same_layout(_task_layout(table, "valence", min_raters), oracle_task_layout(table, "valence", min_raters))

@@ -105,6 +105,15 @@ def test_rank_mismatched_subject_sets():
         rank_subjects([fake_fit(["a"], [0.5], 0.3), fake_fit(["b"], [0.5], 0.4)])
 
 
+def test_rank_rejects_two_fits_at_one_gamma():
+    # Their tau would be averaged, but only one would fill the tau[0.37]
+    # column, and alpha and beta would come from the first.
+    fits = [fake_fit(["a"], [0.4], 0.3), fake_fit(["a"], [0.5], 0.37), fake_fit(["a"], [0.6], 0.37)]
+    for order in (fits, fits[::-1]):
+        with pytest.raises(ValueError, match=r"^two fits at gamma 0\.37; rank needs one fit per gamma$"):
+            rank_subjects(order)
+
+
 def test_rank_beta_variance_value():
     # uniform Beta(1, 1) has variance 1/12
     f = fake_fit(["a"], [0.5], 0.37, alpha=[1.0], beta=[1.0])
@@ -405,7 +414,7 @@ def overhead_table(rng, n_subjects=6, n_tasks=10):
 def test_overhead_zero_threshold_removes_nothing():
     rng = np.random.default_rng(31)
     table = overhead_table(rng)
-    reports = [_subject_report(s, 0.5) for s in table.subjects()]
+    reports = [_subject_report(s, 0.5) for s in table.subject_index]
     curve = overhead_curve(table, "valence", reports, "subject-filter", [0.0])
     assert curve == [(0.0, 0)]
 
@@ -413,7 +422,7 @@ def test_overhead_zero_threshold_removes_nothing():
 def test_overhead_above_one_removes_everything():
     rng = np.random.default_rng(32)
     table = overhead_table(rng)
-    reports = [_subject_report(s, 0.5) for s in table.subjects()]
+    reports = [_subject_report(s, 0.5) for s in table.subject_index]
     curve = overhead_curve(table, "valence", reports, "subject-filter", [1.0 + 1e-9])
     assert curve[0][1] == len(rated_rows(table, "valence"))
 
@@ -421,8 +430,8 @@ def test_overhead_above_one_removes_everything():
 def test_overhead_matches_brute_force_and_is_monotone():
     rng = np.random.default_rng(33)
     table = overhead_table(rng)
-    taus = {s: float(rng.uniform(0, 1)) for s in table.subjects()}
-    reports = [_subject_report(s, taus[s]) for s in table.subjects()]
+    taus = {s: float(rng.uniform(0, 1)) for s in table.subject_index}
+    reports = [_subject_report(s, taus[s]) for s in table.subject_index]
     thresholds = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     curve = overhead_curve(table, "valence", reports, "subject-filter", thresholds)
     removed = [c for _, c in curve]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from glba import simulate
-from glba.ingest import DIMENSION_SCALES, ResponseTable, load_responses
+from glba.ingest import DIMENSION_SCALES, ResponseTable, _codes, load_responses
 from glba.model import ModelParams
 from glba.simulate import (
     GenerativeSpec,
@@ -17,6 +19,7 @@ from glba.simulate import (
 )
 from glba.textio import write_responses
 from helpers import (
+    assert_codes_ids,
     oracle_inject_spammers,
     oracle_pair_indicators,
     oracle_sample_multigraph,
@@ -26,9 +29,8 @@ from helpers import (
 
 
 def assert_same_tables(got, want):
-    """Equal ids, codes and columns, compared exactly (NaN equal to NaN)."""
-    assert got.subject_ids == want.subject_ids
-    assert got.task_ids == want.task_ids
+    """Equal ids (as indexes and codes) and columns, compared exactly (NaN
+    equal to NaN)."""
     assert (got.subject_index, got.task_index) == (want.subject_index, want.task_index)
     for a, b in ((got.subject_code, want.subject_code), (got.task_code, want.task_code)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -245,23 +247,35 @@ def test_inject_matches_the_scalar_loop(spammers, tasks, seed):
 
 @pytest.mark.parametrize("prefixes", [("s",), ("a", "spammer_0x", "t", "z"), ("spammer_01x", "spammer_")])
 def test_inject_codes_match_recoding_the_ids(tmp_path, prefixes):
-    # The injected table carries the source table's codes over; coding its
-    # id lists afresh must give the same codes, wherever the spammer ids
-    # sort among the subject ids, and for a table loaded from a CSV.
-    sampled = base_table(n_tasks=200, seed=3)
-    renamed = [f"{prefixes[i % len(prefixes)]}{i}" for i in range(len(sampled.subject_index))]
-    sids = [renamed[c] for c in sampled.subject_code.tolist()]
-    table = ResponseTable(
-        sids, sampled.task_ids, sampled.scores, sampled.view_seconds, sampled.label_seconds
-    )
-    write_responses(table, tmp_path / "ratings.csv")
+    # Each builder hands the table codes it holds; they must be `_codes` of
+    # the table's per-row ids.  The sources: a sample_response_table (its
+    # ids as the per-task loop draws them), one with its subjects renamed,
+    # and that one written and loaded through the byte scan and (fully
+    # quoted) through csv.reader (its ids as the csv module reads them).
+    # Each source's injected table adds the spammer rows of the scalar loop,
+    # wherever the spammer ids sort among the subject ids.
+    args = dict(m=20, n=200, raters_per_task=4, seed=3)
+    sampled = sample_response_table(**args)[0]
+    drawn = oracle_sample_response_table(**args)[0].rows
+    sids, tids = [r.subject_id for r in drawn], [r.task_id for r in drawn]
+    renamed = {s: f"{prefixes[i % len(prefixes)]}{i}" for i, s in enumerate(sampled.subject_index)}
+    named = [renamed[s] for s in sids]
+    table = ResponseTable(*_codes(named), *_codes(tids), sampled.scores, sampled.view_seconds, sampled.label_seconds)
+    sources = [(sampled, sids, tids), (table, named, tids)]
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path / f"ratings-{quoting}.csv"
+        write_responses(table, path)
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, quoting=quoting).writerows(records)
+        sources.append((load_responses(path), [r[0] for r in records[1:]], [r[1] for r in records[1:]]))
     spec = InjectionSpec(spammer_count=12, tasks_per_spammer=5, seed=4)
-    for source in (table, load_responses(tmp_path / "ratings.csv")):
+    for source, sids, tids in sources:
+        assert_codes_ids(source, sids, tids)
         got, _ = inject_spammers(source, "valence", spec)
-        recoded = ResponseTable(
-            got.subject_ids, got.task_ids, got.scores, got.view_seconds, got.label_seconds
-        )
-        assert_same_tables(got, recoded)
+        spam = oracle_inject_spammers(source, "valence", spec)[0].rows[len(source) :]
+        assert_codes_ids(got, sids + [r.subject_id for r in spam], tids + [r.task_id for r in spam])
 
 
 # ---------------------------------------------------------------------------
