@@ -1,8 +1,10 @@
 """Command-line front end: file-mediated pipelines over the library.
 
-Every command is a pure function of its inputs, flags, and seed; rerunning
-with the same inputs produces byte-identical artifacts, and each run drops
-a manifest recording settings, input digests, and versions.
+Every command is a pure function of its input files and flags (`simulate`
+and `inject` draw their random numbers from `--seed`); rerunning with the
+same inputs produces byte-identical artifacts, and each run drops a
+manifest, written from the command's table entry, recording its flags,
+input digests and versions.
 """
 
 import argparse
@@ -22,6 +24,7 @@ EXIT_INVALID = 2
 
 # Optional flags, each given only to the commands that read it.
 _FLAGS = {
+    "--seed": dict(type=int, default=0),
     "--dimension": dict(choices=list(ingest.DIMENSIONS), default="valence"),
     "--delta": dict(type=float, default=ingest.DEFAULT_DELTA),
     "--min-raters": dict(type=int, default=ingest.DEFAULT_MIN_RATERS),
@@ -52,18 +55,26 @@ def _fit_config(args):
     return model.FitConfig(**overrides)
 
 
-def _settings(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _manifest(args, command, inputs, extra=None, versions=None):
-    settings = _settings(
-        args, ("dimension", "delta", "gamma", "gamma_grid", "min_raters", "config")
-    )
-    if extra:
-        settings.update(extra)
-    path = os.path.join(args.out, f"manifest_{command.replace('-', '_')}.txt")
-    textio.write_manifest(path, command, settings, args.seed, inputs, versions)
+def _manifest(args):
+    """Write manifest_<command>.txt into --out from the command's table
+    entry: its positional arguments and --config as file inputs, every
+    other flag it takes (but --out) that is set, and the versions of the
+    libraries the entry names."""
+    command = _COMMANDS[args.command]
+    settings, inputs = {}, []
+    names = list(command.flags)
+    for key in command.args:
+        names += [key] if isinstance(key, str) else key
+    for name in names:
+        dest = name.lstrip("-").replace("-", "_")
+        value = getattr(args, dest)
+        if name[0] != "-" or name == "--config":
+            inputs += [value] if isinstance(value, str) else value or []
+        elif value is not None:
+            settings[dest] = value
+    path = os.path.join(args.out, f"manifest_{args.command.replace('-', '_')}.txt")
+    versions = {lib: __import__(lib).__version__ for lib in command.libraries}
+    textio.write_manifest(path, args.command, settings, inputs, versions)
 
 
 def _gamma_tag(g):
@@ -90,14 +101,12 @@ def cmd_build_graph(args):
     out = _outdir(args)
     path = os.path.join(out, "graph.tsv")
     textio.write_multigraph(graph, path)
-    _manifest(args, "build-graph", [args.responses])
     sizes = graph.offsets[1:] - graph.offsets[:-1]
     edges = int(sizes @ (sizes - 1))
     dropped = np.unique(table.task_code[table.rated(args.dimension)]).size - graph.n
     print(f"{graph.n} tasks, {graph.m} subjects, {edges} edges")
     print(f"dropped {dropped} tasks with fewer than {args.min_raters} raters")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def cmd_fit(args):
@@ -117,15 +126,7 @@ def cmd_fit(args):
             f"gamma={_gamma_tag(report.params.gamma)}: {report.iterations} iterations, "
             f"{status}, tau0={report.priors.tau0:.4f}, s0={report.priors.s0:.4f}"
         )
-    # Only fit runs scipy code, so only its manifest records scipy's version.
-    import scipy
-
-    _manifest(
-        args, "fit", [args.graph], extra={"gamma_values": len(reports)},
-        versions={"scipy": scipy.__version__},
-    )
     print(f"wrote {len(reports)} fit report(s) to {out}")
-    return EXIT_OK
 
 
 def cmd_rank(args):
@@ -134,9 +135,7 @@ def cmd_rank(args):
     out = _outdir(args)
     path = os.path.join(out, "subjects.tsv")
     textio.write_subject_reports(reports, path)
-    _manifest(args, "rank", list(args.fits))
     print(f"ranked {len(reports)} subjects; wrote {path}")
-    return EXIT_OK
 
 
 def cmd_images(args):
@@ -152,9 +151,7 @@ def cmd_images(args):
     out = _outdir(args)
     path = os.path.join(out, f"images_{args.direction}.tsv")
     textio.write_image_reports(scores, path)
-    _manifest(args, "images", [args.responses, args.fit], extra={"direction": args.direction})
     print(f"scored {len(scores)} tasks; wrote {path}")
-    return EXIT_OK
 
 
 def cmd_overhead(args):
@@ -168,9 +165,7 @@ def cmd_overhead(args):
     out = _outdir(args)
     path = os.path.join(out, f"overhead_{args.mode}.tsv")
     textio.write_overhead_curve(curve, args.mode, path)
-    _manifest(args, "overhead", [args.responses, args.report], extra={"mode": args.mode})
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def cmd_pr(args):
@@ -181,17 +176,17 @@ def cmd_pr(args):
     out = _outdir(args)
     path = os.path.join(out, "pr.tsv")
     textio.write_pr_result(result, path)
-    _manifest(args, "pr", [args.ranking, args.annotated])
     for k in sorted(result.top_k):
         print(f"top-{k} precision: {result.top_k[k]:.4f}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def cmd_baseline_ds(args):
     for flag, value in (("--threshold", args.threshold), ("--ds-tol", args.ds_tol)):
         if not math.isfinite(value) or value < 0:
             raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
+    if args.ds_max_iter < 1:
+        raise ValueError(f"--ds-max-iter must be at least 1, got {args.ds_max_iter}")
     table = ingest.load_responses(args.responses)
     cat = baselines.categorize_table(table, args.dimension, threshold=args.threshold)
     ds = baselines.dawid_skene_fit(cat, max_iter=args.ds_max_iter, tol=args.ds_tol)
@@ -199,11 +194,8 @@ def cmd_baseline_ds(args):
     out = _outdir(args)
     path = os.path.join(out, "baseline_ds.tsv")
     textio.write_baseline_ranking(ranked, "dawid-skene", path)
-    settings = {"threshold": args.threshold, "ds_max_iter": args.ds_max_iter, "ds_tol": args.ds_tol}
-    _manifest(args, "baseline-ds", [args.responses], extra=settings)
     status = "converged" if ds.converged else "NOT converged"
     print(f"ranked {len(ranked)} subjects in {ds.iterations} EM iterations, {status}; wrote {path}")
-    return EXIT_OK
 
 
 def cmd_baseline_time(args):
@@ -214,9 +206,7 @@ def cmd_baseline_time(args):
     textio.write_baseline_ranking(ranked, "duration", path)
     excl_path = os.path.join(out, "baseline_time_excluded.txt")
     textio.write_id_list(excluded, excl_path)
-    _manifest(args, "baseline-time", [args.responses])
     print(f"ranked {len(ranked)} subjects ({len(excluded)} without timing); wrote {path}")
-    return EXIT_OK
 
 
 def cmd_simulate(args):
@@ -257,19 +247,7 @@ def cmd_simulate(args):
         ratings_path = os.path.join(out, "ratings.csv")
         textio.write_responses(table, ratings_path)
         written.append(ratings_path)
-    _manifest(
-        args,
-        "simulate",
-        [],
-        extra={
-            "subjects": args.subjects,
-            "tasks": args.tasks,
-            "raters": args.raters,
-            "spammers": args.spammers,
-        },
-    )
     print(f"sampled {graph.n} tasks over {graph.m} subjects; wrote {', '.join(written)}")
-    return EXIT_OK
 
 
 def cmd_inject(args):
@@ -285,14 +263,7 @@ def cmd_inject(args):
     ids_path = os.path.join(out, "injected_ids.txt")
     textio.write_responses(new_table, csv_path)
     textio.write_id_list(injected, ids_path)
-    _manifest(
-        args,
-        "inject",
-        [args.responses],
-        extra={"spammers": args.spammers, "tasks_per_spammer": args.tasks_per_spammer},
-    )
     print(f"injected {len(injected)} spammers x {args.tasks_per_spammer} tasks; wrote {csv_path}")
-    return EXIT_OK
 
 
 def _parse_thresholds(raw):
@@ -331,12 +302,14 @@ def _parse_raters(raw):
     return bounds if len(bounds) == 2 else bounds[0]
 
 
-_Command = namedtuple("Command", "func help flags args")
+_Command = namedtuple("Command", "func help flags args libraries", defaults=((),))
 
-# The commands in `glba -h` order: handler, help, the _FLAGS it takes and
-# its own arguments, each name mapped to add_argument's keywords (a tuple of
-# names, to a tuple of keywords, is a mutually exclusive group).  Every
-# command also takes --seed (every manifest records it) and --out.
+# The commands in `glba -h` order: handler, help, the _FLAGS it takes, its
+# own arguments, each name mapped to add_argument's keywords (a tuple of
+# names, to a tuple of keywords, is a mutually exclusive group), and the
+# libraries besides glba and numpy whose versions its manifest records.
+# Every command also takes --out.  A handler raises on bad input; after it
+# returns, main writes the manifest from the entry alone.
 _COMMANDS = {
     "build-graph": _Command(
         cmd_build_graph, "CSV ratings -> agreement multigraph", ("--dimension", "--delta", "--min-raters"),
@@ -348,7 +321,7 @@ _COMMANDS = {
             _FLAGS["--gamma"], dict(help="lo:hi:count grid (default 0.3:0.48:10)"),
         ),
         "--config": dict(help="fit configuration file (key = value lines)"),
-    }),
+    }, ("scipy",)),
     "rank": _Command(cmd_rank, "rank subjects from one or more fits", (), {
         "fits": dict(nargs="+", help="fit report files (one per gamma)"),
     }),
@@ -375,7 +348,7 @@ _COMMANDS = {
         "--ds-tol": dict(type=float, default=1e-6),
     }),
     "baseline-time": _Command(cmd_baseline_time, "mean-duration baseline", (), {"responses": {}}),
-    "simulate": _Command(cmd_simulate, "sample a synthetic multigraph", ("--dimension", "--gamma"), {
+    "simulate": _Command(cmd_simulate, "sample a synthetic multigraph", ("--seed", "--dimension", "--gamma"), {
         "--subjects": dict(type=int, default=200),
         "--tasks": dict(type=int, default=2000),
         "--raters": dict(default="5", help="raters per task: int or lo:hi"),
@@ -385,7 +358,7 @@ _COMMANDS = {
         "--strength": dict(type=float, default=5.0),
         "--ratings": dict(action="store_true", help="also emit a synthetic ratings CSV"),
     }),
-    "inject": _Command(cmd_inject, "inject population-mimicking spammers", ("--dimension",), {
+    "inject": _Command(cmd_inject, "inject population-mimicking spammers", ("--seed", "--dimension"), {
         "responses": {},
         "--spammers": dict(type=int, default=10),
         "--tasks-per-spammer": dict(type=int, default=50),
@@ -415,7 +388,6 @@ class _CommandParser(argparse.ArgumentParser):
             "-h", "--help", action="help", default=argparse.SUPPRESS,
             help="show this help message and exit",
         )
-        self.add_argument("--seed", type=int, default=0)
         for flag in command.flags:
             self.add_argument(flag, **_FLAGS[flag])
         self.add_argument("--out", default="out", help="output directory")
@@ -444,13 +416,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command].func(args)
+        _COMMANDS[args.command].func(args)
+        _manifest(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

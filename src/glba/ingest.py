@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
-from operator import ge, gt, itemgetter
+from operator import ge, gt, itemgetter, ne
 
 import numpy as np
 
@@ -140,9 +140,10 @@ class ResponseTable:
 def _check_ids(table, what, columns):
     """Check the coded ids of `table` (a ResponseTable or CategoricalTable),
     keeping each index as a list and each code column as intp: each index
-    sorted and distinct, each of its ids used, and one integer code in range
-    per row of the data `columns`.  Raises ValueError naming the table
-    (`what`) and the first fault."""
+    sorted and distinct, each of its ids one the ratings loader reads back
+    as it is (see `_id_status`; no surrounding whitespace) and used, and one
+    integer code in range per row of the data `columns`.  Raises ValueError
+    naming the table (`what`) and the first fault."""
     n = len(table.subject_code)
     if any(len(col) != n for col in [table.task_code, *columns]):
         raise ValueError(f"{what} columns differ in length")
@@ -152,6 +153,11 @@ def _check_ids(table, what, columns):
         for a, b in compress(zip(index, index[1:]), map(ge, index, index[1:])):
             fault = f"repeats {a!r}" if a == b else f"is not sorted: {a!r} before {b!r}"
             raise ValueError(f"{what}: {name} index {fault}")
+        status = _id_status(index)
+        for i in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
+            raise ValueError(f"{what}: {_ID_PROBLEMS[status[i]]}: {index[i]!r}")
+        for bad in compress(index, map(ne, index, map(str.strip, index))):
+            raise ValueError(f"{what}: {name} id {bad!r} has surrounding whitespace")
         if n and code.dtype.kind not in "iu":
             raise ValueError(f"{what}: {name} codes are not integers")
         code = code.astype(np.intp, copy=False)
@@ -208,12 +214,6 @@ def _recoded(index, code):
     return list(map(index.__getitem__, used.tolist())), code
 
 
-def _commented(ids):
-    """The range of the sorted `ids` that begin with '#', the mark of a
-    comment line in every text format (so such an id would not read back)."""
-    return bisect_left(ids, "#"), bisect_left(ids, "$")
-
-
 def _size_blocks(offsets):
     """Per rater count r, ascending, over the tasks of a task-major layout
     (task k at slots offsets[k]:offsets[k+1]): the positions of the tasks
@@ -255,7 +255,8 @@ class AgreementMultigraph:
     the groups' float forms on first use.  Raises ValueError naming the
     task on an indicator other than 0 or 1 (the first such task in the
     order given), an empty or duplicate task id, an empty or repeated
-    subject id, and a task or subject id that begins with '#'.
+    subject id, and a task or subject id that holds a tab, comma, CR or LF
+    or begins with '#'.
 
     ``tasks`` gives the graph back as TaskGraph records; the library itself
     reads only the packed fields.
@@ -305,14 +306,16 @@ class AgreementMultigraph:
             edges = np.zeros((len(members), r, r), dtype=np.uint8)
             edges[:, _offdiag(r)] = flags[starts[members, None] + np.arange(r * (r - 1))]
             self.groups.append(SizeGroup(members, edges, sidx, dest))
-        lo, hi = _commented(ids)
-        if lo < hi:
-            raise ValueError(f"task {ids[lo]!r} begins with '#', which marks a comment line")
-        lo, hi = _commented(self.subjects)
-        if lo < hi:
-            slot = np.flatnonzero((self.flat_sidx >= lo) & (self.flat_sidx < hi))[0]
+        # Ids the text formats would not read back, by their _id_status
+        # (empty ones are rejected above).
+        faults = (None, "holds a tab, comma, CR or LF", "begins with '#'")
+        status = _id_status(ids)
+        for k in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
+            raise ValueError(f"task {ids[k]!r} {faults[status[k]]}")
+        status = _id_status(self.subjects)[self.flat_sidx]  # per slot
+        for slot in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
             k = int(np.searchsorted(self.offsets, slot, side="right")) - 1
-            raise ValueError(f"task {ids[k]!r} has a subject id that begins with '#'")
+            raise ValueError(f"task {ids[k]!r} has a subject id that {faults[status[slot]]}")
 
     @functools.cached_property
     def tasks(self):
@@ -430,8 +433,6 @@ def load_responses(path, schema=None):
     names = list(DIMENSIONS) + ["view_seconds", "label_seconds"]
     raws = [field(name) for name in names]
     parsed = [[a[inverse] for a in _parse_floats(distinct)] for distinct, inverse in raws]
-    *ratings, view, label = (values for _, values, _ in parsed)
-    table = ResponseTable(sindex, scode, tindex, tcode, dict(zip(DIMENSIONS, ratings)), view, label)
 
     problems = []  # (record, column order, message); one per record and column
     status = np.minimum(_id_status(sindex)[scode], _id_status(tindex)[tcode])
@@ -467,15 +468,15 @@ def load_responses(path, schema=None):
         shown = "; ".join(p[2] for p in problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{path}: {shown}{more}")
-    return table
+    *ratings, view, label = (values for _, values, _ in parsed)
+    return ResponseTable(sindex, scode, tindex, tcode, dict(zip(DIMENSIONS, ratings)), view, label)
 
 
 def _id_status(ids):
     """Per id of the sorted distinct `ids`, the position in _ID_PROBLEMS of
     the first problem it has, or len(_ID_PROBLEMS) for none."""
     status = np.full(len(ids), len(_ID_PROBLEMS), dtype=np.int8)
-    lo, hi = _commented(ids)
-    status[lo:hi] = 2
+    status[bisect_left(ids, "#") : bisect_left(ids, "$")] = 2  # the ids that begin with '#'
     joined = "".join(ids)
     if any(c in joined for c in _RESERVED):
         status[np.fromiter((any(c in i for c in _RESERVED) for i in ids), bool, len(ids))] = 1

@@ -24,7 +24,7 @@ from operator import attrgetter, methodcaller
 import numpy as np
 
 from .ingest import DIMENSIONS, AgreementMultigraph, _ids_at, _offdiag, _read_text
-from .model import EPS_POS, FitReport, ModelParams, Priors, gamma_grid
+from .model import EPS_POS, FitConfig, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageScores, SubjectReport
 
 
@@ -452,15 +452,15 @@ _CONFIG_PARSERS = {
     "eb_max_rounds": int,
 }
 # Keys older config files carry: parsed and checked, then dropped (a fit
-# draws no random numbers and runs on one thread).
-_IGNORED_CONFIG_KEYS = {"seed": int, "workers": _parse_count}
+# runs on one thread).
+_IGNORED_CONFIG_KEYS = {"workers": _parse_count}
 
 
 def read_config_file(path):
     """Parse 'key = value' lines into FitConfig keyword overrides.
 
     Rejects, naming the path and the line, a line without '=', an unknown
-    key and a value that does not parse.
+    key, a value that does not parse and one that FitConfig rejects.
     """
     overrides = {}
     for lineno, ln in enumerate(_read_lines(path), start=1):
@@ -477,10 +477,11 @@ def read_config_file(path):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             value = parser(raw)
+            if key in _CONFIG_PARSERS:
+                FitConfig(**{key: value})
+                overrides[key] = value
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: invalid value for {key}: {exc}") from None
-        if key in _CONFIG_PARSERS:
-            overrides[key] = value
     return overrides
 
 
@@ -492,13 +493,13 @@ def file_digest(path):
     return h.hexdigest()
 
 
-def write_manifest(path, command, settings, seed, input_paths, versions=None):
-    """Record what produced a run: command, settings, seed, input digests,
-    and library versions: glba's, numpy's and those in `versions` (name to
-    version string; the command names the libraries it ran).  Deliberately
-    timestamp- and path-free (inputs are identified by name and content
-    digest), so identical runs produce identical manifests wherever they
-    run."""
+def write_manifest(path, command, settings, input_paths, versions=None):
+    """Record what produced a run: the command, its settings (name to value,
+    written in name order), input digests, and library versions: glba's,
+    numpy's and those in `versions` (name to version string; the command
+    names the libraries it ran).  Deliberately timestamp- and path-free
+    (inputs are identified by name and content digest), so identical runs
+    produce identical manifests wherever they run."""
     import os
 
     from . import __version__
@@ -507,7 +508,6 @@ def write_manifest(path, command, settings, seed, input_paths, versions=None):
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
-        fh.write(f"seed = {seed}\n")
         for key in sorted(settings):
             fh.write(f"{key} = {settings[key]}\n")
         for p in input_paths:

@@ -313,7 +313,7 @@ def test_baseline_ds_reports_convergence(ratings_csv, tmp_path, capsys):
 @pytest.mark.parametrize("value", [0, -3])
 def test_baseline_ds_rejects_max_iter_below_one(ratings_csv, tmp_path, capsys, value):
     assert run(["baseline-ds", ratings_csv, "--out", tmp_path / "out", "--ds-max-iter", value]) == 2
-    assert "max_iter must be at least 1" in capsys.readouterr().err
+    assert f"error: --ds-max-iter must be at least 1, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--threshold", "--ds-tol"])
@@ -332,6 +332,53 @@ def test_baseline_ds_manifest_records_em_settings(ratings_csv, tmp_path):
     lines = (out / "manifest_baseline_ds.txt").read_text().splitlines()
     for line in ("threshold = 0.75", "ds_max_iter = 7", "ds_tol = 0.001"):
         assert line in lines
+
+
+def _options(command):
+    """(name, add_argument keywords) of every argument `command` takes but
+    --out and -h."""
+    entry = cli._COMMANDS[command]
+    options = [(flag, cli._FLAGS[flag]) for flag in entry.flags]
+    for names, kwargs in entry.args.items():
+        options += [(names, kwargs)] if isinstance(names, str) else list(zip(names, kwargs))
+    return options
+
+
+def _other_value(kwargs):
+    """A command-line value, other than the default, for an option."""
+    default = kwargs.get("default")
+    if "choices" in kwargs:
+        return next(choice for choice in kwargs["choices"] if choice != default)
+    return default + "1" if isinstance(default, str) else str(1 if default is None else default + 1)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_changes_with_every_flag_and_input(tmp_path, command):
+    # The manifest is written from the parsed arguments alone, so the input
+    # files need not parse.  Positional arguments and --config are inputs.
+    inputs, base = [], []
+    for name, _ in _options(command):
+        if name[0] != "-" or name == "--config":
+            inputs.append(tmp_path / name.lstrip("-"))
+            inputs[-1].write_text("first\n")
+            base += [str(inputs[-1])] if name[0] != "-" else [name, str(inputs[-1])]
+
+    def manifest(argv, out=tmp_path / "out"):
+        cli._manifest(cli.build_parser().parse_args([command, *argv, "--out", str(out)]))
+        return (out / f"manifest_{command.replace('-', '_')}.txt").read_bytes()
+
+    (tmp_path / "out").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    want = manifest(base)
+    assert manifest(base, tmp_path / "elsewhere") == want
+    for name, kwargs in _options(command):
+        if name[0] == "-" and name != "--config":
+            flag = [name] if kwargs.get("action") == "store_true" else [name, _other_value(kwargs)]
+            assert manifest(base + flag) != want, flag
+    for path in inputs:
+        path.write_text("second\n")
+        assert manifest(base) != want, path.name
+        path.write_text("first\n")
 
 
 def test_simulate_and_inject_commands(tmp_path):
@@ -516,20 +563,20 @@ COMMAND_HELP = {
 }
 DIMENSION = "[--dimension {valence,arousal,dominance,likeness}]"
 COMMAND_USAGE = {
-    "build-graph": f"[--seed SEED] {DIMENSION} [--delta DELTA] [--min-raters MIN_RATERS] [--out OUT] responses",
-    "fit": "[--seed SEED] [--out OUT] [--gamma GAMMA | --gamma-grid GAMMA_GRID] [--config CONFIG] graph",
-    "rank": "[--seed SEED] [--out OUT] fits [fits ...]",
-    "images": f"[--seed SEED] {DIMENSION} [--min-raters MIN_RATERS] [--out OUT] [--direction {{high,low}}] responses fit",
+    "build-graph": f"{DIMENSION} [--delta DELTA] [--min-raters MIN_RATERS] [--out OUT] responses",
+    "fit": "[--out OUT] [--gamma GAMMA | --gamma-grid GAMMA_GRID] [--config CONFIG] graph",
+    "rank": "[--out OUT] fits [fits ...]",
+    "images": f"{DIMENSION} [--min-raters MIN_RATERS] [--out OUT] [--direction {{high,low}}] responses fit",
     "overhead": (
-        f"[--seed SEED] {DIMENSION} [--out OUT] [--mode {{subject-filter,image-filter}}] "
+        f"{DIMENSION} [--out OUT] [--mode {{subject-filter,image-filter}}] "
         "[--thresholds THRESHOLDS] responses report"
     ),
-    "pr": "[--seed SEED] [--out OUT] [--top-k TOP_K] ranking annotated",
+    "pr": "[--out OUT] [--top-k TOP_K] ranking annotated",
     "baseline-ds": (
-        f"[--seed SEED] {DIMENSION} [--out OUT] [--threshold THRESHOLD] [--ds-max-iter DS_MAX_ITER] "
+        f"{DIMENSION} [--out OUT] [--threshold THRESHOLD] [--ds-max-iter DS_MAX_ITER] "
         "[--ds-tol DS_TOL] responses"
     ),
-    "baseline-time": "[--seed SEED] [--out OUT] responses",
+    "baseline-time": "[--out OUT] responses",
     "simulate": (
         f"[--seed SEED] {DIMENSION} [--gamma GAMMA] [--out OUT] [--subjects SUBJECTS] [--tasks TASKS] "
         "[--raters RATERS] [--spammers SPAMMERS] [--tau-reliable TAU_RELIABLE] [--agree-mean AGREE_MEAN] "
@@ -595,7 +642,7 @@ def test_dispatch_builds_only_the_dispatched_commands_arguments(monkeypatch, tmp
     # Only rank's parser is constructed (ArgumentParser.__init__ sets _actions).
     constructed = {name: sub for name, sub in subs.choices.items() if hasattr(sub, "_actions")}
     assert {name: [a.dest for a in sub._actions] for name, sub in constructed.items()} == {
-        "rank": ["help", "seed", "out", "fits"]
+        "rank": ["help", "out", "fits"]
     }
 
 
@@ -759,7 +806,7 @@ def test_fit_config_bad_tolerance_exits_2(tmp_path, capsys, line, field):
     cfg.write_text(f"max_iter = 5\n{line}\n")
     out = tmp_path / "out"
     assert run(["fit", graph, "--gamma", 0.37, "--config", cfg, "--out", out]) == 2
-    assert f"error: {field} must be a finite number" in capsys.readouterr().err
+    assert f"error: {cfg}:2: invalid value for {field}: {field} must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -814,6 +861,15 @@ def test_fit_report_matches_library_fit_with_trace(ratings_csv, tmp_path):
         ["simulate", "--gamma-grid", "0.3:0.4:2"],
         ["simulate", "--min-raters", "3"],
         ["inject", "r.csv", "--gamma", "0.4"],
+        # only simulate and inject draw random numbers
+        ["build-graph", "r.csv", "--seed", "1"],
+        ["fit", "graph.tsv", "--seed", "1"],
+        ["rank", "fit.tsv", "--seed", "1"],
+        ["images", "r.csv", "fit.tsv", "--seed", "1"],
+        ["overhead", "r.csv", "subjects.tsv", "--seed", "1"],
+        ["pr", "subjects.tsv", "ids.txt", "--seed", "1"],
+        ["baseline-ds", "r.csv", "--seed", "1"],
+        ["baseline-time", "r.csv", "--seed", "1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )

@@ -733,8 +733,13 @@ def test_graph_names_the_first_bad_indicator_in_the_order_given():
             [make_task("t1", ["a", "b"], {}), make_task("t2", ["#b", "a"], {})],
             r"^task 't2' has a subject id that begins with '#'$",
         ),
+        ([make_task("a\tb", ["a", "b"], {})], r"^task 'a\\tb' holds a tab, comma, CR or LF$"),
+        (
+            [make_task("t1", ["a,b", "c", "d"], {})],
+            r"^task 't1' has a subject id that holds a tab, comma, CR or LF$",
+        ),
     ],
-    ids=["task", "subject"],
+    ids=["task", "subject", "task-reserved", "subject-reserved"],
 )
 def test_graph_rejects_ids_that_begin_with_a_comment_mark(tasks, match):
     with pytest.raises(ValueError, match=match):
@@ -846,7 +851,8 @@ def coded_table(kind, coded, rows):
 
 # Coded ids of two rows that both tables reject, and the fault named: an
 # unsorted index, a repeated id, an unused id, a negative code, a code past
-# the index, a code column of the wrong length, codes that are not integers.
+# the index, a code column of the wrong length, codes that are not integers,
+# and ids the ratings loader would not read back as they are.
 BAD_CODES = [
     ((["b", "a"], [0, 1], ["t"], [0, 0]), "subject index is not sorted: 'b' before 'a'"),
     ((["a", "b"], [0, 1], ["t", "t"], [0, 1]), "task index repeats 't'"),
@@ -856,6 +862,11 @@ BAD_CODES = [
     ((["a", "b"], [0, 1], ["t"], [0]), "columns differ in length"),
     ((["a", "b"], [0, 1], ["t"], [0, 0, 0]), "columns differ in length"),
     ((["a", "b"], [0.0, 1.0], ["t"], [0, 0]), "subject codes are not integers"),
+    ((["", "a"], [0, 1], ["t"], [0, 0]), "empty subject_id or task_id: ''"),
+    ((["a", "b,c"], [0, 1], ["t"], [0, 0]), "subject/task id contains a reserved character: 'b,c'"),
+    ((["a", "b"], [0, 1], ["t\n"], [0, 0]), "subject/task id contains a reserved character: 't\\n'"),
+    ((["#a", "b"], [0, 1], ["t"], [0, 0]), "subject/task id begins with '#', which marks a comment line: '#a'"),
+    ((["a", "b"], [0, 1], [" x"], [0, 0]), "task id ' x' has surrounding whitespace"),
 ]
 
 

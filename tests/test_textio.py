@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glba import textio
-from glba.ingest import load_responses
+from glba.ingest import MISSING, AgreementMultigraph, ResponseTable, _codes, _ids_at, load_responses
 from glba.model import EPS_POS, FitConfig, FitReport, ModelParams, Priors, fit
 from glba.scoring import ImageReport, PRResult, SubjectReport
 from glba.ingest import build_multigraph
@@ -441,6 +441,46 @@ def test_responses_roundtrip(tmp_path):
         assert by_key[(r.subject_id, r.task_id)].scores == r.scores
 
 
+def _coded_rows(table):
+    sids = _ids_at(table.subject_index, table.subject_code)
+    return sorted(zip(sids, _ids_at(table.task_index, table.task_code), table.ratings("valence").tolist()))
+
+
+# Ids holding the characters the text formats reserve, the comment mark and spaces.
+RESERVED_IDS = st.lists(st.text(alphabet="ab\t,\r\n# ", max_size=3), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constructors_accept_only_ids_that_read_back(tmp_path_factory, data):
+    # Whatever table or graph a constructor accepts writes and reads back equal.
+    tmp = tmp_path_factory.mktemp("ids")
+    subjects, tasks = data.draw(RESERVED_IDS, label="subjects"), data.draw(RESERVED_IDS, label="tasks")
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(subjects), st.sampled_from(tasks)), min_size=1, unique=True))
+    sindex, scode = _codes([s for s, _ in pairs])
+    tindex, tcode = _codes([t for _, t in pairs])
+    missing = np.full(len(pairs), MISSING)
+    try:
+        table = ResponseTable(sindex, scode, tindex, tcode, {"valence": 1.0 + scode % 9}, missing, missing)
+    except ValueError:
+        pass
+    else:
+        textio.write_responses(table, tmp / "ratings.csv")
+        back = load_responses(tmp / "ratings.csv")
+        assert (back.subject_index, back.task_index) == (table.subject_index, table.task_index)
+        assert _coded_rows(back) == _coded_rows(table)
+
+    raters = [data.draw(st.lists(st.sampled_from(subjects), min_size=1, unique=True)) for _ in tasks]
+    sizes = np.array([len(r) for r in raters])
+    flags = data.draw(st.lists(st.integers(0, 1), min_size=int(sizes @ (sizes - 1)), max_size=int(sizes @ (sizes - 1))))
+    try:
+        graph = AgreementMultigraph(tasks, sizes, [s for r in raters for s in r], flags)
+    except ValueError:
+        return
+    textio.write_multigraph(graph, tmp / "graph.tsv")
+    assert _read_outcome(textio.read_multigraph, tmp / "graph.tsv") == _read_outcome(lambda _: graph, None)
+
+
 def test_pr_and_overhead_files(tmp_path):
     result = PRResult(ks=[1, 2], precision=[1.0, 0.5], recall=[0.5, 0.5], top_k={2: 0.5})
     pr_path = tmp_path / "pr.tsv"
@@ -694,7 +734,6 @@ def test_config_file_parsing(tmp_path):
         "max_iter = 120\n"
         "eb_tol = 1e-3\n"
         "eb_max_rounds = 4\n"
-        "seed = 7\n"
     )
     overrides = textio.read_config_file(path)
     config = FitConfig(**overrides)
@@ -706,7 +745,7 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "fit.cfg"
-    keys = [("mystery", "1"), ("prior_grad_mode", "gamma-map"), ("psi_includes_self", "false")]
+    keys = [("mystery", "1"), ("prior_grad_mode", "gamma-map"), ("psi_includes_self", "false"), ("seed", "7")]
     for key, value in keys:
         path.write_text(f"tol = 1e-4\n{key} = {value}\n")
         with pytest.raises(ValueError) as exc:
@@ -714,9 +753,9 @@ def test_config_file_rejects_unknown_key(tmp_path):
         assert str(exc.value) == f"{path}:2: unknown config key {key!r}"
 
 
-def test_config_file_accepts_and_drops_seed_and_workers(tmp_path):
+def test_config_file_accepts_and_drops_workers(tmp_path):
     path = tmp_path / "fit.cfg"
-    path.write_text("workers = 1\nseed = 7\ntol = 1e-4\n")
+    path.write_text("workers = 1\ntol = 1e-4\n")
     overrides = textio.read_config_file(path)
     assert overrides == {"tol": 1e-4}
     assert FitConfig(**overrides).tol == 1e-4
@@ -731,7 +770,13 @@ def test_config_file_accepts_and_drops_seed_and_workers(tmp_path):
         "eb_max_rounds = x",
         "gamma = 0.3:0.4",
         "gamma = 0.3:0.4:0",
-        "seed = 7.5",
+        # values that parse but FitConfig rejects
+        "max_iter = 0",
+        "tol = nan",
+        "gamma = 0.7",
+        "gamma = 0.3:0.6:4",
+        "eb_max_rounds = 0",
+        "eb_tol = -1",
         "workers = two",
         "workers = -1",
     ],
@@ -756,7 +801,7 @@ def test_manifest_is_reproducible(tmp_path):
     data.write_text("payload\n")
     m1 = tmp_path / "m1.txt"
     m2 = tmp_path / "m2.txt"
-    textio.write_manifest(m1, "fit", {"delta": 0.2}, 7, [str(data)])
-    textio.write_manifest(m2, "fit", {"delta": 0.2}, 7, [str(data)])
+    textio.write_manifest(m1, "fit", {"delta": 0.2}, [str(data)])
+    textio.write_manifest(m2, "fit", {"delta": 0.2}, [str(data)])
     assert m1.read_bytes() == m2.read_bytes()
     assert "sha256=" in m1.read_text()
