@@ -7,7 +7,7 @@ from itertools import compress
 
 import numpy as np
 
-from .ingest import DIMENSION_SCALES, _check_ids, _recoded
+from .ingest import DIMENSION_SCALES, _check_ids, _recoded, _task_major
 
 CATEGORIES = ("low", "neutral", "high")
 
@@ -51,7 +51,6 @@ class DawidSkeneModel:
     confusion: dict  # subject -> (3, 3) row-stochastic, rows = true class
     task_posterior: dict  # task -> (3,)
     iterations: int = 0
-    loglik_trace: list = None
     converged: bool = False  # the posterior change fell below tol
 
 
@@ -89,9 +88,10 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     per-subject row-stochastic confusion matrices from posterior-weighted
     counts (with additive smoothing), then refreshes the posteriors.
     Stops when the largest posterior change drops below `tol`
-    (`converged`) or after `max_iter` iterations.  `loglik_trace` holds
-    the observed-data log-likelihood plus the smoothing pseudo-count
-    prior, the quantity the smoothed EM ascends monotonically.
+    (`converged`) or after `max_iter` iterations.  No per-iteration
+    log-likelihood is kept; the tests check that the penalized
+    log-likelihood of `dawid_skene_fit(table, max_iter=i)` never falls
+    as i grows.
 
     Rows are sorted by (task, subject) with a stable sort, so every sum
     and product runs in the order of a per-task loop over labels in subject
@@ -105,67 +105,66 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     _check_nonnegative("tol", tol)
     k = len(CATEGORIES)
     subjects, task_ids = table.subject_index, table.task_index
-    order = np.argsort(table.task_code * len(subjects) + table.subject_code, kind="stable")
+    n_tasks, n_cells = len(task_ids), len(subjects) * k * k
+    order = _task_major(table.task_code, table.subject_code, max(len(subjects), n_tasks))
     row_s, row_t, row_c = table.subject_code[order], table.task_code[order], table.categories[order]
-    n_tasks = len(task_ids)
     within = np.arange(len(row_t)) - np.searchsorted(row_t, row_t)
-    # Per within-task position: the tasks that reach it, with that label's
-    # subject and category.
+    # Per within-task position: the tasks that reach it (a slice when every
+    # task does, so the E-step multiplies in place), and the flat
+    # `confusion` cells (s, 0..2, c) of each such label of subject s and
+    # category c.
     layers = []
     for p in range(within.max() + 1):
         sel = within == p
-        layers.append((row_t[sel], row_s[sel], row_c[sel]))
+        cells = (row_s[sel] * (k * k) + row_c[sel])[:, None] + k * np.arange(k)
+        layers.append((slice(None) if sel.sum() == n_tasks else row_t[sel], cells))
 
     # Majority-vote initialization of the task posteriors.
-    votes = np.zeros((n_tasks, k))
-    np.add.at(votes, (row_t, row_c), 1.0)
+    votes = np.bincount(row_t * k + row_c, minlength=n_tasks * k).reshape(n_tasks, k)
     top = votes == votes.max(axis=1, keepdims=True)
     posterior = top / top.sum(axis=1, keepdims=True)
 
     # Soft confusion counts by one bincount: cell (s, true class, label)
     # takes its smoothing first, then each label's posterior in row order,
     # so every cell adds in the sequence of a loop over the rows.
-    n_cells = len(subjects) * k * k
-    smoothing_weights = np.full(n_cells, CONFUSION_SMOOTHING)
     label_cells = (row_s[:, None] * k + np.arange(k)) * k + row_c[:, None]
     cells = np.concatenate((np.arange(n_cells), label_cells.ravel()))
+    weights = np.full(len(cells), CONFUSION_SMOOTHING)
+    # The flat `posterior` entries each label's weights are read from.
+    label_post = (row_t[:, None] * k + np.arange(k)).ravel()
 
-    trace = []
     iterations = 0
     converged = False
     for _ in range(max_iter):
         # M-step: class prior and confusion rows from soft counts.
         prior = np.cumsum(posterior, axis=0)[-1] / n_tasks
-        weights = np.concatenate((smoothing_weights, posterior[row_t].ravel()))
+        np.take(posterior, label_post, out=weights[n_cells:], mode="clip")
         counts = np.bincount(cells, weights=weights, minlength=n_cells).reshape(-1, k, k)
         confusion = counts / counts.sum(axis=2, keepdims=True)
 
-        # E-step: prior times each label's confusion column, task by task.
-        probs = np.tile(prior, (n_tasks, 1))
-        for t, s, c in layers:
-            probs[t] *= confusion[s, :, c]
-        totals = probs.sum(axis=1)
-        refreshed = np.full_like(probs, 1.0 / k)
-        np.divide(probs, totals[:, None], out=refreshed, where=totals[:, None] > 0)
-        delta = float(np.max(np.abs(refreshed - posterior)))
-        posterior = refreshed
+        # E-step: prior times each label's confusion column, task by task
+        # (the first layer reaches every task).
+        flat = confusion.ravel()
+        probs = prior * flat.take(layers[0][1])
+        for t, cells_p in layers[1:]:
+            probs[t] *= flat.take(cells_p)
+        totals = probs.sum(axis=1, keepdims=True)
+        empty = totals[:, 0] == 0  # no class has mass: the posterior is uniform
+        probs[empty], totals[empty] = 1.0, k
+        probs /= totals
+        delta = float(np.max(np.abs(probs - posterior)))
+        posterior = probs
 
         iterations += 1
-        # math.log per task: numpy's SIMD log can differ from libm's in the last bit.
-        logs = list(map(math.log, np.maximum(totals, 1e-300).tolist()))
-        # Each subject's nine logs summed as one matrix, then subjects in order.
-        smoothing = float(np.cumsum(np.log(confusion).reshape(len(subjects), -1).sum(axis=1))[-1])
-        trace.append(float(np.cumsum(logs)[-1]) + CONFUSION_SMOOTHING * smoothing)
         if delta < tol:
             converged = True
             break
 
     return DawidSkeneModel(
         class_prior=prior,
-        confusion={s: confusion[i] for i, s in enumerate(subjects)},
-        task_posterior={t: posterior[i] for i, t in enumerate(task_ids)},
+        confusion=dict(zip(subjects, confusion)),
+        task_posterior=dict(zip(task_ids, posterior)),
         iterations=iterations,
-        loglik_trace=trace,
         converged=converged,
     )
 
@@ -173,11 +172,9 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
 def dawid_skene_rank(model):
     """Subjects ordered most-spammer-like first: ascending mean diagonal
     of the confusion matrix (low self-consistency first)."""
-    scored = [
-        (s, float(np.mean(np.diag(cm)))) for s, cm in model.confusion.items()
-    ]
-    scored.sort(key=lambda x: (x[1], x[0]))
-    return scored
+    conf = np.array(list(model.confusion.values()))
+    scores = np.diagonal(conf, axis1=1, axis2=2).mean(axis=1).tolist()
+    return sorted(zip(model.confusion, scores), key=lambda x: (x[1], x[0]))
 
 
 def duration_rank(table):

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
-from operator import ge, gt, itemgetter, ne
+from operator import ge, gt, itemgetter
 
 import numpy as np
 
@@ -141,9 +141,9 @@ def _check_ids(table, what, columns):
     """Check the coded ids of `table` (a ResponseTable or CategoricalTable),
     keeping each index as a list and each code column as intp: each index
     sorted and distinct, each of its ids one the ratings loader reads back
-    as it is (see `_id_status`; no surrounding whitespace) and used, and one
-    integer code in range per row of the data `columns`.  Raises ValueError
-    naming the table (`what`) and the first fault."""
+    as it is (see `_id_status`) and used, and one integer code in range per
+    row of the data `columns`.  Raises ValueError naming the table (`what`)
+    and the first fault."""
     n = len(table.subject_code)
     if any(len(col) != n for col in [table.task_code, *columns]):
         raise ValueError(f"{what} columns differ in length")
@@ -155,9 +155,9 @@ def _check_ids(table, what, columns):
             raise ValueError(f"{what}: {name} index {fault}")
         status = _id_status(index)
         for i in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
+            if status[i] == _SPACED:
+                raise ValueError(f"{what}: {name} id {index[i]!r} has surrounding whitespace")
             raise ValueError(f"{what}: {_ID_PROBLEMS[status[i]]}: {index[i]!r}")
-        for bad in compress(index, map(ne, index, map(str.strip, index))):
-            raise ValueError(f"{what}: {name} id {bad!r} has surrounding whitespace")
         if n and code.dtype.kind not in "iu":
             raise ValueError(f"{what}: {name} codes are not integers")
         code = code.astype(np.intp, copy=False)
@@ -255,8 +255,8 @@ class AgreementMultigraph:
     the groups' float forms on first use.  Raises ValueError naming the
     task on an indicator other than 0 or 1 (the first such task in the
     order given), an empty or duplicate task id, an empty or repeated
-    subject id, and a task or subject id that holds a tab, comma, CR or LF
-    or begins with '#'.
+    subject id, and a task or subject id that holds a tab, comma, CR or LF,
+    begins with '#' or has surrounding whitespace.
 
     ``tasks`` gives the graph back as TaskGraph records; the library itself
     reads only the packed fields.
@@ -308,7 +308,7 @@ class AgreementMultigraph:
             self.groups.append(SizeGroup(members, edges, sidx, dest))
         # Ids the text formats would not read back, by their _id_status
         # (empty ones are rejected above).
-        faults = (None, "holds a tab, comma, CR or LF", "begins with '#'")
+        faults = (None, "holds a tab, comma, CR or LF", "begins with '#'", "has surrounding whitespace")
         status = _id_status(ids)
         for k in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
             raise ValueError(f"task {ids[k]!r} {faults[status[k]]}")
@@ -363,12 +363,16 @@ class AgreementMultigraph:
 _RESERVED = "\t,\r\n"
 
 # A record's id problems, each hiding the ones after it: an empty id, an id
-# holding a reserved character, an id that begins with '#'.
+# holding a reserved character, an id that begins with '#', an id with
+# surrounding whitespace (the ratings loader and the id-list reader strip
+# every id, so no file could name one, and the loader never meets one).
 _ID_PROBLEMS = (
     "empty subject_id or task_id",
     "subject/task id contains a reserved character",
     "subject/task id begins with '#', which marks a comment line",
+    "subject/task id has surrounding whitespace",
 )
+_SPACED = 3
 
 
 def load_responses(path, schema=None):
@@ -476,8 +480,12 @@ def _id_status(ids):
     """Per id of the sorted distinct `ids`, the position in _ID_PROBLEMS of
     the first problem it has, or len(_ID_PROBLEMS) for none."""
     status = np.full(len(ids), len(_ID_PROBLEMS), dtype=np.int8)
-    status[bisect_left(ids, "#") : bisect_left(ids, "$")] = 2  # the ids that begin with '#'
     joined = "".join(ids)
+    # str.split() splits at the characters str.strip removes, so ids that
+    # hold none of them need no pass of their own.
+    if joined.split() != [joined]:
+        status[np.fromiter((i != i.strip() for i in ids), bool, len(ids))] = _SPACED
+    status[bisect_left(ids, "#") : bisect_left(ids, "$")] = 2  # the ids that begin with '#'
     if any(c in joined for c in _RESERVED):
         status[np.fromiter((any(c in i for c in _RESERVED) for i in ids), bool, len(ids))] = 1
     if ids and not ids[0]:  # "" sorts first
@@ -665,6 +673,15 @@ def _parse_floats(raw):
 TaskLayout = namedtuple("TaskLayout", "task_ids offsets subjects scode ratings n_tasks")
 
 
+def _task_major(tcode, scode, n):
+    """np.lexsort((scode, tcode)), a stable sort by (task, subject) code, as
+    two stable sorts, which numpy does as linear-time radix sorts on codes
+    that fit 16 bits; `n` bounds both codes."""
+    width = np.uint16 if n <= 1 << 16 else np.intp
+    order = np.argsort(scode.astype(width), kind="stable")
+    return order[np.argsort(tcode.astype(width)[order], kind="stable")]
+
+
 def _task_layout(table, dimension, min_raters):
     """TaskLayout from one stable sort of the rated rows by (task, rater)
     code, both re-coded to the ids that carry the dimension; when every row
@@ -682,11 +699,7 @@ def _task_layout(table, dimension, min_raters):
         ratings = ratings[rated]
     counts = np.bincount(tcode, minlength=len(task_ids))
     kept = counts >= min_raters
-    # np.lexsort((scode, tcode)) as two stable sorts, which numpy does as
-    # linear-time radix sorts on codes that fit 16 bits.
-    width = np.uint16 if max(len(subjects), len(task_ids)) <= 1 << 16 else np.intp
-    order = np.argsort(scode.astype(width), kind="stable")
-    order = order[np.argsort(tcode.astype(width)[order], kind="stable")]
+    order = _task_major(tcode, scode, max(len(subjects), len(task_ids)))
     order = order[kept[tcode[order]]]
     offsets = np.append(0, np.cumsum(counts[kept]))
     kept_ids = list(compress(task_ids, kept))

@@ -512,24 +512,41 @@ def oracle_fit(multigraph, config):
     )
 
 
-def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
-    """Dawid-Skene EM as plain per-task loops over the labels in subject
-    order, with the penalized log-likelihood recomputed from the prior and
-    confusions after each E-step.  Same contract as `glba.baselines.dawid_skene_fit`."""
-    from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
-
+def _ds_task_labels(table):
+    """The sorted subjects of a CategoricalTable and, per task in task
+    order, its labels as (subject position, category) in subject order."""
     sids, tids = _ids_at(table.subject_index, table.subject_code), _ids_at(table.task_index, table.task_code)
     if not sids:
         raise ValueError("empty categorical table")
-    k = len(CATEGORIES)
     subjects = sorted(set(sids))
     s_pos = {s: i for i, s in enumerate(subjects)}
-    labels = zip(sids, tids, table.categories.tolist())
     task_labels = {}
-    for s, t, cat in sorted(labels, key=lambda x: (x[1], x[0])):
+    for s, t, cat in sorted(zip(sids, tids, table.categories.tolist()), key=lambda x: (x[1], x[0])):
         task_labels.setdefault(t, []).append((s_pos[s], cat))
-    task_ids = sorted(task_labels)
-    task_labels = {t: task_labels[t] for t in task_ids}
+    return subjects, {t: task_labels[t] for t in sorted(task_labels)}
+
+
+def _ds_task_probs(prior, confusion, labels):
+    """One task's unnormalized class probabilities: the prior times each
+    label's confusion column, labels in subject order."""
+    probs = prior.copy()
+    for sp, cat in labels:
+        probs = probs * confusion[sp][:, cat]
+    return probs
+
+
+# Dawid-Skene EM as plain per-task loops: the reference that
+# glba.baselines.dawid_skene_fit must match bit for bit.  The fit keeps no
+# log-likelihood; ds_penalized_loglik evaluates it on a fitted model, and the
+# ascent test reads it off fits capped at 1, 2, ... iterations.
+def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
+    """Dawid-Skene EM as plain per-task loops over the labels in subject
+    order.  Same contract as `glba.baselines.dawid_skene_fit`."""
+    from glba.baselines import CATEGORIES, CONFUSION_SMOOTHING, DawidSkeneModel
+
+    k = len(CATEGORIES)
+    subjects, task_labels = _ds_task_labels(table)
+    task_ids = list(task_labels)
 
     posterior = {}
     for t, labels in task_labels.items():
@@ -539,7 +556,6 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
         top = counts == counts.max()
         posterior[t] = top / top.sum()
 
-    trace = []
     iterations = 0
     converged = False
     for _ in range(max_iter):
@@ -557,35 +573,48 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
 
         delta = 0.0
         for t, labels in task_labels.items():
-            probs = prior.copy()
-            for sp, cat in labels:
-                probs = probs * confusion[sp][:, cat]
+            probs = _ds_task_probs(prior, confusion, labels)
             total = float(probs.sum())
             probs = probs / total if total > 0 else np.full(k, 1.0 / k)
             delta = max(delta, float(np.max(np.abs(probs - posterior[t]))))
             posterior[t] = probs
 
         iterations += 1
-        ll = 0.0
-        for labels in task_labels.values():
-            probs = prior.copy()
-            for sp, cat in labels:
-                probs = probs * confusion[sp][:, cat]
-            ll += math.log(max(float(probs.sum()), 1e-300))
-        ll += CONFUSION_SMOOTHING * float(sum(np.log(cm).sum() for cm in confusion))
-        trace.append(ll)
         if delta < tol:
             converged = True
             break
 
     return DawidSkeneModel(
         class_prior=prior,
-        confusion={s: confusion[s_pos[s]] for s in subjects},
+        confusion=dict(zip(subjects, confusion)),
         task_posterior={t: posterior[t] for t in task_ids},
         iterations=iterations,
-        loglik_trace=trace,
         converged=converged,
     )
+
+
+def ds_penalized_loglik(table, model):
+    """The observed-data log-likelihood of `table` under a Dawid-Skene
+    model's class prior and confusions, plus the smoothing pseudo-count
+    prior (CONFUSION_SMOOTHING times the sum of every log confusion entry):
+    the quantity the smoothed EM ascends.  Tasks add in task order, each
+    task's labels multiply in subject order."""
+    from glba.baselines import CONFUSION_SMOOTHING
+
+    subjects, task_labels = _ds_task_labels(table)
+    confusion = [model.confusion[s] for s in subjects]
+    ll = 0.0
+    for labels in task_labels.values():
+        ll += math.log(max(float(_ds_task_probs(model.class_prior, confusion, labels).sum()), 1e-300))
+    return ll + CONFUSION_SMOOTHING * float(sum(np.log(cm).sum() for cm in confusion))
+
+
+def oracle_dawid_skene_rank(model):
+    """Subjects ordered by the mean diagonal of their confusion matrix,
+    one subject at a time, ties by id."""
+    scored = [(s, float(np.mean(np.diag(cm)))) for s, cm in model.confusion.items()]
+    scored.sort(key=lambda x: (x[1], x[0]))
+    return scored
 
 
 def oracle_bin(value):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from glba.baselines import (
     CATEGORIES,
     CategoricalTable,
+    DawidSkeneModel,
     categorize_table,
     dawid_skene_fit,
     dawid_skene_rank,
@@ -17,7 +18,14 @@ from glba.baselines import (
 from glba.ingest import _codes, load_responses
 from glba.simulate import sample_response_table
 from glba.textio import write_responses
-from helpers import assert_codes_ids, oracle_dawid_skene, oracle_sample_response_table, table_from_rows
+from helpers import (
+    assert_codes_ids,
+    ds_penalized_loglik,
+    oracle_dawid_skene,
+    oracle_dawid_skene_rank,
+    oracle_sample_response_table,
+    table_from_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +145,6 @@ def test_categorize_table_codes_match_coding_the_rated_ids(tmp_path, cells, data
         recoded = CategoricalTable(*_codes(sids), *_codes(tids), cat.categories)
         ours, recoded = dawid_skene_fit(cat), dawid_skene_fit(recoded)
         assert ours.class_prior.tobytes() == recoded.class_prior.tobytes()
-        assert ours.loglik_trace == recoded.loglik_trace
         for field in ("confusion", "task_posterior"):
             a, b = getattr(ours, field), getattr(recoded, field)
             assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
@@ -221,13 +228,17 @@ def test_ds_simplex_constraints_and_monotone_loglik():
         for t in range(30)
         for s in rng.choice(6, size=4, replace=False)
     ]
-    model = dawid_skene_fit(cat_table(entries))
+    table = cat_table(entries)
+    model = dawid_skene_fit(table)
     assert model.class_prior.sum() == pytest.approx(1.0, abs=1e-9)
     for cm in model.confusion.values():
         np.testing.assert_allclose(cm.sum(axis=1), 1.0, atol=1e-9)
     for post in model.task_posterior.values():
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
-    trace = np.array(model.loglik_trace)
+    # The penalized log-likelihood after each iteration, read off fits
+    # capped at 1, 2, ... iterations, never falls.
+    assert model.converged and model.iterations > 2
+    trace = [ds_penalized_loglik(table, dawid_skene_fit(table, max_iter=i)) for i in range(1, model.iterations + 1)]
     assert np.all(np.diff(trace) >= -1e-9)
 
 
@@ -319,7 +330,60 @@ def test_ds_kernel_bit_identical_to_loop(seed, max_iter, tol, converged):
     assert list(got.task_posterior) == list(want.task_posterior)
     for t in want.task_posterior:
         assert np.array_equal(got.task_posterior[t], want.task_posterior[t])
-    assert got.loglik_trace == want.loglik_trace
+
+
+def test_ds_task_whose_likelihood_underflows_is_uniform_as_in_loop():
+    # 1,200 subjects agree on six tasks and split 500/400/300 on "zz": under
+    # every class most of zz's labels are off-diagonal, so its product
+    # underflows to 0 and its posterior falls back to uniform.
+    cats = list(CATEGORIES)
+    entries = [(f"s{s:04d}", f"t{t}", cats[t % 3]) for t in range(6) for s in range(1200)]
+    entries += [(f"s{s:04d}", "zz", cats[(s >= 500) + (s >= 900)]) for s in range(1200)]
+    table = cat_table(entries)
+    got, want = dawid_skene_fit(table, max_iter=2), oracle_dawid_skene(table, max_iter=2)
+    assert got.task_posterior["zz"].tolist() == [1 / 3] * 3
+    assert got.class_prior.tobytes() == want.class_prior.tobytes()
+    for field in ("confusion", "task_posterior"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def agreeing_labels(seed):
+    """Five subjects who give every task the same label: their confusions,
+    and so their rank scores, tie."""
+    cats = list(CATEGORIES)
+    return cat_table([(f"s{s}", f"t{t}", cats[(t + seed) % 3]) for t in range(20) for s in (3, 0, 4, 1, 2)])
+
+
+def reversed_confusions(model):
+    """The model with its subjects listed in descending id order."""
+    return DawidSkeneModel(model.class_prior, dict(reversed(model.confusion.items())), model.task_posterior)
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        *(lambda seed=seed: dawid_skene_fit(interleaved_labels(seed), max_iter=7) for seed in (0, 1, 2)),
+        lambda: dawid_skene_fit(agreeing_labels(0)),
+        lambda: dawid_skene_fit(agreeing_labels(1), max_iter=2),
+        lambda: reversed_confusions(dawid_skene_fit(agreeing_labels(2))),
+        lambda: reversed_confusions(dawid_skene_fit(interleaved_labels(3))),
+    ],
+    ids=["interleaved-0", "interleaved-1", "interleaved-2", "tied", "tied-capped", "tied-reversed", "reversed"],
+)
+def test_ds_rank_matches_per_subject_oracle(make_model):
+    model = make_model()
+    got, want = dawid_skene_rank(model), oracle_dawid_skene_rank(model)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    assert [x.hex() for _, x in got] == [x.hex() for _, x in want]
+    assert all(type(x) is float for _, x in got)
+
+
+def test_ds_rank_orders_tied_scores_by_id():
+    model = reversed_confusions(dawid_skene_fit(agreeing_labels(0)))
+    ranked = dawid_skene_rank(model)
+    assert len({x for _, x in ranked}) == 1
+    assert [s for s, _ in ranked] == ["s0", "s1", "s2", "s3", "s4"]
 
 
 # ---------------------------------------------------------------------------

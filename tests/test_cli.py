@@ -147,7 +147,14 @@ def test_fit_rank_pr_pipeline(ratings_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "record",
-    ["t1\ta,b,c\t222222", "t1\ta,b,c\t01x010", "t1\ta,b\t11\nt1\ta,c\t11", "t1\ta,a,b\t111111", "t1\ta,,b\t111111"],
+    [
+        "t1\ta,b,c\t222222",
+        "t1\ta,b,c\t01x010",
+        "t1\ta,b\t11\nt1\ta,c\t11",
+        "t1\ta,a,b\t111111",
+        "t1\ta,,b\t111111",
+        "t1\ta, b,c\t111111",  # a rater glba pr's stripped id lists could never name
+    ],
 )
 def test_fit_malformed_graph_exits_2(tmp_path, capsys, record):
     graph = tmp_path / "graph.tsv"

@@ -738,12 +738,39 @@ def test_graph_names_the_first_bad_indicator_in_the_order_given():
             [make_task("t1", ["a,b", "c", "d"], {})],
             r"^task 't1' has a subject id that holds a tab, comma, CR or LF$",
         ),
+        # glba pr reads its id lists stripped, so it could never name an id
+        # with surrounding whitespace.
+        ([make_task(" t1", ["a", "b"], {})], r"^task ' t1' has surrounding whitespace$"),
+        ([make_task("t1\u3000", ["a", "b"], {})], r"^task 't1\\u3000' has surrounding whitespace$"),
+        (
+            [make_task("t1", ["a", "b"], {}), make_task("t2", ["a", " b"], {})],
+            r"^task 't2' has a subject id that has surrounding whitespace$",
+        ),
+        ([make_task("t1", ["a\x0b", "b"], {})], r"^task 't1' has a subject id that has surrounding whitespace$"),
+        ([make_task("t1", ["a", "b\xa0"], {})], r"^task 't1' has a subject id that has surrounding whitespace$"),
+        ([make_task("#t1 ", ["a", "b"], {})], r"^task '#t1 ' begins with '#'$"),
     ],
-    ids=["task", "subject", "task-reserved", "subject-reserved"],
+    ids=[
+        "task",
+        "subject",
+        "task-reserved",
+        "subject-reserved",
+        "task-space",
+        "task-ideographic-space",
+        "subject-space",
+        "subject-vtab",
+        "subject-nbsp",
+        "task-comment-before-space",
+    ],
 )
 def test_graph_rejects_ids_that_begin_with_a_comment_mark(tasks, match):
     with pytest.raises(ValueError, match=match):
         graph_from_tasks(tasks)
+
+
+def test_graph_keeps_ids_with_inner_spaces():
+    graph = graph_from_tasks([make_task("t 1", ["a b", "c"], {})])
+    assert (graph.task_ids, graph.subjects) == (["t 1"], ["a b", "c"])
 
 
 def test_graph_packs_tasks_in_any_order():
