@@ -59,15 +59,14 @@ def _check_nonnegative(name, value):
         raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
-def categorize_table(table, dimension, neutral=None, threshold=DEFAULT_MARGIN):
+def categorize_table(table, dimension, threshold=DEFAULT_MARGIN):
     """Convert one dimension of a ResponseTable into categorical labels,
     one per rated row in row order.  The label table's ids are coded from
     the table's codes, not coded again."""
     _check_nonnegative("threshold", threshold)
     if dimension not in NEUTRAL_POINT:
         raise ValueError(f"unknown dimension {dimension!r}")
-    if neutral is None:
-        neutral = NEUTRAL_POINT[dimension]
+    neutral = NEUTRAL_POINT[dimension]
     rated = table.rated(dimension)
     values = table.ratings(dimension)[rated]
     # 0, 1, 2 for low, neutral, high: strictly more than `threshold` above

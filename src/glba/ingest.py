@@ -308,14 +308,13 @@ class AgreementMultigraph:
             self.groups.append(SizeGroup(members, edges, sidx, dest))
         # Ids the text formats would not read back, by their _id_status
         # (empty ones are rejected above).
-        faults = (None, "holds a tab, comma, CR or LF", "begins with '#'", "has surrounding whitespace")
         status = _id_status(ids)
         for k in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
-            raise ValueError(f"task {ids[k]!r} {faults[status[k]]}")
+            raise ValueError(f"task {ids[k]!r} {_ID_FAULTS[status[k]]}")
         status = _id_status(self.subjects)[self.flat_sidx]  # per slot
         for slot in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
             k = int(np.searchsorted(self.offsets, slot, side="right")) - 1
-            raise ValueError(f"task {ids[k]!r} has a subject id that {faults[status[slot]]}")
+            raise ValueError(f"task {ids[k]!r} has a subject id that {_ID_FAULTS[status[slot]]}")
 
     @functools.cached_property
     def tasks(self):
@@ -372,10 +371,12 @@ _ID_PROBLEMS = (
     "subject/task id begins with '#', which marks a comment line",
     "subject/task id has surrounding whitespace",
 )
+# The same problems as phrases that follow the id they name.
+_ID_FAULTS = ("is empty", "holds a tab, comma, CR or LF", "begins with '#'", "has surrounding whitespace")
 _SPACED = 3
 
 
-def load_responses(path, schema=None):
+def load_responses(path):
     """Read a delimited rating file into a validated ResponseTable.
 
     Parameters
@@ -385,9 +386,6 @@ def load_responses(path, schema=None):
         reads it (a plain file is scanned as bytes instead, with the same
         result).  Expected columns are subject_id, task_id, the four
         dimension columns, and optionally view_seconds / label_seconds.
-    schema : dict, optional
-        Maps the canonical column names above to the actual header names
-        in the file.
 
     Each column is read as its distinct raw fields and each record's
     position among them (see `_read_fields`).  Every distinct field is
@@ -406,18 +404,13 @@ def load_responses(path, schema=None):
         a rating outside its scale, or a negative or non-finite timing,
         naming the offending rows.
     """
-    schema = schema or {}
-
-    def col(name):
-        return schema.get(name, name)
-
     header, columns = _read_fields(path)
     if header is None:
         raise ValueError(f"{path}: empty file (no header row)")
     # Of duplicated header names the last one wins, as in csv.DictReader.
     index = {name: i for i, name in enumerate(header)}
     required = ["subject_id", "task_id"] + list(DIMENSIONS)
-    missing = [c for c in required if col(c) not in index]
+    missing = [c for c in required if c not in index]
     if missing:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
     n = len(columns[0][1])
@@ -425,7 +418,7 @@ def load_responses(path, schema=None):
     def field(name):
         """Column `name` as its distinct raw fields and each record's
         position among them (one empty field when absent)."""
-        i = index.get(col(name))
+        i = index.get(name)
         return ([""], np.zeros(n, dtype=np.intp)) if i is None else columns[i]
 
     coded = []  # per id column: its sorted distinct stripped ids, each record's code
@@ -491,6 +484,19 @@ def _id_status(ids):
     if ids and not ids[0]:  # "" sorts first
         status[0] = 0
     return status
+
+
+def _id_faults(ids):
+    """The ids among `ids` (in any order) that have a problem, each mapped to
+    its `_ID_FAULTS` phrase.  Sorts and checks the ids only when their joined
+    text holds whitespace, a reserved character or a '#', so clean ids cost
+    one join."""
+    joined = "".join(ids)
+    if joined.split() == [joined] and not any(c in joined for c in _RESERVED + "#"):
+        return {}
+    distinct = sorted(set(ids))
+    status = _id_status(distinct).tolist()
+    return {i: _ID_FAULTS[s] for i, s in zip(distinct, status) if s < len(_ID_PROBLEMS)}
 
 
 def _read_fields(path):

@@ -1,29 +1,26 @@
 """On-disk text formats: tab-separated tables with '#'-prefixed header
 metadata.  Floats are written with repr (shortest round-trip), so files
 are byte-identical across runs and parse back exactly.  Every reader skips
-'#' lines, which is why no id may begin with '#'; the report readers keep
+'#' lines, which is why no id may begin with '#'; the table readers keep
 '# key value' lines as metadata.
 
-Each report table has one column spec, a dict from column name to parser.
-`_write_table` writes every report through it from columns, not rows: it
-formats each column once in the text form its parser picks (a float
-column one repr per distinct bit pattern) and joins the cells into lines.
-`_read_table` reads every report back through it, parsing whole columns
-and checking row by row only to name the first faulty line.
-
-Multigraph files go to and from the graph's packed fields with operations
-over the whole file: the writer formats each rater-count group's
-indicators in one conversion, and the reader splits all records at once
-and checks them record by record only to name the first faulty one."""
+Each table (the multigraph and every report) has one column spec, a dict
+from column name to parser.  `_write_table` writes every table through it
+from columns, not rows: it formats each column once in the text form its
+parser picks (a float column one repr per distinct bit pattern) and joins
+the cells into lines.  `_read_table` reads every table back through it,
+parsing whole columns and checking row by row only to name the first
+faulty line."""
 
 import csv
 import hashlib
 import math
-from operator import attrgetter, methodcaller
+from itertools import combinations, compress, repeat
+from operator import attrgetter
 
 import numpy as np
 
-from .ingest import DIMENSIONS, AgreementMultigraph, _ids_at, _offdiag, _read_text
+from .ingest import DIMENSIONS, AgreementMultigraph, _id_faults, _ids_at, _offdiag, _read_text
 from .model import EPS_POS, FitConfig, FitReport, ModelParams, Priors, gamma_grid
 from .scoring import ImageScores, SubjectReport
 
@@ -42,11 +39,14 @@ def _read_lines(path):
 # Multigraph
 # ---------------------------------------------------------------------------
 
+_GRAPH_COLUMNS = {"task_id": str, "subjects": str, "indicators": str}
+
 
 def write_multigraph(graph, path):
-    """Write one record per task, in task order: the task id, its raters
+    """Write one row per task, in task order: the task id, its raters
     joined by commas and its indicators as 0/1 characters, row-major over
-    the ordered rater pairs (i, j), i != j."""
+    the ordered rater pairs (i, j), i != j; a '# multigraph' line states
+    the task and subject counts."""
     names = list(map(graph.subjects.__getitem__, graph.flat_sidx.tolist()))
     bounds = graph.offsets.tolist()
     raters = [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -56,63 +56,43 @@ def write_multigraph(graph, path):
         if r > 1:  # each task's characters as one fixed-width string
             chars = (g.edges[:, _offdiag(r)] + ord("0")).astype(np.uint32, order="C")
             flags[g.tasks] = chars.view(f"U{r * (r - 1)}").ravel().tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# multigraph tasks={graph.n} subjects={graph.m}\n")
-        fh.write("task_id\tsubjects\tindicators\n")
-        fh.writelines(map("{}\t{}\t{}\n".format, graph.task_ids, raters, flags.tolist()))
-
-
-def _record_fault(ln):
-    """What is wrong with one multigraph record line, or None: too few or
-    too many fields, then the indicator count, then an indicator character."""
-    parts = ln.split("\t")
-    if len(parts) != 3:
-        return f"malformed record {ln!r}"
-    tid, raters, flags = parts
-    r = raters.count(",") + 1
-    if len(flags) != r * (r - 1):
-        return f"task {tid!r} has {len(flags)} indicators, expected {r * (r - 1)}"
-    if flags.strip("01"):
-        return f"task {tid!r} has an indicator other than 0 or 1"
-    return None
+    head = [("multigraph", f"tasks={graph.n} subjects={graph.m}")]
+    _write_table(path, _GRAPH_COLUMNS, [graph.task_ids, raters, flags.tolist()], head)
 
 
 def read_multigraph(path):
-    """Parse a multigraph file, with operations over the whole file.
+    """Parse a multigraph table, with operations over the whole file.
 
-    Rejects, naming the path and the task id (or the record): a record
-    without exactly three fields, a wrong indicator count, any indicator
-    other than the characters 0 and 1 (the first faulty record in file
-    order), and everything the AgreementMultigraph constructor rejects.
-    Rejects, naming the path and both counts, a graph whose task or
-    subject count differs from the one its '# multigraph' header states.
+    Rejects, naming the path and the line: everything `_read_table`
+    rejects, then (naming the task too) a wrong indicator count or an
+    indicator other than the characters 0 and 1, the first such row in
+    file order.  Rejects, naming the path and the task, everything the
+    AgreementMultigraph constructor rejects; and, naming the path and both
+    counts, a graph whose task or subject count differs from the one its
+    '# multigraph' line states.
     """
-    lines = _read_lines(path)
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = next((ln.split()[2:] for ln in lines if ln.startswith("# multigraph")), [])
-    if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
-        raise ValueError(f"{path}: not a multigraph file")
-    records = body[1:]
-    fields = "\t".join(records).split("\t") if records else []
-    ids, raters, flags = fields[0::3], fields[1::3], fields[2::3]
-    sizes = np.fromiter(map(methodcaller("count", ","), raters), np.intp, len(raters)) + 1
+    meta, _, (ids, raters, flags), linenos = _read_table(path, _GRAPH_COLUMNS, "task_id")
+    sizes = np.fromiter(map(str.count, raters, repeat(",")), np.intp, len(raters)) + 1
     lengths = np.fromiter(map(len, flags), np.intp, len(flags))
+    pairs = sizes * (sizes - 1)
     joined = "".join(flags)
-    tabs = np.fromiter(map(methodcaller("count", "\t"), records), np.intp, len(records))
-    if (
-        (tabs != 2).any()
-        or not np.array_equal(lengths, sizes * (sizes - 1))
-        or joined.count("0") + joined.count("1") != len(joined)
-    ):
-        raise ValueError(f"{path}: {next(filter(None, map(_record_fault, records)))}")
-    names = ",".join(raters).split(",") if records else []
+    if not np.array_equal(lengths, pairs) or joined.count("0") + joined.count("1") != len(joined):
+        strange = np.fromiter(map(bool, map(str.strip, flags, repeat("01"))), bool, len(flags))
+        k = int(np.argmax((lengths != pairs) | strange))
+        fault = (
+            f"has {lengths[k]} indicators, expected {pairs[k]}"
+            if lengths[k] != pairs[k]
+            else "has an indicator other than 0 or 1"
+        )
+        raise ValueError(f"{path}:{linenos[k]}: task {ids[k]!r} {fault}")
+    names = ",".join(raters).split(",") if ids else []
     indicators = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
     try:
         graph = AgreementMultigraph(ids, sizes, names, indicators)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     held = [f"tasks={graph.n}", f"subjects={graph.m}"]
-    stated = [field for field in header if field.startswith(("tasks=", "subjects="))]
+    stated = [f for f in meta.get("multigraph", (0, ""))[1].split() if f.startswith(("tasks=", "subjects="))]
     if not set(stated) <= set(held):
         raise ValueError(f"{path}: header states {' '.join(stated)}, file holds {' '.join(held)}")
     return graph
@@ -203,49 +183,56 @@ def _read_table(path, columns, id_column, extra=None):
     Returns the '# key value' lines, taken anywhere in the file, as {key:
     (line number, value)}; the values `extra` parses from the header
     columns past `columns`; the parsed columns (the `columns` parsers, then
-    float for each extra column); and each row's line number.  Skips blank
-    lines.  Rejects, naming the path and the line: a missing header row, or
-    one that does not start with `columns` or has a column past them that
-    `extra` maps to None; and the first row whose field count differs from
-    the header's, whose `id_column` is empty or a duplicate, or with a
-    value its parser does not accept.
+    float for each extra column; a str column as read); and each row's line
+    number.  Skips blank lines.  Rejects, naming the path and the line: a
+    missing header row, or one that does not start with `columns`, has a
+    column past them that `extra` maps to None or two that it maps to one
+    value; and the first row whose field count differs from the header's,
+    whose `id_column` is empty, a duplicate or an id the text formats
+    would not read back (see `ingest._id_status`), or with a value its
+    parser does not accept.
     """
-    meta, rows = {}, []
-    for lineno, ln in enumerate(_read_lines(path), start=1):
-        if ln.startswith("#"):
-            key, _, value = ln[1:].strip().partition(" ")
-            meta[key] = (lineno, value)
-        elif ln.strip():
-            rows.append((lineno, ln))
+    lines = _read_lines(path)
+    meta, keep = {}, list(map(bool, map(str.strip, lines)))
+    for k in [k for k, ln in enumerate(lines) if ln[:1] == "#"]:
+        key, _, value = lines[k][1:].strip().partition(" ")
+        meta[key] = (k + 1, value)
+        keep[k] = False
+    linenos, rows = list(compress(range(1, len(lines) + 1), keep)), list(compress(lines, keep))
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header row")
-    (head_no, head), body = rows[0], rows[1:]
-    header, names = head.split("\t"), list(columns)
+    head_no, header, names = linenos.pop(0), rows.pop(0).split("\t"), list(columns)
     tail = header[len(names) :]
     extras = [extra(col) for col in tail] if extra else [None] * len(tail)
     if header[: len(names)] != names or None in extras:
         expected = "\t".join(names + (["tau[<gamma>]..."] if extra else []))
         raise ValueError(f"{path}:{head_no}: header is not {expected!r}")
+    for (a, x), (b, y) in combinations(zip(tail, extras), 2):
+        if x == y:
+            raise ValueError(f"{path}:{head_no}: header columns {a!r} and {b!r} both stand for {x!r}")
     parsers = list(columns.values()) + [float] * len(tail)
     width, key = len(header), names.index(id_column)
-    lines = [ln for _, ln in body]
-    cells = "\t".join(lines).split("\t") if lines else []
+    cells = "\t".join(rows).split("\t") if rows else []
     ids = cells[key::width]
-    tabs = {*map(methodcaller("count", "\t"), lines)}
-    if tabs <= {width - 1} and "" not in ids and len(set(ids)) == len(ids):
+    faults = _id_faults(ids)
+    tabs = {*map(str.count, rows, repeat("\t"))}
+    if tabs <= {width - 1} and "" not in ids and len(set(ids)) == len(ids) and not faults:
         try:
-            values = [list(map(parse, cells[c::width])) for c, parse in enumerate(parsers)]
-            return meta, extras, values, [lineno for lineno, _ in body]
+            values = [cells[c::width] for c in range(width)]
+            values = [col if parse is str else list(map(parse, col)) for parse, col in zip(parsers, values)]
+            return meta, extras, values, linenos
         except ValueError:
             pass  # named below
     seen = set()
-    for lineno, ln in body:  # name the first faulty row
+    for lineno, ln in zip(linenos, rows):  # name the first faulty row
         fields = ln.split("\t")
         if len(fields) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
         if not fields[key] or fields[key] in seen:
             raise ValueError(f"{path}:{lineno}: empty or duplicate {id_column} {fields[key]!r}")
         seen.add(fields[key])
+        if fields[key] in faults:
+            raise ValueError(f"{path}:{lineno}: {id_column} {fields[key]!r} {faults[fields[key]]}")
         for col, parse, raw in zip(header, parsers, fields):
             try:
                 parse(raw)

@@ -784,36 +784,63 @@ def oracle_pair_indicators(task):
 
 
 def oracle_read_multigraph(path):
-    """The multigraph reader as a loop over the records, each parsed into a
-    TaskGraph and packed by `graph_from_tasks`.  Same
-    contract, graphs and error strings as `glba.textio.read_multigraph`."""
-    tasks = []
+    """The multigraph reader as loops over the lines: the table checks row
+    by row, then the indicator checks row by row, then each record parsed
+    into a TaskGraph and packed by `graph_from_tasks`, then the counts of
+    the '# multigraph' line.  Same contract, graphs and error strings as
+    `glba.textio.read_multigraph`."""
+    header = "task_id\tsubjects\tindicators"
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0].split("\t") != ["task_id", "subjects", "indicators"]:
-        raise ValueError(f"{path}: not a multigraph file")
-    for ln in body[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed record {ln!r}")
-        tid, subj_field, ind = parts
+    rows, stated = [], []
+    for lineno, ln in enumerate(lines, start=1):
+        if ln.startswith("#"):
+            key, _, value = ln[1:].strip().partition(" ")
+            if key == "multigraph":
+                stated = [f for f in value.split() if f.startswith(("tasks=", "subjects="))]
+        elif ln.strip():
+            rows.append((lineno, ln))
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    (head_no, head), records = rows[0], rows[1:]
+    if head != header:
+        raise ValueError(f"{path}:{head_no}: header is not {header!r}")
+    seen = set()
+    for lineno, ln in records:
+        fields = ln.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        tid = fields[0]
+        if not tid or tid in seen:
+            raise ValueError(f"{path}:{lineno}: empty or duplicate task_id {tid!r}")
+        seen.add(tid)
+        if "," in tid:
+            raise ValueError(f"{path}:{lineno}: task_id {tid!r} holds a tab, comma, CR or LF")
+        if tid != tid.strip():
+            raise ValueError(f"{path}:{lineno}: task_id {tid!r} has surrounding whitespace")
+    tasks = []
+    for lineno, ln in records:
+        tid, subj_field, ind = ln.split("\t")
         subjects = subj_field.split(",")
         r = len(subjects)
         if len(ind) != r * (r - 1):
-            raise ValueError(f"{path}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
-        if ind.strip("01"):
-            raise ValueError(f"{path}: task {tid!r} has an indicator other than 0 or 1")
+            raise ValueError(f"{path}:{lineno}: task {tid!r} has {len(ind)} indicators, expected {r * (r - 1)}")
+        if any(c not in "01" for c in ind):
+            raise ValueError(f"{path}:{lineno}: task {tid!r} has an indicator other than 0 or 1")
         edges = np.zeros((r, r), dtype=np.uint8)
-        edges[~np.eye(r, dtype=bool)] = np.frombuffer(ind.encode("ascii"), dtype=np.uint8) - 48
+        edges[~np.eye(r, dtype=bool)] = [int(c) for c in ind]
         tasks.append(TaskGraph(task_id=tid, subjects=subjects, edges=edges))
     try:
-        return graph_from_tasks(tasks)
+        graph = graph_from_tasks(tasks)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    held = [f"tasks={graph.n}", f"subjects={graph.m}"]
+    if any(f not in held for f in stated):
+        raise ValueError(f"{path}: header states {' '.join(stated)}, file holds {' '.join(held)}")
+    return graph
 
 
-def oracle_load_responses(path, schema=None):
+def oracle_load_responses(path):
     """The rating-file loader over csv.DictReader with per-row closures.
     Same contract, rows and error strings as `glba.ingest.load_responses`
     (which reads the whole file before it checks the header, so on a file
@@ -823,11 +850,6 @@ def oracle_load_responses(path, schema=None):
 
     from glba.ingest import DIMENSION_SCALES, DIMENSIONS
 
-    schema = schema or {}
-
-    def col(name):
-        return schema.get(name, name)
-
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -835,18 +857,18 @@ def oracle_load_responses(path, schema=None):
                 raise ValueError(f"{path}: empty file (no header row)")
             header = set(reader.fieldnames)
             required = ["subject_id", "task_id"] + list(DIMENSIONS)
-            missing = [c for c in required if col(c) not in header]
+            missing = [c for c in required if c not in header]
             if missing:
                 raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-            has_view = col("view_seconds") in header
-            has_label = col("label_seconds") in header
+            has_view = "view_seconds" in header
+            has_label = "label_seconds" in header
 
             rows = []
             problems = []
             seen = {}
             for lineno, rec in enumerate(reader, start=2):  # header is line 1
-                sid = (rec[col("subject_id")] or "").strip()
-                tid = (rec[col("task_id")] or "").strip()
+                sid = (rec["subject_id"] or "").strip()
+                tid = (rec["task_id"] or "").strip()
                 if not sid or not tid:
                     problems.append(f"row {lineno}: empty subject_id or task_id")
                     continue
@@ -865,7 +887,7 @@ def oracle_load_responses(path, schema=None):
 
                 scores = {}
                 for dim in DIMENSIONS:
-                    raw = (rec.get(col(dim)) or "").strip()
+                    raw = (rec.get(dim) or "").strip()
                     if raw == "":
                         continue
                     try:
@@ -882,7 +904,7 @@ def oracle_load_responses(path, schema=None):
                 def seconds(name, available):
                     if not available:
                         return None
-                    raw = (rec.get(col(name)) or "").strip()
+                    raw = (rec.get(name) or "").strip()
                     if raw == "":
                         return None
                     try:
@@ -946,7 +968,7 @@ def categorize(score, neutral, threshold=0.5):
     return "neutral"
 
 
-def oracle_categorize_table(table, dimension, neutral=None, threshold=0.5):
+def oracle_categorize_table(table, dimension, threshold=0.5):
     """Categorical labels as one scalar `categorize` call per record.  Same
     contract as `glba.baselines.categorize_table`."""
     from glba.baselines import CATEGORIES, NEUTRAL_POINT, CategoricalTable, _check_nonnegative
@@ -954,8 +976,7 @@ def oracle_categorize_table(table, dimension, neutral=None, threshold=0.5):
     _check_nonnegative("threshold", threshold)
     if dimension not in NEUTRAL_POINT:
         raise ValueError(f"unknown dimension {dimension!r}")
-    if neutral is None:
-        neutral = NEUTRAL_POINT[dimension]
+    neutral = NEUTRAL_POINT[dimension]
     rows = rated_rows(table, dimension)
     return CategoricalTable(
         *_codes([r.subject_id for r in rows]),

@@ -33,31 +33,32 @@ from helpers import (
 # ---------------------------------------------------------------------------
 
 
-def categorize(score, neutral, threshold):
-    """The label categorize_table gives a one-row table rated `score`."""
+def categorize(score, threshold):
+    """The label categorize_table gives a one-row table rated `score` on
+    valence, whose neutral point is 5."""
     table = table_from_rows([("a", "t1", {"valence": score})])
-    return CATEGORIES[categorize_table(table, "valence", neutral, threshold).categories[0]]
+    return CATEGORIES[categorize_table(table, "valence", threshold).categories[0]]
 
 
 def test_categorize_midpoint_is_neutral():
-    assert categorize(5.0, neutral=5.0, threshold=0.5) == "neutral"
+    assert categorize(5.0, threshold=0.5) == "neutral"
 
 
 def test_categorize_above_margin_is_high():
-    assert categorize(5.6, neutral=5.0, threshold=0.5) == "high"
+    assert categorize(5.6, threshold=0.5) == "high"
 
 
 def test_categorize_boundary_is_neutral():
     # exactly at neutral - threshold: strict inequality keeps it neutral
-    assert categorize(4.5, neutral=5.0, threshold=0.5) == "neutral"
-    assert categorize(5.5, neutral=5.0, threshold=0.5) == "neutral"
+    assert categorize(4.5, threshold=0.5) == "neutral"
+    assert categorize(5.5, threshold=0.5) == "neutral"
 
 
 def test_categorize_monotone():
     order = {"low": 0, "neutral": 1, "high": 2}
     prev = 0
     for score in np.linspace(1, 9, 33):
-        cur = order[categorize(float(score), neutral=5.0, threshold=0.5)]
+        cur = order[categorize(float(score), threshold=0.5)]
         assert cur >= prev
         prev = cur
 
@@ -78,19 +79,18 @@ def test_categorize_table_uses_dimension_midpoint():
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5, -10.0])
 def test_categorize_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
-        categorize(9.0, neutral=5.0, threshold=threshold)
+        categorize(9.0, threshold=threshold)
 
 
 def test_categorize_zero_threshold_is_allowed():
-    assert categorize(5.0, neutral=5.0, threshold=0.0) == "neutral"
-    assert categorize(5.1, neutral=5.0, threshold=0.0) == "high"
+    assert categorize(5.0, threshold=0.0) == "neutral"
+    assert categorize(5.1, threshold=0.0) == "high"
 
 
 def test_categorize_table_rejects_unknown_dimension():
     table = table_from_rows([("a", "t1", {"valence": 9.0})])
-    for neutral in (None, 5.0):
-        with pytest.raises(ValueError, match="^unknown dimension 'foo'$"):
-            categorize_table(table, "foo", neutral)
+    with pytest.raises(ValueError, match="^unknown dimension 'foo'$"):
+        categorize_table(table, "foo")
 
 
 def test_categorize_table_keeps_rated_rows_in_order():

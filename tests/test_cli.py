@@ -201,6 +201,20 @@ def test_rank_and_images_malformed_fit_report_exit_2(ratings_csv, tmp_path, caps
     assert f"{fit}:{line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subject,fault", [(" s0000", "has surrounding whitespace"), ("s0,000", "holds a tab, comma, CR or LF")]
+)
+def test_rank_fit_report_with_an_id_pr_cannot_name_exits_2(tmp_path, capsys, subject, fault):
+    # glba pr strips and splits the ids it reads, so it could never name
+    # such a subject in the ranking rank would write.
+    fit = tmp_path / "fit.tsv"
+    fit.write_text(GOOD_FIT + f"{subject}\t0.9\t2.0\t1.0\n")
+    out = tmp_path / "out"
+    assert run(["rank", fit, "--out", out]) == 2
+    assert f"error: {fit}:7: subject_id {subject!r} {fault}" in capsys.readouterr().err
+    assert not (out / "subjects.tsv").exists()
+
+
 def test_rank_fit_report_missing_header_exits_2(tmp_path, capsys):
     fit = tmp_path / "fit.tsv"
     fit.write_text(GOOD_FIT.replace("# s0 1.5\n", "") + "s000\t0.9\t2.0\t1.0\n")

@@ -117,17 +117,6 @@ def test_load_rejects_nonfinite_timing(tmp_path, raw):
         load_responses(path)
 
 
-def test_load_schema_mapping(tmp_path):
-    path = write_csv(
-        tmp_path,
-        "a,t1,5,4,6,3\n",
-        header="worker,image,valence,arousal,dominance,likeness\n",
-    )
-    table = load_responses(path, schema={"subject_id": "worker", "task_id": "image"})
-    assert table.rows[0].subject_id == "a"
-    assert table.rows[0].task_id == "t1"
-
-
 # ---------------------------------------------------------------------------
 # load_responses against the csv.DictReader loader
 # ---------------------------------------------------------------------------
@@ -186,9 +175,9 @@ def row_tuples(table):
     return [(r.subject_id, r.task_id, r.scores, r.view_seconds, r.label_seconds) for r in table.rows]
 
 
-def load_outcome(loader, path, schema=None):
+def load_outcome(loader, path):
     try:
-        return ("rows", row_tuples(loader(path, schema)))
+        return ("rows", row_tuples(loader(path)))
     except ValueError as exc:
         return ("error", str(exc))
 
@@ -199,14 +188,6 @@ def test_load_matches_dictreader_loader(tmp_path, name):
     path.write_text(MALFORMED_CSVS[name], encoding="utf-8", newline="")
     expected = load_outcome(oracle_load_responses, str(path))
     assert load_outcome(load_responses, str(path)) == expected
-
-
-def test_load_matches_dictreader_loader_with_schema(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("worker,image,valence,arousal,dominance,likeness,worker\na,t1,5,4,6,3,b\nc,t2,5,4\n")
-    schema = {"subject_id": "worker", "task_id": "image", "view_seconds": "valence"}
-    expected = load_outcome(oracle_load_responses, str(path), schema)
-    assert load_outcome(load_responses, str(path), schema) == expected
 
 
 def test_load_rejects_ids_that_begin_with_a_comment_mark(tmp_path):

@@ -29,8 +29,29 @@ def test_multigraph_roundtrip(tmp_path):
 def test_multigraph_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not a graph\n")
-    with pytest.raises(ValueError, match="not a multigraph"):
+    with pytest.raises(ValueError, match="header is not 'task_id\\\\tsubjects\\\\tindicators'") as info:
         textio.read_multigraph(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_multigraph_matches_row_template_oracle(tmp_path, seed):
+    # Tasks of 1 to 9 raters, and (seed 0) a graph with no tasks: the graph
+    # writer writes the row template's bytes of its records.
+    graph = random_graph(np.random.default_rng(seed), m=12, n=20 if seed else 0, r_lo=1, r_hi=9)
+    records = [(t.task_id, ",".join(t.subjects), oracle_pair_indicators(t)) for t in graph.tasks]
+    assert seed == 0 or any(t.n_raters == 1 for t in graph.tasks)
+    head = [("multigraph", f"tasks={graph.n} subjects={graph.m}")]
+    textio.write_multigraph(graph, tmp_path / "got.tsv")
+    oracle_write_table(tmp_path / "want.tsv", textio._GRAPH_COLUMNS, records, head)
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_multigraph_skips_blank_and_whitespace_only_lines(tmp_path):
+    path = tmp_path / "graph.tsv"
+    path.write_text("task_id\tsubjects\tindicators\n\n   \nt1\ta,b\t10\n\t\n")
+    graph = textio.read_multigraph(path)
+    assert graph.task_ids == ["t1"] and graph.subjects == ["a", "b"]
 
 
 def test_multigraph_rejects_counts_its_header_does_not_state(tmp_path):
@@ -93,6 +114,12 @@ def test_fit_report_independent_of_graph_record_order(tmp_path_factory, data):
 GRAPH_HEAD = "# multigraph tasks=2 subjects=3\ntask_id\tsubjects\tindicators\n"
 
 
+# Records whose fault the AgreementMultigraph constructor finds, named by
+# the path alone; the reader names the line of every other fault (the
+# record's last line).
+CONSTRUCTOR_FAULTS = {"t1\ta,a,b\t111111", "t1\ta,,b\t111111", "t1\t\t", "t1\ta, b\t11", "t1\ta,#b\t11"}
+
+
 @pytest.mark.parametrize(
     "record,match",
     [
@@ -100,12 +127,21 @@ GRAPH_HEAD = "# multigraph tasks=2 subjects=3\ntask_id\tsubjects\tindicators\n"
         ("t1\ta,b,c\t01x010", r"task 't1' has an indicator other than 0 or 1"),
         ("t1\ta,b,c\t01 010", r"task 't1' has an indicator other than 0 or 1"),
         ("t1\ta,b,c\t01\u00e9010", r"task 't1' has an indicator other than 0 or 1"),
-        ("t1\ta,b\t11\nt1\ta,c\t11", r"duplicate task id 't1'"),
+        ("t1\ta,b\t11\nt1\ta,c\t11", r"empty or duplicate task_id 't1'"),
         ("t1\ta,a,b\t111111", r"task 't1' lists a subject more than once"),
         ("t1\ta,,b\t111111", r"task 't1' has an empty subject id"),
         ("t1\t\t", r"task 't1' has an empty subject id"),
-        ("\ta,b\t11", r"empty task id"),
+        ("\ta,b\t11", r"empty or duplicate task_id ''"),
         ("t1\ta,b,c\t1111", r"task 't1' has 4 indicators, expected 6"),
+        ("t0\ta,b\t11\nt1\ta,b,c\t1111", r"task 't1' has 4 indicators, expected 6"),
+        ("t1\ta,b", r"expected 3 fields, got 2"),
+        ("t1\ta,b\t11\t", r"expected 3 fields, got 4"),
+        (" t1\ta,b\t11", r"task_id ' t1' has surrounding whitespace"),
+        ("t,1\ta,b\t11", r"task_id 't,1' holds a tab, comma, CR or LF"),
+        # A fault _read_table finds wins over an indicator fault on an earlier line.
+        ("t1\ta,b\t1x\nt1\ta,b\t11", r"empty or duplicate task_id 't1'"),
+        ("t1\ta, b\t11", r"task 't1' has a subject id that has surrounding whitespace"),
+        ("t1\ta,#b\t11", r"task 't1' has a subject id that begins with '#'"),
     ],
 )
 def test_multigraph_rejects_malformed_records(tmp_path, record, match):
@@ -113,14 +149,15 @@ def test_multigraph_rejects_malformed_records(tmp_path, record, match):
     path.write_text(GRAPH_HEAD + record + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match) as info:
         textio.read_multigraph(path)
-    assert str(info.value).startswith(f"{path}: ")
+    line = 3 + record.count("\n")
+    assert str(info.value).startswith(f"{path}: " if record in CONSTRUCTOR_FAULTS else f"{path}:{line}: ")
 
 
 def _break_record(kind, record, pick):
-    """`record` with one fault of `kind` (the kinds of
-    test_multigraph_rejects_malformed_records, plus a wrong field count and
-    a comment-marked subject), as one or two records; `pick(n)` draws a
-    position below n."""
+    """`record` with one fault of `kind` (most kinds of
+    test_multigraph_rejects_malformed_records, plus a record turned into a
+    comment line), as one or two records; `pick(n)` draws a position below
+    n."""
     tid, raters, flags = record.split("\t")
     subjects = raters.split(",")
     if kind == "fields":
@@ -138,6 +175,10 @@ def _break_record(kind, record, pick):
         return [f"{tid}\t\t"]
     if kind == "comment-record":
         return ["#" + record]
+    if kind == "spaced-id":
+        return [f"{tid} \t{raters}\t{flags}" if pick(2) else f"\u3000{tid}\t{raters}\t{flags}"]
+    if kind == "comma-id":
+        return [f"{tid},x\t{raters}\t{flags}"]
     at = pick(len(subjects))
     subjects[at] = {
         "repeated-rater": subjects[pick(len(subjects))],
@@ -149,7 +190,7 @@ def _break_record(kind, record, pick):
 
 FAULTS = [
     "fields", "count", "indicator", "duplicate-id", "empty-id", "no-raters",
-    "comment-record", "repeated-rater", "empty-subject", "comment-subject",
+    "comment-record", "spaced-id", "comma-id", "repeated-rater", "empty-subject", "comment-subject",
 ]
 
 
@@ -166,23 +207,27 @@ def _read_outcome(reader, path):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_read_multigraph_matches_record_loop(tmp_path_factory, data):
-    # Shuffled records, comment lines, CRLF endings and up to two faults per
-    # file: both readers give the same packed graph or the same error.
+    # Shuffled records, comment, blank and whitespace-only lines, CRLF
+    # endings, up to two faults per file and a '# multigraph' line with or
+    # without counts: both readers give the same packed graph or the same
+    # error.
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     graph = random_graph(np.random.default_rng(seed), m=8, n=data.draw(st.integers(0, 10)), r_lo=1, r_hi=5)
     tmp = tmp_path_factory.mktemp("graphs")
     textio.write_multigraph(graph, tmp / "clean.tsv")
-    head, *records = (tmp / "clean.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    counts, head, *records = (tmp / "clean.tsv").read_text(encoding="utf-8").splitlines()
     records = data.draw(st.permutations(records), label="order")
     faulty = st.lists(st.integers(0, len(records) - 1), max_size=2, unique=True) if records else st.just([])
     for at in sorted(data.draw(faulty, label="faulty records"), reverse=True):
         kind = data.draw(st.sampled_from(FAULTS), label="fault")
         records[at : at + 1] = _break_record(kind, records[at], lambda n: data.draw(st.integers(0, max(n - 1, 0))))
     for _ in range(data.draw(st.integers(0, 2), label="comments")):
-        records.insert(data.draw(st.integers(0, len(records))), data.draw(st.sampled_from(["#", "# note\tx", ""])))
+        line = data.draw(st.sampled_from(["#", "# note\tx", "", "  ", "\t"]))
+        records.insert(data.draw(st.integers(0, len(records))), line)
     newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    counts = data.draw(st.sampled_from([counts, "# multigraph"]), label="header")
     path = tmp / "graph.tsv"
-    path.write_bytes(newline.join(["# multigraph", head, *records, ""]).encode("utf-8"))
+    path.write_bytes(newline.join([counts, head, *records, ""]).encode("utf-8"))
     assert _read_outcome(textio.read_multigraph, path) == _read_outcome(oracle_read_multigraph, path)
 
 
@@ -241,6 +286,8 @@ def test_fit_report_reads_hand_written_file(tmp_path):
         ("a\t0.9\t2.0\t1.0\n", "a\t0.9\t2.0\t1.0\t5\n", r":7: expected 4 fields, got 5"),
         ("b\t0.1", "a\t0.1", r":8: empty or duplicate subject_id 'a'"),
         ("b\t0.1", "\t0.1", r":8: empty or duplicate subject_id ''"),
+        ("b\t0.1", " b\t0.1", r":8: subject_id ' b' has surrounding whitespace"),
+        ("b\t0.1", "b,c\t0.1", r":8: subject_id 'b,c' holds a tab, comma, CR or LF"),
         ("a\t0.9", "a\tx", r":7: tau 'x' is not a number"),
         ("a\t0.9", "a\tnan", r":7: tau .*: needs tau in \[0, 1\]"),
         ("a\t0.9", "a\t1.5", r":7: tau .*: needs tau in \[0, 1\]"),
@@ -336,6 +383,14 @@ SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
         (SUBJECTS_HEAD + "1\ts1\t0.5\n", 2, "expected 7 fields, got 3"),
         (SUBJECTS_HEAD + SUBJECT_ROW + SUBJECT_ROW.replace("1\t", "2\t", 1), 3, "duplicate subject_id 's1'"),
         (SUBJECTS_HEAD + SUBJECT_ROW.replace("s1", ""), 2, "empty or duplicate subject_id ''"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("s1", "s1 "), 2, "subject_id 's1 ' has surrounding whitespace"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("s1", "s,1"), 2, "subject_id 's,1' holds a tab, comma, CR or LF"),
+        (SUBJECTS_HEAD + SUBJECT_ROW.replace("s1", "#s1"), 2, "subject_id '#s1' begins with '#'"),
+        (
+            SUBJECTS_HEAD.replace("\n", "\ttau[0.30]\n") + SUBJECT_ROW.replace("\n", "\t0.5\n"),
+            1,
+            r"header columns 'tau\[0.3\]' and 'tau\[0.30\]' both stand for 0.3$",
+        ),
         (SUBJECTS_HEAD + SUBJECT_ROW.replace("0.05", "abc"), 2, "beta_variance 'abc' is not a number"),
         (SUBJECTS_HEAD + SUBJECT_ROW.replace("\t0.5\n", "\t-\n"), 2, "tau\\[0.3\\] '-' is not a number"),
         (SUBJECTS_HEAD + SUBJECT_ROW.replace("1\t", "1.5\t", 1), 2, "rank '1.5' is not an integer"),
@@ -349,6 +404,10 @@ SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
         "short-row",
         "duplicate-id",
         "empty-id",
+        "spaced-id",
+        "comma-id",
+        "comment-mark-id",
+        "repeated-gamma",
         "bad-number",
         "bad-tau",
         "non-integer-rank",
@@ -380,6 +439,8 @@ IMAGE_ROW = "t1\t0.5\t0.8\tnan\t5.5\t4\t0\tvalence\thigh\n"
         (IMAGES_HEAD + "t1\t0.5\n", 2, "expected 9 fields, got 2"),
         (IMAGES_HEAD + IMAGE_ROW + IMAGE_ROW, 3, "duplicate task_id 't1'"),
         (IMAGES_HEAD + IMAGE_ROW[2:], 2, "empty or duplicate task_id ''"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("t1", " t1"), 2, "task_id ' t1' has surrounding whitespace"),
+        (IMAGES_HEAD + IMAGE_ROW.replace("t1", "t,1"), 2, "task_id 't,1' holds a tab, comma, CR or LF"),
         (IMAGES_HEAD + IMAGE_ROW.replace("0.8", "high"), 2, "confidence 'high' is not a number"),
         (IMAGES_HEAD + IMAGE_ROW.replace("\t4\t", "\t4.0\t"), 2, "n_raters '4.0' is not an integer"),
         (IMAGES_HEAD + IMAGE_ROW.replace("\t0\t", "\t7\t"), 2, "weighted_mean_defined '7' is not 0 or 1"),
@@ -393,6 +454,8 @@ IMAGE_ROW = "t1\t0.5\t0.8\tnan\t5.5\t4\t0\tvalence\thigh\n"
         "short-row",
         "duplicate-id",
         "empty-id",
+        "spaced-id",
+        "comma-id",
         "bad-number",
         "non-integer-count",
         "non-flag-defined",
