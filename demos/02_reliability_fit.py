@@ -34,8 +34,8 @@ print(f"objective: first {trace[0]:.1f} -> last {trace[-1]:.1f}")
 # Planted spammers should own the bottom of the tau ranking.
 params = report.params
 spam_ids = truth.subjects[:SPAMMERS]
-spam_tau = [params.tau_of(s) for s in spam_ids if s in params.position]
-good_tau = [t for s, t in params.tau_map().items() if s not in set(spam_ids)]
+spam_tau = [params.tau[params.position[s]] for s in spam_ids if s in params.position]
+good_tau = [t for s, t in zip(params.subjects, params.tau) if s not in set(spam_ids)]
 print(f"\nplanted spammers' tau: {np.round(spam_tau, 3)}")
 print(f"reliable subjects' tau: mean {np.mean(good_tau):.3f}, min {np.min(good_tau):.3f}")
 

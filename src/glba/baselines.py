@@ -47,11 +47,15 @@ class CategoricalTable:
 
 @dataclass
 class DawidSkeneModel:
+    """A fit as arrays aligned with the label table's sorted ids."""
+
+    subjects: list
+    task_ids: list
     class_prior: np.ndarray  # (3,)
-    confusion: dict  # subject -> (3, 3) row-stochastic, rows = true class
-    task_posterior: dict  # task -> (3,)
-    iterations: int = 0
-    converged: bool = False  # the posterior change fell below tol
+    confusion: np.ndarray  # (subjects, 3, 3) row-stochastic, rows = true class
+    task_posterior: np.ndarray  # (tasks, 3)
+    iterations: int
+    converged: bool  # the posterior change fell below tol
 
 
 def _check_nonnegative(name, value):
@@ -87,7 +91,9 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
     per-subject row-stochastic confusion matrices from posterior-weighted
     counts (with additive smoothing), then refreshes the posteriors.
     Stops when the largest posterior change drops below `tol`
-    (`converged`) or after `max_iter` iterations.  No per-iteration
+    (`converged`) or after `max_iter` iterations.  The model's confusion
+    and posterior arrays are in the order of the table's subject_index and
+    task_index, which it keeps as `subjects` and `task_ids`.  No per-iteration
     log-likelihood is kept; the tests check that the penalized
     log-likelihood of `dawid_skene_fit(table, max_iter=i)` never falls
     as i grows.
@@ -159,21 +165,14 @@ def dawid_skene_fit(table, max_iter=100, tol=1e-6):
             converged = True
             break
 
-    return DawidSkeneModel(
-        class_prior=prior,
-        confusion=dict(zip(subjects, confusion)),
-        task_posterior=dict(zip(task_ids, posterior)),
-        iterations=iterations,
-        converged=converged,
-    )
+    return DawidSkeneModel(subjects, task_ids, prior, confusion, posterior, iterations, converged)
 
 
 def dawid_skene_rank(model):
     """Subjects ordered most-spammer-like first: ascending mean diagonal
     of the confusion matrix (low self-consistency first)."""
-    conf = np.array(list(model.confusion.values()))
-    scores = np.diagonal(conf, axis1=1, axis2=2).mean(axis=1).tolist()
-    return sorted(zip(model.confusion, scores), key=lambda x: (x[1], x[0]))
+    scores = np.diagonal(model.confusion, axis1=1, axis2=2).mean(axis=1).tolist()
+    return sorted(zip(model.subjects, scores), key=lambda x: (x[1], x[0]))
 
 
 def duration_rank(table):

@@ -9,7 +9,9 @@ float arrays (NaN marks a missing value).  A plain file (no quote, LF or
 CRLF line ends, every record as wide as the header) is read by one numpy
 scan of its bytes for commas and LFs, its fields deduplicated as bytes;
 ``csv.reader`` reads any other file into the same form.  Every builder
-passes the codes it holds, and every reader works on the columns.
+passes the codes it holds, and every reader works on the columns.  Every
+id check words its fault as one ``_ID_FAULTS`` phrase after the id it names
+(``task '#t1' begins with '#'``, ``row 3: subject/task id is empty``).
 
 Two raters agree on a task when their ratings are close in *percentile*
 terms rather than in absolute value: the rule adapts to non-uniform rating
@@ -154,10 +156,8 @@ def _check_ids(table, what, columns):
             fault = f"repeats {a!r}" if a == b else f"is not sorted: {a!r} before {b!r}"
             raise ValueError(f"{what}: {name} index {fault}")
         status = _id_status(index)
-        for i in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
-            if status[i] == _SPACED:
-                raise ValueError(f"{what}: {name} id {index[i]!r} has surrounding whitespace")
-            raise ValueError(f"{what}: {_ID_PROBLEMS[status[i]]}: {index[i]!r}")
+        for i in np.flatnonzero(status < len(_ID_FAULTS))[:1].tolist():
+            raise ValueError(f"{what}: {name} id {index[i]!r} {_ID_FAULTS[status[i]]}")
         if n and code.dtype.kind not in "iu":
             raise ValueError(f"{what}: {name} codes are not integers")
         code = code.astype(np.intp, copy=False)
@@ -309,10 +309,10 @@ class AgreementMultigraph:
         # Ids the text formats would not read back, by their _id_status
         # (empty ones are rejected above).
         status = _id_status(ids)
-        for k in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
+        for k in np.flatnonzero(status < len(_ID_FAULTS))[:1].tolist():
             raise ValueError(f"task {ids[k]!r} {_ID_FAULTS[status[k]]}")
         status = _id_status(self.subjects)[self.flat_sidx]  # per slot
-        for slot in np.flatnonzero(status < len(_ID_PROBLEMS))[:1].tolist():
+        for slot in np.flatnonzero(status < len(_ID_FAULTS))[:1].tolist():
             k = int(np.searchsorted(self.offsets, slot, side="right")) - 1
             raise ValueError(f"task {ids[k]!r} has a subject id that {_ID_FAULTS[status[slot]]}")
 
@@ -361,19 +361,12 @@ class AgreementMultigraph:
 # and commas and end lines at CR and LF.
 _RESERVED = "\t,\r\n"
 
-# A record's id problems, each hiding the ones after it: an empty id, an id
-# holding a reserved character, an id that begins with '#', an id with
-# surrounding whitespace (the ratings loader and the id-list reader strip
-# every id, so no file could name one, and the loader never meets one).
-_ID_PROBLEMS = (
-    "empty subject_id or task_id",
-    "subject/task id contains a reserved character",
-    "subject/task id begins with '#', which marks a comment line",
-    "subject/task id has surrounding whitespace",
-)
-# The same problems as phrases that follow the id they name.
+# An id's faults, each hiding the ones after it, as phrases that follow the
+# id they name: an empty id, an id holding a reserved character, an id that
+# begins with '#', an id with surrounding whitespace (the ratings loader and
+# the id-list reader strip every id, so no file could name one, and the
+# loader never meets one).
 _ID_FAULTS = ("is empty", "holds a tab, comma, CR or LF", "begins with '#'", "has surrounding whitespace")
-_SPACED = 3
 
 
 def load_responses(path):
@@ -433,9 +426,10 @@ def load_responses(path):
 
     problems = []  # (record, column order, message); one per record and column
     status = np.minimum(_id_status(sindex)[scode], _id_status(tindex)[tcode])
-    for level, message in enumerate(_ID_PROBLEMS):
-        problems += [(j, 0, f"row {j + 2}: {message}") for j in np.flatnonzero(status == level).tolist()]
-    live = np.flatnonzero(status == len(_ID_PROBLEMS))
+    for level, fault in enumerate(_ID_FAULTS):
+        rows = np.flatnonzero(status == level).tolist()
+        problems += [(j, 0, f"row {j + 2}: subject/task id {fault}") for j in rows]
+    live = np.flatnonzero(status == len(_ID_FAULTS))
     # Each live row's (subject, task) pair, and the first live row with it.
     pair = scode[live] * len(tindex) + tcode[live]
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
@@ -470,14 +464,14 @@ def load_responses(path):
 
 
 def _id_status(ids):
-    """Per id of the sorted distinct `ids`, the position in _ID_PROBLEMS of
-    the first problem it has, or len(_ID_PROBLEMS) for none."""
-    status = np.full(len(ids), len(_ID_PROBLEMS), dtype=np.int8)
+    """Per id of the sorted distinct `ids`, the position in _ID_FAULTS of
+    the first fault it has, or len(_ID_FAULTS) for none."""
+    status = np.full(len(ids), len(_ID_FAULTS), dtype=np.int8)
     joined = "".join(ids)
     # str.split() splits at the characters str.strip removes, so ids that
     # hold none of them need no pass of their own.
     if joined.split() != [joined]:
-        status[np.fromiter((i != i.strip() for i in ids), bool, len(ids))] = _SPACED
+        status[np.fromiter((i != i.strip() for i in ids), bool, len(ids))] = 3  # surrounding whitespace
     status[bisect_left(ids, "#") : bisect_left(ids, "$")] = 2  # the ids that begin with '#'
     if any(c in joined for c in _RESERVED):
         status[np.fromiter((any(c in i for c in _RESERVED) for i in ids), bool, len(ids))] = 1
@@ -496,7 +490,7 @@ def _id_faults(ids):
         return {}
     distinct = sorted(set(ids))
     status = _id_status(distinct).tolist()
-    return {i: _ID_FAULTS[s] for i, s in zip(distinct, status) if s < len(_ID_PROBLEMS)}
+    return {i: _ID_FAULTS[s] for i, s in zip(distinct, status) if s < len(_ID_FAULTS)}
 
 
 def _read_fields(path):

@@ -83,12 +83,6 @@ class ModelParams:
             raise ValueError("gamma must lie in (0, 0.5)")
         return self
 
-    def tau_of(self, subject):
-        return float(self.tau[self.position[subject]])
-
-    def tau_map(self):
-        return {s: float(self.tau[i]) for i, s in enumerate(self.subjects)}
-
 
 @dataclass
 class Priors:
@@ -568,22 +562,22 @@ def log_posterior(params, priors, multigraph, stats):
 
 class _Run:
     """One fit of the lockstep driver: its chance rate, the priors and
-    parameters of its current EB round, and what its report collects."""
+    parameters of its current EB round, and what its report collects.
+    `advance` holds every per-fit decision of the loop."""
 
     def __init__(self, gamma, subjects):
         self.gamma = gamma
         self.subjects = subjects
-        self.tau0, self.s0 = 0.5, 1.0
         self.trace = []
         self.round_starts = []
         self.fallback_ids = set()
         self.gamma_kept = 0
         self.total_iters = 0
-        self.start_round()
+        self.start_round(Priors())
 
-    def start_round(self):
+    def start_round(self, priors):
         self.round_starts.append(self.total_iters)
-        self.priors = Priors(tau0=self.tau0, s0=self.s0)
+        self.priors = priors
         # Each round refits from the standard initialization: the E-step
         # re-derives gate posteriors from the reliability parameters, so a
         # warm start is not an ascent point of the new round's objective
@@ -592,19 +586,39 @@ class _Run:
         self.tau = np.ones(m)
         self.alpha = np.ones(m)
         self.beta = np.ones(m)
-        self.round_iters = 0
         self.converged = False
 
-    def end_round(self, config):
-        """Re-center the priors; False once the fit is done."""
-        new_tau0 = float(np.mean(self.tau))
-        new_s0 = float(np.mean(self.alpha + self.beta) / 2.0)
-        if max(abs(new_tau0 - self.tau0), abs(new_s0 - self.s0)) < config.eb_tol:
+    def advance(self, graph, tau, alpha, beta, fallback, stats, config):
+        """Take one EM iteration's parameters; False once the fit is done.
+
+        `fallback` marks the bisected subjects; `stats` is the iteration's
+        (flat, dig, lam), or None untraced.  A round ends once the largest
+        parameter change drops below config.tol, or after config.max_iter
+        iterations; then the priors re-centre on the population means,
+        until they move by less than config.eb_tol or config.eb_max_rounds
+        rounds have run.
+        """
+        if fallback.any():
+            self.fallback_ids.update(self.subjects[j] for j in np.flatnonzero(fallback))
+        delta = max(
+            float(np.max(np.abs(tau - self.tau))),
+            float(np.max(np.abs(alpha - self.alpha))),
+            float(np.max(np.abs(beta - self.beta))),
+        )
+        self.tau, self.alpha, self.beta = tau, alpha, beta
+        self.total_iters += 1
+        if not all(np.all(np.isfinite(x)) for x in (tau, alpha, beta)):
+            raise RuntimeError(f"non-finite parameters at EM iteration {self.total_iters}")
+        if stats is not None:
+            self.trace.append(_objective_flat(graph, *stats, self.params(), self.priors))
+        self.converged = delta < config.tol
+        if not self.converged and self.total_iters - self.round_starts[-1] < config.max_iter:
+            return True
+        new = Priors(tau0=float(np.mean(tau)), s0=float(np.mean(alpha + beta) / 2.0))
+        moved = max(abs(new.tau0 - self.priors.tau0), abs(new.s0 - self.priors.s0))
+        if moved < config.eb_tol or len(self.round_starts) == config.eb_max_rounds:
             return False
-        if len(self.round_starts) == config.eb_max_rounds:
-            return False
-        self.tau0, self.s0 = new_tau0, new_s0
-        self.start_round()
+        self.start_round(new)
         return True
 
     def params(self):
@@ -637,10 +651,11 @@ def _fit_lockstep(multigraph, config, gammas):
     own flat arrays, then one `_solve_shapes` call solves the Beta shapes
     of all their subjects, stacked fit by fit, each with its fit's prior
     scale.  The solver works element by element, so every fit gets the
-    doubles it gets alone.  A fit leaves the batch when it finishes.  When
-    a fit's parameters turn non-finite, it and the fits after it leave,
-    and once the fits before it finish, the first such fit's error is
-    raised, as running the fits one after another would raise it.
+    doubles it gets alone.  Each fit's `_Run.advance` then takes its new
+    parameters, and the fit leaves the batch when it finishes.  When
+    `advance` finds a fit's parameters non-finite, it and the fits after
+    it leave, and once the fits before it finish, the first such fit's
+    error is raised, as running the fits one after another would raise it.
     """
     if multigraph.n == 0:
         raise ValueError("multigraph has no tasks")
@@ -677,33 +692,14 @@ def _fit_lockstep(multigraph, config, gammas):
 
         still = []
         for i, run in enumerate(running):
-            if fallback[i].any():
-                run.fallback_ids.update(subjects[j] for j in np.flatnonzero(fallback[i]))
-            delta = max(
-                float(np.max(np.abs(new_tau[i] - run.tau))),
-                float(np.max(np.abs(alpha[i] - run.alpha))),
-                float(np.max(np.abs(beta[i] - run.beta))),
-            )
-            run.tau, run.alpha, run.beta = new_tau[i], alpha[i], beta[i]
-            run.total_iters += 1
-            run.round_iters += 1
-            if not (
-                np.all(np.isfinite(run.tau))
-                and np.all(np.isfinite(run.alpha))
-                and np.all(np.isfinite(run.beta))
-            ):
+            try:
+                if run.advance(multigraph, new_tau[i], alpha[i], beta[i], fallback[i], stats[i], config):
+                    still.append(run)
+            except RuntimeError as exc:
                 # The fits after this one stop; those before it run on, and
                 # one of them may fail first.
-                error = RuntimeError(f"non-finite parameters at EM iteration {run.total_iters}")
+                error = exc
                 break
-
-            if config.trace:
-                run.trace.append(_objective_flat(multigraph, *stats[i], run.params(), run.priors))
-
-            run.converged = delta < config.tol
-            round_over = run.converged or run.round_iters == config.max_iter
-            if not round_over or run.end_round(config):
-                still.append(run)
         running = still
     if error is not None:
         raise error

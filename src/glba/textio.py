@@ -305,12 +305,15 @@ def write_params_table(params, path):
 
 
 def _tau_column(col):
-    """The gamma of a subjects-table column tau[<gamma>], or None."""
+    """The gamma of a subjects-table column tau[<gamma>], or None unless it
+    is a finite number in (0, 0.5), as FitConfig requires of a gamma."""
     if col.startswith("tau[") and col.endswith("]"):
         try:
-            return float(col[4:-1])
+            gamma = float(col[4:-1])
         except ValueError:
-            pass
+            return None
+        if 0.0 < gamma < 0.5:  # NaN and the infinities fail the range test
+            return gamma
     return None
 
 

@@ -584,13 +584,8 @@ def oracle_dawid_skene(table, max_iter=100, tol=1e-6):
             converged = True
             break
 
-    return DawidSkeneModel(
-        class_prior=prior,
-        confusion=dict(zip(subjects, confusion)),
-        task_posterior={t: posterior[t] for t in task_ids},
-        iterations=iterations,
-        converged=converged,
-    )
+    posterior = np.array([posterior[t] for t in task_ids])
+    return DawidSkeneModel(subjects, task_ids, prior, np.array(confusion), posterior, iterations, converged)
 
 
 def ds_penalized_loglik(table, model):
@@ -602,7 +597,8 @@ def ds_penalized_loglik(table, model):
     from glba.baselines import CONFUSION_SMOOTHING
 
     subjects, task_labels = _ds_task_labels(table)
-    confusion = [model.confusion[s] for s in subjects]
+    position = {s: i for i, s in enumerate(model.subjects)}
+    confusion = [model.confusion[position[s]] for s in subjects]
     ll = 0.0
     for labels in task_labels.values():
         ll += math.log(max(float(_ds_task_probs(model.class_prior, confusion, labels).sum()), 1e-300))
@@ -612,7 +608,7 @@ def ds_penalized_loglik(table, model):
 def oracle_dawid_skene_rank(model):
     """Subjects ordered by the mean diagonal of their confusion matrix,
     one subject at a time, ties by id."""
-    scored = [(s, float(np.mean(np.diag(cm)))) for s, cm in model.confusion.items()]
+    scored = [(s, float(np.mean(np.diag(cm)))) for s, cm in zip(model.subjects, model.confusion)]
     scored.sort(key=lambda x: (x[1], x[0]))
     return scored
 
@@ -870,14 +866,14 @@ def oracle_load_responses(path):
                 sid = (rec["subject_id"] or "").strip()
                 tid = (rec["task_id"] or "").strip()
                 if not sid or not tid:
-                    problems.append(f"row {lineno}: empty subject_id or task_id")
+                    problems.append(f"row {lineno}: subject/task id is empty")
                     continue
                 bad_id = [c for c in "\t,\r\n" if c in sid + tid]
                 if bad_id:
-                    problems.append(f"row {lineno}: subject/task id contains a reserved character")
+                    problems.append(f"row {lineno}: subject/task id holds a tab, comma, CR or LF")
                     continue
                 if sid.startswith("#") or tid.startswith("#"):
-                    problems.append(f"row {lineno}: subject/task id begins with '#', which marks a comment line")
+                    problems.append(f"row {lineno}: subject/task id begins with '#'")
                     continue
                 key = (sid, tid)
                 if key in seen:

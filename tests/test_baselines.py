@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from itertools import compress
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from glba.baselines import (
     CATEGORIES,
     CategoricalTable,
-    DawidSkeneModel,
     categorize_table,
     dawid_skene_fit,
     dawid_skene_rank,
@@ -144,10 +144,7 @@ def test_categorize_table_codes_match_coding_the_rated_ids(tmp_path, cells, data
             continue
         recoded = CategoricalTable(*_codes(sids), *_codes(tids), cat.categories)
         ours, recoded = dawid_skene_fit(cat), dawid_skene_fit(recoded)
-        assert ours.class_prior.tobytes() == recoded.class_prior.tobytes()
-        for field in ("confusion", "task_posterior"):
-            a, b = getattr(ours, field), getattr(recoded, field)
-            assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+        assert_same_ds_model(ours, recoded)
 
 
 @pytest.mark.parametrize("codes", [[0, 3], [-1, 0], [0, 1.5]])
@@ -172,9 +169,17 @@ def cat_table(entries):
     return CategoricalTable(*_codes(list(sids)), *_codes(list(tids)), [CATEGORIES.index(c) for c in cats])
 
 
+def assert_same_ds_model(got, want):
+    """Same ids in the same order, and the same doubles in every array."""
+    assert (got.subjects, got.task_ids) == (want.subjects, want.task_ids)
+    for field in ("class_prior", "confusion", "task_posterior"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_ds_single_vote_concentrates():
     model = dawid_skene_fit(cat_table([("a", "t1", "high")]))
-    post = model.task_posterior["t1"]
+    post = model.task_posterior[model.task_ids.index("t1")]
     assert np.argmax(post) == CATEGORIES.index("high")
     assert post[CATEGORIES.index("high")] > 0.5
     assert post.sum() == pytest.approx(1.0, abs=1e-9)
@@ -193,7 +198,7 @@ def test_ds_perfect_agreement_near_identity():
         for s in range(5):
             entries.append((f"s{s}", f"t{t}", c))
     model = dawid_skene_fit(cat_table(entries))
-    for cm in model.confusion.values():
+    for cm in model.confusion:
         off_diag = cm - np.diag(np.diag(cm))
         assert off_diag.max() < 0.05
         np.testing.assert_allclose(cm.sum(axis=1), 1.0, atol=1e-9)
@@ -213,7 +218,7 @@ def test_ds_planted_spammer_has_lowest_diagonal():
             entries.append((f"good{s}", f"t{t}", c))
         entries.append(("spammer", f"t{t}", cats[int(rng.integers(3))]))
     model = dawid_skene_fit(cat_table(entries))
-    diag = {s: float(np.mean(np.diag(cm))) for s, cm in model.confusion.items()}
+    diag = {s: float(np.mean(np.diag(cm))) for s, cm in zip(model.subjects, model.confusion)}
     good_mean = np.mean([diag[f"good{s}"] for s in range(4)])
     assert diag["spammer"] < good_mean
     ranked = dawid_skene_rank(model)
@@ -231,9 +236,9 @@ def test_ds_simplex_constraints_and_monotone_loglik():
     table = cat_table(entries)
     model = dawid_skene_fit(table)
     assert model.class_prior.sum() == pytest.approx(1.0, abs=1e-9)
-    for cm in model.confusion.values():
+    for cm in model.confusion:
         np.testing.assert_allclose(cm.sum(axis=1), 1.0, atol=1e-9)
-    for post in model.task_posterior.values():
+    for post in model.task_posterior:
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
     # The penalized log-likelihood after each iteration, read off fits
     # capped at 1, 2, ... iterations, never falls.
@@ -272,8 +277,7 @@ def test_ds_deterministic():
     m1 = dawid_skene_fit(cat_table(entries))
     m2 = dawid_skene_fit(cat_table(entries))
     assert np.array_equal(m1.class_prior, m2.class_prior)
-    for s in m1.confusion:
-        assert np.array_equal(m1.confusion[s], m2.confusion[s])
+    assert np.array_equal(m1.confusion, m2.confusion)
 
 
 def test_ds_rejects_max_iter_below_one():
@@ -323,13 +327,7 @@ def test_ds_kernel_bit_identical_to_loop(seed, max_iter, tol, converged):
     assert got.converged == want.converged == converged
     assert got.iterations == want.iterations
     assert converged or got.iterations == max_iter
-    assert np.array_equal(got.class_prior, want.class_prior)
-    assert list(got.confusion) == list(want.confusion)
-    for s in want.confusion:
-        assert np.array_equal(got.confusion[s], want.confusion[s])
-    assert list(got.task_posterior) == list(want.task_posterior)
-    for t in want.task_posterior:
-        assert np.array_equal(got.task_posterior[t], want.task_posterior[t])
+    assert_same_ds_model(got, want)
 
 
 def test_ds_task_whose_likelihood_underflows_is_uniform_as_in_loop():
@@ -341,11 +339,8 @@ def test_ds_task_whose_likelihood_underflows_is_uniform_as_in_loop():
     entries += [(f"s{s:04d}", "zz", cats[(s >= 500) + (s >= 900)]) for s in range(1200)]
     table = cat_table(entries)
     got, want = dawid_skene_fit(table, max_iter=2), oracle_dawid_skene(table, max_iter=2)
-    assert got.task_posterior["zz"].tolist() == [1 / 3] * 3
-    assert got.class_prior.tobytes() == want.class_prior.tobytes()
-    for field in ("confusion", "task_posterior"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert got.task_posterior[got.task_ids.index("zz")].tolist() == [1 / 3] * 3
+    assert_same_ds_model(got, want)
 
 
 def agreeing_labels(seed):
@@ -356,8 +351,9 @@ def agreeing_labels(seed):
 
 
 def reversed_confusions(model):
-    """The model with its subjects listed in descending id order."""
-    return DawidSkeneModel(model.class_prior, dict(reversed(model.confusion.items())), model.task_posterior)
+    """The model with its subjects, and their confusion rows, listed in
+    descending id order."""
+    return dataclasses.replace(model, subjects=model.subjects[::-1], confusion=model.confusion[::-1])
 
 
 @pytest.mark.parametrize(

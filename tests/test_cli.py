@@ -57,7 +57,7 @@ def test_id_holding_a_carriage_return_exits_2(tmp_path, capsys):
     bad.write_text(CSV_HEADER + rows, newline="")
     out = tmp_path / "out"
     assert run(["build-graph", bad, "--out", out]) == 2
-    assert "row 3: subject/task id contains a reserved character" in capsys.readouterr().err
+    assert "row 3: subject/task id holds a tab, comma, CR or LF" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -194,7 +194,7 @@ def test_load_rejects_ids_that_begin_with_a_comment_mark(tmp_path):
     # Every text reader skips '#' lines: such a task would vanish from the
     # graph file and such a subject from a fit report when read back.
     path = write_csv(tmp_path, "a,#t1,5,4,6,3,,\nb,t1,5,4,6,3,,\n #b,t2,5,4,6,3,,\nc,t#,5,4,6,3,,\n")
-    message = "subject/task id begins with '#', which marks a comment line"
+    message = "subject/task id begins with '#'"
     with pytest.raises(ValueError, match=rf"row 2: {message}; row 4: {message}$"):
         load_responses(path)
 
@@ -202,7 +202,7 @@ def test_load_rejects_ids_that_begin_with_a_comment_mark(tmp_path):
 def test_load_counts_records_not_lines(tmp_path):
     # a quoted newline spans two lines but is one record; blank lines are not counted
     path = write_csv(tmp_path, '"x\ny",t1,5,4,6,3,,\n\nb,t1,12,4,6,3,,\n')
-    with pytest.raises(ValueError, match=r"row 2: subject/task id contains a reserved character; row 3: valence"):
+    with pytest.raises(ValueError, match=r"row 2: subject/task id holds a tab, comma, CR or LF; row 3: valence"):
         load_responses(path)
 
 
@@ -870,10 +870,25 @@ BAD_CODES = [
     ((["a", "b"], [0, 1], ["t"], [0]), "columns differ in length"),
     ((["a", "b"], [0, 1], ["t"], [0, 0, 0]), "columns differ in length"),
     ((["a", "b"], [0.0, 1.0], ["t"], [0, 0]), "subject codes are not integers"),
-    ((["", "a"], [0, 1], ["t"], [0, 0]), "empty subject_id or task_id: ''"),
-    ((["a", "b,c"], [0, 1], ["t"], [0, 0]), "subject/task id contains a reserved character: 'b,c'"),
-    ((["a", "b"], [0, 1], ["t\n"], [0, 0]), "subject/task id contains a reserved character: 't\\n'"),
-    ((["#a", "b"], [0, 1], ["t"], [0, 0]), "subject/task id begins with '#', which marks a comment line: '#a'"),
+    # These four ids name their cases as the tests were first named.
+    pytest.param(
+        (["", "a"], [0, 1], ["t"], [0, 0]), "subject id '' is empty", id="coded8-empty subject_id or task_id: ''"
+    ),
+    pytest.param(
+        (["a", "b,c"], [0, 1], ["t"], [0, 0]),
+        "subject id 'b,c' holds a tab, comma, CR or LF",
+        id="coded9-subject/task id contains a reserved character: 'b,c'",
+    ),
+    pytest.param(
+        (["a", "b"], [0, 1], ["t\n"], [0, 0]),
+        "task id 't\\n' holds a tab, comma, CR or LF",
+        id="coded10-subject/task id contains a reserved character: 't\\n'",
+    ),
+    pytest.param(
+        (["#a", "b"], [0, 1], ["t"], [0, 0]),
+        "subject id '#a' begins with '#'",
+        id="coded11-subject/task id begins with '#', which marks a comment line: '#a'",
+    ),
     ((["a", "b"], [0, 1], [" x"], [0, 0]), "task id ' x' has surrounding whitespace"),
 ]
 

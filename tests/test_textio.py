@@ -370,6 +370,7 @@ def test_image_reports_roundtrip(tmp_path):
 
 SUBJECTS_HEAD = "rank\tsubject_id\ttau_mean\talpha\tbeta\tbeta_variance\ttau[0.3]\n"
 SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
+GAMMAS_OUT_OF_RANGE = ["nan", "-3", "inf", "-inf", "0", "0.5"]
 
 
 @pytest.mark.parametrize(
@@ -379,6 +380,9 @@ SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
         (SUBJECT_ROW, 1, "header is not"),  # no header row
         (SUBJECTS_HEAD.replace("tau_mean", "tau"), 1, "header is not"),
         (SUBJECTS_HEAD.replace("tau[0.3]", "tau[x]"), 1, "header is not"),
+        # A gamma column must name a finite gamma in (0, 0.5), as a fit's does.
+        *((SUBJECTS_HEAD.replace("tau[0.3]", f"tau[{g}]"), 1, "header is not") for g in GAMMAS_OUT_OF_RANGE),
+        (SUBJECTS_HEAD.replace("tau[0.3]", "tau[nan]\ttau[nan]"), 1, "header is not"),
         (SUBJECTS_HEAD.replace("\n", "\tnote\n"), 1, "header is not"),
         (SUBJECTS_HEAD + "1\ts1\t0.5\n", 2, "expected 7 fields, got 3"),
         (SUBJECTS_HEAD + SUBJECT_ROW + SUBJECT_ROW.replace("1\t", "2\t", 1), 3, "duplicate subject_id 's1'"),
@@ -400,6 +404,8 @@ SUBJECT_ROW = "1\ts1\t0.5\t2.0\t1.0\t0.05\t0.5\n"
         "no-header",
         "wrong-column",
         "bad-gamma-column",
+        *(f"gamma-column-{g}" for g in GAMMAS_OUT_OF_RANGE),
+        "two-nan-gamma-columns",
         "extra-column",
         "short-row",
         "duplicate-id",
